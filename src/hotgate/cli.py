@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -22,8 +21,6 @@ from . import states, stirap
 from .errors import SimulationError
 from .hilbert import DEFAULT_N_MAX
 from .operators import PhysicalParams
-
-WORKERS_ENV = "HOTGATE_MAX_WORKERS"
 
 SWEEP_AXES = {
     "epsilon": ("gate", "epsilon"),
@@ -95,6 +92,8 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
             n_steps = int(round(total / float(section["dt_s"])))
         else:
             n_steps = int(section.get("n_steps", stirap.DEFAULT_N_STEPS))
+        if n_steps < 1:
+            raise ConfigError(f"schedule needs n_steps >= 1, got {n_steps}")
         detuning = section.get("detuning_rad_per_s")
         detuning = None if detuning is None else float(detuning)
         if "pump" in section or "stokes" in section:
@@ -123,7 +122,7 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
             n_steps=n_steps, detuning=detuning,
             shape=str(section.get("shape", "sin2")),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad schedule: {exc}") from exc
@@ -159,7 +158,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate and build the experiment from a JSON document."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    n_max = int(doc.get("n_max", DEFAULT_N_MAX))
+    try:
+        n_max = int(doc.get("n_max", DEFAULT_N_MAX))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"n_max must be an integer: {exc}") from exc
     if n_max < 1:
         raise ConfigError("n_max must be >= 1")
     phonon_spec = str(_require(doc, "phonon", "config"))
@@ -184,7 +186,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     sweep_axes = _parse_axes(doc["sweep"]) if "sweep" in doc else []
-    trace_n = int(doc.get("trace", {}).get("n", 0))
+    trace = doc.get("trace", {})
+    if not isinstance(trace, dict):
+        raise ConfigError('trace must be an object such as {"n": 2}')
+    try:
+        trace_n = int(trace.get("n", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"trace.n must be an integer: {exc}") from exc
     return ExperimentConfig(
         n_max=n_max, phonon_spec=phonon_spec, gate=gate_config,
         sweep_axes=sweep_axes, trace_n=trace_n, raw=doc,
@@ -253,16 +261,17 @@ def _grid_point_metrics(raw: dict, names, values, seed: int | None) -> dict:
     cfg = parse_config(_patched_raw_multi(raw, names, values))
     phonon = _phonon_input(cfg, seed)
     t0 = time.perf_counter()
+    report = gate_mod.gate_report(cfg.gate, phonon)
     row = {
-        "gate_fidelity": gate_mod.gate_fidelity(cfg.gate, phonon),
-        "phonon_restoration": gate_mod.phonon_restoration(cfg.gate, phonon),
-        "leakage": gate_mod.gate_leakage(cfg.gate, phonon),
+        "gate_fidelity": report.qubit_fidelity,
+        "phonon_restoration": report.phonon_restoration_fidelity,
+        "leakage": report.leakage,
     }
     if cfg.gate.mode == "stirap":
-        ns = np.arange(min(11, cfg.n_max))
-        props = stirap.block_propagators(cfg.gate.schedule, cfg.gate.params, ns,
-                                         method=cfg.gate.method)
-        row["transfer_efficiency"] = float(np.min(np.abs(props[:, 2, 0]) ** 2))
+        # same cache key as the build inside gate_report: no second integration
+        up, _ = stirap.passage_blocks(cfg.gate.schedule, cfg.gate.params, cfg.n_max + 1,
+                                      cfg.gate.method)
+        row["transfer_efficiency"] = float(np.min(np.abs(up[:min(11, cfg.n_max), 2, 0]) ** 2))
     row["runtime_s"] = time.perf_counter() - t0
     return row
 
@@ -282,17 +291,7 @@ def cmd_sweep(config: ExperimentConfig, out: str, fmt: str, seed: int | None) ->
     names = [name for name, _ in config.sweep_axes]
     grids = [vals for _, vals in config.sweep_axes]
     points = list(product(*grids))
-    workers = os.environ.get(WORKERS_ENV)
-    workers = max(1, int(workers)) if workers else 1
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda vals: _grid_point_metrics(config.raw, names, vals, seed), points
-            ))
-    else:
-        rows = [_grid_point_metrics(config.raw, names, vals, seed) for vals in points]
+    rows = [_grid_point_metrics(config.raw, names, vals, seed) for vals in points]
     metric_cols = ["gate_fidelity", "phonon_restoration", "leakage"]
     if config.gate.mode == "stirap":
         metric_cols.append("transfer_efficiency")

@@ -5,15 +5,18 @@ conditional phase again, passage down. On the two-qubit subspace the ideal
 sequence acts as diag(1, 1, 1, -1) in the (control, target) basis
 {|00>, |01>, |10>, |11>} while returning the phonon mode to its input state.
 
-The gate runs inside a Fock space enlarged by one rung so that inputs with
-support all the way up to n_max survive the intermediate single-phonon
-excursion exactly; the result is projected back and any weight lost at the
-enlarged boundary is reported as leakage.
+Every pulse conserves n + [control on |2>], so the whole sequence is a set of
+independent per-rung blocks: for each target level and occupation n, one 3x3
+block on {|1,n>, |3,n>, |2,n+1>} of the control ion and a phase on |0,n>.
+The phonon axis is padded by one rung so that inputs with support up to n_max
+survive the intermediate single-phonon excursion exactly; weight left on the
+padded rung is dropped and reported as leakage. The same conservation law
+makes each output cell of the gate depend on one input rung only, so the
+report metrics follow from four gate runs for any phonon input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,15 +29,12 @@ from .hilbert import (
     FockSpace,
     compose_density,
     compose_state,
-    partial_trace_phonon,
 )
 from .operators import (
     IdealUnitary,
     PhysicalParams,
-    adiabatic_down,
-    adiabatic_up,
     carrier_rotation,
-    conditional_phase,
+    conditional_phase_factors,
     rotation_matrix_2x2,
 )
 from .states import ThermalSpec, fock_state, thermal_probabilities
@@ -46,6 +46,16 @@ CNOT_PRE_PHASE = -np.pi / 2
 CNOT_POST_PHASE = np.pi / 2
 
 MIN_RESTORATION_FOR_TABLE = 0.9
+
+# Ideal passage on one rung block {|1,n>, |3,n>, |2,n+1>}: |1,n> <-> |2,n+1>.
+_IDEAL_PASSAGE = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
+
+# Fidelity inputs as unnormalized (control, target) qubit coefficients: the
+# four basis states plus |+>_c|0>_t, |+>_c|1>_t, |0>_c|+>_t and |1>_c|+>_t.
+_FIDELITY_INPUTS = np.array([
+    [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+    [1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1],
+], dtype=complex)
 
 
 @dataclass
@@ -116,81 +126,38 @@ class GateReport:
         }
 
 
-def _embedding_indices(space: CompositeSpace, workspace: CompositeSpace) -> np.ndarray:
-    d_in, d_ws = space.fock.dim, workspace.fock.dim
-    n_ion = 4**space.n_ions
-    return (np.arange(n_ion)[:, None] * d_ws + np.arange(d_in)[None, :]).reshape(-1)
+def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
+    """The four-pulse sequence as per-rung blocks on a phonon axis padded by one rung.
 
-
-def _embed_state(state: CompositeState, workspace: CompositeSpace) -> CompositeState:
-    amps = np.zeros(workspace.dim, dtype=complex)
-    amps[_embedding_indices(state.space, workspace)] = state.amplitudes
-    return CompositeState(workspace, amps, copy=False)
-
-
-def _project_state(state: CompositeState, space: CompositeSpace):
-    idx = _embedding_indices(space, state.space)
-    amps = state.amplitudes[idx]
-    lost = float(np.linalg.norm(state.amplitudes) ** 2 - np.linalg.norm(amps) ** 2)
-    return CompositeState(space, amps, copy=False), max(lost, 0.0)
-
-
-def _embed_density(rho: DensityOperator, workspace: CompositeSpace) -> DensityOperator:
-    idx = _embedding_indices(rho.space, workspace)
-    mat = np.zeros((workspace.dim, workspace.dim), dtype=complex)
-    mat[np.ix_(idx, idx)] = rho.matrix
-    return DensityOperator(mat, workspace, validate=False)
-
-
-def _project_density(rho: DensityOperator, space: CompositeSpace):
-    idx = _embedding_indices(space, rho.space)
-    mat = rho.matrix[np.ix_(idx, idx)]
-    lost = float(np.real(np.trace(rho.matrix) - np.trace(mat)))
-    return DensityOperator(mat, space, validate=False), max(lost, 0.0)
-
-
-@lru_cache(maxsize=32)
-def _cached_passage_matrix(schedule: stirap.StirapSchedule, params: PhysicalParams,
-                           n_levels: int, method: str) -> np.ndarray:
-    return stirap.passage_matrix(schedule, params, n_levels, method=method)
-
-
-def _stirap_pulse(label: str, config: GateConfig, workspace: CompositeSpace,
-                  schedule: stirap.StirapSchedule) -> IdealUnitary:
-    """Time-resolved passage packaged with the same interface as the ideal pulses.
-
-    The passage matrix is unitary on the whole control-ion (x) phonon
-    subspace, so mid-sequence states carrying non-adiabatic residue are
-    evolved like any other population; no per-pulse domain gate here. Input
-    validity is checked once at gate entry, and residue lands in the
-    fidelity/leakage metrics.
+    For target level t and rung n the block is down[n] Phi_t(n) up[n] Phi_t(n)
+    on {|1,n>, |3,n>, |2,n+1>} of the control ion, and |0,n> picks up
+    Phi_t(n)^2. Only |1>_t carries conditional phases; the other target
+    levels see the bare passage round trip.
     """
-    d = workspace.fock.dim
-    mat4 = _cached_passage_matrix(schedule, config.params, d, config.method)
-    mat4 = mat4.reshape(4, d, 4, d)
-    control = config.control
-
-    def kernel(space, x):
-        xc = np.moveaxis(x, control, 0)
-        lead = xc.shape  # (4, others..., d, batch)
-        rest = int(np.prod(lead[1:-2], dtype=int)) if len(lead) > 3 else 1
-        xr = xc.reshape(4, rest, d, lead[-1])
-        yr = np.einsum("amcn,crnb->armb", mat4, xr)
-        return np.moveaxis(yr.reshape(lead), 0, control)
-
-    return IdealUnitary(label, kernel, check=None)
-
-
-def _pulse_sequence(config: GateConfig, workspace: CompositeSpace) -> list:
-    s_t = conditional_phase(config.target, config.epsilon)
+    k, d = space.n_ions, space.fock.dim
+    phi = conditional_phase_factors(d + 1, config.epsilon)
     if config.mode == "ideal":
-        up = adiabatic_up(config.control)
-        down = adiabatic_down(config.control)
+        up = down = np.broadcast_to(_IDEAL_PASSAGE, (d, 3, 3))
     else:
-        up = _stirap_pulse("passage-up", config, workspace, config.schedule)
-        down = _stirap_pulse("passage-down", config, workspace,
-                             stirap.reversed_schedule(config.schedule))
-    return [s_t, up, s_t, down]
+        up, down = stirap.passage_blocks(config.schedule, config.params, d, config.method)
+    ph = np.stack((phi[:-1], phi[:-1], phi[1:]), axis=-1)
+    bare = down @ up
+    phased = down @ (ph[:, :, None] * up * ph[:, None, :])
+    lead = (4,) + (1,) * (k - 1)  # target level, then the spectator and batch axes
+    blocks = np.stack((bare, phased, bare, bare)).reshape(lead + (d, 3, 3))
+    ground = np.ones((4, d + 1), dtype=complex)
+    ground[1] = phi * phi
+    ground = ground.reshape(lead + (d + 1,))
+    axes, moved = (config.control, config.target, k + 1), (0, 1, k)
+
+    def kernel(sp, x):
+        xc = np.moveaxis(x, axes, moved)  # control, target, spectators, batch, phonon
+        pad = np.zeros(xc.shape[:-1] + (1,), dtype=complex)
+        y = stirap.apply_blocks(np.concatenate((xc, pad), axis=-1), blocks)
+        y[0] *= ground
+        return np.moveaxis(y[..., :-1], moved, axes)
+
+    return IdealUnitary("crot", kernel, check=None)
 
 
 def _check_qubit_subspace(state_or_rho, config: GateConfig):
@@ -212,8 +179,8 @@ def crot(state_or_rho, config: GateConfig):
 
     Accepts a CompositeState or a DensityOperator on the full composite
     space; returns the evolved object on the same space. Amplitudes are
-    evolved linearly (no renormalization), so any weight truncated at the
-    internal boundary shows up as missing norm/trace.
+    evolved linearly (no renormalization), so any weight pushed past n_max
+    by the intermediate phonon excursion shows up as missing norm/trace.
     """
     space = state_or_rho.space
     if not isinstance(space, CompositeSpace):
@@ -223,19 +190,10 @@ def crot(state_or_rho, config: GateConfig):
             f"input has {space.n_ions} ions but params declare {config.params.n_ions}"
         )
     _check_qubit_subspace(state_or_rho, config)
-    workspace = CompositeSpace(space.n_ions, FockSpace(space.fock.n_max + 1))
-    pulses = _pulse_sequence(config, workspace)
+    gate = _crot_unitary(config, space)
     if isinstance(state_or_rho, CompositeState):
-        cur = _embed_state(state_or_rho, workspace)
-        for pulse in pulses:
-            cur = pulse.apply(cur)
-        out, _ = _project_state(cur, space)
-    else:
-        cur = _embed_density(state_or_rho, workspace)
-        for pulse in pulses:
-            cur = pulse.apply_density(cur)
-        out, _ = _project_density(cur, space)
-    return out
+        return gate.apply(state_or_rho)
+    return gate.apply_density(state_or_rho)
 
 
 def cnot(state_or_rho, config: GateConfig):
@@ -258,62 +216,99 @@ def cnot_matrix_oracle() -> np.ndarray:
     return r_post @ ideal_crot_matrix() @ r_pre
 
 
-def _qubit_register_vector(space: CompositeSpace, config: GateConfig,
-                           qubit_coeffs: np.ndarray) -> np.ndarray:
-    """Lift (control, target) qubit coefficients to the 4^k ion register."""
-    k = space.n_ions
-    vec = np.zeros((4,) * k, dtype=complex)
+def _qubit_register(config: GateConfig) -> np.ndarray:
+    """(4^k, 4) map lifting (control, target) qubit coefficients to the ion register."""
+    k = config.params.n_ions
+    reg = np.zeros((4,) * k + (4,), dtype=complex)
     for a in range(4):
-        c_bit, t_bit = a >> 1, a & 1
         idx = [0] * k
-        idx[config.control] = c_bit
-        idx[config.target] = t_bit
-        vec[tuple(idx)] = qubit_coeffs[a]
-    return vec.reshape(-1)
+        idx[config.control], idx[config.target] = a >> 1, a & 1
+        reg[tuple(idx) + (a,)] = 1.0
+    return reg.reshape(4**k, 4)
 
 
-def _phonon_components(phonon_input):
-    """(weight, vector) pairs spanning a pure or mixed phonon input."""
+def _ensemble(phonon_input):
+    """Weights and rows of phonon vectors spanning a pure or mixed phonon input."""
     if isinstance(phonon_input, DensityOperator):
         w, v = np.linalg.eigh(phonon_input.matrix)
-        return [(float(p), v[:, j]) for j, p in enumerate(w) if p > 1e-14]
-    vec = np.asarray(phonon_input, dtype=complex)
-    return [(1.0, vec)]
+        return w, v.T
+    return np.ones(1), np.asarray(phonon_input, dtype=complex)[None, :]
 
 
-def _phonon_dim(phonon_input) -> int:
-    if isinstance(phonon_input, DensityOperator):
-        return phonon_input.dim
-    return len(phonon_input)
+def gate_report(config: GateConfig, phonon_input) -> GateReport:
+    """Run the gate on the four qubit-basis columns and derive every report metric.
 
+    Truth table and fidelities average over the input's eigen-ensemble;
+    restoration and leakage are worst cases over basis inputs and over
+    eigencomponents of weight above 1e-14. The entanglement residue (stirap
+    mode) is reported for pure inputs only, since mixing depresses purity on
+    its own.
+    """
+    weights, vecs = _ensemble(phonon_input)
+    d = vecs.shape[1]
+    space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
+    reg = _qubit_register(config)
+    ones = np.ones(d, dtype=complex)
+    cols = np.stack([crot(compose_state(space, reg[:, a], ones), config).amplitudes
+                     for a in range(4)]).reshape(4, -1, d)
+    # Each output cell comes from one input rung: n, or n - 1 with the control
+    # on the shelf, so the four columns give the output for every input vector.
+    levels = np.indices(space.shape[:-1]).reshape(space.n_ions, -1)
+    src = np.arange(d) + 1 - (levels[config.control] == 2)[:, None]
+    padded = np.concatenate((np.zeros((len(weights), 1)), vecs), axis=1)
+    out = cols * padded[:, src][:, None]  # component, basis input, register, rung
 
-def _pure_restoration(out: CompositeState, phonon_ref: np.ndarray) -> float:
-    x = out.amplitudes.reshape(-1, out.space.fock.dim)
-    rho_ph = x.T @ x.conj()
-    return float(np.clip(np.real(np.vdot(phonon_ref, rho_ph @ phonon_ref)), 0.0, 1.0))
+    kept = weights > 1e-14
+    overlap = np.einsum("kn,kajn->kaj", vecs.conj(), out)
+    restoration = np.clip(np.sum(np.abs(overlap) ** 2, axis=-1), 0.0, 1.0)
+    worst_restoration = float(np.min(restoration[kept], initial=1.0))
+    pops = np.abs(out) ** 2
+    off = (levels[config.control] >= 2).astype(float) + (levels[config.target] >= 2)
+    leakage = np.maximum(0.0, 1.0 - pops.sum(axis=(2, 3))) + np.einsum("kajn,j->ka", pops, off)
+    failed = config.mode == "stirap" and worst_restoration < MIN_RESTORATION_FOR_TABLE
+    table = None if failed else np.einsum("k,kaj,jb->ab", weights, overlap, reg.conj())
 
+    # |input><ideal output| per fidelity input, entries exactly 0, +-1 or +-1/2
+    targets = reg @ ideal_crot_matrix() @ _FIDELITY_INPUTS.T
+    norms = np.sum(np.abs(_FIDELITY_INPUTS) ** 2, axis=1)
+    probe = np.einsum("ia,ji->iaj", _FIDELITY_INPUTS, targets.conj()) / norms[:, None, None]
 
-def _compensator(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
-    """Frame correction from measured round-trip passage phases, per rung."""
-    d = space.fock.dim
-    up = stirap.block_propagators(config.schedule, config.params, np.arange(d - 1),
-                                  method=config.method)
-    down = stirap.block_propagators(stirap.reversed_schedule(config.schedule),
-                                    config.params, np.arange(d - 1), method=config.method)
-    round_trip = down @ up
-    delta = np.zeros(d)
-    delta[:-1] = np.angle(round_trip[:, 0, 0])
-    control = config.control
+    def fidelity(x):
+        amp = np.einsum("iaj,kajn->kin", probe, x, optimize=True)
+        # summed as infidelity, so that an exact gate scores exactly 1
+        loss = weights @ (1.0 - np.sum(np.abs(amp) ** 2, axis=-1))
+        return float(np.mean(np.clip(1.0 - loss, 0.0, 1.0)))
 
-    def kernel(sp, x):
-        out = x.copy()
-        xc = np.moveaxis(out, control, 0)
-        shape = [1] * (xc.ndim - 1)
-        shape[sp.n_ions - 1] = d
-        xc[1] = xc[1] * np.exp(-1j * delta).reshape(shape)
-        return out
-
-    return IdealUnitary("frame-correction", kernel, check=None)
+    fid = fidelity(out)
+    raw = phases = residue = None
+    if config.mode == "stirap":
+        up, down = stirap.passage_blocks(config.schedule, config.params, d, config.method)
+        if config.compensate_phases:
+            # frame correction from the measured round-trip phase of each rung
+            delta = np.angle((down[:-1] @ up[:-1])[:, 0, 0])
+            frame = np.where((levels[config.control] == 1)[:, None],
+                             np.append(np.exp(-1j * delta), 1.0), 1.0)
+            raw, fid = fid, fidelity(out * frame)
+        amps = up[:min(11, d - 1), 2, 0]
+        phases = {n: float(np.angle(amp)) for n, amp in enumerate(amps)
+                  if abs(amp) ** 2 >= 0.5}
+        if not isinstance(phonon_input, DensityOperator):
+            rho = out[0] @ out[0].conj().transpose(0, 2, 1)
+            norm = np.maximum(np.real(np.trace(rho, axis1=1, axis2=2)), 1e-300)
+            purity = np.real(np.einsum("aij,aji->a", rho, rho)) / norm**2
+            residue = float(np.max(1.0 - purity, initial=0.0))
+    return GateReport(
+        truth_table=table,
+        qubit_fidelity=fid,
+        phonon_restoration_fidelity=worst_restoration,
+        leakage=float(np.max(leakage[kept], initial=0.0)),
+        mode=config.mode,
+        epsilon=config.epsilon,
+        residual_phases=phases,
+        entanglement_residue=residue,
+        qubit_fidelity_raw=raw,
+        table_extraction_failed=failed,
+    )
 
 
 def truth_table(config: GateConfig, phonon_input) -> np.ndarray:
@@ -325,58 +320,13 @@ def truth_table(config: GateConfig, phonon_input) -> np.ndarray:
     the extraction is refused (AmbiguousExtraction) when the phonon comes
     back with fidelity below 0.9, since no clean table exists then.
     """
-    d = _phonon_dim(phonon_input)
-    space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
-    table = np.zeros((4, 4), dtype=complex)
-    worst_restoration = 1.0
-    for weight, phonon in _phonon_components(phonon_input):
-        outs = []
-        for a in range(4):
-            coeffs = np.zeros(4, dtype=complex)
-            coeffs[a] = 1.0
-            ion = _qubit_register_vector(space, config, coeffs)
-            out = crot(compose_state(space, ion, phonon), config)
-            outs.append(out)
-            if config.mode == "stirap":
-                worst_restoration = min(worst_restoration, _pure_restoration(out, phonon))
-        if config.mode == "stirap" and worst_restoration < MIN_RESTORATION_FOR_TABLE:
-            raise AmbiguousExtraction(
-                f"phonon restoration fidelity {worst_restoration:.3f} < "
-                f"{MIN_RESTORATION_FOR_TABLE}; the gate left ion-phonon entanglement"
-            )
-        for b in range(4):
-            coeffs = np.zeros(4, dtype=complex)
-            coeffs[b] = 1.0
-            ref = compose_state(space, _qubit_register_vector(space, config, coeffs), phonon)
-            for a in range(4):
-                table[a, b] += weight * ref.overlap(outs[a])
-    return table
-
-
-_FIDELITY_INPUT_COEFFS = None
-
-
-def _fidelity_inputs() -> list:
-    """Four basis states plus the four single-qubit |+> superpositions."""
-    global _FIDELITY_INPUT_COEFFS
-    if _FIDELITY_INPUT_COEFFS is None:
-        basis = [np.eye(4, dtype=complex)[a] for a in range(4)]
-        s = 1.0 / np.sqrt(2.0)
-        sup = [
-            s * (basis[0] + basis[2]),  # |+>_c |0>_t
-            s * (basis[1] + basis[3]),  # |+>_c |1>_t
-            s * (basis[0] + basis[1]),  # |0>_c |+>_t
-            s * (basis[2] + basis[3]),  # |1>_c |+>_t
-        ]
-        _FIDELITY_INPUT_COEFFS = basis + sup
-    return _FIDELITY_INPUT_COEFFS
-
-
-def _ion_reduced(out) -> np.ndarray:
-    if isinstance(out, CompositeState):
-        x = out.amplitudes.reshape(-1, out.space.fock.dim)
-        return x @ x.conj().T
-    return partial_trace_phonon(out).matrix
+    report = gate_report(config, phonon_input)
+    if report.table_extraction_failed:
+        raise AmbiguousExtraction(
+            f"phonon restoration fidelity {report.phonon_restoration_fidelity:.3f} < "
+            f"{MIN_RESTORATION_FOR_TABLE}; the gate left ion-phonon entanglement"
+        )
+    return report.truth_table
 
 
 def gate_fidelity(config: GateConfig, phonon_input, *, compensate=None) -> float:
@@ -384,131 +334,21 @@ def gate_fidelity(config: GateConfig, phonon_input, *, compensate=None) -> float
 
     Inputs are the four basis states and the four single-qubit superpositions,
     which make the relative sign on the doubly excited branch observable.
-    Mixed phonon inputs run through the density path.
+    compensate overrides config.compensate_phases (stirap mode only).
     """
-    if compensate is None:
-        compensate = config.compensate_phases
-    d = _phonon_dim(phonon_input)
-    space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
-    mixed = isinstance(phonon_input, DensityOperator)
-    comp = None
-    if compensate and config.mode == "stirap":
-        comp = _compensator(config, space)
-    ideal = ideal_crot_matrix()
-    total = 0.0
-    inputs = _fidelity_inputs()
-    for coeffs in inputs:
-        ion = _qubit_register_vector(space, config, coeffs)
-        if mixed:
-            inp = compose_density(np.outer(ion, ion.conj()), phonon_input.matrix, space)
-        else:
-            inp = compose_state(space, ion, phonon_input)
-        out = crot(inp, config)
-        if comp is not None:
-            out = comp.apply(out) if isinstance(out, CompositeState) else comp.apply_density(out)
-        target_ion = _qubit_register_vector(space, config, ideal @ coeffs)
-        rho_ion = _ion_reduced(out)
-        total += float(np.clip(np.real(np.vdot(target_ion, rho_ion @ target_ion)), 0.0, 1.0))
-    return total / len(inputs)
+    if compensate is not None:
+        config = replace(config, compensate_phases=compensate)
+    return gate_report(config, phonon_input).qubit_fidelity
 
 
 def phonon_restoration(config: GateConfig, phonon_input) -> float:
     """Worst-case fidelity of the returned phonon state over basis inputs."""
-    d = _phonon_dim(phonon_input)
-    space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
-    worst = 1.0
-    for weight, phonon in _phonon_components(phonon_input):
-        for a in range(4):
-            coeffs = np.zeros(4, dtype=complex)
-            coeffs[a] = 1.0
-            ion = _qubit_register_vector(space, config, coeffs)
-            out = crot(compose_state(space, ion, phonon), config)
-            worst = min(worst, _pure_restoration(out, phonon))
-    return worst
+    return gate_report(config, phonon_input).phonon_restoration_fidelity
 
 
 def gate_leakage(config: GateConfig, phonon_input) -> float:
     """Norm loss plus population left outside the two-qubit subspace."""
-    d = _phonon_dim(phonon_input)
-    space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
-    worst = 0.0
-    for _, phonon in _phonon_components(phonon_input):
-        for a in range(4):
-            coeffs = np.zeros(4, dtype=complex)
-            coeffs[a] = 1.0
-            ion = _qubit_register_vector(space, config, coeffs)
-            out = crot(compose_state(space, ion, phonon), config)
-            pops = np.abs(out.tensor()) ** 2
-            missing = max(0.0, 1.0 - float(pops.sum()))
-            off = 0.0
-            for ionidx in (config.control, config.target):
-                off += float(np.moveaxis(pops, ionidx, 0)[2:].sum())
-            worst = max(worst, missing + off)
-    return worst
-
-
-def gate_report(config: GateConfig, phonon_input) -> GateReport:
-    """Run the gate on every basis input and collect the report metrics."""
-    try:
-        table = truth_table(config, phonon_input)
-        failed = False
-    except AmbiguousExtraction:
-        table = None
-        failed = True
-    fid = gate_fidelity(config, phonon_input)
-    raw = None
-    if config.mode == "stirap" and config.compensate_phases:
-        raw = gate_fidelity(config, phonon_input, compensate=False)
-    restoration = phonon_restoration(config, phonon_input)
-    leakage = gate_leakage(config, phonon_input)
-    phases = None
-    residue = None
-    if config.mode == "stirap":
-        d = _phonon_dim(phonon_input)
-        ns = np.arange(min(11, d - 1))
-        props = stirap.block_propagators(config.schedule, config.params, ns,
-                                         method=config.method)
-        phases = {}
-        for n in ns:
-            amp = props[n, 2, 0]
-            if abs(amp) ** 2 >= 0.5:
-                phases[int(n)] = float(np.angle(amp))
-        residue = _entanglement_residue(config, phonon_input)
-    return GateReport(
-        truth_table=table,
-        qubit_fidelity=fid,
-        phonon_restoration_fidelity=restoration,
-        leakage=leakage,
-        mode=config.mode,
-        epsilon=config.epsilon,
-        residual_phases=phases,
-        entanglement_residue=residue,
-        qubit_fidelity_raw=raw,
-        table_extraction_failed=failed,
-    )
-
-
-def _entanglement_residue(config: GateConfig, phonon_input) -> float | None:
-    """1 - purity of the traced ion state, worst case over basis inputs.
-
-    Meaningful only for pure phonon inputs (mixed inputs depress purity on
-    their own); returns None otherwise.
-    """
-    if isinstance(phonon_input, DensityOperator):
-        return None
-    d = _phonon_dim(phonon_input)
-    space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
-    worst = 0.0
-    for a in range(4):
-        coeffs = np.zeros(4, dtype=complex)
-        coeffs[a] = 1.0
-        ion = _qubit_register_vector(space, config, coeffs)
-        out = crot(compose_state(space, ion, np.asarray(phonon_input, dtype=complex)), config)
-        rho = _ion_reduced(out)
-        norm = max(float(np.real(np.trace(rho))), 1e-300)
-        purity = float(np.real(np.trace(rho @ rho))) / norm**2
-        worst = max(worst, 1.0 - purity)
-    return worst
+    return gate_report(config, phonon_input).leakage
 
 
 def mixed_state_equivalence(config: GateConfig, spec: ThermalSpec, n_max: int = 32,
@@ -522,7 +362,7 @@ def mixed_state_equivalence(config: GateConfig, spec: ThermalSpec, n_max: int = 
     space = CompositeSpace(config.params.n_ions, FockSpace(n_max))
     if qubit_coeffs is None:
         qubit_coeffs = 0.5 * np.ones(4, dtype=complex)
-    ion = _qubit_register_vector(space, config, np.asarray(qubit_coeffs, dtype=complex))
+    ion = _qubit_register(config) @ np.asarray(qubit_coeffs, dtype=complex)
     rho_ph = np.diag(thermal_probabilities(spec, n_max).astype(complex))
     direct_in = compose_density(np.outer(ion, ion.conj()), rho_ph, space)
     direct = crot(direct_in, config).matrix

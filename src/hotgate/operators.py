@@ -136,6 +136,14 @@ def _ion_slice(ndim: int, ion: int, level: int):
     return tuple(sl)
 
 
+def conditional_phase_factors(dim: int, epsilon: float = 0.0) -> np.ndarray:
+    """Phases exp(-i pi (1+epsilon) n) of |1>_t |n> for n < dim; exactly (-1)^n at epsilon = 0."""
+    n = np.arange(dim)
+    if epsilon == 0.0:
+        return (-1.0 + 0j) ** n  # exact alternating signs
+    return np.exp(-1j * np.pi * (1.0 + epsilon) * n)
+
+
 def conditional_phase(target_ion: int, epsilon: float = 0.0) -> IdealUnitary:
     """Conditional phase pulse: |1>_t |n> -> exp(-i pi (1+epsilon) n) |1>_t |n>.
 
@@ -147,11 +155,7 @@ def conditional_phase(target_ion: int, epsilon: float = 0.0) -> IdealUnitary:
     def kernel(space, x):
         out = x.copy()
         sl = _ion_slice(x.ndim, target_ion, 1)
-        n = np.arange(space.fock.dim)
-        if epsilon == 0.0:
-            phases = (-1.0 + 0j) ** n  # exact alternating signs
-        else:
-            phases = np.exp(-1j * np.pi * (1.0 + epsilon) * n)
+        phases = conditional_phase_factors(space.fock.dim, epsilon)
         # after slicing the target axis away, the phonon axis sits at n_ions-1
         shape = [1] * (x.ndim - 1)
         shape[space.n_ions - 1] = space.fock.dim

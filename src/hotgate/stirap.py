@@ -19,6 +19,7 @@ convergence, 'midpoint' freezes H mid-step (2nd order).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -284,6 +285,39 @@ def block_trajectory(schedule: StirapSchedule, params: PhysicalParams, n: int,
     return times, amps
 
 
+@lru_cache(maxsize=32)
+def passage_blocks(schedule: StirapSchedule, params: PhysicalParams, n_rungs: int,
+                   method: str = "magnus4") -> tuple:
+    """Read-only (up, down) blocks of an 'up' schedule and its reverse, rungs 0..n_rungs-1.
+
+    Cached on all four arguments, so the gate, its frame correction, the
+    reported passage phases and a sweep's transfer efficiency share one build.
+    """
+    ns = np.arange(n_rungs)
+    up = block_propagators(schedule, params, ns, method=method)
+    down = block_propagators(reversed_schedule(schedule), params, ns, method=method)
+    up.flags.writeable = False
+    down.flags.writeable = False
+    return up, down
+
+
+def apply_blocks(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Apply per-rung 3x3 blocks on {|1,n>, |3,n>, |2,n+1>} of the control ion.
+
+    x carries the control-ion level on axis 0 and the phonon occupation on
+    its last axis; blocks has shape (..., x.shape[-1] - 1, 3, 3) and
+    broadcasts against the axes in between. Cells outside every block
+    (level 0, the ladder top on levels 1 and 3, and |2>|0>) are copied.
+    """
+    y = x.copy()
+    v = np.stack((x[1, ..., :-1], x[3, ..., :-1], x[2, ..., 1:]), axis=-1)
+    w = np.einsum("...nij,...nj->...ni", blocks, v)
+    y[1, ..., :-1] = w[..., 0]
+    y[3, ..., :-1] = w[..., 1]
+    y[2, ..., 1:] = w[..., 2]
+    return y
+
+
 def propagate(state: CompositeState, schedule: StirapSchedule, params: PhysicalParams, *,
               control_ion: int = 0, method: str = "magnus4",
               domain_tol: float = DOMAIN_ATOL, leak_tol: float = LEAK_TOL) -> CompositeState:
@@ -325,17 +359,7 @@ def propagate(state: CompositeState, schedule: StirapSchedule, params: PhysicalP
             )
     d = space.fock.dim
     p = block_propagators(schedule, params, np.arange(d - 1), method=method)
-    y = xc.copy()
-    blocks = np.stack(
-        [xc[(1, Ellipsis, slice(0, -1))],
-         xc[(3, Ellipsis, slice(0, -1))],
-         xc[(2, Ellipsis, slice(1, None))]],
-        axis=-1,
-    )
-    evolved = np.einsum("nij,...nj->...ni", p, blocks)
-    y[(1, Ellipsis, slice(0, -1))] = evolved[..., 0]
-    y[(3, Ellipsis, slice(0, -1))] = evolved[..., 1]
-    y[(2, Ellipsis, slice(1, None))] = evolved[..., 2]
+    y = apply_blocks(xc, p)
     amps = np.moveaxis(y, 0, control_ion).reshape(space.dim)
     out = CompositeState(space, amps, copy=False)
     if abs(out.norm - state.norm) > 1e-9:

@@ -115,6 +115,26 @@ def test_truth_table_thermal(tmp_path, capsys):
     assert doc["leakage"] < 1e-12
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("n_max",), "abc", "n_max"),
+    (("trace",), "x", "trace"),
+    (("gate", "schedule", "n_steps"), 0, "n_steps"),
+    (("gate", "schedule", "dt_s"), 0.0, "bad schedule"),
+])
+def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, path, value, message):
+    doc = stirap_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    code = cli.main(["truth-table", "--config", write(tmp_path, doc),
+                     "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_truth_table_malformed_spec(tmp_path, capsys):
     code = cli.main(["truth-table", "--config", write(tmp_path, ideal_doc(phonon="fock:")),
                      "--out", str(tmp_path / "r.json")])
@@ -174,21 +194,17 @@ def test_sweep_epsilon_monotone(tmp_path):
     assert [float(r["epsilon"]) for r in rows] == [0.0, 0.005, 0.01]
 
 
-def test_sweep_deterministic_modulo_runtime(tmp_path, monkeypatch):
+def test_sweep_deterministic_modulo_runtime(tmp_path):
     doc = ideal_doc(phonon="random:3", n_max=8,
                     sweep={"axes": [{"name": "epsilon", "start": 0.0, "stop": 0.01, "steps": 3}]})
     cfg = write(tmp_path, doc)
     outs = []
-    for name, workers in (("a.csv", None), ("b.csv", None), ("c.csv", "2")):
-        if workers is None:
-            monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
-        else:
-            monkeypatch.setenv(cli.WORKERS_ENV, workers)
+    for name in ("a.csv", "b.csv"):
         out = tmp_path / name
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         header, rows = read_csv(out)
         outs.append([{k: v for k, v in row.items() if k != "runtime_s"} for row in rows])
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1]
 
 
 def test_sweep_stirap_duration_efficiency_non_decreasing(tmp_path):
@@ -205,6 +221,23 @@ def test_sweep_stirap_duration_efficiency_non_decreasing(tmp_path):
     assert effs[0] <= effs[1] <= effs[2]
     fids = [float(r["gate_fidelity"]) for r in rows]
     assert fids[0] <= fids[1] <= fids[2]
+
+
+def test_sweep_grid_point_builds_passage_once(tmp_path, monkeypatch):
+    builds = []
+    original = stirap.block_propagators
+
+    def counting(*args, **kwargs):
+        builds.append(args[0].direction)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stirap, "block_propagators", counting)
+    stirap.passage_blocks.cache_clear()
+    doc = stirap_doc(phonon="fock:1", n_max=8, n_steps=300,
+                     sweep={"axes": [{"name": "margin", "values": [70.0]}]})
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
+    assert sorted(builds) == ["down", "up"]
 
 
 def test_sweep_empty_axes(tmp_path):

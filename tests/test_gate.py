@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,19 @@ from hotgate.errors import AmbiguousExtraction, DomainError
 from hotgate.hilbert import (
     CompositeSpace,
     CompositeState,
+    DensityOperator,
     FockSpace,
     compose_density,
     compose_state,
     parity_decompose,
 )
-from hotgate.operators import PhysicalParams, adiabatic_up, conditional_phase
+from hotgate.operators import (
+    IdealUnitary,
+    PhysicalParams,
+    adiabatic_down,
+    adiabatic_up,
+    conditional_phase,
+)
 from hotgate.states import ThermalSpec, fock_state, random_pure_state, thermal_state
 from hotgate import gate as g
 from hotgate import stirap
@@ -388,3 +397,198 @@ def test_ideal_report_serializes():
     assert doc["residual_phases"] is None
     table = np.array([[complex(re, im) for re, im in row] for row in doc["truth_table"]])
     assert np.max(np.abs(table - np.diag([1, 1, 1, -1]))) < 1e-12
+
+
+# ---------------------------------------------------------------- four-pulse oracle
+
+@functools.lru_cache(maxsize=None)
+def dense_passage_matrix(schedule, params, d, method):
+    return stirap.passage_matrix(schedule, params, d, method=method).reshape(4, d, 4, d)
+
+
+def dense_passage(config, schedule, workspace):
+    """A passage as the dense stirap.passage_matrix on (control level, phonon)."""
+    mat = dense_passage_matrix(schedule, config.params, workspace.fock.dim, config.method)
+
+    def kernel(space, x):
+        xc = np.moveaxis(x, config.control, 0)
+        return np.moveaxis(np.einsum("amcn,c...nb->a...mb", mat, xc), 0, config.control)
+
+    return IdealUnitary("dense passage", kernel)
+
+
+def oracle_crot(state_or_rho, config):
+    """The gate as its four pulses applied in turn, on a Fock space one rung larger."""
+    space = state_or_rho.space
+    d = space.fock.dim
+    workspace = CompositeSpace(space.n_ions, FockSpace(d))
+    keep = (np.arange(4**space.n_ions)[:, None] * (d + 1) + np.arange(d)).reshape(-1)
+    phase = conditional_phase(config.target, config.epsilon)
+    if config.mode == "ideal":
+        up, down = adiabatic_up(config.control), adiabatic_down(config.control)
+    else:
+        up = dense_passage(config, config.schedule, workspace)
+        down = dense_passage(config, stirap.reversed_schedule(config.schedule), workspace)
+    pulses = (phase, up, phase, down)
+    if isinstance(state_or_rho, CompositeState):
+        amps = np.zeros(workspace.dim, dtype=complex)
+        amps[keep] = state_or_rho.amplitudes
+        cur = CompositeState(workspace, amps)
+        for pulse in pulses:
+            cur = pulse.apply(cur)
+        return CompositeState(space, cur.amplitudes[keep])
+    mat = np.zeros((workspace.dim, workspace.dim), dtype=complex)
+    mat[np.ix_(keep, keep)] = state_or_rho.matrix
+    cur = DensityOperator(mat, workspace, validate=False)
+    for pulse in pulses:
+        cur = pulse.apply_density(cur)
+    return DensityOperator(cur.matrix[np.ix_(keep, keep)], space, validate=False)
+
+
+FIDELITY_PROBES = [np.eye(4)[a] for a in range(4)] + [
+    np.array(v) / np.sqrt(2.0) for v in ([1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1])
+]
+
+
+def oracle_report(config, phonon_input):
+    """Report fields from per-basis-input loops over oracle_crot runs."""
+    mixed = isinstance(phonon_input, DensityOperator)
+    d = phonon_input.dim if mixed else len(phonon_input)
+    space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
+    stirap_mode = config.mode == "stirap"
+
+    def register(coeffs):
+        return sum(coeffs[2 * c + t] * qubit_ion_vector(c, t, config.control, config.target)
+                   for c in range(2) for t in range(2))
+
+    if mixed:
+        w, v = np.linalg.eigh(phonon_input.matrix)
+        components = [(p, v[:, j]) for j, p in enumerate(w) if p > 1e-14]
+    else:
+        components = [(1.0, phonon_input)]
+    table = np.zeros((4, 4), dtype=complex)
+    restoration, leakage, residue = 1.0, 0.0, 0.0
+    for weight, phonon in components:
+        for a in range(4):
+            out = oracle_crot(compose_state(space, register(np.eye(4)[a]), phonon), config)
+            x = out.amplitudes.reshape(-1, d)
+            rho_phonon = x.T @ x.conj()
+            restoration = min(restoration,
+                              np.clip(np.real(np.vdot(phonon, rho_phonon @ phonon)), 0.0, 1.0))
+            pops = np.abs(out.tensor()) ** 2
+            off = sum(np.moveaxis(pops, ion, 0)[2:].sum() for ion in (config.control, config.target))
+            leakage = max(leakage, max(0.0, 1.0 - pops.sum()) + off)
+            rho_ion = x @ x.conj().T
+            purity = np.real(np.trace(rho_ion @ rho_ion)) / np.real(np.trace(rho_ion)) ** 2
+            residue = max(residue, 1.0 - purity)
+            for b in range(4):
+                ref = compose_state(space, register(np.eye(4)[b]), phonon)
+                table[a, b] += weight * ref.overlap(out)
+
+    def fidelity(compensate):
+        frame = np.ones(space.shape, dtype=complex)
+        if compensate:
+            up, down = (stirap.block_propagators(sched, config.params, np.arange(d - 1),
+                                                 method=config.method)
+                        for sched in (config.schedule, stirap.reversed_schedule(config.schedule)))
+            delta = np.append(np.angle((down @ up)[:, 0, 0]), 0.0)
+            np.moveaxis(frame, config.control, 0)[1] *= np.exp(-1j * delta)
+        frame = frame.reshape(-1)
+        total = 0.0
+        for coeffs in FIDELITY_PROBES:
+            ion = register(coeffs)
+            target = register(np.diag([1, 1, 1, -1]) @ coeffs)
+            if mixed:
+                rho_in = compose_density(np.outer(ion, ion.conj()), phonon_input.matrix, space)
+                out = oracle_crot(rho_in, config).matrix * np.outer(frame, frame.conj())
+                rho_ion = np.einsum("anbn->ab", out.reshape(16, d, 16, d))
+            else:
+                out = oracle_crot(compose_state(space, ion, phonon_input), config).amplitudes
+                x = (out * frame).reshape(-1, d)
+                rho_ion = x @ x.conj().T
+            total += np.clip(np.real(np.vdot(target, rho_ion @ target)), 0.0, 1.0)
+        return total / len(FIDELITY_PROBES)
+
+    compensated = stirap_mode and config.compensate_phases
+    phases = None
+    if stirap_mode:
+        props = stirap.block_propagators(config.schedule, config.params,
+                                         np.arange(min(11, d - 1)), method=config.method)
+        phases = {n: np.angle(p[2, 0]) for n, p in enumerate(props) if abs(p[2, 0]) ** 2 >= 0.5}
+    return {
+        "truth_table": None if stirap_mode and restoration < g.MIN_RESTORATION_FOR_TABLE
+        else table,
+        "qubit_fidelity": fidelity(compensated),
+        "qubit_fidelity_raw": fidelity(False) if compensated else None,
+        "phonon_restoration_fidelity": restoration,
+        "leakage": leakage,
+        "entanglement_residue": residue if stirap_mode and not mixed else None,
+        "residual_phases": phases,
+    }
+
+
+ORACLE_CONFIGS = {
+    "ideal": IDEAL,
+    "ideal-timing-error": g.GateConfig(params=PARAMS, epsilon=0.013),
+    "stirap-compensated": g.GateConfig(
+        params=PARAMS, mode="stirap", epsilon=0.004, compensate_phases=True,
+        # a detuned intermediate level gives the round trip a phase to correct
+        schedule=stirap.standard_schedule(1.0, PARAMS, margin=100.0, n_steps=400, detuning=5.0)),
+    "stirap-swapped-roles": stirap_config(margin=60.0, n_steps=300, control=1, target=0),
+    "stirap-weak": stirap_config(margin=5.0, n_steps=300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+def test_block_gate_matches_four_pulse_oracle(name):
+    config = ORACLE_CONFIGS[name]
+    n_max = 8
+    space = CompositeSpace(2, FockSpace(n_max))
+    rng = np.random.default_rng(5)
+    qubit = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    qubit /= np.linalg.norm(qubit)
+    ion = sum(qubit[2 * c + t] * qubit_ion_vector(c, t, config.control, config.target)
+              for c in range(2) for t in range(2))
+    pure = random_phonon(12, n_max)
+    # the rank-one density has eigenvalue dust that the worst cases must skip
+    inputs = [fock_state(3, n_max), pure, thermal_state(ThermalSpec(1.0), n_max),
+              DensityOperator(np.outer(pure, pure.conj()), FockSpace(n_max))]
+    for phonon in inputs:
+        if isinstance(phonon, DensityOperator):
+            rho = compose_density(np.outer(ion, ion.conj()), phonon.matrix, space)
+            got, want = g.crot(rho, config).matrix, oracle_crot(rho, config).matrix
+        else:
+            state = compose_state(space, ion, phonon)
+            got, want = g.crot(state, config).amplitudes, oracle_crot(state, config).amplitudes
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+        report = g.gate_report(config, phonon)
+        expected = oracle_report(config, phonon)
+        for field, value in expected.items():
+            actual = getattr(report, field)
+            if value is None or actual is None:
+                assert value is None and actual is None, field
+            elif field == "residual_phases":
+                assert set(actual) == set(value)
+                assert all(abs(actual[n] - value[n]) <= 1e-12 for n in value)
+            else:
+                assert np.max(np.abs(np.asarray(actual) - value)) <= 1e-12, field
+
+
+def test_passage_built_once_per_schedule(monkeypatch):
+    builds = []
+    original = stirap.block_propagators
+
+    def counting(*args, **kwargs):
+        builds.append(args[0].direction)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stirap, "block_propagators", counting)
+    stirap.passage_blocks.cache_clear()
+    cfg = stirap_config(margin=90.0, n_steps=300, compensate_phases=True)
+    phonon = thermal_state(ThermalSpec(0.5), 8)
+    g.gate_report(cfg, phonon)
+    assert sorted(builds) == ["down", "up"]
+    g.gate_report(cfg, random_phonon(3, 8))
+    g.gate_report(IDEAL, phonon)
+    assert len(builds) == 2
