@@ -44,11 +44,10 @@ def main():
     for n, eff in zip(n_values, cal.efficiencies):
         print(f"  n={n:>2d}  {eff:.6f}")
 
-    down = stirap.reversed_schedule(cal.schedule)
-    p_up = stirap.block_propagators(cal.schedule, params, np.array(n_values))
-    p_down = stirap.block_propagators(down, params, np.array(n_values))
+    # one build: the standard pair is mirrored, so the down passage is up^T
+    p_up, p_down = stirap.passage_blocks(cal.schedule, params, len(n_values))
     round_trip = np.abs((p_down @ p_up)[:, 0, 0]) ** 2
-    phases = np.angle(p_up[:, 2, 0])
+    phases = stirap.transfer_phase(p_up[:, 2, 0])
     print(f"round-trip fidelity: min {round_trip.min():.6f} over n <= {args.n_upper}")
 
     artifact = {

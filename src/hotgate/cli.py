@@ -183,8 +183,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             epsilon=float(gate_sec.get("epsilon", 0.0)),
             compensate_phases=bool(gate_sec.get("compensate_phases", False)),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad gate section: {exc}") from exc
     sweep_axes = _parse_axes(doc["sweep"]) if "sweep" in doc else []
     trace = doc.get("trace", {})
     if not isinstance(trace, dict):

@@ -72,6 +72,8 @@ class GateConfig:
     method: str = "magnus4"  # stirap integrator
 
     def __post_init__(self):
+        if not np.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if self.control == self.target:
             raise ValueError("control and target must differ")
         k = self.params.n_ions
@@ -290,7 +292,7 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
                              np.append(np.exp(-1j * delta), 1.0), 1.0)
             raw, fid = fid, fidelity(out * frame)
         amps = up[:min(11, d - 1), 2, 0]
-        phases = {n: float(np.angle(amp)) for n, amp in enumerate(amps)
+        phases = {n: float(stirap.transfer_phase(amp)) for n, amp in enumerate(amps)
                   if abs(amp) ** 2 >= 0.5}
         if not isinstance(phonon_input, DensityOperator):
             rho = out[0] @ out[0].conj().transpose(0, 2, 1)

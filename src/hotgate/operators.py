@@ -44,6 +44,9 @@ class PhysicalParams:
     delta_stirap: float = 0.0
 
     def __post_init__(self):
+        for name in ("eta", "omega", "delta", "delta_stirap"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta <= 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if self.omega <= 0:

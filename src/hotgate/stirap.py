@@ -12,9 +12,16 @@ the block Hamiltonian is
         [ 0            Omega_Sn/2     0           ]
 
 Blocks are independent (the full passage Hamiltonian is block-diagonal in n),
-so propagation batches over n. Steps use exact 3x3 unitary exponentials; the
-default 'magnus4' stepper adds a commutator correction for 4th-order dt
+so propagation batches over n. Each step is the exact 3x3 unitary exponential
+of a Hermitian generator, in closed form: eigenvalues from the trigonometric
+solution of the characteristic cubic, the exponential from Cayley-Hamilton as
+a Newton divided-difference interpolant, with no eigendecomposition. The
+default 'magnus4' generator adds a commutator correction for 4th-order dt
 convergence, 'midpoint' freezes H mid-step (2nd order).
+
+The block Hamiltonian is real symmetric, so when the two pulses mirror each
+other about the middle of the passage the reversed ('down') passage is the
+transpose of the 'up' one and passage_blocks builds it for free.
 """
 from __future__ import annotations
 
@@ -48,6 +55,9 @@ class PulseEnvelope:
     width: float
 
     def __post_init__(self):
+        for name in ("peak_rabi", "center", "width"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.shape not in PULSE_SHAPES:
             raise ValueError(f"unknown pulse shape {self.shape!r}")
         if self.peak_rabi < 0:
@@ -80,6 +90,9 @@ class StirapSchedule:
     direction: str = "up"
 
     def __post_init__(self):
+        for name in ("total_duration", "detuning", "dt"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.direction not in ("up", "down"):
             raise ValueError(f"direction must be 'up' or 'down', got {self.direction!r}")
         if self.total_duration <= 0:
@@ -182,25 +195,83 @@ def hamiltonian_block(n: int, t: float, schedule: StirapSchedule,
     )
 
 
-def _block_hams(ts: np.ndarray, ns: np.ndarray, schedule: StirapSchedule,
-                params: PhysicalParams) -> np.ndarray:
-    """Batched blocks, shape (len(ts), len(ns), 3, 3)."""
-    om_p = schedule.pump.value(ts)
-    om_s = params.eta * np.sqrt(np.asarray(ns) + 1.0)[None, :] * schedule.stokes.value(ts)[:, None]
-    h = np.zeros((len(ts), len(ns), 3, 3), dtype=complex)
-    h[:, :, 0, 1] = om_p[:, None] / 2
-    h[:, :, 1, 0] = om_p[:, None] / 2
-    h[:, :, 1, 1] = schedule.detuning
-    h[:, :, 1, 2] = om_s / 2
-    h[:, :, 2, 1] = om_s / 2
-    return h
+# Gauss-Legendre nodes of the two-point magnus4 rule, as fractions of a step.
+_MAGNUS_C1 = 0.5 - np.sqrt(3.0) / 6.0
+_MAGNUS_C2 = 0.5 + np.sqrt(3.0) / 6.0
+_MAGNUS_COEFF = np.sqrt(3.0) / 12.0
+# (step, rung) pairs per chunk: bounds the working arrays whatever the step count.
+_CHUNK_PAIRS = 4096
+# Eigenvalue spread below which the second divided difference uses its series.
+_SERIES_SPREAD = 1e-2
 
 
-def _expm_step(k: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i k dt) for stacked Hermitian k, exact via eigendecomposition."""
-    w, v = np.linalg.eigh(k)
-    phase = np.exp(-1j * w * dt)
-    return np.einsum("...ij,...j,...kj->...ik", v, phase, v.conj())
+def _step_exponentials(u, v, w, d: float) -> np.ndarray:
+    """exp(-i M) for stacked Hermitian M = [[0, u, w], [u*, d, v], [w*, v*, 0]].
+
+    u, v, w broadcast to the stack shape; d is a real scalar. The eigenvalues
+    of M - (d/3) 1 come from the trigonometric solution of its characteristic
+    cubic, y1 >= y2 >= y3, and Cayley-Hamilton gives the exponential as the
+    Newton interpolant of f(y) = exp(-i y) on them:
+
+        exp(-i M) = exp(-i d/3) [f[y1] + f[y1,y2] (M' - y1) + f[y1,y2,y3] (M' - y1)(M' - y2)]
+
+    with M' = M - (d/3) 1. The first divided difference is a sinc, exact for
+    any gap; the second switches to its Taylor series about the (zero) mean
+    when the spread y1 - y3 is small, so degenerate spectra (M = 0) are exact.
+    """
+    q = d / 3.0
+    uu = u.real**2 + u.imag**2
+    vv = v.real**2 + v.imag**2
+    ww = w.real**2 + w.imag**2
+    uv = u * v
+    rad = np.sqrt(q * q + (uu + vv + ww) / 3.0)
+    det = 2.0 * q**3 + q * (uu + vv - 2.0 * ww) + 2.0 * (uv.real * w.real + uv.imag * w.imag)
+    scaled = rad > 1e-100  # rad**3 stays normal; below, M' = 0 to far beyond rounding
+    r = np.where(scaled, det / (2.0 * np.where(scaled, rad, 1.0) ** 3), 0.0)
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    y1 = 2.0 * rad * np.cos(phi)
+    y3 = 2.0 * rad * np.cos(phi + 2.0 * np.pi / 3.0)
+    y2 = -(y1 + y3)
+
+    f1 = np.exp(-1j * y1)
+    f12 = -1j * np.exp(0.5j * y3) * np.sinc((y1 - y2) / (2.0 * np.pi))
+    f23 = -1j * np.exp(0.5j * y1) * np.sinc((y2 - y3) / (2.0 * np.pi))
+    spread = y1 - y3
+    close = spread < _SERIES_SPREAD
+    f123 = (f23 - f12) / -np.where(close, 1.0, spread)
+    if np.any(close):
+        # sum_k f^(k+2)(0) h_k(y) / (k+2)! with h_k the complete homogeneous
+        # polynomials of (y1, y2, y3); their sum is 0, so h2 = -e2, h3 = e3,
+        # h4 = e2^2. The dropped k = 5 term is below 1e-13 and multiplies
+        # (M' - y1)(M' - y2), itself of order spread^2 <= 1e-4.
+        e2 = y1 * y2 + y1 * y3 + y2 * y3
+        e3 = y1 * y2 * y3
+        f123 = np.where(close, -0.5 - e2 / 24.0 - 1j * e3 / 120.0 - e2**2 / 720.0, f123)
+
+    # (M' - y1)(M' - y2) entry by entry, with y1 + y2 = -y3 off the diagonal
+    c0 = (q + y1) * (q + y2)
+    p00 = c0 + uu + ww
+    p11 = uu + vv + (2.0 * q - y1) * (2.0 * q - y2)
+    p22 = c0 + ww + vv
+    p01 = u * (q + y3) + w * np.conj(v)
+    p02 = uv + w * (y3 - 2.0 * q)
+    p12 = np.conj(u) * w + v * (q + y3)
+
+    g = np.exp(-1j * q)
+    f12 = g * f12
+    f123 = g * f123
+    base = g * f1 - f12 * y1
+    out = np.empty(f123.shape + (3, 3), dtype=complex)
+    out[..., 0, 0] = base - f12 * q + f123 * p00
+    out[..., 1, 1] = base + f12 * (2.0 * q) + f123 * p11
+    out[..., 2, 2] = base - f12 * q + f123 * p22
+    out[..., 0, 1] = f12 * u + f123 * p01
+    out[..., 1, 0] = f12 * np.conj(u) + f123 * np.conj(p01)
+    out[..., 0, 2] = f12 * w + f123 * p02
+    out[..., 2, 0] = f12 * np.conj(w) + f123 * np.conj(p02)
+    out[..., 1, 2] = f12 * v + f123 * p12
+    out[..., 2, 1] = f12 * np.conj(v) + f123 * np.conj(p12)
+    return out
 
 
 def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
@@ -209,35 +280,48 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
 
     Returns (len(ns), 3, 3), or the cumulative products at every step
     boundary, shape (n_steps+1, len(ns), 3, 3), when trajectory is True.
+    The step generators and their closed-form exponentials are evaluated
+    for a chunk of steps and all rungs at once; the product is then folded
+    step by step, so the final propagator is the trajectory's last entry.
     """
     ns = np.atleast_1d(np.asarray(ns, dtype=int))
     n_steps = schedule.n_steps
     dt = schedule.dt
     starts = np.arange(n_steps) * dt
+    if method == "midpoint":
+        nodes = (starts + dt / 2,)
+    elif method == "magnus4":
+        nodes = (starts + _MAGNUS_C1 * dt, starts + _MAGNUS_C2 * dt)
+    else:
+        raise ValueError(f"unknown integration method {method!r}")
+    # half Rabi rates: pump shared by all rungs, Stokes scaled per rung
+    pumps = [schedule.pump.value(t)[:, None] / 2 for t in nodes]
+    stokes = [schedule.stokes.value(t)[:, None] for t in nodes]
+    rates = params.eta * np.sqrt(ns + 1.0)[None, :]
+    delta = schedule.detuning
+    kappa = _MAGNUS_COEFF * dt
     p = np.broadcast_to(np.eye(3, dtype=complex), (len(ns), 3, 3)).copy()
     traj = np.empty((n_steps + 1, len(ns), 3, 3), dtype=complex) if trajectory else None
     if trajectory:
         traj[0] = p
-    if method == "midpoint":
-        hams = _block_hams(starts + dt / 2, ns, schedule, params)
-        for k in range(n_steps):
-            p = _expm_step(hams[k], dt) @ p
+    chunk = max(1, _CHUNK_PAIRS // len(ns))
+    for lo in range(0, n_steps, chunk):
+        sl = slice(lo, lo + chunk)
+        a = [x[sl] for x in pumps]
+        b = [rates * x[sl] / 2 for x in stokes]
+        if method == "midpoint":
+            u, v, w = dt * a[0], dt * b[0], np.zeros(1)
+        else:
+            # generator (h1 + h2)/2 - i kappa [h2, h1]; the commutator is real
+            # antisymmetric with entries D(a2 - a1), a2 b1 - b2 a1, D(b1 - b2)
+            (a1, a2), (b1, b2) = a, b
+            u = dt * ((a1 + a2) / 2 - 1j * kappa * delta * (a2 - a1))
+            v = dt * ((b1 + b2) / 2 - 1j * kappa * delta * (b1 - b2))
+            w = -1j * kappa * dt * (a2 * b1 - b2 * a1)
+        for k, step in enumerate(_step_exponentials(u, v, w, delta * dt), start=lo + 1):
+            p = step @ p
             if trajectory:
-                traj[k + 1] = p
-    elif method == "magnus4":
-        c1 = 0.5 - np.sqrt(3.0) / 6.0
-        c2 = 0.5 + np.sqrt(3.0) / 6.0
-        h1 = _block_hams(starts + c1 * dt, ns, schedule, params)
-        h2 = _block_hams(starts + c2 * dt, ns, schedule, params)
-        coeff = np.sqrt(3.0) / 12.0
-        for k in range(n_steps):
-            comm = h2[k] @ h1[k] - h1[k] @ h2[k]
-            gen = 0.5 * (h1[k] + h2[k]) - 1j * coeff * dt * comm
-            p = _expm_step(gen, dt) @ p
-            if trajectory:
-                traj[k + 1] = p
-    else:
-        raise ValueError(f"unknown integration method {method!r}")
+                traj[k] = p
     return traj if trajectory else p
 
 
@@ -251,6 +335,17 @@ def transfer_efficiency(n: int, schedule: StirapSchedule, params: PhysicalParams
     """Population transferred along the passage direction on rung n."""
     p = block_propagators(schedule, params, [n], method=method)[0]
     return float(abs(_transfer_amplitude(p, schedule.direction)) ** 2)
+
+
+def transfer_phase(amp):
+    """Phase(s) of transfer amplitude(s) in (-pi, pi].
+
+    A resonant passage ends on a real negative amplitude whose imaginary
+    part is rounding noise of either sign; reading -pi as pi keeps the
+    reported phase independent of that noise.
+    """
+    phase = np.angle(amp)
+    return np.where(phase == -np.pi, np.pi, phase)
 
 
 def residual_phase(n: int, schedule: StirapSchedule, params: PhysicalParams,
@@ -267,7 +362,7 @@ def residual_phase(n: int, schedule: StirapSchedule, params: PhysicalParams,
         raise UndefinedPhase(
             f"transfer efficiency {abs(amp) ** 2:.3f} < 0.5 on rung {n}"
         )
-    return float(np.angle(amp))
+    return float(transfer_phase(amp))
 
 
 def block_trajectory(schedule: StirapSchedule, params: PhysicalParams, n: int,
@@ -276,13 +371,28 @@ def block_trajectory(schedule: StirapSchedule, params: PhysicalParams, n: int,
 
     Returns (times, amps) with amps[k] = (c_{1,n}, c_{3,n}, c_{2,n+1}) at step
     boundary k. The final transferred population equals transfer_efficiency
-    exactly (same accumulated product).
+    exactly: both fold the same closed-form step exponentials in the same
+    order. A 'down' schedule is integrated here, not taken as the transpose
+    of its 'up' passage, since the transpose gives only the end point.
     """
     traj = block_propagators(schedule, params, [n], method=method, trajectory=True)
     col = 0 if schedule.direction == "up" else 2
     amps = traj[:, 0, :, col]
     times = np.arange(schedule.n_steps + 1) * schedule.dt
     return times, amps
+
+
+def _is_mirrored(schedule: StirapSchedule) -> bool:
+    """True when the pulses mirror each other about the middle of the passage.
+
+    Same shape and width, and pump.center + stokes.center equal to the total
+    duration to rounding: then the reversed schedule's Hamiltonian at t is
+    this one's at T - t.
+    """
+    pump, stokes = schedule.pump, schedule.stokes
+    return (pump.shape == stokes.shape and pump.width == stokes.width
+            and abs(pump.center + stokes.center - schedule.total_duration)
+            <= 1e-14 * schedule.total_duration)
 
 
 @lru_cache(maxsize=32)
@@ -292,11 +402,18 @@ def passage_blocks(schedule: StirapSchedule, params: PhysicalParams, n_rungs: in
 
     Cached on all four arguments, so the gate, its frame correction, the
     reported passage phases and a sweep's transfer efficiency share one build.
+    When the pulses mirror each other, the reverse passage is the up passage
+    run backwards in time; the blocks are real symmetric and each step of
+    either rule maps to the transpose of its mirror step, so down = up^T
+    exactly up to rounding and only the up passage is integrated. Otherwise
+    the reversed schedule is integrated too.
     """
     ns = np.arange(n_rungs)
     up = block_propagators(schedule, params, ns, method=method)
-    down = block_propagators(reversed_schedule(schedule), params, ns, method=method)
     up.flags.writeable = False
+    if _is_mirrored(schedule):
+        return up, up.transpose(0, 2, 1)
+    down = block_propagators(reversed_schedule(schedule), params, ns, method=method)
     down.flags.writeable = False
     return up, down
 

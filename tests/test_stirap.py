@@ -59,6 +59,24 @@ def test_envelope_validation():
         stirap.PulseEnvelope("sin2", 1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_physics_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PhysicalParams(eta=0.1, omega=1.0, n_ions=2, delta=1.0, delta_stirap=bad)
+    for field in ("peak_rabi", "center", "width"):
+        kwargs = dict(shape="sin2", peak_rabi=1.0, center=0.5, width=0.2)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            stirap.PulseEnvelope(**kwargs)
+    pump = stirap.PulseEnvelope("sin2", 1.0, center=0.7, width=0.2)
+    stokes = stirap.PulseEnvelope("sin2", 1.0, center=0.3, width=0.2)
+    for field in ("total_duration", "detuning", "dt"):
+        kwargs = dict(total_duration=1.0, detuning=0.0, dt=0.01)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            stirap.StirapSchedule(pump, stokes, direction="up", **kwargs)
+
+
 # ---------------------------------------------------------------- schedules
 
 def test_schedule_ordering_invariants():
@@ -208,6 +226,98 @@ def test_unknown_method_rejected():
         stirap.block_propagators(schedule(n_steps=10), PARAMS, [0], method="euler")
 
 
+def eigh_stepper_oracle(sched, params, ns, method="magnus4", trajectory=False):
+    """Per-step propagator through a batched eigh of each stacked 3x3 generator."""
+    ns = np.asarray(ns)
+    dt = sched.dt
+    starts = np.arange(sched.n_steps) * dt
+
+    def hams(ts):
+        h = np.zeros((len(ts), len(ns), 3, 3), dtype=complex)
+        h[:, :, 0, 1] = h[:, :, 1, 0] = sched.pump.value(ts)[:, None] / 2
+        h[:, :, 1, 2] = h[:, :, 2, 1] = stirap.sideband_rate(ns[None, :], ts[:, None],
+                                                             sched, params) / 2
+        h[:, :, 1, 1] = sched.detuning
+        return h
+
+    if method == "midpoint":
+        gens = hams(starts + dt / 2)
+    else:
+        h1 = hams(starts + (0.5 - np.sqrt(3.0) / 6.0) * dt)
+        h2 = hams(starts + (0.5 + np.sqrt(3.0) / 6.0) * dt)
+        gens = 0.5 * (h1 + h2) - 1j * np.sqrt(3.0) / 12.0 * dt * (h2 @ h1 - h1 @ h2)
+    w, v = np.linalg.eigh(gens)
+    steps = np.einsum("...ij,...j,...kj->...ik", v, np.exp(-1j * w * dt), v.conj())
+    p = np.broadcast_to(np.eye(3, dtype=complex), (len(ns), 3, 3))
+    traj = [p]
+    for step in steps:
+        p = step @ p
+        traj.append(p)
+    return np.array(traj) if trajectory else p
+
+
+def narrow_mirrored_schedule(detuning=0.0):
+    # both fields vanish on [0, 0.2] and [0.8, 1]: there the resonant generator
+    # is exactly 0, a triple-degenerate spectrum
+    pump = stirap.PulseEnvelope("sin2", 300.0, center=0.6, width=0.2)
+    stokes = stirap.PulseEnvelope("sin2", 3000.0, center=0.4, width=0.2)
+    return stirap.StirapSchedule(pump, stokes, 1.0, detuning, 1.0 / 800, "up")
+
+
+KERNEL_SCHEDULES = {
+    "sin2-resonant": narrow_mirrored_schedule,
+    "gaussian": lambda: stirap.standard_schedule(1.0, PARAMS, margin=100.0, n_steps=600,
+                                                 shape="gaussian"),
+    "detuned": lambda: schedule(margin=100.0, n_steps=200, detuning=400.0),  # |D| dt = 2
+}
+
+
+@pytest.mark.parametrize("method", ["magnus4", "midpoint"])
+@pytest.mark.parametrize("name", sorted(KERNEL_SCHEDULES))
+def test_block_propagators_match_eigh_oracle(name, method):
+    sched = KERNEL_SCHEDULES[name]()
+    if name == "sin2-resonant":
+        assert sched.pump.value(0.1) == 0.0 and sched.stokes.value(0.9) == 0.0
+    ns = np.arange(13)
+    got = stirap.block_propagators(sched, PARAMS, ns, method=method)
+    want = eigh_stepper_oracle(sched, PARAMS, ns, method=method)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_block_trajectory_matches_eigh_oracle():
+    sched = narrow_mirrored_schedule(detuning=37.0)
+    got = stirap.block_propagators(sched, PARAMS, [0, 4], trajectory=True)
+    want = eigh_stepper_oracle(sched, PARAMS, [0, 4], trajectory=True)
+    assert got.shape == want.shape == (801, 2, 3, 3)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-9, 0.3 * stirap._SERIES_SPREAD,
+                                   3 * stirap._SERIES_SPREAD, 0.5, 4.0])
+def test_step_exponentials_match_expm(scale):
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        u, v, w = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        d = scale * rng.standard_normal()
+        m = np.array([[0, u, w], [np.conj(u), d, v], [np.conj(w), np.conj(v), 0]])
+        got = stirap._step_exponentials(np.array([u]), np.array([v]), np.array([w]), d)[0]
+        assert np.max(np.abs(got - scipy.linalg.expm(-1j * m))) <= 1e-14
+
+
+@pytest.mark.parametrize("make", [
+    lambda: narrow_mirrored_schedule(detuning=37.0),
+    lambda: stirap.standard_schedule(1.0, PARAMS, margin=100.0, n_steps=600, shape="gaussian",
+                                     detuning=-37.0),
+], ids=["sin2", "gaussian"])
+def test_passage_blocks_down_is_transposed_up(make):
+    sched = make()
+    stirap.passage_blocks.cache_clear()
+    up, down = stirap.passage_blocks(sched, PARAMS, 12)
+    assert np.shares_memory(up, down) and not down.flags.writeable  # no second build
+    integrated = stirap.block_propagators(stirap.reversed_schedule(sched), PARAMS, np.arange(12))
+    assert np.max(np.abs(down - integrated)) <= 1e-12
+
+
 # ---------------------------------------------------------------- propagate
 
 def test_propagate_ground_control_untouched():
@@ -335,6 +445,13 @@ def test_identity_branch_phase_zero():
     state = basis_state(space, [0], 3)
     out = stirap.propagate(state, schedule(n_steps=100), PARAMS)
     assert np.angle(out.overlap(state)) == 0.0
+
+
+def test_transfer_phase_reads_minus_pi_as_pi():
+    assert stirap.transfer_phase(complex(-1.0, -0.0)) == np.pi
+    assert stirap.transfer_phase(complex(-1.0, -1e-17)) == np.pi
+    assert stirap.transfer_phase(complex(-1.0, -1e-6)) < 0
+    assert stirap.transfer_phase(-1j) == -np.pi / 2
 
 
 def test_residual_phase_undefined_for_weak_drive():
