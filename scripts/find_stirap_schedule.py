@@ -18,7 +18,7 @@ from hotgate import stirap
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--threshold", type=float, default=0.999)
-    parser.add_argument("--n-upper", type=int, default=10,
+    parser.add_argument("--n-upper", type=int, default=stirap.CALIBRATED_RUNGS - 1,
                         help="highest phonon rung that must transfer")
     parser.add_argument("--durations", type=float, nargs="+",
                         default=[20, 40, 60, 80, 100, 120, 140, 160, 200])
@@ -44,8 +44,10 @@ def main():
     for n, eff in zip(n_values, cal.efficiencies):
         print(f"  n={n:>2d}  {eff:.6f}")
 
-    # one build: the standard pair is mirrored, so the down passage is up^T
-    p_up, p_down = stirap.passage_blocks(cal.schedule, params, len(n_values))
+    # the calibration's last build, from the cache; the standard pair is
+    # mirrored, so the down passage is up^T
+    p_up, p_down = stirap.passage_blocks(cal.schedule, params, len(n_values),
+                                         stirap.DEFAULT_METHOD)
     round_trip = np.abs((p_down @ p_up)[:, 0, 0]) ** 2
     phases = stirap.transfer_phase(p_up[:, 2, 0])
     print(f"round-trip fidelity: min {round_trip.min():.6f} over n <= {args.n_upper}")

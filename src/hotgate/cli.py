@@ -55,9 +55,23 @@ class ExperimentConfig:
 
 
 def _require(section: dict, key: str, where: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
     if key not in section:
         raise ConfigError(f"missing {key!r} in {where}")
     return section[key]
+
+
+def _typed(value, kind: type, name: str):
+    """value as a strict bool (a JSON boolean) or int (an integral number: 1200.0 passes)."""
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:  # type() and not isinstance(): True is an int too
+        ok = type(value) is int or isinstance(value, float) and value.is_integer()
+    if not ok:
+        what = "true or false" if kind is bool else "an integer"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
 
 
 def _parse_params(section: dict) -> PhysicalParams:
@@ -65,7 +79,7 @@ def _parse_params(section: dict) -> PhysicalParams:
         return PhysicalParams(
             eta=float(_require(section, "eta", "gate.params")),
             omega=float(_require(section, "omega_rad_per_s", "gate.params")),
-            n_ions=int(section.get("n_ions", 2)),
+            n_ions=_typed(section.get("n_ions", 2), int, "n_ions"),
             delta=float(_require(section, "delta_rad_per_s", "gate.params")),
             delta_stirap=float(section.get("delta_stirap_rad_per_s", 0.0)),
         )
@@ -91,7 +105,7 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
         if "dt_s" in section:
             n_steps = int(round(total / float(section["dt_s"])))
         else:
-            n_steps = int(section.get("n_steps", stirap.DEFAULT_N_STEPS))
+            n_steps = _typed(section.get("n_steps", stirap.DEFAULT_N_STEPS), int, "n_steps")
         if n_steps < 1:
             raise ConfigError(f"schedule needs n_steps >= 1, got {n_steps}")
         detuning = section.get("detuning_rad_per_s")
@@ -129,25 +143,28 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
 
 
 def _parse_axes(section: dict) -> list:
-    axes = section.get("axes")
+    axes = _require(section, "axes", "sweep")
     if not isinstance(axes, list) or not axes:
         raise ConfigError("sweep requires a non-empty 'axes' list")
     parsed = []
     for axis in axes:
         name = _require(axis, "name", "sweep axis")
-        if name not in SWEEP_AXES:
+        if not isinstance(name, str) or name not in SWEEP_AXES:
             raise ConfigError(
                 f"unknown sweep axis {name!r}; known: {sorted(SWEEP_AXES)}"
             )
-        if "values" in axis:
-            values = [float(v) for v in axis["values"]]
-        else:
-            start = float(_require(axis, "start", f"axis {name}"))
-            stop = float(_require(axis, "stop", f"axis {name}"))
-            steps = int(_require(axis, "steps", f"axis {name}"))
-            if steps < 1:
-                raise ConfigError(f"axis {name}: steps must be >= 1")
-            values = list(np.linspace(start, stop, steps))
+        try:
+            if "values" in axis:
+                values = [float(v) for v in axis["values"]]
+            else:
+                start = float(_require(axis, "start", "axis"))
+                stop = float(_require(axis, "stop", "axis"))
+                steps = _typed(_require(axis, "steps", "axis"), int, "steps")
+                if steps < 1:
+                    raise ConfigError("steps must be >= 1")
+                values = list(np.linspace(start, stop, steps))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"axis {name}: {exc}") from exc
         if not values:
             raise ConfigError(f"axis {name}: empty value range")
         parsed.append((name, values))
@@ -158,10 +175,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate and build the experiment from a JSON document."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    try:
-        n_max = int(doc.get("n_max", DEFAULT_N_MAX))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"n_max must be an integer: {exc}") from exc
+    n_max = _typed(doc.get("n_max", DEFAULT_N_MAX), int, "n_max")
     if n_max < 1:
         raise ConfigError("n_max must be >= 1")
     phonon_spec = str(_require(doc, "phonon", "config"))
@@ -176,12 +190,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     try:
         gate_config = gate_mod.GateConfig(
             params=params,
-            control=int(gate_sec.get("control", 0)),
-            target=int(gate_sec.get("target", 1)),
+            control=_typed(gate_sec.get("control", 0), int, "control"),
+            target=_typed(gate_sec.get("target", 1), int, "target"),
             mode=mode,
             schedule=schedule,
             epsilon=float(gate_sec.get("epsilon", 0.0)),
-            compensate_phases=bool(gate_sec.get("compensate_phases", False)),
+            compensate_phases=_typed(gate_sec.get("compensate_phases", False), bool,
+                                     "compensate_phases"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad gate section: {exc}") from exc
@@ -189,10 +204,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     trace = doc.get("trace", {})
     if not isinstance(trace, dict):
         raise ConfigError('trace must be an object such as {"n": 2}')
-    try:
-        trace_n = int(trace.get("n", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"trace.n must be an integer: {exc}") from exc
+    trace_n = _typed(trace.get("n", 0), int, "trace.n")
     return ExperimentConfig(
         n_max=n_max, phonon_spec=phonon_spec, gate=gate_config,
         sweep_axes=sweep_axes, trace_n=trace_n, raw=doc,
@@ -251,8 +263,7 @@ def _patched_raw(raw: dict, name: str, value: float) -> dict:
         if key not in node or not isinstance(node[key], dict):
             raise ConfigError(f"sweep axis {name!r} needs a {'.'.join(path[:-1])} section")
         node = node[key]
-    leaf = path[-1]
-    node[leaf] = int(value) if leaf in ("n_max", "n_steps") else value
+    node[path[-1]] = value  # parse_config reads n_max and n_steps as strict integers
     doc.pop("sweep", None)
     return doc
 
@@ -270,8 +281,9 @@ def _grid_point_metrics(raw: dict, names, values, seed: int | None) -> dict:
     if cfg.gate.mode == "stirap":
         # same cache key as the build inside gate_report: no second integration
         up, _ = stirap.passage_blocks(cfg.gate.schedule, cfg.gate.params, cfg.n_max + 1,
-                                      cfg.gate.method)
-        row["transfer_efficiency"] = float(np.min(np.abs(up[:min(11, cfg.n_max), 2, 0]) ** 2))
+                                      stirap.DEFAULT_METHOD)
+        rungs = min(stirap.CALIBRATED_RUNGS, cfg.n_max)
+        row["transfer_efficiency"] = float(np.min(np.abs(up[:rungs, 2, 0]) ** 2))
     row["runtime_s"] = time.perf_counter() - t0
     return row
 
@@ -315,7 +327,7 @@ def cmd_stirap_trace(config: ExperimentConfig, out: str, fmt: str, seed: int | N
         raise ConfigError(f"trace.n = {n} outside 0..{config.n_max - 1}")
     schedule = config.gate.schedule
     params = config.gate.params
-    times, amps = stirap.block_trajectory(schedule, params, n, method=config.gate.method)
+    times, amps = stirap.block_trajectory(schedule, params, n)
     pump = schedule.pump.value(times)
     sideband = stirap.sideband_rate(n, times, schedule, params)
     pops = np.abs(amps) ** 2

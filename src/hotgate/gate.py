@@ -69,7 +69,6 @@ class GateConfig:
     schedule: stirap.StirapSchedule | None = None  # up-direction passage (stirap mode)
     epsilon: float = 0.0  # relative conditional-phase duration error
     compensate_phases: bool = False  # frame-correct measured passage phases
-    method: str = "magnus4"  # stirap integrator
 
     def __post_init__(self):
         if not np.isfinite(self.epsilon):
@@ -141,7 +140,7 @@ def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
     if config.mode == "ideal":
         up = down = np.broadcast_to(_IDEAL_PASSAGE, (d, 3, 3))
     else:
-        up, down = stirap.passage_blocks(config.schedule, config.params, d, config.method)
+        up, down = stirap.passage_blocks(config.schedule, config.params, d, stirap.DEFAULT_METHOD)
     ph = np.stack((phi[:-1], phi[:-1], phi[1:]), axis=-1)
     bare = down @ up
     phased = down @ (ph[:, :, None] * up * ph[:, None, :])
@@ -159,21 +158,16 @@ def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
         y[0] *= ground
         return np.moveaxis(y[..., :-1], moved, axes)
 
-    return IdealUnitary("crot", kernel, check=None)
+    def check(sp, pops):
+        total = max(float(pops.sum()), 1e-300)
+        for ion in (config.control, config.target):
+            w = float(np.moveaxis(pops, ion, 0)[2:].sum())
+            if w > DOMAIN_ATOL * total:
+                raise DomainError(
+                    f"ion {ion} has population {w:.3e} outside the qubit subspace"
+                )
 
-
-def _check_qubit_subspace(state_or_rho, config: GateConfig):
-    if isinstance(state_or_rho, CompositeState):
-        pops = np.abs(state_or_rho.tensor()) ** 2
-    else:
-        pops = np.real(np.diag(state_or_rho.matrix)).reshape(state_or_rho.space.shape)
-    total = max(float(pops.sum()), 1e-300)
-    for ion in (config.control, config.target):
-        w = float(np.moveaxis(pops, ion, 0)[2:].sum())
-        if w > DOMAIN_ATOL * total:
-            raise DomainError(
-                f"ion {ion} has population {w:.3e} outside the qubit subspace"
-            )
+    return IdealUnitary("crot", kernel, check)
 
 
 def crot(state_or_rho, config: GateConfig):
@@ -191,7 +185,6 @@ def crot(state_or_rho, config: GateConfig):
         raise DomainError(
             f"input has {space.n_ions} ions but params declare {config.params.n_ions}"
         )
-    _check_qubit_subspace(state_or_rho, config)
     gate = _crot_unitary(config, space)
     if isinstance(state_or_rho, CompositeState):
         return gate.apply(state_or_rho)
@@ -284,16 +277,16 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     fid = fidelity(out)
     raw = phases = residue = None
     if config.mode == "stirap":
-        up, down = stirap.passage_blocks(config.schedule, config.params, d, config.method)
+        up, down = stirap.passage_blocks(config.schedule, config.params, d, stirap.DEFAULT_METHOD)
         if config.compensate_phases:
             # frame correction from the measured round-trip phase of each rung
             delta = np.angle((down[:-1] @ up[:-1])[:, 0, 0])
             frame = np.where((levels[config.control] == 1)[:, None],
                              np.append(np.exp(-1j * delta), 1.0), 1.0)
             raw, fid = fid, fidelity(out * frame)
-        amps = up[:min(11, d - 1), 2, 0]
+        amps = up[:min(stirap.CALIBRATED_RUNGS, d - 1), 2, 0]
         phases = {n: float(stirap.transfer_phase(amp)) for n, amp in enumerate(amps)
-                  if abs(amp) ** 2 >= 0.5}
+                  if abs(amp) ** 2 >= stirap.PHASE_MIN_TRANSFER}
         if not isinstance(phonon_input, DensityOperator):
             rho = out[0] @ out[0].conj().transpose(0, 2, 1)
             norm = np.maximum(np.real(np.trace(rho, axis1=1, axis2=2)), 1e-300)

@@ -189,30 +189,51 @@ def _swap_kernel(control_ion: int):
     return kernel
 
 
+def passage_check(control_ion: int, direction: str, domain_tol: float = DOMAIN_ATOL,
+                  leak_tol: float = LEAK_TOL):
+    """Domain rule of a passage on the control ion, as an IdealUnitary check.
+
+    'up' needs the control ion on {0,1} and the ladder top on levels 1 and 3
+    clear within leak_tol (that weight would leave the space); 'down' needs
+    it on {0,2} and nothing on |2>|0>, which has no phonon to give up.
+    """
+    outside = (2, 3) if direction == "up" else (1, 3)
+
+    def check(space, weights):
+        total = max(float(np.sum(weights)), 1e-300)
+        bad = _level_weight(space, weights, control_ion, outside)
+        if bad > domain_tol * total:
+            raise DomainError(
+                f"passage {direction} undefined: control ion {control_ion} has population "
+                f"{bad:.3e} on levels {outside[0]}/{outside[1]}"
+            )
+        w = np.moveaxis(weights, control_ion, 0)
+        if direction == "up":
+            top = float(np.sum(w[[1, 3], ..., -1]))
+            if top > leak_tol * total:
+                raise TruncationLeakage(
+                    f"population {top:.3e} at the top of the passage ladder exceeds "
+                    f"leak_tol = {leak_tol}"
+                )
+        else:
+            vac = float(np.sum(w[2, ..., 0]))
+            if vac > domain_tol * total:
+                raise DomainError(
+                    f"passage down undefined on |2>|0>: population {vac:.3e} with no "
+                    "phonon to remove"
+                )
+
+    return check
+
+
 def adiabatic_up(control_ion: int, leak_tol: float = LEAK_TOL) -> IdealUnitary:
     """Ideal passage up: |1>_c |n> -> |2>_c |n+1>, identity on |0>_c.
 
     Requires no population on levels 2/3 of the control ion and negligible
-    excited-branch amplitude at the Fock boundary (it would leave the space).
+    weight at the top of the ladder (it would leave the space).
     """
-
-    def check(space, weights):
-        total = max(float(np.sum(weights)), 1e-300)
-        bad = _level_weight(space, weights, control_ion, (2, 3))
-        if bad > DOMAIN_ATOL * total:
-            raise DomainError(
-                f"passage up undefined: control ion {control_ion} has population "
-                f"{bad:.3e} on levels 2/3"
-            )
-        w = np.moveaxis(weights, control_ion, 0)
-        top = float(np.sum(w[(1, Ellipsis, -1)]))
-        if top > leak_tol * total:
-            raise TruncationLeakage(
-                f"excited-branch population {top:.3e} at the Fock boundary exceeds "
-                f"leak_tol = {leak_tol}"
-            )
-
-    return IdealUnitary(f"A+[{control_ion}]", _swap_kernel(control_ion), check)
+    return IdealUnitary(f"A+[{control_ion}]", _swap_kernel(control_ion),
+                        passage_check(control_ion, "up", leak_tol=leak_tol))
 
 
 def adiabatic_down(control_ion: int) -> IdealUnitary:
@@ -221,24 +242,8 @@ def adiabatic_down(control_ion: int) -> IdealUnitary:
     Requires no population on levels 1/3 of the control ion and none on
     |2>_c |0>, which has no phonon to give up.
     """
-
-    def check(space, weights):
-        total = max(float(np.sum(weights)), 1e-300)
-        bad = _level_weight(space, weights, control_ion, (1, 3))
-        if bad > DOMAIN_ATOL * total:
-            raise DomainError(
-                f"passage down undefined: control ion {control_ion} has population "
-                f"{bad:.3e} on levels 1/3"
-            )
-        w = np.moveaxis(weights, control_ion, 0)
-        vac = float(np.sum(w[(2, Ellipsis, 0)]))
-        if vac > DOMAIN_ATOL * total:
-            raise DomainError(
-                f"passage down undefined on |2>|0>: population {vac:.3e} with no "
-                "phonon to remove"
-            )
-
-    return IdealUnitary(f"A-[{control_ion}]", _swap_kernel(control_ion), check)
+    return IdealUnitary(f"A-[{control_ion}]", _swap_kernel(control_ion),
+                        passage_check(control_ion, "down"))
 
 
 def rotation_matrix_2x2(theta: float, phi: float) -> np.ndarray:

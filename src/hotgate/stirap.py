@@ -19,9 +19,12 @@ a Newton divided-difference interpolant, with no eigendecomposition. The
 default 'magnus4' generator adds a commutator correction for 4th-order dt
 convergence, 'midpoint' freezes H mid-step (2nd order).
 
-The block Hamiltonian is real symmetric, so when the two pulses mirror each
-other about the middle of the passage the reversed ('down') passage is the
-transpose of the 'up' one and passage_blocks builds it for free.
+Every end-point reader takes its blocks from one cached build, passage_blocks:
+the (up, down) pair of an 'up' schedule, a 'down' schedule being the down half
+of its reverse's pair. The block Hamiltonian is real symmetric, so when the
+pulses mirror each other about the middle of the passage the down passage is
+the transpose of the up one and a pair costs one integration. Only
+block_trajectory, which needs every step, integrates on its own.
 """
 from __future__ import annotations
 
@@ -30,9 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NormDrift, TruncationLeakage, UndefinedPhase
+from .errors import NormDrift, UndefinedPhase
 from .hilbert import DOMAIN_ATOL, LEAK_TOL, CompositeState
-from .operators import PhysicalParams
+from .operators import PhysicalParams, passage_check
 
 PULSE_SHAPES = ("sin2", "gaussian")
 
@@ -43,6 +46,9 @@ PUMP_CENTER_FRAC = 0.70
 WIDTH_FRAC = 0.50
 DEFAULT_MARGIN = 100.0
 DEFAULT_N_STEPS = 2000
+DEFAULT_METHOD = "magnus4"
+CALIBRATED_RUNGS = 11  # the standard family transfers rungs n < 11 at margin 100
+PHASE_MIN_TRANSFER = 0.5  # transfer population below which a passage phase is undefined
 
 
 @dataclass(frozen=True)
@@ -275,7 +281,7 @@ def _step_exponentials(u, v, w, d: float) -> np.ndarray:
 
 
 def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
-                      method: str = "magnus4", trajectory: bool = False) -> np.ndarray:
+                      method: str = DEFAULT_METHOD, trajectory: bool = False) -> np.ndarray:
     """Time-ordered propagator of each n-block over the full schedule.
 
     Returns (len(ns), 3, 3), or the cumulative products at every step
@@ -325,16 +331,25 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     return traj if trajectory else p
 
 
-def _transfer_amplitude(p_block: np.ndarray, direction: str) -> complex:
+def _passage(schedule: StirapSchedule, params: PhysicalParams, n_rungs: int,
+             method: str) -> np.ndarray:
+    """Cached end-point blocks of a schedule in either direction, rungs 0..n_rungs-1."""
+    if schedule.direction == "up":
+        return passage_blocks(schedule, params, n_rungs, method)[0]
+    return passage_blocks(reversed_schedule(schedule), params, n_rungs, method)[1]
+
+
+def _transfer_amplitude(n: int, schedule: StirapSchedule, params: PhysicalParams,
+                        method: str) -> complex:
     # up: <2,n+1|U|1,n>; down: <1,n|U|2,n+1>
-    return complex(p_block[2, 0] if direction == "up" else p_block[0, 2])
+    p = _passage(schedule, params, n + 1, method)[n]
+    return complex(p[2, 0] if schedule.direction == "up" else p[0, 2])
 
 
 def transfer_efficiency(n: int, schedule: StirapSchedule, params: PhysicalParams,
-                        method: str = "magnus4") -> float:
+                        method: str = DEFAULT_METHOD) -> float:
     """Population transferred along the passage direction on rung n."""
-    p = block_propagators(schedule, params, [n], method=method)[0]
-    return float(abs(_transfer_amplitude(p, schedule.direction)) ** 2)
+    return float(abs(_transfer_amplitude(n, schedule, params, method)) ** 2)
 
 
 def transfer_phase(amp):
@@ -349,31 +364,30 @@ def transfer_phase(amp):
 
 
 def residual_phase(n: int, schedule: StirapSchedule, params: PhysicalParams,
-                   method: str = "magnus4") -> float:
+                   method: str = DEFAULT_METHOD) -> float:
     """Phase of the transfer amplitude on rung n, in (-pi, pi].
 
     The ideal maps are phase-free, so this measures the passage's deviation
     from them (an adiabatic passage sits near pi). Undefined when less than
-    half the population makes the transfer.
+    PHASE_MIN_TRANSFER of the population makes the transfer.
     """
-    p = block_propagators(schedule, params, [n], method=method)[0]
-    amp = _transfer_amplitude(p, schedule.direction)
-    if abs(amp) ** 2 < 0.5:
+    amp = _transfer_amplitude(n, schedule, params, method)
+    if abs(amp) ** 2 < PHASE_MIN_TRANSFER:
         raise UndefinedPhase(
-            f"transfer efficiency {abs(amp) ** 2:.3f} < 0.5 on rung {n}"
+            f"transfer efficiency {abs(amp) ** 2:.3f} < {PHASE_MIN_TRANSFER} on rung {n}"
         )
     return float(transfer_phase(amp))
 
 
 def block_trajectory(schedule: StirapSchedule, params: PhysicalParams, n: int,
-                     method: str = "magnus4"):
+                     method: str = DEFAULT_METHOD):
     """Times and 3-level amplitudes over the passage, starting on the source level.
 
     Returns (times, amps) with amps[k] = (c_{1,n}, c_{3,n}, c_{2,n+1}) at step
-    boundary k. The final transferred population equals transfer_efficiency
-    exactly: both fold the same closed-form step exponentials in the same
-    order. A 'down' schedule is integrated here, not taken as the transpose
-    of its 'up' passage, since the transpose gives only the end point.
+    boundary k. For an 'up' schedule the final transferred population equals
+    transfer_efficiency exactly: both fold the same closed-form step
+    exponentials in the same order. A 'down' schedule is integrated here, not
+    taken as the transpose of its 'up' passage, which gives only the end point.
     """
     traj = block_propagators(schedule, params, [n], method=method, trajectory=True)
     col = 0 if schedule.direction == "up" else 2
@@ -397,11 +411,12 @@ def _is_mirrored(schedule: StirapSchedule) -> bool:
 
 @lru_cache(maxsize=32)
 def passage_blocks(schedule: StirapSchedule, params: PhysicalParams, n_rungs: int,
-                   method: str = "magnus4") -> tuple:
+                   method: str = DEFAULT_METHOD) -> tuple:
     """Read-only (up, down) blocks of an 'up' schedule and its reverse, rungs 0..n_rungs-1.
 
-    Cached on all four arguments, so the gate, its frame correction, the
-    reported passage phases and a sweep's transfer efficiency share one build.
+    The one cached passage build that the gate, the sweep and every end-point
+    reader share. The cache keys on the arguments as passed, so callers pass
+    all four positionally; rung n comes out the same in every batch.
     When the pulses mirror each other, the reverse passage is the up passage
     run backwards in time; the blocks are real symmetric and each step of
     either rule maps to the transpose of its mirror step, so down = up^T
@@ -436,47 +451,18 @@ def apply_blocks(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def propagate(state: CompositeState, schedule: StirapSchedule, params: PhysicalParams, *,
-              control_ion: int = 0, method: str = "magnus4",
+              control_ion: int = 0, method: str = DEFAULT_METHOD,
               domain_tol: float = DOMAIN_ATOL, leak_tol: float = LEAK_TOL) -> CompositeState:
     """Propagate a composite state through the passage, block-by-block in n.
 
-    Components with the control ion in |0> are untouched. The control ion may
-    only populate {0,1} ('up') or {0,2} ('down') beyond domain_tol, and the
-    top of the ladder must be clear within leak_tol.
+    Components with the control ion in |0> are untouched. The domain rule is
+    operators.passage_check's, with domain_tol and leak_tol as its bounds.
     """
     space = state.space
-    xc = np.moveaxis(state.tensor(), control_ion, 0)
-    w = np.abs(xc) ** 2
-    total = max(float(w.sum()), 1e-300)
-    if schedule.direction == "up":
-        bad = float(w[2].sum() + w[3].sum())
-        if bad > domain_tol * total:
-            raise DomainError(
-                f"'up' passage needs control support on {{0,1}} only; found {bad:.3e} "
-                "on levels 2/3"
-            )
-        top = float(w[(1, Ellipsis, -1)].sum() + w[(3, Ellipsis, -1)].sum())
-        if top > leak_tol * total:
-            raise TruncationLeakage(
-                f"population {top:.3e} at the top of the passage ladder exceeds "
-                f"leak_tol = {leak_tol}"
-            )
-    else:
-        bad = float(w[1].sum() + w[3].sum())
-        if bad > domain_tol * total:
-            raise DomainError(
-                f"'down' passage needs control support on {{0,2}} only; found {bad:.3e} "
-                "on levels 1/3"
-            )
-        vac = float(w[(2, Ellipsis, 0)].sum())
-        if vac > domain_tol * total:
-            raise DomainError(
-                f"'down' passage undefined on |2>|0>: population {vac:.3e} with no "
-                "phonon to remove"
-            )
-    d = space.fock.dim
-    p = block_propagators(schedule, params, np.arange(d - 1), method=method)
-    y = apply_blocks(xc, p)
+    x = state.tensor()
+    passage_check(control_ion, schedule.direction, domain_tol, leak_tol)(space, np.abs(x) ** 2)
+    blocks = _passage(schedule, params, space.fock.dim - 1, method)
+    y = apply_blocks(np.moveaxis(x, control_ion, 0), blocks)
     amps = np.moveaxis(y, 0, control_ion).reshape(space.dim)
     out = CompositeState(space, amps, copy=False)
     if abs(out.norm - state.norm) > 1e-9:
@@ -485,14 +471,14 @@ def propagate(state: CompositeState, schedule: StirapSchedule, params: PhysicalP
 
 
 def passage_matrix(schedule: StirapSchedule, params: PhysicalParams,
-                   n_phonon_levels: int, method: str = "magnus4") -> np.ndarray:
+                   n_phonon_levels: int, method: str = DEFAULT_METHOD) -> np.ndarray:
     """Dense passage unitary on the control-ion (x) phonon subspace.
 
     Index layout: level * n_phonon_levels + n. Cells outside the passage
     blocks (level 0, the ladder top, and |2>|0>) carry the identity.
     """
     d = n_phonon_levels
-    p = block_propagators(schedule, params, np.arange(d - 1), method=method)
+    p = _passage(schedule, params, d - 1, method)
     mat = np.eye(4 * d, dtype=complex)
     for n in range(d - 1):
         idx = [1 * d + n, 3 * d + n, 2 * d + (n + 1)]
@@ -515,9 +501,9 @@ class TransferCalibration:
 
 def calibrate_transfer(params: PhysicalParams, durations, *,
                        pump_peak: float = 1.0, stokes_peak: float | None = None,
-                       n_values=tuple(range(11)), threshold: float = 0.999,
+                       n_values=tuple(range(CALIBRATED_RUNGS)), threshold: float = 0.999,
                        n_steps: int = DEFAULT_N_STEPS, detuning: float | None = None,
-                       method: str = "magnus4") -> TransferCalibration:
+                       method: str = DEFAULT_METHOD) -> TransferCalibration:
     """Sweep the passage duration upward until every rung transfers >= threshold.
 
     Peak Rabi rates are held fixed, so longer durations mean larger
@@ -528,8 +514,8 @@ def calibrate_transfer(params: PhysicalParams, durations, *,
     for t in sorted(durations):
         sched = standard_schedule(t, params, pump_peak=pump_peak, stokes_peak=stokes_peak,
                                   n_steps=n_steps, detuning=detuning)
-        p = block_propagators(sched, params, np.asarray(n_values), method=method)
-        eff = np.abs(p[:, 2, 0]) ** 2
+        up, _ = passage_blocks(sched, params, max(n_values) + 1, method)
+        eff = np.abs(up[np.asarray(n_values), 2, 0]) ** 2
         margin = min(adiabaticity_margin(sched, params, n) for n in n_values)
         history.append((t, margin, float(eff.min())))
         if eff.min() >= threshold:

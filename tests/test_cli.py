@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hotgate import cli
 from hotgate.operators import PhysicalParams
@@ -126,6 +128,13 @@ def test_truth_table_thermal(tmp_path, capsys):
     (("gate", "epsilon"), float("nan"), "epsilon must be finite"),
     (("gate", "params", "eta"), float("nan"), "eta must be finite"),
     (("gate", "schedule", "margin"), float("nan"), "peak_rabi must be finite"),
+    (("gate", "compensate_phases"), "false", "compensate_phases must be true or false"),
+    (("gate", "params", "n_ions"), 2.9, "n_ions must be an integer"),
+    (("gate", "schedule", "n_steps"), 2.7, "n_steps must be an integer"),
+    (("n_max",), 8.6, "n_max must be an integer"),
+    (("n_max",), True, "n_max must be an integer"),
+    (("gate", "control"), 0.7, "control must be an integer"),
+    (("trace",), {"n": 1.5}, "trace.n must be an integer"),
 ])
 def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, path, value, message):
     doc = stirap_doc()
@@ -139,6 +148,63 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, path, valu
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+
+
+def test_integral_float_keys_accepted():
+    doc = stirap_doc(n_max=8.0, n_steps=300.0, trace={"n": 2.0})
+    doc["gate"]["params"]["n_ions"] = 2.0
+    doc["gate"]["compensate_phases"] = True
+    config = cli.parse_config(doc)
+    assert (config.n_max, config.trace_n, config.gate.schedule.n_steps) == (8, 2, 300)
+    assert config.gate.params.n_ions == 2 and config.gate.compensate_phases is True
+
+
+FUZZ_DOC = {
+    "n_max": 3,
+    "phonon": "thermal:0.5",
+    "gate": {"mode": "ideal", "control": 0, "target": 1, "epsilon": 0.0,
+             "compensate_phases": False, "params": dict(BASE_PARAMS)},
+    "sweep": {"axes": [{"name": "epsilon", "start": 0.0, "stop": 0.01, "steps": 2}]},
+    "trace": {"n": 1},
+}
+
+
+def _key_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+FUZZ_PATHS = sorted(_key_paths(FUZZ_DOC), key=str) + [
+    ("sweep", "axes", 0, key) for key in FUZZ_DOC["sweep"]["axes"][0]]
+# values of the other JSON types; no large integers, which would ask for
+# huge allocations
+FUZZ_VALUES = st.one_of(
+    st.booleans(), st.text(max_size=8), st.none(),
+    st.lists(st.one_of(st.integers(-3, 3), st.text(max_size=3)), max_size=3),
+    st.floats(-3, 3).filter(lambda x: not x.is_integer()),
+)
+
+
+@given(path=st.sampled_from(FUZZ_PATHS), value=FUZZ_VALUES,
+       command=st.sampled_from(["truth-table", "sweep"]))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_config_exits_cleanly(tmp_path, capsys, path, value, command):
+    doc = json.loads(json.dumps(FUZZ_DOC))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    fmt = "json" if command == "truth-table" else "csv"
+    try:
+        code = cli.main([command, "--config", write(tmp_path, doc),
+                         "--out", str(tmp_path / "out"), "--format", fmt])
+    except Exception as exc:  # any escape is the failure under test
+        pytest.fail(f"{type(exc).__name__} escaped for {path} = {value!r}: {exc}")
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_truth_table_malformed_spec(tmp_path, capsys):
@@ -244,6 +310,14 @@ def test_sweep_grid_point_builds_passage_once(tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
     assert builds == ["up"]
+
+
+def test_sweep_non_integral_step_count_exits_2(tmp_path, capsys):
+    doc = stirap_doc(phonon="fock:1", n_max=8, n_steps=300,
+                     sweep={"axes": [{"name": "n_steps", "values": [300.7]}]})
+    assert cli.main(["sweep", "--config", write(tmp_path, doc),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+    assert "n_steps must be an integer, got 300.7" in capsys.readouterr().err
 
 
 def test_sweep_empty_axes(tmp_path):

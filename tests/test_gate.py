@@ -408,7 +408,7 @@ def dense_passage_matrix(schedule, params, d, method):
 
 def dense_passage(config, schedule, workspace):
     """A passage as the dense stirap.passage_matrix on (control level, phonon)."""
-    mat = dense_passage_matrix(schedule, config.params, workspace.fock.dim, config.method)
+    mat = dense_passage_matrix(schedule, config.params, workspace.fock.dim, "magnus4")
 
     def kernel(space, x):
         xc = np.moveaxis(x, config.control, 0)
@@ -488,8 +488,7 @@ def oracle_report(config, phonon_input):
     def fidelity(compensate):
         frame = np.ones(space.shape, dtype=complex)
         if compensate:
-            up, down = (stirap.block_propagators(sched, config.params, np.arange(d - 1),
-                                                 method=config.method)
+            up, down = (stirap.block_propagators(sched, config.params, np.arange(d - 1))
                         for sched in (config.schedule, stirap.reversed_schedule(config.schedule)))
             delta = np.append(np.angle((down @ up)[:, 0, 0]), 0.0)
             np.moveaxis(frame, config.control, 0)[1] *= np.exp(-1j * delta)
@@ -513,7 +512,7 @@ def oracle_report(config, phonon_input):
     phases = None
     if stirap_mode:
         props = stirap.block_propagators(config.schedule, config.params,
-                                         np.arange(min(11, d - 1)), method=config.method)
+                                         np.arange(min(11, d - 1)))
         # phases in (-pi, pi]: a rounding-level negative imaginary part reads as pi
         phases = {n: np.pi if np.angle(p[2, 0]) == -np.pi else np.angle(p[2, 0])
                   for n, p in enumerate(props) if abs(p[2, 0]) ** 2 >= 0.5}

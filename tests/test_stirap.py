@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from hotgate.errors import DomainError, TruncationLeakage, UndefinedPhase
 from hotgate.hilbert import CompositeSpace, CompositeState, FockSpace, basis_state, compose_state
-from hotgate.operators import PhysicalParams
+from hotgate.operators import PhysicalParams, adiabatic_down, adiabatic_up
 from hotgate import stirap
+from test_gate import passage_builds  # noqa: F401 - build-counting fixture
 
 PARAMS = PhysicalParams(eta=0.1, omega=2 * np.pi * 1e5, n_ions=2, delta=2 * np.pi * 1e7)
 
@@ -357,6 +358,65 @@ def test_propagate_round_trip_all_rungs():
         # let the down passage carry it through rather than reject the state
         back = stirap.propagate(lifted, down, PARAMS, domain_tol=0.05)
         assert abs(state.overlap(back)) ** 2 >= 0.998
+
+
+def test_propagate_round_trip_reads_one_build(passage_builds):
+    up = schedule(n_steps=2000)
+    down = stirap.reversed_schedule(up)
+    space = CompositeSpace(1, FockSpace(12))
+    for n in range(11):
+        lifted = stirap.propagate(basis_state(space, [1], n), up, PARAMS)
+        stirap.propagate(lifted, down, PARAMS, domain_tol=0.05)
+    assert passage_builds == ["up"]  # the down passage is the mirrored up^T
+    stirap.passage_matrix(up, PARAMS, 13)
+    stirap.passage_matrix(down, PARAMS, 13)
+    assert passage_builds == ["up"]
+
+
+def test_unmirrored_down_reader_builds_each_direction_once(passage_builds):
+    pump = stirap.PulseEnvelope("sin2", 90.0, center=0.3, width=0.5)
+    stokes = stirap.PulseEnvelope("sin2", 900.0, center=0.72, width=0.5)
+    down = stirap.StirapSchedule(pump, stokes, 1.0, 0.0, 1.0 / 300, "down")
+    stirap.transfer_efficiency(3, down, PARAMS)
+    stirap.residual_phase(3, down, PARAMS)
+    stirap.propagate(basis_state(CompositeSpace(1, FockSpace(4)), [2], 2), down, PARAMS)
+    assert sorted(passage_builds) == ["down", "up"]
+    integrated = stirap.block_propagators(down, PARAMS, [3])[0]
+    assert stirap.transfer_efficiency(3, down, PARAMS) == abs(integrated[0, 2]) ** 2
+
+
+def test_rung_blocks_independent_of_batch():
+    sched = schedule(margin=80.0, n_steps=300, detuning=7.0)
+    full = stirap.block_propagators(sched, PARAMS, np.arange(33))
+    for n in range(33):
+        assert np.array_equal(stirap.block_propagators(sched, PARAMS, [n])[0], full[n])
+
+
+BOUNDARY_INPUTS = [  # direction, control level, phonon rung (n_max = 4), expected error
+    ("up", 0, 0, None), ("up", 1, 0, None), ("up", 0, 4, None),
+    ("up", 2, 1, DomainError), ("up", 3, 1, DomainError), ("up", 1, 4, TruncationLeakage),
+    ("down", 0, 0, None), ("down", 2, 1, None), ("down", 2, 4, None),
+    ("down", 1, 1, DomainError), ("down", 3, 1, DomainError), ("down", 2, 0, DomainError),
+]
+
+
+@pytest.mark.parametrize("control", [0, 1])
+@pytest.mark.parametrize("direction, level, n, expected", BOUNDARY_INPUTS)
+def test_propagate_and_ideal_passages_share_domain_rule(direction, level, n, expected, control):
+    levels = [1, 1]
+    levels[control] = level
+    state = basis_state(CompositeSpace(2, FockSpace(4)), levels, n)
+    sched = schedule(n_steps=50)
+    ideal = adiabatic_up(control)
+    if direction == "down":
+        sched, ideal = stirap.reversed_schedule(sched), adiabatic_down(control)
+    for run in (lambda: stirap.propagate(state, sched, PARAMS, control_ion=control),
+                lambda: ideal.apply(state)):
+        if expected is None:
+            run()
+        else:
+            with pytest.raises(expected):
+                run()
 
 
 def test_propagate_domain_guards():
