@@ -63,25 +63,37 @@ def _require(section: dict, key: str, where: str):
 
 
 def _typed(value, kind: type, name: str):
-    """value as a strict bool (a JSON boolean) or int (an integral number: 1200.0 passes)."""
+    """value as a strict bool (a JSON boolean), int (an integral number: 1200.0
+    passes) or float (any JSON number, never a boolean or a string)."""
     if kind is bool:
-        ok = isinstance(value, bool)
-    else:  # type() and not isinstance(): True is an int too
+        ok, what = isinstance(value, bool), "true or false"
+    elif kind is int:  # type() and not isinstance(): True is an int too
         ok = type(value) is int or isinstance(value, float) and value.is_integer()
+        what = "an integer"
+    else:
+        ok = type(value) is int or isinstance(value, float)
+        what = "a number"
     if not ok:
-        what = "true or false" if kind is bool else "an integer"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
     return kind(value)
+
+
+def _optional_float(section: dict, key: str):
+    value = section.get(key)
+    return None if value is None else _typed(value, float, key)
 
 
 def _parse_params(section: dict) -> PhysicalParams:
     try:
         return PhysicalParams(
-            eta=float(_require(section, "eta", "gate.params")),
-            omega=float(_require(section, "omega_rad_per_s", "gate.params")),
+            eta=_typed(_require(section, "eta", "gate.params"), float, "eta"),
+            omega=_typed(_require(section, "omega_rad_per_s", "gate.params"), float,
+                         "omega_rad_per_s"),
             n_ions=_typed(section.get("n_ions", 2), int, "n_ions"),
-            delta=float(_require(section, "delta_rad_per_s", "gate.params")),
-            delta_stirap=float(section.get("delta_stirap_rad_per_s", 0.0)),
+            delta=_typed(_require(section, "delta_rad_per_s", "gate.params"), float,
+                         "delta_rad_per_s"),
+            delta_stirap=_typed(section.get("delta_stirap_rad_per_s", 0.0), float,
+                                "delta_stirap_rad_per_s"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad physical parameters: {exc}") from exc
@@ -91,9 +103,10 @@ def _parse_envelope(section: dict, where: str) -> stirap.PulseEnvelope:
     try:
         return stirap.PulseEnvelope(
             shape=str(section.get("shape", "sin2")),
-            peak_rabi=float(_require(section, "peak_rabi_rad_per_s", where)),
-            center=float(_require(section, "center_s", where)),
-            width=float(_require(section, "width_s", where)),
+            peak_rabi=_typed(_require(section, "peak_rabi_rad_per_s", where), float,
+                             "peak_rabi_rad_per_s"),
+            center=_typed(_require(section, "center_s", where), float, "center_s"),
+            width=_typed(_require(section, "width_s", where), float, "width_s"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad pulse envelope in {where}: {exc}") from exc
@@ -101,15 +114,15 @@ def _parse_envelope(section: dict, where: str) -> stirap.PulseEnvelope:
 
 def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSchedule:
     try:
-        total = float(_require(section, "total_duration_s", "gate.schedule"))
+        total = _typed(_require(section, "total_duration_s", "gate.schedule"), float,
+                       "total_duration_s")
         if "dt_s" in section:
-            n_steps = int(round(total / float(section["dt_s"])))
+            n_steps = int(round(total / _typed(section["dt_s"], float, "dt_s")))
         else:
             n_steps = _typed(section.get("n_steps", stirap.DEFAULT_N_STEPS), int, "n_steps")
         if n_steps < 1:
             raise ConfigError(f"schedule needs n_steps >= 1, got {n_steps}")
-        detuning = section.get("detuning_rad_per_s")
-        detuning = None if detuning is None else float(detuning)
+        detuning = _optional_float(section, "detuning_rad_per_s")
         if "pump" in section or "stokes" in section:
             if "margin" in section:
                 raise ConfigError("give either explicit pump/stokes envelopes or a margin")
@@ -123,16 +136,13 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
                 dt=total / n_steps,
                 direction=str(section.get("direction", "up")),
             )
-        margin = section.get("margin")
-        pump_peak = section.get("pump_peak_rabi_rad_per_s")
-        stokes_peak = section.get("stokes_peak_rabi_rad_per_s")
+        margin = _optional_float(section, "margin")
+        pump_peak = _optional_float(section, "pump_peak_rabi_rad_per_s")
+        stokes_peak = _optional_float(section, "stokes_peak_rabi_rad_per_s")
         if margin is not None and pump_peak is not None:
             raise ConfigError("give either a margin or fixed peak rates, not both")
         return stirap.standard_schedule(
-            total, params,
-            margin=None if margin is None else float(margin),
-            pump_peak=None if pump_peak is None else float(pump_peak),
-            stokes_peak=None if stokes_peak is None else float(stokes_peak),
+            total, params, margin=margin, pump_peak=pump_peak, stokes_peak=stokes_peak,
             n_steps=n_steps, detuning=detuning,
             shape=str(section.get("shape", "sin2")),
         )
@@ -155,10 +165,10 @@ def _parse_axes(section: dict) -> list:
             )
         try:
             if "values" in axis:
-                values = [float(v) for v in axis["values"]]
+                values = [_typed(v, float, "values") for v in axis["values"]]
             else:
-                start = float(_require(axis, "start", "axis"))
-                stop = float(_require(axis, "stop", "axis"))
+                start = _typed(_require(axis, "start", "axis"), float, "start")
+                stop = _typed(_require(axis, "stop", "axis"), float, "stop")
                 steps = _typed(_require(axis, "steps", "axis"), int, "steps")
                 if steps < 1:
                     raise ConfigError("steps must be >= 1")
@@ -194,7 +204,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             target=_typed(gate_sec.get("target", 1), int, "target"),
             mode=mode,
             schedule=schedule,
-            epsilon=float(gate_sec.get("epsilon", 0.0)),
+            epsilon=_typed(gate_sec.get("epsilon", 0.0), float, "epsilon"),
             compensate_phases=_typed(gate_sec.get("compensate_phases", False), bool,
                                      "compensate_phases"),
         )

@@ -17,7 +17,13 @@ of a Hermitian generator, in closed form: eigenvalues from the trigonometric
 solution of the characteristic cubic, the exponential from Cayley-Hamilton as
 a Newton divided-difference interpolant, with no eigendecomposition. The
 default 'magnus4' generator adds a commutator correction for 4th-order dt
-convergence, 'midpoint' freezes H mid-step (2nd order).
+convergence, 'midpoint' freezes H mid-step (2nd order). The time-ordered
+product of the steps is taken pairwise (later @ earlier, log depth) within
+chunks of a fixed number of steps, and the chunk products are folded in time
+order; the grouping depends on the step index only, so rung n comes out the
+same in every batch. A trajectory takes each chunk's prefix products from the
+same pairwise tree, whose last entry is the chunk product by construction, so
+the trajectory ends on the end-point propagator bit for bit.
 
 Every end-point reader takes its blocks from one cached build, passage_blocks:
 the (up, down) pair of an 'up' schedule, a 'down' schedule being the down half
@@ -205,8 +211,9 @@ def hamiltonian_block(n: int, t: float, schedule: StirapSchedule,
 _MAGNUS_C1 = 0.5 - np.sqrt(3.0) / 6.0
 _MAGNUS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 _MAGNUS_COEFF = np.sqrt(3.0) / 12.0
-# (step, rung) pairs per chunk: bounds the working arrays whatever the step count.
-_CHUNK_PAIRS = 4096
+# Steps per chunk: the product's grouping depends on the step index only, so
+# rung n comes out bit-identical in every batch; also bounds the working arrays.
+_CHUNK_STEPS = 256
 # Eigenvalue spread below which the second divided difference uses its series.
 _SERIES_SPREAD = 1e-2
 
@@ -214,7 +221,8 @@ _SERIES_SPREAD = 1e-2
 def _step_exponentials(u, v, w, d: float) -> np.ndarray:
     """exp(-i M) for stacked Hermitian M = [[0, u, w], [u*, d, v], [w*, v*, 0]].
 
-    u, v, w broadcast to the stack shape; d is a real scalar. The eigenvalues
+    u, v, w broadcast to the stack shape; d is a real scalar. The result is
+    laid out matrix axes first, (3, 3) + stack shape. The eigenvalues
     of M - (d/3) 1 come from the trigonometric solution of its characteristic
     cubic, y1 >= y2 >= y3, and Cayley-Hamilton gives the exponential as the
     Newton interpolant of f(y) = exp(-i y) on them:
@@ -267,16 +275,55 @@ def _step_exponentials(u, v, w, d: float) -> np.ndarray:
     f12 = g * f12
     f123 = g * f123
     base = g * f1 - f12 * y1
-    out = np.empty(f123.shape + (3, 3), dtype=complex)
-    out[..., 0, 0] = base - f12 * q + f123 * p00
-    out[..., 1, 1] = base + f12 * (2.0 * q) + f123 * p11
-    out[..., 2, 2] = base - f12 * q + f123 * p22
-    out[..., 0, 1] = f12 * u + f123 * p01
-    out[..., 1, 0] = f12 * np.conj(u) + f123 * np.conj(p01)
-    out[..., 0, 2] = f12 * w + f123 * p02
-    out[..., 2, 0] = f12 * np.conj(w) + f123 * np.conj(p02)
-    out[..., 1, 2] = f12 * v + f123 * p12
-    out[..., 2, 1] = f12 * np.conj(v) + f123 * np.conj(p12)
+    out = np.empty((3, 3) + f123.shape, dtype=complex)
+    out[0, 0] = base - f12 * q + f123 * p00
+    out[1, 1] = base + f12 * (2.0 * q) + f123 * p11
+    out[2, 2] = base - f12 * q + f123 * p22
+    out[0, 1] = f12 * u + f123 * p01
+    out[1, 0] = f12 * np.conj(u) + f123 * np.conj(p01)
+    out[0, 2] = f12 * w + f123 * p02
+    out[2, 0] = f12 * np.conj(w) + f123 * np.conj(p02)
+    out[1, 2] = f12 * v + f123 * p12
+    out[2, 1] = f12 * np.conj(v) + f123 * np.conj(p12)
+    return out
+
+
+def _matmul3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b for stacks of 3x3 matrices laid out matrix axes first, (3, 3, ...)."""
+    out = np.multiply(a[:, 0, None], b[None, 0], out=out)
+    out += a[:, 1, None] * b[None, 1]
+    out += a[:, 2, None] * b[None, 2]
+    return out
+
+
+def _pairwise_product(m: np.ndarray, prefix: bool = False) -> np.ndarray:
+    """Time-ordered product m[:, :, -1] @ ... @ m[:, :, 0] of a (3, 3, steps, ...) stack.
+
+    Neighbours multiply pairwise, later @ earlier, and an odd tail is carried
+    up a level, until one matrix is left: log-depth, each level one
+    vectorized multiply. With prefix=True returns the inclusive prefix
+    products instead, shaped like m: each level's prefixes are its pair
+    products' prefixes, plus one multiply for the even entries. The last
+    prefix is the reduction's root, computed by the same multiplies on the
+    same arrays, so it equals the product bit for bit.
+    """
+    s = m.shape[2]
+    if s == 1:
+        return m if prefix else m[:, :, 0]
+    half = s // 2
+    pairs = np.empty(m.shape[:2] + (half + s % 2,) + m.shape[3:], dtype=m.dtype)
+    _matmul3(m[:, :, 1:2 * half:2], m[:, :, 0:2 * half:2], out=pairs[:, :, :half])
+    if s % 2:
+        pairs[:, :, -1] = m[:, :, -1]
+    if not prefix:
+        return _pairwise_product(pairs)
+    sub = _pairwise_product(pairs, prefix=True)
+    out = np.empty_like(m)
+    out[:, :, 0] = m[:, :, 0]
+    out[:, :, 1::2] = sub[:, :, :half]
+    _matmul3(m[:, :, 2:2 * half:2], sub[:, :, :half - 1], out=out[:, :, 2:2 * half:2])
+    if s % 2:
+        out[:, :, -1] = sub[:, :, -1]
     return out
 
 
@@ -287,8 +334,12 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     Returns (len(ns), 3, 3), or the cumulative products at every step
     boundary, shape (n_steps+1, len(ns), 3, 3), when trajectory is True.
     The step generators and their closed-form exponentials are evaluated
-    for a chunk of steps and all rungs at once; the product is then folded
-    step by step, so the final propagator is the trajectory's last entry.
+    for a chunk of _CHUNK_STEPS steps and all rungs at once; each chunk's
+    product is taken pairwise (later @ earlier, log depth), and the chunk
+    products are folded in time order. The trajectory takes each chunk's
+    inclusive prefix products from the same pairwise routine, whose last
+    entry is the chunk product bit for bit, so traj[-1] equals the final
+    propagator exactly.
     """
     ns = np.atleast_1d(np.asarray(ns, dtype=int))
     n_steps = schedule.n_steps
@@ -306,13 +357,13 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     rates = params.eta * np.sqrt(ns + 1.0)[None, :]
     delta = schedule.detuning
     kappa = _MAGNUS_COEFF * dt
-    p = np.broadcast_to(np.eye(3, dtype=complex), (len(ns), 3, 3)).copy()
+    # product of the chunks so far, (3, 3, rungs); multiplying by 1 is exact
+    p = np.broadcast_to(np.eye(3, dtype=complex)[:, :, None], (3, 3, len(ns)))
     traj = np.empty((n_steps + 1, len(ns), 3, 3), dtype=complex) if trajectory else None
     if trajectory:
-        traj[0] = p
-    chunk = max(1, _CHUNK_PAIRS // len(ns))
-    for lo in range(0, n_steps, chunk):
-        sl = slice(lo, lo + chunk)
+        traj[0] = p.transpose(2, 0, 1)
+    for lo in range(0, n_steps, _CHUNK_STEPS):
+        sl = slice(lo, lo + _CHUNK_STEPS)
         a = [x[sl] for x in pumps]
         b = [rates * x[sl] / 2 for x in stokes]
         if method == "midpoint":
@@ -324,11 +375,14 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
             u = dt * ((a1 + a2) / 2 - 1j * kappa * delta * (a2 - a1))
             v = dt * ((b1 + b2) / 2 - 1j * kappa * delta * (b1 - b2))
             w = -1j * kappa * dt * (a2 * b1 - b2 * a1)
-        for k, step in enumerate(_step_exponentials(u, v, w, delta * dt), start=lo + 1):
-            p = step @ p
-            if trajectory:
-                traj[k] = p
-    return traj if trajectory else p
+        steps = _step_exponentials(u, v, w, delta * dt)  # (3, 3, chunk, rungs)
+        if trajectory:
+            prefix = _matmul3(_pairwise_product(steps, prefix=True), p[:, :, None])
+            traj[1:][sl] = prefix.transpose(2, 3, 0, 1)
+            p = prefix[:, :, -1]
+        else:
+            p = _matmul3(_pairwise_product(steps), p)
+    return traj if trajectory else np.ascontiguousarray(p.transpose(2, 0, 1))
 
 
 def _passage(schedule: StirapSchedule, params: PhysicalParams, n_rungs: int,

@@ -135,6 +135,10 @@ def test_truth_table_thermal(tmp_path, capsys):
     (("n_max",), True, "n_max must be an integer"),
     (("gate", "control"), 0.7, "control must be an integer"),
     (("trace",), {"n": 1.5}, "trace.n must be an integer"),
+    (("gate", "params", "eta"), True, "eta must be a number"),
+    (("gate", "epsilon"), False, "epsilon must be a number"),
+    (("gate", "schedule", "margin"), "100", "margin must be a number"),
+    (("sweep",), {"axes": [{"name": "epsilon", "values": [True]}]}, "values must be a number"),
 ])
 def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, path, value, message):
     doc = stirap_doc()
@@ -157,6 +161,18 @@ def test_integral_float_keys_accepted():
     config = cli.parse_config(doc)
     assert (config.n_max, config.trace_n, config.gate.schedule.n_steps) == (8, 2, 300)
     assert config.gate.params.n_ions == 2 and config.gate.compensate_phases is True
+
+
+def test_integer_numbers_accepted_for_float_keys():
+    doc = stirap_doc(margin=100, sweep={"axes": [{"name": "eta", "start": 0, "stop": 1,
+                                                  "steps": 2}]})
+    doc["gate"]["params"]["eta"] = 1
+    doc["gate"]["epsilon"] = 0
+    doc["gate"]["schedule"]["total_duration_s"] = 1
+    config = cli.parse_config(doc)
+    assert config.gate.params.eta == 1.0 and type(config.gate.epsilon) is float
+    assert config.gate.schedule.pump.peak_rabi == 100.0
+    assert config.sweep_axes == [("eta", [0.0, 1.0])]
 
 
 FUZZ_DOC = {

@@ -301,8 +301,44 @@ def test_step_exponentials_match_expm(scale):
         u, v, w = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
         d = scale * rng.standard_normal()
         m = np.array([[0, u, w], [np.conj(u), d, v], [np.conj(w), np.conj(v), 0]])
-        got = stirap._step_exponentials(np.array([u]), np.array([v]), np.array([w]), d)[0]
+        got = stirap._step_exponentials(np.array([u]), np.array([v]), np.array([w]), d)[..., 0]
         assert np.max(np.abs(got - scipy.linalg.expm(-1j * m))) <= 1e-14
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 255, 256, 257])
+def test_pairwise_prefix_ends_on_the_product(length):
+    rng = np.random.default_rng(length)
+    m = rng.standard_normal((length, 2, 3, 3)) + 1j * rng.standard_normal((length, 2, 3, 3))
+    m /= np.linalg.norm(m, ord=2, axis=(-2, -1), keepdims=True)  # keep long products O(1)
+    stack = np.ascontiguousarray(m.transpose(2, 3, 0, 1))  # (3, 3, steps, batch)
+    prefix = stirap._pairwise_product(stack, prefix=True)
+    assert np.array_equal(prefix[:, :, -1], stirap._pairwise_product(stack))
+    want = m[0]
+    for k in range(length):
+        if k:
+            want = m[k] @ want
+        assert np.max(np.abs(prefix[:, :, k].transpose(2, 0, 1) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_steps", [1, 257, 513])  # not multiples of the chunk
+def test_block_propagators_match_eigh_oracle_across_chunks(n_steps):
+    sched = schedule(margin=100.0, n_steps=n_steps, detuning=37.0)
+    ns = np.arange(5)
+    final = stirap.block_propagators(sched, PARAMS, ns)
+    traj = stirap.block_propagators(sched, PARAMS, ns, trajectory=True)
+    assert np.max(np.abs(final - eigh_stepper_oracle(sched, PARAMS, ns))) <= 1e-12
+    want = eigh_stepper_oracle(sched, PARAMS, ns, trajectory=True)
+    assert traj.shape == want.shape == (n_steps + 1, 5, 3, 3)
+    assert np.max(np.abs(traj - want)) <= 1e-12
+    assert traj.flags.c_contiguous and traj.base is None  # one array, not a view
+    assert np.array_equal(traj[-1], final)
+
+
+def test_empty_rung_batch():
+    sched = schedule(n_steps=300)
+    assert np.array_equal(stirap.passage_matrix(sched, PARAMS, 1), np.eye(4))
+    up, down = stirap.passage_blocks(sched, PARAMS, 0, stirap.DEFAULT_METHOD)
+    assert up.shape == down.shape == (0, 3, 3)
 
 
 @pytest.mark.parametrize("make", [
