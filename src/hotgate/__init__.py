@@ -25,7 +25,6 @@ from .hilbert import (
     CompositeState,
     DensityOperator,
     FockSpace,
-    IonLevelSpace,
     basis_state,
     compose_density,
     compose_state,

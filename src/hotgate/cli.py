@@ -117,7 +117,10 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
         total = _typed(_require(section, "total_duration_s", "gate.schedule"), float,
                        "total_duration_s")
         if "dt_s" in section:
-            n_steps = int(round(total / _typed(section["dt_s"], float, "dt_s")))
+            ratio = total / _typed(section["dt_s"], float, "dt_s")
+            n_steps = int(round(ratio))
+            if abs(ratio - n_steps) > 1e-9 * max(1.0, ratio):
+                raise ConfigError(f"total_duration_s is {ratio:.6g} dt_s, not a whole number")
         else:
             n_steps = _typed(section.get("n_steps", stirap.DEFAULT_N_STEPS), int, "n_steps")
         if n_steps < 1:
@@ -146,7 +149,7 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
             n_steps=n_steps, detuning=detuning,
             shape=str(section.get("shape", "sin2")),
         )
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad schedule: {exc}") from exc
@@ -163,6 +166,8 @@ def _parse_axes(section: dict) -> list:
             raise ConfigError(
                 f"unknown sweep axis {name!r}; known: {sorted(SWEEP_AXES)}"
             )
+        if name in (seen for seen, _ in parsed):
+            raise ConfigError(f"sweep axis {name!r} is given twice")
         try:
             if "values" in axis:
                 values = [_typed(v, float, "values") for v in axis["values"]]
@@ -375,9 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handler, _ = _COMMANDS[args.command]
     try:
         config = load_config(args.config)

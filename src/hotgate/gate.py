@@ -11,8 +11,11 @@ block on {|1,n>, |3,n>, |2,n+1>} of the control ion and a phase on |0,n>.
 The phonon axis is padded by one rung so that inputs with support up to n_max
 survive the intermediate single-phonon excursion exactly; weight left on the
 padded rung is dropped and reported as leakage. The same conservation law
-makes each output cell of the gate depend on one input rung only, so the
-report metrics follow from four gate runs for any phonon input.
+makes each output cell of the gate depend on one input rung only, and each
+qubit-basis input reach at most three cells of the control ion: (0, t) for
+control 0, and (1, t), (3, t) and the shelf (2, t) for control 1. These cells
+are disjoint, so the report runs the gate once on all four basis inputs
+together and takes every metric from a (basis input, cell, rung) array.
 """
 from __future__ import annotations
 
@@ -204,6 +207,12 @@ def ideal_crot_matrix() -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
+# Probe i weights basis input a's qubit cell by <ideal output of i|a><a|input i>
+# over the input's norm, so its entries are exactly 0, +-1 or +-1/2.
+_FIDELITY_PROBES = (np.abs(_FIDELITY_INPUTS) ** 2 * np.diag(ideal_crot_matrix())
+                    / np.sum(np.abs(_FIDELITY_INPUTS) ** 2, axis=1, keepdims=True))
+
+
 def cnot_matrix_oracle() -> np.ndarray:
     """Explicit 4x4 product of the wrapper rotations with diag(1,1,1,-1)."""
     r_pre = np.kron(np.eye(2), rotation_matrix_2x2(np.pi / 2, CNOT_PRE_PHASE))
@@ -211,15 +220,17 @@ def cnot_matrix_oracle() -> np.ndarray:
     return r_post @ ideal_crot_matrix() @ r_pre
 
 
-def _qubit_register(config: GateConfig) -> np.ndarray:
-    """(4^k, 4) map lifting (control, target) qubit coefficients to the ion register."""
-    k = config.params.n_ions
-    reg = np.zeros((4,) * k + (4,), dtype=complex)
-    for a in range(4):
-        idx = [0] * k
-        idx[config.control], idx[config.target] = a >> 1, a & 1
-        reg[tuple(idx) + (a,)] = 1.0
-    return reg.reshape(4**k, 4)
+def _qubit_cells(x: np.ndarray, config: GateConfig) -> np.ndarray:
+    """View of x with the control and target axes first and the spectators at level 0."""
+    x = np.moveaxis(x, (config.control, config.target), (0, 1))
+    return x[(slice(None), slice(None)) + (0,) * (config.params.n_ions - 2)]
+
+
+def _qubit_register(config: GateConfig, coeffs) -> np.ndarray:
+    """Ion-register vector (length 4^k) carrying (control, target) qubit coefficients."""
+    reg = np.zeros((4,) * config.params.n_ions, dtype=complex)
+    _qubit_cells(reg, config)[:2, :2] = np.reshape(coeffs, (2, 2))
+    return reg.reshape(-1)
 
 
 def _ensemble(phonon_input):
@@ -231,7 +242,7 @@ def _ensemble(phonon_input):
 
 
 def gate_report(config: GateConfig, phonon_input) -> GateReport:
-    """Run the gate on the four qubit-basis columns and derive every report metric.
+    """Run the gate once on all four qubit-basis columns and derive every report metric.
 
     Truth table and fidelities average over the input's eigen-ensemble;
     restoration and leakage are worst cases over basis inputs and over
@@ -242,48 +253,43 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     weights, vecs = _ensemble(phonon_input)
     d = vecs.shape[1]
     space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
-    reg = _qubit_register(config)
-    ones = np.ones(d, dtype=complex)
-    cols = np.stack([crot(compose_state(space, reg[:, a], ones), config).amplitudes
-                     for a in range(4)]).reshape(4, -1, d)
-    # Each output cell comes from one input rung: n, or n - 1 with the control
-    # on the shelf, so the four columns give the output for every input vector.
-    levels = np.indices(space.shape[:-1]).reshape(space.n_ions, -1)
-    src = np.arange(d) + 1 - (levels[config.control] == 2)[:, None]
+    # one run carries all four basis inputs, since they reach disjoint cells
+    run = crot(compose_state(space, _qubit_register(config, np.ones(4)), np.ones(d)), config)
+    x = _qubit_cells(run.tensor(), config)
+    cols = np.zeros((4, 3, d), dtype=complex)  # basis input, cell (qubit, 3, shelf), rung
+    cols[:2, 0] = x[0, :2]
+    cols[2:] = np.moveaxis(x[[1, 3, 2], :2], 1, 0)
+    # each cell comes from one input rung, n or (on the shelf) n - 1, so the
+    # columns give the output for every input vector
+    src = np.arange(d) + np.array([[1], [1], [0]])
     padded = np.concatenate((np.zeros((len(weights), 1)), vecs), axis=1)
-    out = cols * padded[:, src][:, None]  # component, basis input, register, rung
+    out = cols * padded[:, src][:, None]  # component, basis input, cell, rung
 
     kept = weights > 1e-14
     overlap = np.einsum("kn,kajn->kaj", vecs.conj(), out)
     restoration = np.clip(np.sum(np.abs(overlap) ** 2, axis=-1), 0.0, 1.0)
     worst_restoration = float(np.min(restoration[kept], initial=1.0))
     pops = np.abs(out) ** 2
-    off = (levels[config.control] >= 2).astype(float) + (levels[config.target] >= 2)
-    leakage = np.maximum(0.0, 1.0 - pops.sum(axis=(2, 3))) + np.einsum("kajn,j->ka", pops, off)
+    leakage = np.maximum(0.0, 1.0 - pops.sum(axis=(2, 3))) + pops[:, :, 1:].sum(axis=(2, 3))
     failed = config.mode == "stirap" and worst_restoration < MIN_RESTORATION_FOR_TABLE
-    table = None if failed else np.einsum("k,kaj,jb->ab", weights, overlap, reg.conj())
+    table = None if failed else np.diag(weights @ overlap[:, :, 0])
 
-    # |input><ideal output| per fidelity input, entries exactly 0, +-1 or +-1/2
-    targets = reg @ ideal_crot_matrix() @ _FIDELITY_INPUTS.T
-    norms = np.sum(np.abs(_FIDELITY_INPUTS) ** 2, axis=1)
-    probe = np.einsum("ia,ji->iaj", _FIDELITY_INPUTS, targets.conj()) / norms[:, None, None]
-
-    def fidelity(x):
-        amp = np.einsum("iaj,kajn->kin", probe, x, optimize=True)
+    def fidelity(qubit):  # component, basis input, rung of the qubit cell
+        amp = np.einsum("ia,kan->kin", _FIDELITY_PROBES, qubit)
         # summed as infidelity, so that an exact gate scores exactly 1
         loss = weights @ (1.0 - np.sum(np.abs(amp) ** 2, axis=-1))
         return float(np.mean(np.clip(1.0 - loss, 0.0, 1.0)))
 
-    fid = fidelity(out)
+    fid = fidelity(out[:, :, 0])
     raw = phases = residue = None
     if config.mode == "stirap":
         up, down = stirap.passage_blocks(config.schedule, config.params, d, stirap.DEFAULT_METHOD)
         if config.compensate_phases:
             # frame correction from the measured round-trip phase of each rung
             delta = np.angle((down[:-1] @ up[:-1])[:, 0, 0])
-            frame = np.where((levels[config.control] == 1)[:, None],
-                             np.append(np.exp(-1j * delta), 1.0), 1.0)
-            raw, fid = fid, fidelity(out * frame)
+            frame = np.ones((4, d), dtype=complex)
+            frame[2:, :-1] = np.exp(-1j * delta)  # the control's |1>
+            raw, fid = fid, fidelity(out[:, :, 0] * frame)
         amps = up[:min(stirap.CALIBRATED_RUNGS, d - 1), 2, 0]
         phases = {n: float(stirap.transfer_phase(amp)) for n, amp in enumerate(amps)
                   if abs(amp) ** 2 >= stirap.PHASE_MIN_TRANSFER}
@@ -357,7 +363,7 @@ def mixed_state_equivalence(config: GateConfig, spec: ThermalSpec, n_max: int = 
     space = CompositeSpace(config.params.n_ions, FockSpace(n_max))
     if qubit_coeffs is None:
         qubit_coeffs = 0.5 * np.ones(4, dtype=complex)
-    ion = _qubit_register(config) @ np.asarray(qubit_coeffs, dtype=complex)
+    ion = _qubit_register(config, qubit_coeffs)
     rho_ph = np.diag(thermal_probabilities(spec, n_max).astype(complex))
     direct_in = compose_density(np.outer(ion, ion.conj()), rho_ph, space)
     direct = crot(direct_in, config).matrix

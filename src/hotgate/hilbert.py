@@ -12,20 +12,18 @@ intermediate level.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError, TruncationLeakage
 
 N_ION_LEVELS = 4
-QUBIT_LEVELS = (0, 1)
 
 DEFAULT_N_MAX = 32
 
 # Tolerances (normative; see module docstrings of the operators they guard).
 LEAK_TOL = 1e-8        # squared amplitude allowed at the Fock boundary
-NORM_ATOL = 1e-12      # unit norm after normalize()
 HERM_ATOL = 1e-12      # Hermiticity defect of density operators
 TRACE_ATOL = 1e-12     # trace-one defect of density operators
 EIG_ATOL = 1e-10       # how negative a density eigenvalue may be
@@ -48,23 +46,11 @@ class FockSpace:
 
 
 @dataclass(frozen=True)
-class IonLevelSpace:
-    """Internal level structure of one ion: qubit {0,1}, shelf 2, intermediate 3."""
-
-    levels: tuple = (0, 1, 2, 3)
-
-    @property
-    def dim(self) -> int:
-        return len(self.levels)
-
-
-@dataclass(frozen=True)
 class CompositeSpace:
     """k ions (4 levels each) tensored with a truncated phonon mode."""
 
     n_ions: int
     fock: FockSpace
-    ion: IonLevelSpace = field(default_factory=IonLevelSpace)
 
     def __post_init__(self):
         if self.n_ions < 1:

@@ -139,9 +139,10 @@ def parse_state_spec(spec: str, n_max: int, default_seed: int | None = None):
             return fock_state(int(arg), n_max)
         if name == "coherent":
             re_s, _, im_s = arg.partition(",")
-            if not im_s:
+            alpha = complex(float(re_s), float(im_s))
+            if not np.isfinite(alpha):
                 raise ValueError
-            return coherent_state(complex(float(re_s), float(im_s)), n_max)
+            return coherent_state(alpha, n_max)
         if name == "thermal":
             return thermal_state(ThermalSpec(float(arg)), n_max)
         if name == "random":

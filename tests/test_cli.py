@@ -139,6 +139,12 @@ def test_truth_table_thermal(tmp_path, capsys):
     (("gate", "epsilon"), False, "epsilon must be a number"),
     (("gate", "schedule", "margin"), "100", "margin must be a number"),
     (("sweep",), {"axes": [{"name": "epsilon", "values": [True]}]}, "values must be a number"),
+    (("gate", "schedule", "dt_s"), 0.3, "not a whole number"),
+    (("gate", "schedule", "dt_s"), 5e-324, "bad schedule"),
+    (("phonon",), "coherent:nan,0", "malformed state spec"),
+    (("phonon",), "coherent:inf,0", "malformed state spec"),
+    (("sweep",), {"axes": [{"name": "epsilon", "start": 0, "stop": 1, "steps": 2},
+                           {"name": "epsilon", "values": [0.1]}]}, "given twice"),
 ])
 def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, path, value, message):
     doc = stirap_doc()
@@ -173,6 +179,14 @@ def test_integer_numbers_accepted_for_float_keys():
     assert config.gate.params.eta == 1.0 and type(config.gate.epsilon) is float
     assert config.gate.schedule.pump.peak_rabi == 100.0
     assert config.sweep_axes == [("eta", [0.0, 1.0])]
+
+
+@pytest.mark.parametrize("total, dt, n_steps", [(1.0, 0.004, 250), (0.3, 0.1, 3)])
+def test_dt_s_that_divides_the_duration_sets_the_steps(total, dt, n_steps):
+    doc = stirap_doc()
+    del doc["gate"]["schedule"]["n_steps"]
+    doc["gate"]["schedule"].update(total_duration_s=total, dt_s=dt)  # 0.3 / 0.1 < 3 in floats
+    assert cli.parse_config(doc).gate.schedule.n_steps == n_steps
 
 
 FUZZ_DOC = {

@@ -612,3 +612,55 @@ def test_unmirrored_pulses_build_both_passages(passage_builds, pump):
     cfg = g.GateConfig(params=PARAMS, mode="stirap", schedule=sched)
     g.gate_report(cfg, fock_state(1, 8))
     assert sorted(passage_builds) == ["down", "up"]
+
+
+@pytest.mark.parametrize("config", [
+    IDEAL, stirap_config(margin=90.0, n_steps=300, compensate_phases=True),
+], ids=["ideal", "stirap"])
+def test_report_runs_gate_once(monkeypatch, config):
+    calls = []
+
+    def counted(name):
+        original = getattr(g, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(g, name, wrapper)
+
+    counted("crot")
+    counted("compose_state")
+    for phonon in (fock_state(3, 8), thermal_state(ThermalSpec(1.0), 8)):
+        calls.clear()
+        g.gate_report(config, phonon)
+        assert sorted(calls) == ["compose_state", "crot"]
+
+
+def spectator_configs(k, control, target):
+    params = PhysicalParams(eta=0.1, omega=2 * np.pi * 1e5, n_ions=k, delta=2 * np.pi * 1e7)
+    sched = stirap.standard_schedule(1.0, params, margin=100.0, n_steps=400, detuning=5.0)
+    return [
+        g.GateConfig(params=params, control=control, target=target, epsilon=0.013),
+        g.GateConfig(params=params, control=control, target=target, mode="stirap",
+                     schedule=sched, epsilon=0.004, compensate_phases=True),
+    ]
+
+
+@pytest.mark.parametrize("k, control, target", [(3, 2, 0), (5, 1, 3)])
+def test_report_independent_of_spectators(k, control, target):
+    n_max = 8
+    inputs = [fock_state(5, n_max), random_phonon(4, n_max), thermal_state(ThermalSpec(1.0), n_max)]
+    for base, config in zip(spectator_configs(2, 0, 1), spectator_configs(k, control, target)):
+        for phonon in inputs:
+            want = g.gate_report(base, phonon).__dict__
+            got = g.gate_report(config, phonon).__dict__
+            assert set(got) == set(want)
+            for field, value in want.items():
+                if isinstance(value, dict):
+                    assert set(got[field]) == set(value), field
+                    assert all(abs(got[field][n] - value[n]) <= 1e-14 for n in value), field
+                elif value is None or isinstance(value, (bool, str)):
+                    assert got[field] == value, field
+                else:
+                    assert np.max(np.abs(np.asarray(got[field]) - value)) <= 1e-14, field
