@@ -121,6 +121,8 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
             n_steps = int(round(ratio))
             if abs(ratio - n_steps) > 1e-9 * max(1.0, ratio):
                 raise ConfigError(f"total_duration_s is {ratio:.6g} dt_s, not a whole number")
+            if "n_steps" in section:
+                raise ConfigError("give either n_steps or dt_s, not both")
         else:
             n_steps = _typed(section.get("n_steps", stirap.DEFAULT_N_STEPS), int, "n_steps")
         if n_steps < 1:
@@ -270,21 +272,23 @@ def cmd_truth_table(config: ExperimentConfig, out: str, fmt: str, seed: int | No
     return 0
 
 
-def _patched_raw(raw: dict, name: str, value: float) -> dict:
+def _patched_raw(raw: dict, names, values) -> dict:
     doc = json.loads(json.dumps(raw))
-    path = SWEEP_AXES[name]
-    node = doc
-    for key in path[:-1]:
-        if key not in node or not isinstance(node[key], dict):
-            raise ConfigError(f"sweep axis {name!r} needs a {'.'.join(path[:-1])} section")
-        node = node[key]
-    node[path[-1]] = value  # parse_config reads n_max and n_steps as strict integers
     doc.pop("sweep", None)
+    for name, value in zip(names, values):
+        path = SWEEP_AXES[name]
+        node = doc
+        for key in path[:-1]:
+            if key not in node or not isinstance(node[key], dict):
+                raise ConfigError(
+                    f"sweep axis {name!r} needs a {'.'.join(path[:-1])} section")
+            node = node[key]
+        node[path[-1]] = value  # parse_config reads n_max and n_steps as strict integers
     return doc
 
 
 def _grid_point_metrics(raw: dict, names, values, seed: int | None) -> dict:
-    cfg = parse_config(_patched_raw_multi(raw, names, values))
+    cfg = parse_config(_patched_raw(raw, names, values))
     phonon = _phonon_input(cfg, seed)
     t0 = time.perf_counter()
     report = gate_mod.gate_report(cfg.gate, phonon)
@@ -301,13 +305,6 @@ def _grid_point_metrics(raw: dict, names, values, seed: int | None) -> dict:
         row["transfer_efficiency"] = float(np.min(np.abs(up[:rungs, 2, 0]) ** 2))
     row["runtime_s"] = time.perf_counter() - t0
     return row
-
-
-def _patched_raw_multi(raw: dict, names, values) -> dict:
-    doc = raw
-    for name, value in zip(names, values):
-        doc = _patched_raw(doc, name, value)
-    return doc
 
 
 def cmd_sweep(config: ExperimentConfig, out: str, fmt: str, seed: int | None) -> int:

@@ -16,6 +16,8 @@ qubit-basis input reach at most three cells of the control ion: (0, t) for
 control 0, and (1, t), (3, t) and the shelf (2, t) for control 1. These cells
 are disjoint, so the report runs the gate once on all four basis inputs
 together and takes every metric from a (basis input, cell, rung) array.
+Every metric is linear in the phonon input rho and reads only diag rho and
+its first superdiagonal, so a hot (mixed) input is never decomposed.
 """
 from __future__ import annotations
 
@@ -233,25 +235,23 @@ def _qubit_register(config: GateConfig, coeffs) -> np.ndarray:
     return reg.reshape(-1)
 
 
-def _ensemble(phonon_input):
-    """Weights and rows of phonon vectors spanning a pure or mixed phonon input."""
-    if isinstance(phonon_input, DensityOperator):
-        w, v = np.linalg.eigh(phonon_input.matrix)
-        return w, v.T
-    return np.ones(1), np.asarray(phonon_input, dtype=complex)[None, :]
-
-
 def gate_report(config: GateConfig, phonon_input) -> GateReport:
     """Run the gate once on all four qubit-basis columns and derive every report metric.
 
-    Truth table and fidelities average over the input's eigen-ensemble;
-    restoration and leakage are worst cases over basis inputs and over
-    eigencomponents of weight above 1e-14. The entanglement residue (stirap
-    mode) is reported for pure inputs only, since mixing depresses purity on
-    its own.
+    The metrics read the phonon input rho only through diag rho and rho[n-1, n].
+    Restoration is the entanglement fidelity of each basis input's phonon
+    channel (Schumacher, PRA 54, 2614 (1996)) and leakage is weighted by
+    diag rho; both are worst cases over the basis inputs. The entanglement
+    residue (stirap mode) needs amplitudes and is reported for pure inputs
+    only, since mixing depresses purity on its own.
     """
-    weights, vecs = _ensemble(phonon_input)
-    d = vecs.shape[1]
+    if isinstance(phonon_input, DensityOperator):
+        vec, rho = None, phonon_input.matrix
+        diag, sup = np.real(np.diagonal(rho)), np.diagonal(rho, 1)
+    else:
+        vec = np.asarray(phonon_input, dtype=complex)
+        diag, sup = np.abs(vec) ** 2, vec[:-1] * vec[1:].conj()
+    d = len(diag)
     space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
     # one run carries all four basis inputs, since they reach disjoint cells
     run = crot(compose_state(space, _qubit_register(config, np.ones(4)), np.ones(d)), config)
@@ -259,28 +259,27 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     cols = np.zeros((4, 3, d), dtype=complex)  # basis input, cell (qubit, 3, shelf), rung
     cols[:2, 0] = x[0, :2]
     cols[2:] = np.moveaxis(x[[1, 3, 2], :2], 1, 0)
-    # each cell comes from one input rung, n or (on the shelf) n - 1, so the
-    # columns give the output for every input vector
-    src = np.arange(d) + np.array([[1], [1], [0]])
-    padded = np.concatenate((np.zeros((len(weights), 1)), vecs), axis=1)
-    out = cols * padded[:, src][:, None]  # component, basis input, cell, rung
-
-    kept = weights > 1e-14
-    overlap = np.einsum("kn,kajn->kaj", vecs.conj(), out)
-    restoration = np.clip(np.sum(np.abs(overlap) ** 2, axis=-1), 0.0, 1.0)
-    worst_restoration = float(np.min(restoration[kept], initial=1.0))
-    pops = np.abs(out) ** 2
-    leakage = np.maximum(0.0, 1.0 - pops.sum(axis=(2, 3))) + pops[:, :, 1:].sum(axis=(2, 3))
+    # cell (j, n) is fed by input rung s(j, n): n, or n - 1 on the shelf. So
+    # basis input a acts on the phonon by K_aj[n, m] = cols[a, j, n] delta(m, s(j, n)),
+    # and rho enters as coherence[j, n] = rho[s, n] and weight[j, n] = rho[s, s]
+    coherence = np.stack((diag, diag, np.append(0.0, sup)))
+    weight = np.stack((diag, diag, np.append(0.0, diag[:-1])))
+    overlap = np.sum(cols * coherence, axis=-1)  # Tr(rho K_aj)
+    trace = np.sum(coherence[0]).real  # the same summation, so an exact gate reads 1
+    restoration = np.clip(np.sum(np.abs(overlap) ** 2, axis=-1) / trace**2, 0.0, 1.0)
+    worst_restoration = float(np.min(restoration))
+    pops = np.abs(cols) ** 2 * weight
+    leakage = np.maximum(0.0, trace - pops.sum(axis=(1, 2))) + pops[:, 1:].sum(axis=(1, 2))
     failed = config.mode == "stirap" and worst_restoration < MIN_RESTORATION_FOR_TABLE
-    table = None if failed else np.diag(weights @ overlap[:, :, 0])
+    table = None if failed else np.diag(overlap[:, 0])
 
-    def fidelity(qubit):  # component, basis input, rung of the qubit cell
-        amp = np.einsum("ia,kan->kin", _FIDELITY_PROBES, qubit)
-        # summed as infidelity, so that an exact gate scores exactly 1
-        loss = weights @ (1.0 - np.sum(np.abs(amp) ** 2, axis=-1))
+    def fidelity(qubit):  # basis input, rung of the qubit cell
+        amp = _FIDELITY_PROBES @ qubit
+        # summed as infidelity per rung, so that an exact gate scores exactly 1
+        loss = (1.0 - np.abs(amp) ** 2) @ diag
         return float(np.mean(np.clip(1.0 - loss, 0.0, 1.0)))
 
-    fid = fidelity(out[:, :, 0])
+    fid = fidelity(cols[:, 0])
     raw = phases = residue = None
     if config.mode == "stirap":
         up, down = stirap.passage_blocks(config.schedule, config.params, d, stirap.DEFAULT_METHOD)
@@ -289,20 +288,21 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
             delta = np.angle((down[:-1] @ up[:-1])[:, 0, 0])
             frame = np.ones((4, d), dtype=complex)
             frame[2:, :-1] = np.exp(-1j * delta)  # the control's |1>
-            raw, fid = fid, fidelity(out[:, :, 0] * frame)
+            raw, fid = fid, fidelity(cols[:, 0] * frame)
         amps = up[:min(stirap.CALIBRATED_RUNGS, d - 1), 2, 0]
         phases = {n: float(stirap.transfer_phase(amp)) for n, amp in enumerate(amps)
                   if abs(amp) ** 2 >= stirap.PHASE_MIN_TRANSFER}
-        if not isinstance(phonon_input, DensityOperator):
-            rho = out[0] @ out[0].conj().transpose(0, 2, 1)
-            norm = np.maximum(np.real(np.trace(rho, axis1=1, axis2=2)), 1e-300)
-            purity = np.real(np.einsum("aij,aji->a", rho, rho)) / norm**2
+        if vec is not None:
+            out = cols * np.append(0.0, vec)[np.arange(d) + np.array([[1], [1], [0]])]
+            ion = out @ out.conj().transpose(0, 2, 1)
+            norm = np.maximum(np.real(np.trace(ion, axis1=1, axis2=2)), 1e-300)
+            purity = np.real(np.einsum("aij,aji->a", ion, ion)) / norm**2
             residue = float(np.max(1.0 - purity, initial=0.0))
     return GateReport(
         truth_table=table,
         qubit_fidelity=fid,
         phonon_restoration_fidelity=worst_restoration,
-        leakage=float(np.max(leakage[kept], initial=0.0)),
+        leakage=float(np.max(leakage)),
         mode=config.mode,
         epsilon=config.epsilon,
         residual_phases=phases,
@@ -315,9 +315,11 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
 def truth_table(config: GateConfig, phonon_input) -> np.ndarray:
     """4x4 overlap table of the gate with the restored-phonon references.
 
-    Entry [a, b] is the amplitude of basis output b (with the phonon factor
-    back in its input state) when feeding basis input a. Mixed phonon inputs
-    average the pure tables over the input's eigen-ensemble. In stirap mode
+    Entry [a, b] is Tr(rho K_ab), with K_ab[n, m] = <b, n|U|a, m>: for a pure
+    input, the amplitude of basis output b (with the phonon factor back in its
+    input state) when feeding basis input a. It is linear in rho, so a mixed
+    input reads the average table of any pure ensemble that makes it up; only
+    the diagonal is non-zero and it reads only diag rho. In stirap mode
     the extraction is refused (AmbiguousExtraction) when the phonon comes
     back with fidelity below 0.9, since no clean table exists then.
     """
@@ -343,12 +345,18 @@ def gate_fidelity(config: GateConfig, phonon_input, *, compensate=None) -> float
 
 
 def phonon_restoration(config: GateConfig, phonon_input) -> float:
-    """Worst-case fidelity of the returned phonon state over basis inputs."""
+    """Worst case over basis inputs of the entanglement fidelity of the phonon channel.
+
+    For basis input a this is sum_j |Tr(rho K_aj)|^2 / (Tr rho)^2 over the
+    reached ion cells j; a pure input reads the overlap of the returned
+    phonon state with itself.
+    """
     return gate_report(config, phonon_input).phonon_restoration_fidelity
 
 
 def gate_leakage(config: GateConfig, phonon_input) -> float:
-    """Norm loss plus population left outside the two-qubit subspace."""
+    """Worst case over basis inputs of the norm loss plus the population left
+    outside the two-qubit subspace, each rung weighted by diag rho."""
     return gate_report(config, phonon_input).leakage
 
 

@@ -57,10 +57,15 @@ def _log_factorial(n: np.ndarray) -> np.ndarray:
 
 
 def coherent_discarded_weight(alpha: complex, n_max: int) -> float:
-    """Probability weight of the coherent state above the truncation n_max."""
-    v = _coherent_unnormalized(alpha, n_max)
-    kept = float(np.sum(np.abs(v) ** 2))
-    return max(0.0, 1.0 - kept * np.exp(-np.abs(alpha) ** 2))
+    """Probability weight of the coherent state above the truncation n_max.
+
+    The occupation is Poisson with mean |alpha|^2, so this is the Poisson
+    upper tail, which neither overflows nor cancels; a mean |alpha|^2 that
+    overflows to inf gives weight 1.
+    """
+    from scipy.special import pdtrc
+
+    return float(pdtrc(n_max, abs(alpha) * abs(alpha)))  # float ** would raise on overflow
 
 
 def coherent_state(alpha: complex, n_max: int, *,
@@ -69,7 +74,7 @@ def coherent_state(alpha: complex, n_max: int, *,
     discard = coherent_discarded_weight(alpha, n_max)
     if discard > max_discard:
         raise TruncationLeakage(
-            f"|alpha|^2 = {abs(alpha)**2:.3g} too large for n_max = {n_max}: "
+            f"|alpha|^2 = {abs(alpha) * abs(alpha):.3g} too large for n_max = {n_max}: "
             f"discarded weight {discard:.3e} exceeds {max_discard}"
         )
     v = _coherent_unnormalized(alpha, n_max)

@@ -1,0 +1,7 @@
+"""Hypothesis profiles: HYPOTHESIS_PROFILE=ci replays the same examples on every run."""
+import os
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

@@ -145,6 +145,8 @@ def test_truth_table_thermal(tmp_path, capsys):
     (("phonon",), "coherent:inf,0", "malformed state spec"),
     (("sweep",), {"axes": [{"name": "epsilon", "start": 0, "stop": 1, "steps": 2},
                            {"name": "epsilon", "values": [0.1]}]}, "given twice"),
+    (("gate", "schedule", "dt_s"), 0.004, "not both"),
+    (("gate", "schedule", "dt_s"), 0.001, "not both"),  # agrees with n_steps, still both
 ])
 def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, path, value, message):
     doc = stirap_doc()
@@ -268,6 +270,17 @@ def test_simulation_domain_error_exit_code(tmp_path, capsys):
     assert "discarded weight" in capsys.readouterr().err
 
 
+def test_overflowing_coherent_amplitude_exits_3(tmp_path, capsys):
+    # |alpha|^2 overflows to inf; the discarded weight must read 1, not nan
+    code = cli.main(["truth-table", "--config",
+                     write(tmp_path, ideal_doc(phonon="coherent:1e200,0", n_max=8)),
+                     "--out", str(tmp_path / "r.json")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "discarded weight" in captured.err
+    assert "nan" not in captured.out
+
+
 def test_random_family_uses_cli_seed(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     cfg = write(tmp_path, ideal_doc(phonon="random"))
@@ -348,6 +361,17 @@ def test_sweep_non_integral_step_count_exits_2(tmp_path, capsys):
     assert cli.main(["sweep", "--config", write(tmp_path, doc),
                      "--out", str(tmp_path / "s.csv")]) == 2
     assert "n_steps must be an integer, got 300.7" in capsys.readouterr().err
+
+
+def test_sweep_n_steps_axis_on_dt_s_config_exits_2(tmp_path, capsys):
+    doc = stirap_doc(phonon="fock:1", n_max=8,
+                     sweep={"axes": [{"name": "n_steps", "values": [100, 300]}]})
+    del doc["gate"]["schedule"]["n_steps"]
+    doc["gate"]["schedule"]["dt_s"] = 0.004
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    assert "not both" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_empty_axes(tmp_path):

@@ -2,6 +2,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotgate.errors import AmbiguousExtraction, DomainError
 from hotgate.hilbert import (
@@ -20,7 +22,13 @@ from hotgate.operators import (
     adiabatic_up,
     conditional_phase,
 )
-from hotgate.states import ThermalSpec, fock_state, random_pure_state, thermal_state
+from hotgate.states import (
+    ThermalSpec,
+    fock_state,
+    random_pure_state,
+    thermal_discarded_weight,
+    thermal_state,
+)
 from hotgate import gate as g
 from hotgate import stirap
 
@@ -39,6 +47,13 @@ def qubit_ion_vector(c_bit, t_bit, control=0, target=1, k=2):
 
 def random_phonon(seed, n_max):
     return random_pure_state(seed, n_max)
+
+
+def random_density(seed, n_max):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n_max + 1,) * 2) + 1j * rng.standard_normal((n_max + 1,) * 2)
+    rho = m @ m.conj().T
+    return DensityOperator(rho / np.trace(rho), FockSpace(n_max))
 
 
 def stirap_config(margin=100.0, n_steps=2000, **kwargs):
@@ -451,7 +466,11 @@ FIDELITY_PROBES = [np.eye(4)[a] for a in range(4)] + [
 
 
 def oracle_report(config, phonon_input):
-    """Report fields from per-basis-input loops over oracle_crot runs."""
+    """Report fields from per-basis-input loops over oracle_crot runs.
+
+    A pure input is scored by its returned phonon state; a mixed input rho by
+    the Kraus operators of the dense gate and a run on |a><a| (x) rho.
+    """
     mixed = isinstance(phonon_input, DensityOperator)
     d = phonon_input.dim if mixed else len(phonon_input)
     space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
@@ -461,14 +480,30 @@ def oracle_report(config, phonon_input):
         return sum(coeffs[2 * c + t] * qubit_ion_vector(c, t, config.control, config.target)
                    for c in range(2) for t in range(2))
 
-    if mixed:
-        w, v = np.linalg.eigh(phonon_input.matrix)
-        components = [(p, v[:, j]) for j, p in enumerate(w) if p > 1e-14]
-    else:
-        components = [(1.0, phonon_input)]
+    def outside(pops):  # weight of the control and target outside the qubit levels
+        return sum(np.moveaxis(pops, ion, 0)[2:].sum() for ion in (config.control, config.target))
+
     table = np.zeros((4, 4), dtype=complex)
     restoration, leakage, residue = 1.0, 0.0, 0.0
-    for weight, phonon in components:
+    if mixed:
+        rho = phonon_input.matrix
+        trace = np.real(np.trace(rho))
+        cells = [int(np.flatnonzero(register(np.eye(4)[b]))[0]) for b in range(4)]
+        for a in range(4):
+            ion = register(np.eye(4)[a])
+            # Kraus operators K_aj[n, m] = <j, n| U |a, m> over all 16 ion outputs j
+            kraus = np.stack([
+                oracle_crot(compose_state(space, ion, fock_state(m, d - 1)), config)
+                .amplitudes.reshape(-1, d) for m in range(d)], axis=-1)
+            traces = np.einsum("jnm,mn->j", kraus, rho)
+            restoration = min(restoration,
+                              np.clip(np.sum(np.abs(traces) ** 2) / trace**2, 0.0, 1.0))
+            table[a] = traces[cells]
+            out = oracle_crot(compose_density(np.outer(ion, ion.conj()), rho, space), config)
+            pops = np.real(np.diagonal(out.matrix)).reshape(space.shape)
+            leakage = max(leakage, max(0.0, trace - pops.sum()) + outside(pops))
+    else:
+        phonon = phonon_input
         for a in range(4):
             out = oracle_crot(compose_state(space, register(np.eye(4)[a]), phonon), config)
             x = out.amplitudes.reshape(-1, d)
@@ -476,14 +511,13 @@ def oracle_report(config, phonon_input):
             restoration = min(restoration,
                               np.clip(np.real(np.vdot(phonon, rho_phonon @ phonon)), 0.0, 1.0))
             pops = np.abs(out.tensor()) ** 2
-            off = sum(np.moveaxis(pops, ion, 0)[2:].sum() for ion in (config.control, config.target))
-            leakage = max(leakage, max(0.0, 1.0 - pops.sum()) + off)
+            leakage = max(leakage, max(0.0, 1.0 - pops.sum()) + outside(pops))
             rho_ion = x @ x.conj().T
             purity = np.real(np.trace(rho_ion @ rho_ion)) / np.real(np.trace(rho_ion)) ** 2
             residue = max(residue, 1.0 - purity)
             for b in range(4):
                 ref = compose_state(space, register(np.eye(4)[b]), phonon)
-                table[a, b] += weight * ref.overlap(out)
+                table[a, b] = ref.overlap(out)
 
     def fidelity(compensate):
         frame = np.ones(space.shape, dtype=complex)
@@ -551,9 +585,10 @@ def test_block_gate_matches_four_pulse_oracle(name):
     ion = sum(qubit[2 * c + t] * qubit_ion_vector(c, t, config.control, config.target)
               for c in range(2) for t in range(2))
     pure = random_phonon(12, n_max)
-    # the rank-one density has eigenvalue dust that the worst cases must skip
+    # a rank-one density must read the same as its vector
     inputs = [fock_state(3, n_max), pure, thermal_state(ThermalSpec(1.0), n_max),
               DensityOperator(np.outer(pure, pure.conj()), FockSpace(n_max))]
+    reports = []
     for phonon in inputs:
         if isinstance(phonon, DensityOperator):
             rho = compose_density(np.outer(ion, ion.conj()), phonon.matrix, space)
@@ -564,6 +599,7 @@ def test_block_gate_matches_four_pulse_oracle(name):
         assert np.max(np.abs(got - want)) <= 1e-12
 
         report = g.gate_report(config, phonon)
+        reports.append(report)
         expected = oracle_report(config, phonon)
         for field, value in expected.items():
             actual = getattr(report, field)
@@ -574,6 +610,8 @@ def test_block_gate_matches_four_pulse_oracle(name):
                 assert all(abs(actual[n] - value[n]) <= 1e-12 for n in value)
             else:
                 assert np.max(np.abs(np.asarray(actual) - value)) <= 1e-12, field
+    # the residue is reported for pure inputs only
+    assert_same_report(reports[3], reports[1], skip=("entanglement_residue",))
 
 
 @pytest.fixture
@@ -637,6 +675,21 @@ def test_report_runs_gate_once(monkeypatch, config):
         assert sorted(calls) == ["compose_state", "crot"]
 
 
+def assert_same_report(got, want, skip=()):
+    got, want = got.__dict__, want.__dict__
+    assert set(got) == set(want)
+    for field, value in want.items():
+        if field in skip:
+            continue
+        if isinstance(value, dict):
+            assert set(got[field]) == set(value), field
+            assert all(abs(got[field][n] - value[n]) <= 1e-14 for n in value), field
+        elif value is None or isinstance(value, (bool, str)):
+            assert got[field] == value, field
+        else:
+            assert np.max(np.abs(np.asarray(got[field]) - value)) <= 1e-14, field
+
+
 def spectator_configs(k, control, target):
     params = PhysicalParams(eta=0.1, omega=2 * np.pi * 1e5, n_ions=k, delta=2 * np.pi * 1e7)
     sched = stirap.standard_schedule(1.0, params, margin=100.0, n_steps=400, detuning=5.0)
@@ -653,14 +706,58 @@ def test_report_independent_of_spectators(k, control, target):
     inputs = [fock_state(5, n_max), random_phonon(4, n_max), thermal_state(ThermalSpec(1.0), n_max)]
     for base, config in zip(spectator_configs(2, 0, 1), spectator_configs(k, control, target)):
         for phonon in inputs:
-            want = g.gate_report(base, phonon).__dict__
-            got = g.gate_report(config, phonon).__dict__
-            assert set(got) == set(want)
-            for field, value in want.items():
-                if isinstance(value, dict):
-                    assert set(got[field]) == set(value), field
-                    assert all(abs(got[field][n] - value[n]) <= 1e-14 for n in value), field
-                elif value is None or isinstance(value, (bool, str)):
-                    assert got[field] == value, field
-                else:
-                    assert np.max(np.abs(np.asarray(got[field]) - value)) <= 1e-14, field
+            assert_same_report(g.gate_report(config, phonon), g.gate_report(base, phonon))
+
+
+@pytest.mark.parametrize("config", [
+    IDEAL, stirap_config(margin=90.0, n_steps=300),
+], ids=["ideal", "stirap"])
+def test_report_needs_no_eigendecomposition(monkeypatch, config):
+    inputs = (thermal_state(ThermalSpec(1.0), 8), random_density(4, 8))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report must not diagonalize its input")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for phonon in inputs:
+        report = g.gate_report(config, phonon)
+        assert report.truth_table is not None and 0.9 < report.phonon_restoration_fidelity <= 1
+
+
+@given(seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_mixed_metrics_independent_of_degenerate_eigenbasis(seed, levels):
+    # rho = V diag(p) V^dagger with p taking `levels` distinct values; a unitary
+    # acting inside each degenerate eigenspace leaves rho unchanged
+    n_max = 7
+    rng = np.random.default_rng(seed)
+    groups = np.sort(rng.choice(np.arange(1, n_max + 1), levels - 1, replace=False))
+    p = np.repeat(rng.uniform(0.2, 1.0, levels), np.diff(np.r_[0, groups, n_max + 1]))
+    p /= p.sum()
+
+    def unitary(n):
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    v = unitary(n_max + 1)
+    w = np.zeros_like(v)
+    for lo, hi in zip(np.r_[0, groups], np.r_[groups, n_max + 1]):
+        w[lo:hi, lo:hi] = unitary(hi - lo)
+    rhos = [DensityOperator((u * p) @ u.conj().T, FockSpace(n_max), validate=False)
+            for u in (v, v @ w)]
+    for name in ("ideal-timing-error", "stirap-compensated"):
+        a, b = (g.gate_report(ORACLE_CONFIGS[name], rho) for rho in rhos)
+        assert abs(a.phonon_restoration_fidelity - b.phonon_restoration_fidelity) <= 1e-12
+        assert abs(a.leakage - b.leakage) <= 1e-12
+
+
+def test_thermal_metrics_converge_in_n_max():
+    # raising n_max moves restoration and leakage by no more than the thermal
+    # weight the smaller truncation dropped
+    config = stirap_config(margin=100.0)
+    for n_max in (12, 16):
+        small, large = (g.gate_report(config, thermal_state(ThermalSpec(1.0), n))
+                        for n in (n_max, n_max + 4))
+        tail = thermal_discarded_weight(1.0, n_max)
+        assert abs(small.phonon_restoration_fidelity - large.phonon_restoration_fidelity) <= tail
+        assert abs(small.leakage - large.leakage) <= tail

@@ -72,6 +72,23 @@ def test_coherent_truncation_guard():
     assert coherent_discarded_weight(5.0, 8) > 1e-2
 
 
+@pytest.mark.parametrize("alpha, n_max", [(0.0, 4), (0.3, 4), (1.5 - 2j, 20), (5.0, 64)])
+def test_coherent_discarded_weight_is_poisson_tail(alpha, n_max):
+    from scipy.special import gammaln
+
+    m = abs(alpha) ** 2
+    n = np.arange(n_max + 1, n_max + 400)
+    tail = np.sum(np.exp(n * np.log(m) - m - gammaln(n + 1.0))) if m else 0.0
+    assert abs(coherent_discarded_weight(alpha, n_max) - tail) <= 1e-12 * max(tail, 1e-300)
+
+
+def test_overflowing_coherent_amplitude_is_refused():
+    # |alpha|^2 overflows: the whole weight lies above any truncation
+    assert coherent_discarded_weight(1e200, 8) == 1.0
+    with pytest.raises(TruncationLeakage, match="discarded weight"):
+        parse_state_spec("coherent:1e200,0", 8)
+
+
 # ---------------------------------------------------------------- thermal
 
 def test_thermal_zero_temperature():
