@@ -46,10 +46,10 @@ def main():
 
     # the calibration's last build, from the cache; the standard pair is
     # mirrored, so the down passage is up^T
-    p_up, p_down = stirap.passage_blocks(cal.schedule, params, len(n_values),
-                                         stirap.DEFAULT_METHOD)
+    p_up, p_down = stirap.passage_blocks(cal.schedule, params, len(n_values))
     round_trip = np.abs((p_down @ p_up)[:, 0, 0]) ** 2
-    phases = stirap.transfer_phase(p_up[:, 2, 0])
+    phases = stirap.transfer_phase(stirap.transfer_amplitudes(cal.schedule, params,
+                                                              len(n_values)))
     print(f"round-trip fidelity: min {round_trip.min():.6f} over n <= {args.n_upper}")
 
     artifact = {

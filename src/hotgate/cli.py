@@ -2,8 +2,8 @@
 
 Config files are JSON with explicit unit suffixes on physical keys
 (rad_per_s, _s). Exit codes: 0 success, 2 usage/config error, 3 simulation
-domain error. CSV output carries 17 significant digits so downstream
-convergence checks stay meaningful.
+domain error or a run too large to allocate. CSV output carries 17
+significant digits so downstream convergence checks stay meaningful.
 """
 from __future__ import annotations
 
@@ -148,8 +148,8 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
             raise ConfigError("give either a margin or fixed peak rates, not both")
         return stirap.standard_schedule(
             total, params, margin=margin, pump_peak=pump_peak, stokes_peak=stokes_peak,
-            n_steps=n_steps, detuning=detuning,
-            shape=str(section.get("shape", "sin2")),
+            direction=str(section.get("direction", "up")), n_steps=n_steps,
+            detuning=detuning, shape=str(section.get("shape", "sin2")),
         )
     except (TypeError, ValueError, ArithmeticError) as exc:
         if isinstance(exc, ConfigError):
@@ -298,11 +298,10 @@ def _grid_point_metrics(raw: dict, names, values, seed: int | None) -> dict:
         "leakage": report.leakage,
     }
     if cfg.gate.mode == "stirap":
-        # same cache key as the build inside gate_report: no second integration
-        up, _ = stirap.passage_blocks(cfg.gate.schedule, cfg.gate.params, cfg.n_max + 1,
-                                      stirap.DEFAULT_METHOD)
+        # the build gate_report made: no second integration
+        amps = stirap.transfer_amplitudes(cfg.gate.schedule, cfg.gate.params, cfg.n_max + 1)
         rungs = min(stirap.CALIBRATED_RUNGS, cfg.n_max)
-        row["transfer_efficiency"] = float(np.min(np.abs(up[:rungs, 2, 0]) ** 2))
+        row["transfer_efficiency"] = float(np.min(np.abs(amps[:rungs]) ** 2))
     row["runtime_s"] = time.perf_counter() - t0
     return row
 
@@ -389,7 +388,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SimulationError as exc:
+    except (SimulationError, MemoryError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return 3
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import AmbiguousExtraction, DomainError
 from .hilbert import (
-    DOMAIN_ATOL,
     CompositeSpace,
     CompositeState,
     DensityOperator,
@@ -40,6 +39,7 @@ from .operators import (
     PhysicalParams,
     carrier_rotation,
     conditional_phase_factors,
+    outside_weight,
     rotation_matrix_2x2,
 )
 from .states import ThermalSpec, fock_state, thermal_probabilities
@@ -145,7 +145,7 @@ def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
     if config.mode == "ideal":
         up = down = np.broadcast_to(_IDEAL_PASSAGE, (d, 3, 3))
     else:
-        up, down = stirap.passage_blocks(config.schedule, config.params, d, stirap.DEFAULT_METHOD)
+        up, down = stirap.passage_blocks(config.schedule, config.params, d)
     ph = np.stack((phi[:-1], phi[:-1], phi[1:]), axis=-1)
     bare = down @ up
     phased = down @ (ph[:, :, None] * up * ph[:, None, :])
@@ -164,10 +164,9 @@ def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
         return np.moveaxis(y[..., :-1], moved, axes)
 
     def check(sp, pops):
-        total = max(float(pops.sum()), 1e-300)
         for ion in (config.control, config.target):
-            w = float(np.moveaxis(pops, ion, 0)[2:].sum())
-            if w > DOMAIN_ATOL * total:
+            w = outside_weight(pops, ion, (2, 3))
+            if w:
                 raise DomainError(
                     f"ion {ion} has population {w:.3e} outside the qubit subspace"
                 )
@@ -282,14 +281,15 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     fid = fidelity(cols[:, 0])
     raw = phases = residue = None
     if config.mode == "stirap":
-        up, down = stirap.passage_blocks(config.schedule, config.params, d, stirap.DEFAULT_METHOD)
+        up, down = stirap.passage_blocks(config.schedule, config.params, d)
         if config.compensate_phases:
             # frame correction from the measured round-trip phase of each rung
             delta = np.angle((down[:-1] @ up[:-1])[:, 0, 0])
             frame = np.ones((4, d), dtype=complex)
             frame[2:, :-1] = np.exp(-1j * delta)  # the control's |1>
             raw, fid = fid, fidelity(cols[:, 0] * frame)
-        amps = up[:min(stirap.CALIBRATED_RUNGS, d - 1), 2, 0]
+        amps = stirap.transfer_amplitudes(config.schedule, config.params, d)
+        amps = amps[:min(stirap.CALIBRATED_RUNGS, d - 1)]
         phases = {n: float(stirap.transfer_phase(amp)) for n, amp in enumerate(amps)
                   if abs(amp) ** 2 >= stirap.PHASE_MIN_TRANSFER}
         if vec is not None:

@@ -229,17 +229,17 @@ def parity_decompose(phonon_amplitudes):
     return even, odd
 
 
-def shift_up(phonon_amplitudes, leak_tol: float = LEAK_TOL):
+def shift_up(phonon_amplitudes):
     """Add one phonon: output[n+1] = input[n], output[0] = 0.
 
     The top amplitude would fall off the truncated ladder, so its squared
-    magnitude must be below leak_tol.
+    magnitude must be below LEAK_TOL.
     """
     v = np.asarray(phonon_amplitudes, dtype=complex)
     top = abs(v[-1]) ** 2
-    if top > leak_tol:
+    if top > LEAK_TOL:
         raise TruncationLeakage(
-            f"|amplitude|^2 = {top:.3e} at the Fock boundary exceeds leak_tol = {leak_tol}"
+            f"|amplitude|^2 = {top:.3e} at the Fock boundary exceeds LEAK_TOL = {LEAK_TOL}"
         )
     out = np.zeros_like(v)
     out[1:] = v[:-1]

@@ -123,14 +123,15 @@ class IdealUnitary:
         return self._kernel(space, eye).reshape(d, d)
 
 
-def _level_weight(space: CompositeSpace, weights: np.ndarray, ion: int, levels) -> float:
-    """Total population on the given levels of one ion."""
-    sl = [slice(None)] * weights.ndim
-    total = 0.0
-    for lvl in levels:
-        sl[ion] = lvl
-        total += float(np.sum(weights[tuple(sl)]))
-    return total
+def outside_weight(weights: np.ndarray, ion: int, levels, tol: float = DOMAIN_ATOL) -> float:
+    """Population of one ion on the given levels if it exceeds tol times the total, else 0.
+
+    The one outside-the-domain rule: the conditional phase, the passages and
+    the gate's qubit-subspace check raise when it is non-zero.
+    """
+    total = max(float(np.sum(weights)), 1e-300)
+    bad = float(np.sum(np.take(weights, levels, axis=ion)))
+    return bad if bad > tol * total else 0.0
 
 
 def _ion_slice(ndim: int, ion: int, level: int):
@@ -166,9 +167,8 @@ def conditional_phase(target_ion: int, epsilon: float = 0.0) -> IdealUnitary:
         return out
 
     def check(space, weights):
-        total = max(float(np.sum(weights)), 1e-300)
-        bad = _level_weight(space, weights, target_ion, (2, 3))
-        if bad > DOMAIN_ATOL * total:
+        bad = outside_weight(weights, target_ion, (2, 3))
+        if bad:
             raise DomainError(
                 f"conditional phase undefined: target ion {target_ion} has population "
                 f"{bad:.3e} on levels 2/3"
@@ -189,31 +189,30 @@ def _swap_kernel(control_ion: int):
     return kernel
 
 
-def passage_check(control_ion: int, direction: str, domain_tol: float = DOMAIN_ATOL,
-                  leak_tol: float = LEAK_TOL):
+def passage_check(control_ion: int, direction: str, domain_tol: float = DOMAIN_ATOL):
     """Domain rule of a passage on the control ion, as an IdealUnitary check.
 
     'up' needs the control ion on {0,1} and the ladder top on levels 1 and 3
-    clear within leak_tol (that weight would leave the space); 'down' needs
+    clear within LEAK_TOL (that weight would leave the space); 'down' needs
     it on {0,2} and nothing on |2>|0>, which has no phonon to give up.
     """
     outside = (2, 3) if direction == "up" else (1, 3)
 
     def check(space, weights):
-        total = max(float(np.sum(weights)), 1e-300)
-        bad = _level_weight(space, weights, control_ion, outside)
-        if bad > domain_tol * total:
+        bad = outside_weight(weights, control_ion, outside, domain_tol)
+        if bad:
             raise DomainError(
                 f"passage {direction} undefined: control ion {control_ion} has population "
                 f"{bad:.3e} on levels {outside[0]}/{outside[1]}"
             )
+        total = max(float(np.sum(weights)), 1e-300)
         w = np.moveaxis(weights, control_ion, 0)
         if direction == "up":
             top = float(np.sum(w[[1, 3], ..., -1]))
-            if top > leak_tol * total:
+            if top > LEAK_TOL * total:
                 raise TruncationLeakage(
                     f"population {top:.3e} at the top of the passage ladder exceeds "
-                    f"leak_tol = {leak_tol}"
+                    f"LEAK_TOL = {LEAK_TOL}"
                 )
         else:
             vac = float(np.sum(w[2, ..., 0]))
@@ -226,14 +225,14 @@ def passage_check(control_ion: int, direction: str, domain_tol: float = DOMAIN_A
     return check
 
 
-def adiabatic_up(control_ion: int, leak_tol: float = LEAK_TOL) -> IdealUnitary:
+def adiabatic_up(control_ion: int) -> IdealUnitary:
     """Ideal passage up: |1>_c |n> -> |2>_c |n+1>, identity on |0>_c.
 
     Requires no population on levels 2/3 of the control ion and negligible
     weight at the top of the ladder (it would leave the space).
     """
     return IdealUnitary(f"A+[{control_ion}]", _swap_kernel(control_ion),
-                        passage_check(control_ion, "up", leak_tol=leak_tol))
+                        passage_check(control_ion, "up"))
 
 
 def adiabatic_down(control_ion: int) -> IdealUnitary:

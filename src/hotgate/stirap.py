@@ -27,10 +27,12 @@ the trajectory ends on the end-point propagator bit for bit.
 
 Every end-point reader takes its blocks from one cached build, passage_blocks:
 the (up, down) pair of an 'up' schedule, a 'down' schedule being the down half
-of its reverse's pair. The block Hamiltonian is real symmetric, so when the
-pulses mirror each other about the middle of the passage the down passage is
-the transpose of the up one and a pair costs one integration. Only
-block_trajectory, which needs every step, integrates on its own.
+of its reverse's pair, always integrated by magnus4 (midpoint stays on
+block_propagators as a cross-check). The block Hamiltonian is real symmetric,
+so when the pulses mirror each other about the middle of the passage the down
+passage is the transpose of the up one and a pair costs one integration.
+transfer_amplitudes is the one read of the transfer amplitude from that build.
+Only block_trajectory, which needs every step, integrates on its own.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NormDrift, UndefinedPhase
-from .hilbert import DOMAIN_ATOL, LEAK_TOL, CompositeState
+from .hilbert import DOMAIN_ATOL, CompositeState
 from .operators import PhysicalParams, passage_check
 
 PULSE_SHAPES = ("sin2", "gaussian")
@@ -385,25 +387,25 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     return traj if trajectory else np.ascontiguousarray(p.transpose(2, 0, 1))
 
 
-def _passage(schedule: StirapSchedule, params: PhysicalParams, n_rungs: int,
-             method: str) -> np.ndarray:
+def _passage(schedule: StirapSchedule, params: PhysicalParams, n_rungs: int) -> np.ndarray:
     """Cached end-point blocks of a schedule in either direction, rungs 0..n_rungs-1."""
     if schedule.direction == "up":
-        return passage_blocks(schedule, params, n_rungs, method)[0]
-    return passage_blocks(reversed_schedule(schedule), params, n_rungs, method)[1]
+        return passage_blocks(schedule, params, n_rungs)[0]
+    return passage_blocks(reversed_schedule(schedule), params, n_rungs)[1]
 
 
-def _transfer_amplitude(n: int, schedule: StirapSchedule, params: PhysicalParams,
-                        method: str) -> complex:
-    # up: <2,n+1|U|1,n>; down: <1,n|U|2,n+1>
-    p = _passage(schedule, params, n + 1, method)[n]
-    return complex(p[2, 0] if schedule.direction == "up" else p[0, 2])
+def transfer_amplitudes(schedule: StirapSchedule, params: PhysicalParams, n_rungs: int):
+    """Transfer amplitude of rungs 0..n_rungs-1 along the passage direction.
+
+    Up: <2,n+1|U|1,n>; down: <1,n|U|2,n+1>. Read from the cached build.
+    """
+    p = _passage(schedule, params, n_rungs)
+    return p[:, 2, 0] if schedule.direction == "up" else p[:, 0, 2]
 
 
-def transfer_efficiency(n: int, schedule: StirapSchedule, params: PhysicalParams,
-                        method: str = DEFAULT_METHOD) -> float:
+def transfer_efficiency(n: int, schedule: StirapSchedule, params: PhysicalParams) -> float:
     """Population transferred along the passage direction on rung n."""
-    return float(abs(_transfer_amplitude(n, schedule, params, method)) ** 2)
+    return float(abs(transfer_amplitudes(schedule, params, n + 1)[n]) ** 2)
 
 
 def transfer_phase(amp):
@@ -417,15 +419,14 @@ def transfer_phase(amp):
     return np.where(phase == -np.pi, np.pi, phase)
 
 
-def residual_phase(n: int, schedule: StirapSchedule, params: PhysicalParams,
-                   method: str = DEFAULT_METHOD) -> float:
+def residual_phase(n: int, schedule: StirapSchedule, params: PhysicalParams) -> float:
     """Phase of the transfer amplitude on rung n, in (-pi, pi].
 
     The ideal maps are phase-free, so this measures the passage's deviation
     from them (an adiabatic passage sits near pi). Undefined when less than
     PHASE_MIN_TRANSFER of the population makes the transfer.
     """
-    amp = _transfer_amplitude(n, schedule, params, method)
+    amp = complex(transfer_amplitudes(schedule, params, n + 1)[n])
     if abs(amp) ** 2 < PHASE_MIN_TRANSFER:
         raise UndefinedPhase(
             f"transfer efficiency {abs(amp) ** 2:.3f} < {PHASE_MIN_TRANSFER} on rung {n}"
@@ -433,8 +434,7 @@ def residual_phase(n: int, schedule: StirapSchedule, params: PhysicalParams,
     return float(transfer_phase(amp))
 
 
-def block_trajectory(schedule: StirapSchedule, params: PhysicalParams, n: int,
-                     method: str = DEFAULT_METHOD):
+def block_trajectory(schedule: StirapSchedule, params: PhysicalParams, n: int):
     """Times and 3-level amplitudes over the passage, starting on the source level.
 
     Returns (times, amps) with amps[k] = (c_{1,n}, c_{3,n}, c_{2,n+1}) at step
@@ -443,7 +443,7 @@ def block_trajectory(schedule: StirapSchedule, params: PhysicalParams, n: int,
     exponentials in the same order. A 'down' schedule is integrated here, not
     taken as the transpose of its 'up' passage, which gives only the end point.
     """
-    traj = block_propagators(schedule, params, [n], method=method, trajectory=True)
+    traj = block_propagators(schedule, params, [n], trajectory=True)
     col = 0 if schedule.direction == "up" else 2
     amps = traj[:, 0, :, col]
     times = np.arange(schedule.n_steps + 1) * schedule.dt
@@ -464,25 +464,25 @@ def _is_mirrored(schedule: StirapSchedule) -> bool:
 
 
 @lru_cache(maxsize=32)
-def passage_blocks(schedule: StirapSchedule, params: PhysicalParams, n_rungs: int,
-                   method: str = DEFAULT_METHOD) -> tuple:
+def passage_blocks(schedule: StirapSchedule, params: PhysicalParams, n_rungs: int, /) -> tuple:
     """Read-only (up, down) blocks of an 'up' schedule and its reverse, rungs 0..n_rungs-1.
 
     The one cached passage build that the gate, the sweep and every end-point
-    reader share. The cache keys on the arguments as passed, so callers pass
-    all four positionally; rung n comes out the same in every batch.
+    reader share, integrated with the magnus4 rule. The cache keys on the
+    arguments as passed; they are positional-only, so one schedule has one
+    key. Rung n comes out the same in every batch.
     When the pulses mirror each other, the reverse passage is the up passage
-    run backwards in time; the blocks are real symmetric and each step of
-    either rule maps to the transpose of its mirror step, so down = up^T
-    exactly up to rounding and only the up passage is integrated. Otherwise
-    the reversed schedule is integrated too.
+    run backwards in time; the blocks are real symmetric and each step maps
+    to the transpose of its mirror step, so down = up^T exactly up to
+    rounding and only the up passage is integrated. Otherwise the reversed
+    schedule is integrated too.
     """
     ns = np.arange(n_rungs)
-    up = block_propagators(schedule, params, ns, method=method)
+    up = block_propagators(schedule, params, ns)
     up.flags.writeable = False
     if _is_mirrored(schedule):
         return up, up.transpose(0, 2, 1)
-    down = block_propagators(reversed_schedule(schedule), params, ns, method=method)
+    down = block_propagators(reversed_schedule(schedule), params, ns)
     down.flags.writeable = False
     return up, down
 
@@ -505,17 +505,16 @@ def apply_blocks(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def propagate(state: CompositeState, schedule: StirapSchedule, params: PhysicalParams, *,
-              control_ion: int = 0, method: str = DEFAULT_METHOD,
-              domain_tol: float = DOMAIN_ATOL, leak_tol: float = LEAK_TOL) -> CompositeState:
+              control_ion: int = 0, domain_tol: float = DOMAIN_ATOL) -> CompositeState:
     """Propagate a composite state through the passage, block-by-block in n.
 
     Components with the control ion in |0> are untouched. The domain rule is
-    operators.passage_check's, with domain_tol and leak_tol as its bounds.
+    operators.passage_check's, with domain_tol as its domain bound.
     """
     space = state.space
     x = state.tensor()
-    passage_check(control_ion, schedule.direction, domain_tol, leak_tol)(space, np.abs(x) ** 2)
-    blocks = _passage(schedule, params, space.fock.dim - 1, method)
+    passage_check(control_ion, schedule.direction, domain_tol)(space, np.abs(x) ** 2)
+    blocks = _passage(schedule, params, space.fock.dim - 1)
     y = apply_blocks(np.moveaxis(x, control_ion, 0), blocks)
     amps = np.moveaxis(y, 0, control_ion).reshape(space.dim)
     out = CompositeState(space, amps, copy=False)
@@ -525,14 +524,14 @@ def propagate(state: CompositeState, schedule: StirapSchedule, params: PhysicalP
 
 
 def passage_matrix(schedule: StirapSchedule, params: PhysicalParams,
-                   n_phonon_levels: int, method: str = DEFAULT_METHOD) -> np.ndarray:
+                   n_phonon_levels: int) -> np.ndarray:
     """Dense passage unitary on the control-ion (x) phonon subspace.
 
     Index layout: level * n_phonon_levels + n. Cells outside the passage
     blocks (level 0, the ladder top, and |2>|0>) carry the identity.
     """
     d = n_phonon_levels
-    p = _passage(schedule, params, d - 1, method)
+    p = _passage(schedule, params, d - 1)
     mat = np.eye(4 * d, dtype=complex)
     for n in range(d - 1):
         idx = [1 * d + n, 3 * d + n, 2 * d + (n + 1)]
@@ -556,8 +555,8 @@ class TransferCalibration:
 def calibrate_transfer(params: PhysicalParams, durations, *,
                        pump_peak: float = 1.0, stokes_peak: float | None = None,
                        n_values=tuple(range(CALIBRATED_RUNGS)), threshold: float = 0.999,
-                       n_steps: int = DEFAULT_N_STEPS, detuning: float | None = None,
-                       method: str = DEFAULT_METHOD) -> TransferCalibration:
+                       n_steps: int = DEFAULT_N_STEPS,
+                       detuning: float | None = None) -> TransferCalibration:
     """Sweep the passage duration upward until every rung transfers >= threshold.
 
     Peak Rabi rates are held fixed, so longer durations mean larger
@@ -568,8 +567,8 @@ def calibrate_transfer(params: PhysicalParams, durations, *,
     for t in sorted(durations):
         sched = standard_schedule(t, params, pump_peak=pump_peak, stokes_peak=stokes_peak,
                                   n_steps=n_steps, detuning=detuning)
-        up, _ = passage_blocks(sched, params, max(n_values) + 1, method)
-        eff = np.abs(up[np.asarray(n_values), 2, 0]) ** 2
+        amps = transfer_amplitudes(sched, params, max(n_values) + 1)
+        eff = np.abs(amps[np.asarray(n_values)]) ** 2
         margin = min(adiabaticity_margin(sched, params, n) for n in n_values)
         history.append((t, margin, float(eff.min())))
         if eff.min() >= threshold:

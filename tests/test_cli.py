@@ -147,6 +147,7 @@ def test_truth_table_thermal(tmp_path, capsys):
                            {"name": "epsilon", "values": [0.1]}]}, "given twice"),
     (("gate", "schedule", "dt_s"), 0.004, "not both"),
     (("gate", "schedule", "dt_s"), 0.001, "not both"),  # agrees with n_steps, still both
+    (("gate", "schedule", "direction"), "down", "must be the 'up' passage"),
 ])
 def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, path, value, message):
     doc = stirap_doc()
@@ -279,6 +280,16 @@ def test_overflowing_coherent_amplitude_exits_3(tmp_path, capsys):
     assert code == 3
     assert "discarded weight" in captured.err
     assert "nan" not in captured.out
+
+
+def test_unallocatable_step_count_exits_3_without_traceback(tmp_path, capsys):
+    # integral, so it parses; the step grid alone would take about 71 PiB
+    code = cli.main(["truth-table", "--config", write(tmp_path, stirap_doc(n_steps=1e16)),
+                     "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "simulation error" in err
+    assert "Traceback" not in err
 
 
 def test_random_family_uses_cli_seed(tmp_path):
@@ -438,6 +449,21 @@ def test_stirap_trace_final_population_matches_efficiency(tmp_path):
     config = cli.parse_config(doc)
     eff = stirap.transfer_efficiency(1, config.gate.schedule, config.gate.params)
     assert abs(final - eff) < 1e-12
+
+
+@pytest.mark.parametrize("command", ["sweep", "stirap-trace"])
+def test_margin_schedule_down_is_refused_not_run_up(tmp_path, capsys, command):
+    # the margin family honours 'direction' as the explicit envelopes do, so
+    # the gate's 'up' rule refuses it instead of running the up passage
+    doc = stirap_doc(n_max=8, n_steps=500, trace={"n": 2},
+                     sweep={"axes": [{"name": "margin", "values": [100.0]}]})
+    doc["gate"]["schedule"]["direction"] = "down"
+    params = PhysicalParams(eta=0.1, omega=2 * np.pi * 1e5, n_ions=2, delta=2 * np.pi * 1e7)
+    assert cli._parse_schedule(doc["gate"]["schedule"], params).direction == "down"
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stirap_trace_requires_stirap_mode(tmp_path):

@@ -417,13 +417,13 @@ def test_ideal_report_serializes():
 # ---------------------------------------------------------------- four-pulse oracle
 
 @functools.lru_cache(maxsize=None)
-def dense_passage_matrix(schedule, params, d, method):
-    return stirap.passage_matrix(schedule, params, d, method=method).reshape(4, d, 4, d)
+def dense_passage_matrix(schedule, params, d):
+    return stirap.passage_matrix(schedule, params, d).reshape(4, d, 4, d)
 
 
 def dense_passage(config, schedule, workspace):
     """A passage as the dense stirap.passage_matrix on (control level, phonon)."""
-    mat = dense_passage_matrix(schedule, config.params, workspace.fock.dim, "magnus4")
+    mat = dense_passage_matrix(schedule, config.params, workspace.fock.dim)
 
     def kernel(space, x):
         xc = np.moveaxis(x, config.control, 0)

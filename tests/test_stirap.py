@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 from hotgate.errors import DomainError, TruncationLeakage, UndefinedPhase
 from hotgate.hilbert import CompositeSpace, CompositeState, FockSpace, basis_state, compose_state
 from hotgate.operators import PhysicalParams, adiabatic_down, adiabatic_up
-from hotgate import stirap
+from hotgate.states import fock_state
+from hotgate import cli, stirap
+from hotgate import gate as g
 from test_gate import passage_builds  # noqa: F401 - build-counting fixture
 
 PARAMS = PhysicalParams(eta=0.1, omega=2 * np.pi * 1e5, n_ions=2, delta=2 * np.pi * 1e7)
@@ -19,16 +23,22 @@ def schedule(margin=100.0, n_steps=2000, direction="up", duration=1.0, detuning=
 
 
 def dense_passage_oracle(sched, params, d):
-    """Independent route: full-matrix midpoint stepping with scipy's expm."""
-    u = np.eye(4 * d, dtype=complex)
-    dt = sched.dt
-    for k in range(sched.n_steps):
-        t = (k + 0.5) * dt
+    """Independent route: full-matrix magnus4 stepping with scipy's expm."""
+
+    def ham(t):
         h = np.zeros((4 * d, 4 * d), dtype=complex)
         for n in range(d - 1):
             idx = [1 * d + n, 3 * d + n, 2 * d + (n + 1)]
             h[np.ix_(idx, idx)] = stirap.hamiltonian_block(n, t, sched, params)
-        u = scipy.linalg.expm(-1j * h * dt) @ u
+        return h
+
+    u = np.eye(4 * d, dtype=complex)
+    dt = sched.dt
+    for k in range(sched.n_steps):
+        h1 = ham((k + 0.5 - np.sqrt(3.0) / 6.0) * dt)
+        h2 = ham((k + 0.5 + np.sqrt(3.0) / 6.0) * dt)
+        gen = 0.5 * (h1 + h2) - 1j * np.sqrt(3.0) / 12.0 * dt * (h2 @ h1 - h1 @ h2)
+        u = scipy.linalg.expm(-1j * gen * dt) @ u
     return u
 
 
@@ -337,7 +347,7 @@ def test_block_propagators_match_eigh_oracle_across_chunks(n_steps):
 def test_empty_rung_batch():
     sched = schedule(n_steps=300)
     assert np.array_equal(stirap.passage_matrix(sched, PARAMS, 1), np.eye(4))
-    up, down = stirap.passage_blocks(sched, PARAMS, 0, stirap.DEFAULT_METHOD)
+    up, down = stirap.passage_blocks(sched, PARAMS, 0)
     assert up.shape == down.shape == (0, 3, 3)
 
 
@@ -421,6 +431,51 @@ def test_unmirrored_down_reader_builds_each_direction_once(passage_builds):
     assert stirap.transfer_efficiency(3, down, PARAMS) == abs(integrated[0, 2]) ** 2
 
 
+def test_every_transfer_reader_reads_transfer_amplitudes(tmp_path, passage_builds):
+    n_max = 8
+    d = n_max + 1  # the gate's and the sweep's rung count
+    cal = stirap.calibrate_transfer(PARAMS, [1.0], pump_peak=100.0, n_values=tuple(range(d)),
+                                    threshold=0.0, n_steps=300)
+    up = cal.schedule
+    assert up == schedule(n_steps=300)  # the mirrored standard pair
+    pump = stirap.PulseEnvelope("sin2", 90.0, center=0.3, width=0.5)
+    stokes = stirap.PulseEnvelope("sin2", 900.0, center=0.72, width=0.5)
+    down = stirap.StirapSchedule(pump, stokes, 1.0, 0.0, 1.0 / 300, "down")
+    for sched in (up, down):
+        amps = stirap.transfer_amplitudes(sched, PARAMS, d)
+        assert stirap.transfer_efficiency(n_max, sched, PARAMS) == abs(amps[n_max]) ** 2
+        assert stirap.residual_phase(n_max, sched, PARAMS) == stirap.transfer_phase(amps[n_max])
+    amps = stirap.transfer_amplitudes(up, PARAMS, d)
+    assert np.array_equal(cal.efficiencies, np.abs(amps) ** 2)
+
+    report = g.gate_report(g.GateConfig(params=PARAMS, mode="stirap", schedule=up),
+                           fock_state(1, n_max))
+    assert report.residual_phases == {n: float(stirap.transfer_phase(amps[n]))
+                                      for n in range(n_max)}
+
+    doc = {
+        "n_max": n_max, "phonon": "fock:1",
+        "gate": {"mode": "stirap",
+                 "params": {"eta": PARAMS.eta, "omega_rad_per_s": PARAMS.omega,
+                            "delta_rad_per_s": PARAMS.delta},
+                 "schedule": {"total_duration_s": 1.0, "margin": 100.0, "n_steps": 300}},
+        "sweep": {"axes": [{"name": "margin", "values": [100.0]}]},
+    }
+    cfg, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    header, row = (line.split(",") for line in out.read_text().splitlines())
+    efficiency = float(row[header.index("transfer_efficiency")])
+    assert efficiency == np.min(np.abs(amps[:n_max]) ** 2)
+    assert sorted(passage_builds) == ["down", "up", "up"]  # one build per schedule
+
+
+def test_passage_blocks_is_positional_only():
+    # a keyword call would key the cache apart from the positional one
+    with pytest.raises(TypeError):
+        stirap.passage_blocks(schedule(n_steps=10), PARAMS, n_rungs=3)
+
+
 def test_rung_blocks_independent_of_batch():
     sched = schedule(margin=80.0, n_steps=300, detuning=7.0)
     full = stirap.block_propagators(sched, PARAMS, np.arange(33))
@@ -482,9 +537,9 @@ def test_propagate_matches_dense_full_matrix_path():
             amps[space.encode([lvl], n)] = rng.standard_normal() + 1j * rng.standard_normal()
     amps /= np.linalg.norm(amps)
     state = CompositeState(space, amps)
-    out = stirap.propagate(state, sched, PARAMS, method="midpoint")
+    out = stirap.propagate(state, sched, PARAMS)
     assert np.max(np.abs(out.amplitudes - u_dense @ amps)) < 1e-10
-    u_blocks = stirap.passage_matrix(sched, PARAMS, d, method="midpoint")
+    u_blocks = stirap.passage_matrix(sched, PARAMS, d)
     assert np.max(np.abs(u_blocks - u_dense)) < 1e-10
 
 
