@@ -348,8 +348,7 @@ def cmd_stirap_trace(config: ExperimentConfig, out: str, fmt: str, seed: int | N
                               (times[k], pump[k], sideband[k],
                                pops[k, 0], pops[k, 1], pops[k, 2])))
     _write_text(out, "\n".join(lines) + "\n")
-    final = pops[-1, 2] if schedule.direction == "up" else pops[-1, 0]
-    print(f"final_transfer_population={_fmt(final)}")
+    print(f"final_transfer_population={_fmt(pops[-1, 2])}")
     return 0
 
 

@@ -13,17 +13,22 @@ the block Hamiltonian is
 
 Blocks are independent (the full passage Hamiltonian is block-diagonal in n),
 so propagation batches over n. Each step is the exact 3x3 unitary exponential
-of a Hermitian generator, in closed form: eigenvalues from the trigonometric
-solution of the characteristic cubic, the exponential from Cayley-Hamilton as
-a Newton divided-difference interpolant, with no eigendecomposition. The
-default 'magnus4' generator adds a commutator correction for 4th-order dt
-convergence, 'midpoint' freezes H mid-step (2nd order). The time-ordered
-product of the steps is taken pairwise (later @ earlier, log depth) within
-chunks of a fixed number of steps, and the chunk products are folded in time
-order; the grouping depends on the step index only, so rung n comes out the
-same in every batch. A trajectory takes each chunk's prefix products from the
-same pairwise tree, whose last entry is the chunk product by construction, so
-the trajectory ends on the end-point propagator bit for bit.
+of a Hermitian generator, in closed form. The default 'magnus4' generator adds
+a commutator correction for 4th-order dt convergence, 'midpoint' freezes H
+mid-step (2nd order). On two-photon resonance (Delta = 0, the default) the
+passage is a rotation in the basis (|1,n>, i|3,n>, |2,n+1>): each step is a
+real 3x3 rotation from Rodrigues' formula, the whole product is taken in real
+arithmetic, and the basis phases are put back once at the end. A detuned
+step is not a rotation and takes the general SU(3) kernel: eigenvalues from
+the trigonometric solution of the characteristic cubic, the exponential from
+Cayley-Hamilton as a Newton divided-difference interpolant, with no
+eigendecomposition. The time-ordered product of the steps is taken pairwise
+(later @ earlier, log depth) within chunks of a fixed number of steps, and
+the chunk products are folded in time order; the grouping depends on the
+step index only, so rung n comes out the same in every batch. A trajectory
+takes each chunk's prefix products from the same pairwise tree, whose last
+entry is the chunk product by construction, so the trajectory ends on the
+end-point propagator bit for bit.
 
 Every end-point reader takes its blocks from one cached build, passage_blocks:
 the (up, down) pair of an 'up' schedule, a 'down' schedule being the down half
@@ -290,6 +295,44 @@ def _step_exponentials(u, v, w, d: float) -> np.ndarray:
     return out
 
 
+def _step_rotations(u, v, w) -> np.ndarray:
+    """exp(A) for stacked real antisymmetric A = [[0, u, w], [-u, 0, -v], [-w, v, 0]].
+
+    u, v, w are real and broadcast to the stack shape; the result is laid
+    out matrix axes first, (3, 3) + stack shape. A is the cross product with
+    a = (v, w, -u), so with theta = |a| Rodrigues' formula gives
+
+        exp(A) = cos(theta) 1 + (sin(theta)/theta) A + ((1 - cos(theta))/theta^2) a a^T
+
+    with 1 - cos(theta) = 2 sin^2(theta/2): two sines, no cancellation at
+    small angles. At theta = 0 the coefficients of A and a a^T multiply
+    zeros, so any finite value does and A = 0 maps to the identity exactly.
+    """
+    theta = np.sqrt(u * u + v * v + w * w)
+    safe = np.where(theta > 0.0, theta, 1.0)
+    half = np.sin(0.5 * theta)
+    c0 = 1.0 - 2.0 * half * half
+    c1 = np.sin(theta) / safe
+    c2 = 2.0 * (half / safe) ** 2
+    vw, uv, uw = c2 * v * w, c2 * u * v, c2 * u * w
+    out = np.empty((3, 3) + theta.shape)
+    out[0, 0] = c0 + c2 * v * v
+    out[1, 1] = c0 + c2 * w * w
+    out[2, 2] = c0 + c2 * u * u
+    out[0, 1] = vw + c1 * u
+    out[1, 0] = vw - c1 * u
+    out[0, 2] = c1 * w - uv
+    out[2, 0] = -c1 * w - uv
+    out[1, 2] = -c1 * v - uw
+    out[2, 1] = c1 * v - uw
+    return out
+
+
+# D X D^dagger for D = diag(1, i, 1), elementwise: exp(-i M) = D exp(A) D^dagger
+# for a resonant generator M = D (i A) D^dagger (see block_propagators)
+_ROTATION_PHASES = np.array([[1.0, -1j, 1.0], [1j, 1.0, 1j], [1.0, -1j, 1.0]])
+
+
 def _matmul3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b for stacks of 3x3 matrices laid out matrix axes first, (3, 3, ...)."""
     out = np.multiply(a[:, 0, None], b[None, 0], out=out)
@@ -335,13 +378,20 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
 
     Returns (len(ns), 3, 3), or the cumulative products at every step
     boundary, shape (n_steps+1, len(ns), 3, 3), when trajectory is True.
-    The step generators and their closed-form exponentials are evaluated
-    for a chunk of _CHUNK_STEPS steps and all rungs at once; each chunk's
-    product is taken pairwise (later @ earlier, log depth), and the chunk
-    products are folded in time order. The trajectory takes each chunk's
-    inclusive prefix products from the same pairwise routine, whose last
-    entry is the chunk product bit for bit, so traj[-1] equals the final
-    propagator exactly.
+    The step generators and their exponentials are evaluated for a chunk of
+    _CHUNK_STEPS steps and all rungs at once; each chunk's product is taken
+    pairwise (later @ earlier, log depth), and the chunk products are folded
+    in time order. The trajectory takes each chunk's inclusive prefix
+    products from the same pairwise routine, whose last entry is the chunk
+    product bit for bit, so traj[-1] equals the final propagator exactly.
+
+    On two-photon resonance (detuning 0) both generators have real u, v and
+    an imaginary w = i*omega, so M = D (i A) D^dagger with D = diag(1, i, 1)
+    and A = [[0, u, omega], [-u, 0, -v], [-omega, v, 0]] real antisymmetric:
+    each step is the rotation exp(A) in the basis (|1,n>, i|3,n>, |2,n+1>).
+    The steps come from Rodrigues' formula and the whole product runs in
+    real arithmetic; D .. D^dagger is applied once, elementwise, at the end.
+    Detuned steps are not rotations and take the closed-form SU(3) kernel.
     """
     ns = np.atleast_1d(np.asarray(ns, dtype=int))
     n_steps = schedule.n_steps
@@ -358,10 +408,12 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     stokes = [schedule.stokes.value(t)[:, None] for t in nodes]
     rates = params.eta * np.sqrt(ns + 1.0)[None, :]
     delta = schedule.detuning
+    resonant = delta == 0.0
     kappa = _MAGNUS_COEFF * dt
     # product of the chunks so far, (3, 3, rungs); multiplying by 1 is exact
-    p = np.broadcast_to(np.eye(3, dtype=complex)[:, :, None], (3, 3, len(ns)))
-    traj = np.empty((n_steps + 1, len(ns), 3, 3), dtype=complex) if trajectory else None
+    dtype = float if resonant else complex
+    p = np.broadcast_to(np.eye(3, dtype=dtype)[:, :, None], (3, 3, len(ns)))
+    traj = np.empty((n_steps + 1, len(ns), 3, 3), dtype=dtype) if trajectory else None
     if trajectory:
         traj[0] = p.transpose(2, 0, 1)
     for lo in range(0, n_steps, _CHUNK_STEPS):
@@ -370,6 +422,11 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
         b = [rates * x[sl] / 2 for x in stokes]
         if method == "midpoint":
             u, v, w = dt * a[0], dt * b[0], np.zeros(1)
+        elif resonant:
+            # the commutator term alone survives in w = i omega
+            (a1, a2), (b1, b2) = a, b
+            u, v = dt * ((a1 + a2) / 2), dt * ((b1 + b2) / 2)
+            w = -kappa * dt * (a2 * b1 - b2 * a1)
         else:
             # generator (h1 + h2)/2 - i kappa [h2, h1]; the commutator is real
             # antisymmetric with entries D(a2 - a1), a2 b1 - b2 a1, D(b1 - b2)
@@ -377,14 +434,16 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
             u = dt * ((a1 + a2) / 2 - 1j * kappa * delta * (a2 - a1))
             v = dt * ((b1 + b2) / 2 - 1j * kappa * delta * (b1 - b2))
             w = -1j * kappa * dt * (a2 * b1 - b2 * a1)
-        steps = _step_exponentials(u, v, w, delta * dt)  # (3, 3, chunk, rungs)
+        # (3, 3, chunk, rungs)
+        steps = _step_rotations(u, v, w) if resonant else _step_exponentials(u, v, w, delta * dt)
         if trajectory:
             prefix = _matmul3(_pairwise_product(steps, prefix=True), p[:, :, None])
             traj[1:][sl] = prefix.transpose(2, 3, 0, 1)
             p = prefix[:, :, -1]
         else:
             p = _matmul3(_pairwise_product(steps), p)
-    return traj if trajectory else np.ascontiguousarray(p.transpose(2, 0, 1))
+    out = traj if trajectory else np.ascontiguousarray(p.transpose(2, 0, 1))
+    return out * _ROTATION_PHASES if resonant else out
 
 
 def _passage(schedule: StirapSchedule, params: PhysicalParams, n_rungs: int) -> np.ndarray:
@@ -411,9 +470,11 @@ def transfer_efficiency(n: int, schedule: StirapSchedule, params: PhysicalParams
 def transfer_phase(amp):
     """Phase(s) of transfer amplitude(s) in (-pi, pi].
 
-    A resonant passage ends on a real negative amplitude whose imaginary
-    part is rounding noise of either sign; reading -pi as pi keeps the
-    reported phase independent of that noise.
+    A resonant passage is integrated as a real rotation, so its transfer
+    amplitude is exactly real and an adiabatic one reads pi. Off resonance
+    a negative amplitude can carry an imaginary part of rounding size and
+    either sign; reading -pi as pi keeps the reported phase independent of
+    that noise.
     """
     phase = np.angle(amp)
     return np.where(phase == -np.pi, np.pi, phase)

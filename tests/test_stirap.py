@@ -295,12 +295,19 @@ def test_block_propagators_match_eigh_oracle(name, method):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_block_trajectory_matches_eigh_oracle():
-    sched = narrow_mirrored_schedule(detuning=37.0)
+def assert_trajectory_matches_eigh_oracle(sched):
     got = stirap.block_propagators(sched, PARAMS, [0, 4], trajectory=True)
     want = eigh_stepper_oracle(sched, PARAMS, [0, 4], trajectory=True)
     assert got.shape == want.shape == (801, 2, 3, 3)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_block_trajectory_matches_eigh_oracle():
+    assert_trajectory_matches_eigh_oracle(narrow_mirrored_schedule(detuning=37.0))
+
+
+def test_resonant_block_trajectory_matches_eigh_oracle():
+    assert_trajectory_matches_eigh_oracle(narrow_mirrored_schedule(detuning=0.0))
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-9, 0.3 * stirap._SERIES_SPREAD,
@@ -313,6 +320,23 @@ def test_step_exponentials_match_expm(scale):
         m = np.array([[0, u, w], [np.conj(u), d, v], [np.conj(w), np.conj(v), 0]])
         got = stirap._step_exponentials(np.array([u]), np.array([v]), np.array([w]), d)[..., 0]
         assert np.max(np.abs(got - scipy.linalg.expm(-1j * m))) <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-9, 0.5, 4.0, 40.0])
+def test_step_rotations_match_eigh_exponential(scale):
+    # exp(A) = exp(-i (iA)) through eigh of the Hermitian iA: within 4e-15 of a
+    # 40-digit exponential up to scale 4 and 4e-14 at 40, where scipy's expm
+    # itself is off by 7e-14 and 8e-13 (scaling and squaring)
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        u, v, w = scale * rng.standard_normal(3)
+        a = np.array([[0, u, w], [-u, 0, -v], [-w, v, 0]])
+        lam, vec = np.linalg.eigh(1j * a)
+        want = (vec * np.exp(-1j * lam)) @ vec.conj().T
+        got = stirap._step_rotations(np.array([u]), np.array([v]), np.array([w]))[..., 0]
+        if scale == 0.0:
+            assert np.array_equal(got, np.eye(3))
+        assert np.max(np.abs(got - want)) <= (1e-13 if scale > 4 else 1e-14)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 5, 255, 256, 257])
@@ -330,9 +354,12 @@ def test_pairwise_prefix_ends_on_the_product(length):
         assert np.max(np.abs(prefix[:, :, k].transpose(2, 0, 1) - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("n_steps", [1, 257, 513])  # not multiples of the chunk
-def test_block_propagators_match_eigh_oracle_across_chunks(n_steps):
-    sched = schedule(margin=100.0, n_steps=n_steps, detuning=37.0)
+@pytest.mark.parametrize("n_steps, detuning", [  # step counts not multiples of the chunk
+    *(pytest.param(k, 37.0, id=f"{k}") for k in (1, 257, 513)),
+    *(pytest.param(k, 0.0, id=f"{k}-resonant") for k in (1, 257, 513)),
+])
+def test_block_propagators_match_eigh_oracle_across_chunks(n_steps, detuning):
+    sched = schedule(margin=100.0, n_steps=n_steps, detuning=detuning)
     ns = np.arange(5)
     final = stirap.block_propagators(sched, PARAMS, ns)
     traj = stirap.block_propagators(sched, PARAMS, ns, trajectory=True)
@@ -351,18 +378,55 @@ def test_empty_rung_batch():
     assert up.shape == down.shape == (0, 3, 3)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: narrow_mirrored_schedule(detuning=37.0),
-    lambda: stirap.standard_schedule(1.0, PARAMS, margin=100.0, n_steps=600, shape="gaussian",
-                                     detuning=-37.0),
-], ids=["sin2", "gaussian"])
-def test_passage_blocks_down_is_transposed_up(make):
-    sched = make()
+@pytest.mark.parametrize("shape, detuning", [
+    *(pytest.param(shape, 37.0, id=shape) for shape in ("sin2", "gaussian")),
+    *(pytest.param(shape, 0.0, id=f"{shape}-resonant") for shape in ("sin2", "gaussian")),
+])
+def test_passage_blocks_down_is_transposed_up(shape, detuning):
+    if shape == "sin2":
+        sched = narrow_mirrored_schedule(detuning=detuning)
+    else:
+        sched = stirap.standard_schedule(1.0, PARAMS, margin=100.0, n_steps=600,
+                                         shape="gaussian", detuning=-detuning)
     stirap.passage_blocks.cache_clear()
     up, down = stirap.passage_blocks(sched, PARAMS, 12)
     assert np.shares_memory(up, down) and not down.flags.writeable  # no second build
     integrated = stirap.block_propagators(stirap.reversed_schedule(sched), PARAMS, np.arange(12))
     assert np.max(np.abs(down - integrated)) <= 1e-12
+
+
+def test_resonant_branch_is_continuous_in_detuning():
+    # detuning 0 takes the rotation kernel, any other the general one
+    ns = np.arange(13)
+    at_zero = stirap.block_propagators(schedule(n_steps=600, detuning=0.0), PARAMS, ns)
+    near = stirap.block_propagators(schedule(n_steps=600, detuning=1e-9), PARAMS, ns)
+    assert np.max(np.abs(at_zero - near)) <= 1e-7
+
+
+def _refuse(*args):
+    raise AssertionError("wrong step kernel")
+
+
+@pytest.mark.parametrize("detuning, unused", [(0.0, "_step_exponentials"),
+                                              (37.0, "_step_rotations")])
+def test_detuning_picks_the_step_kernel(monkeypatch, detuning, unused):
+    monkeypatch.setattr(stirap, unused, _refuse)
+    stirap.passage_blocks.cache_clear()
+    up, down = stirap.passage_blocks(schedule(n_steps=300, detuning=detuning), PARAMS, 12)
+    assert up.shape == down.shape == (12, 3, 3)
+    stirap.block_trajectory(schedule(n_steps=300, detuning=detuning), PARAMS, 3)
+
+
+def test_resonant_passage_is_a_real_rotation():
+    sched = schedule(n_steps=2000, detuning=0.0)
+    stirap.passage_blocks.cache_clear()
+    assert np.all(stirap.transfer_amplitudes(sched, PARAMS, 13).imag == 0.0)
+    u = stirap.block_propagators(sched, PARAMS, np.arange(13))
+    d = np.diag([1.0, 1j, 1.0])
+    r = d.conj().T @ u @ d  # back to the basis (|1,n>, i|3,n>, |2,n+1>)
+    assert np.all(r.imag == 0.0)
+    r = r.real
+    assert np.max(np.abs(r @ r.transpose(0, 2, 1) - np.eye(3))) <= 1e-13
 
 
 # ---------------------------------------------------------------- propagate
