@@ -141,13 +141,10 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
                 dt=total / n_steps,
                 direction=str(section.get("direction", "up")),
             )
-        margin = _optional_float(section, "margin")
-        pump_peak = _optional_float(section, "pump_peak_rabi_rad_per_s")
-        stokes_peak = _optional_float(section, "stokes_peak_rabi_rad_per_s")
-        if margin is not None and pump_peak is not None:
-            raise ConfigError("give either a margin or fixed peak rates, not both")
         return stirap.standard_schedule(
-            total, params, margin=margin, pump_peak=pump_peak, stokes_peak=stokes_peak,
+            total, params, margin=_optional_float(section, "margin"),
+            pump_peak=_optional_float(section, "pump_peak_rabi_rad_per_s"),
+            stokes_peak=_optional_float(section, "stokes_peak_rabi_rad_per_s"),
             direction=str(section.get("direction", "up")), n_steps=n_steps,
             detuning=detuning, shape=str(section.get("shape", "sin2")),
         )
@@ -232,7 +229,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
@@ -254,13 +251,14 @@ def _write_text(path: str, text: str):
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
-def cmd_truth_table(config: ExperimentConfig, out: str, fmt: str, seed: int | None) -> int:
-    if fmt != "json":
-        raise ConfigError("truth-table reports are JSON; use --format json")
+def cmd_truth_table(config: ExperimentConfig, out: str, seed: int | None) -> int:
     phonon = _phonon_input(config, seed)
     report = gate_mod.gate_report(config.gate, phonon)
     doc = report.to_dict()
@@ -306,9 +304,7 @@ def _grid_point_metrics(raw: dict, names, values, seed: int | None) -> dict:
     return row
 
 
-def cmd_sweep(config: ExperimentConfig, out: str, fmt: str, seed: int | None) -> int:
-    if fmt != "csv":
-        raise ConfigError("sweep emits CSV; use --format csv")
+def cmd_sweep(config: ExperimentConfig, out: str, seed: int | None) -> int:
     if not config.sweep_axes:
         raise ConfigError("sweep requires a non-empty 'axes' list")
     names = [name for name, _ in config.sweep_axes]
@@ -328,9 +324,7 @@ def cmd_sweep(config: ExperimentConfig, out: str, fmt: str, seed: int | None) ->
     return 0
 
 
-def cmd_stirap_trace(config: ExperimentConfig, out: str, fmt: str, seed: int | None) -> int:
-    if fmt != "csv":
-        raise ConfigError("stirap-trace emits CSV; use --format csv")
+def cmd_stirap_trace(config: ExperimentConfig, out: str, seed: int | None) -> int:
     if config.gate.mode != "stirap":
         raise ConfigError("stirap-trace requires gate mode 'stirap' (schedule required)")
     n = config.trace_n
@@ -353,9 +347,9 @@ def cmd_stirap_trace(config: ExperimentConfig, out: str, fmt: str, seed: int | N
 
 
 _COMMANDS = {
-    "truth-table": (cmd_truth_table, "json"),
-    "sweep": (cmd_sweep, "csv"),
-    "stirap-trace": (cmd_stirap_trace, "csv"),
+    "truth-table": cmd_truth_table,
+    "sweep": cmd_sweep,
+    "stirap-trace": cmd_stirap_trace,
 }
 
 
@@ -365,11 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate the four-pulse controlled-rotation gate on a hot ion string.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, default_fmt) in _COMMANDS.items():
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", required=True, help="output path ('-' for stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=default_fmt)
         p.add_argument("--seed", type=int, default=None,
                        help="default seed for the 'random' phonon family")
     return parser
@@ -380,10 +373,10 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    handler, _ = _COMMANDS[args.command]
+    handler = _COMMANDS[args.command]
     try:
         config = load_config(args.config)
-        return handler(config, args.out, args.format, args.seed)
+        return handler(config, args.out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

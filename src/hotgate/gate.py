@@ -21,7 +21,7 @@ its first superdiagonal, so a hot (mixed) input is never decomposed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -332,15 +332,12 @@ def truth_table(config: GateConfig, phonon_input) -> np.ndarray:
     return report.truth_table
 
 
-def gate_fidelity(config: GateConfig, phonon_input, *, compensate=None) -> float:
+def gate_fidelity(config: GateConfig, phonon_input) -> float:
     """Average overlap with the ideal gate action over eight qubit inputs.
 
     Inputs are the four basis states and the four single-qubit superpositions,
     which make the relative sign on the doubly excited branch observable.
-    compensate overrides config.compensate_phases (stirap mode only).
     """
-    if compensate is not None:
-        config = replace(config, compensate_phases=compensate)
     return gate_report(config, phonon_input).qubit_fidelity
 
 
@@ -360,18 +357,16 @@ def gate_leakage(config: GateConfig, phonon_input) -> float:
     return gate_report(config, phonon_input).leakage
 
 
-def mixed_state_equivalence(config: GateConfig, spec: ThermalSpec, n_max: int = 32,
-                            qubit_coeffs=None) -> dict:
+def mixed_state_equivalence(config: GateConfig, spec: ThermalSpec, n_max: int = 32) -> dict:
     """Compare the density path with the Fock-ensemble average on a thermal input.
 
-    Runs the gate once on the thermal density operator and once as the
+    With the qubits in the equal superposition of the four basis states, runs
+    the gate once on the thermal density operator and once as the
     p_n-weighted ensemble of pure Fock runs, and reports the maximum
     element-wise deviation between the two output density matrices.
     """
     space = CompositeSpace(config.params.n_ions, FockSpace(n_max))
-    if qubit_coeffs is None:
-        qubit_coeffs = 0.5 * np.ones(4, dtype=complex)
-    ion = _qubit_register(config, qubit_coeffs)
+    ion = _qubit_register(config, 0.5 * np.ones(4, dtype=complex))
     rho_ph = np.diag(thermal_probabilities(spec, n_max).astype(complex))
     direct_in = compose_density(np.outer(ion, ion.conj()), rho_ph, space)
     direct = crot(direct_in, config).matrix

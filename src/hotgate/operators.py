@@ -56,14 +56,6 @@ class PhysicalParams:
         if self.delta == 0:
             raise ValueError("delta must be nonzero")
 
-    @property
-    def chi(self) -> float:
-        return chi(self)
-
-    @property
-    def tau(self) -> float:
-        return tau(self)
-
 
 def chi(params: PhysicalParams) -> float:
     """Conditional-phase coupling rate eta^2 omega^2 / (n_ions delta), rad/s."""

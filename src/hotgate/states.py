@@ -2,8 +2,8 @@
 
 Coherent and thermal constructors renormalize after truncation; the discarded
 weight is available in closed form (coherent_discarded_weight,
-thermal_discarded_weight) and construction aborts when it exceeds
-``max_discard`` (default 1e-2), keeping the family honest about how hot a
+thermal_discarded_weight) and construction aborts when it exceeds the
+constant MAX_STATE_DISCARD = 1e-2, keeping the family honest about how hot a
 state the chosen n_max can hold.
 """
 from __future__ import annotations
@@ -68,14 +68,13 @@ def coherent_discarded_weight(alpha: complex, n_max: int) -> float:
     return float(pdtrc(n_max, abs(alpha) * abs(alpha)))  # float ** would raise on overflow
 
 
-def coherent_state(alpha: complex, n_max: int, *,
-                   max_discard: float = MAX_STATE_DISCARD) -> np.ndarray:
+def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
     """Truncated, renormalized coherent state with amplitude alpha."""
     discard = coherent_discarded_weight(alpha, n_max)
-    if discard > max_discard:
+    if discard > MAX_STATE_DISCARD:
         raise TruncationLeakage(
             f"|alpha|^2 = {abs(alpha) * abs(alpha):.3g} too large for n_max = {n_max}: "
-            f"discarded weight {discard:.3e} exceeds {max_discard}"
+            f"discarded weight {discard:.3e} exceeds {MAX_STATE_DISCARD}"
         )
     v = _coherent_unnormalized(alpha, n_max)
     return v / np.linalg.norm(v)
@@ -101,14 +100,13 @@ def thermal_probabilities(spec: ThermalSpec, n_max: int) -> np.ndarray:
     return p / p.sum()
 
 
-def thermal_state(spec: ThermalSpec, n_max: int, *,
-                  max_discard: float = MAX_STATE_DISCARD) -> DensityOperator:
+def thermal_state(spec: ThermalSpec, n_max: int) -> DensityOperator:
     """Truncated, renormalized thermal phonon density operator (Fock-diagonal)."""
     discard = thermal_discarded_weight(spec.n_bar, n_max)
-    if discard > max_discard:
+    if discard > MAX_STATE_DISCARD:
         raise TruncationLeakage(
             f"n_bar = {spec.n_bar} too hot for n_max = {n_max}: "
-            f"discarded weight {discard:.3e} exceeds {max_discard}"
+            f"discarded weight {discard:.3e} exceeds {MAX_STATE_DISCARD}"
         )
     p = thermal_probabilities(spec, n_max)
     return DensityOperator(np.diag(p.astype(complex)), FockSpace(n_max), validate=False)

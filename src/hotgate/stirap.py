@@ -13,12 +13,14 @@ the block Hamiltonian is
 
 Blocks are independent (the full passage Hamiltonian is block-diagonal in n),
 so propagation batches over n. Each step is the exact 3x3 unitary exponential
-of a Hermitian generator, in closed form. The default 'magnus4' generator adds
-a commutator correction for 4th-order dt convergence, 'midpoint' freezes H
-mid-step (2nd order). On two-photon resonance (Delta = 0, the default) the
-passage is a rotation in the basis (|1,n>, i|3,n>, |2,n+1>): each step is a
-real 3x3 rotation from Rodrigues' formula, the whole product is taken in real
-arithmetic, and the basis phases are put back once at the end. A detuned
+of a Hermitian generator, in closed form. The default 'magnus4' generator
+samples H at two Gauss nodes and adds their commutator for 4th-order dt
+convergence; 'midpoint' is the same formula with both nodes at mid-step,
+where the commutator is exactly 0 (2nd order). On two-photon resonance
+(Delta = 0, the default) the passage is a rotation in the basis
+(|1,n>, i|3,n>, |2,n+1>): each step is a real 3x3 rotation from Rodrigues'
+formula, the whole product is taken in real arithmetic, and the basis phases
+are put back once at the end. A detuned
 step is not a rotation and takes the general SU(3) kernel: eigenvalues from
 the trigonometric solution of the characteristic cubic, the exponential from
 Cayley-Hamilton as a Newton divided-difference interpolant, with no
@@ -378,10 +380,13 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
 
     Returns (len(ns), 3, 3), or the cumulative products at every step
     boundary, shape (n_steps+1, len(ns), 3, 3), when trajectory is True.
-    The step generators and their exponentials are evaluated for a chunk of
-    _CHUNK_STEPS steps and all rungs at once; each chunk's product is taken
-    pairwise (later @ earlier, log depth), and the chunk products are folded
-    in time order. The trajectory takes each chunk's inclusive prefix
+    method picks the two quadrature nodes of each step: the Gauss pair for
+    magnus4, both at t + dt/2 for midpoint, whose commutator term is then
+    exactly 0; the generator formula is the same. The step generators and
+    their exponentials are evaluated for a chunk of _CHUNK_STEPS steps and
+    all rungs at once; each chunk's product is taken pairwise (later @
+    earlier, log depth), and the chunk products are folded in time order.
+    The trajectory takes each chunk's inclusive prefix
     products from the same pairwise routine, whose last entry is the chunk
     product bit for bit, so traj[-1] equals the final propagator exactly.
 
@@ -398,11 +403,12 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     dt = schedule.dt
     starts = np.arange(n_steps) * dt
     if method == "midpoint":
-        nodes = (starts + dt / 2,)
+        c1 = c2 = 0.5
     elif method == "magnus4":
-        nodes = (starts + _MAGNUS_C1 * dt, starts + _MAGNUS_C2 * dt)
+        c1, c2 = _MAGNUS_C1, _MAGNUS_C2
     else:
         raise ValueError(f"unknown integration method {method!r}")
+    nodes = (starts + c1 * dt, starts + c2 * dt)
     # half Rabi rates: pump shared by all rungs, Stokes scaled per rung
     pumps = [schedule.pump.value(t)[:, None] / 2 for t in nodes]
     stokes = [schedule.stokes.value(t)[:, None] for t in nodes]
@@ -420,9 +426,7 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
         sl = slice(lo, lo + _CHUNK_STEPS)
         a = [x[sl] for x in pumps]
         b = [rates * x[sl] / 2 for x in stokes]
-        if method == "midpoint":
-            u, v, w = dt * a[0], dt * b[0], np.zeros(1)
-        elif resonant:
+        if resonant:
             # the commutator term alone survives in w = i omega
             (a1, a2), (b1, b2) = a, b
             u, v = dt * ((a1 + a2) / 2), dt * ((b1 + b2) / 2)
@@ -463,7 +467,12 @@ def transfer_amplitudes(schedule: StirapSchedule, params: PhysicalParams, n_rung
 
 
 def transfer_efficiency(n: int, schedule: StirapSchedule, params: PhysicalParams) -> float:
-    """Population transferred along the passage direction on rung n."""
+    """Population transferred along the passage direction on rung n.
+
+    Each call reads the cached build of n + 1 rungs, so reading rungs one by
+    one builds one passage per rung; read a range of rungs with one
+    transfer_amplitudes call.
+    """
     return float(abs(transfer_amplitudes(schedule, params, n + 1)[n]) ** 2)
 
 
@@ -485,7 +494,9 @@ def residual_phase(n: int, schedule: StirapSchedule, params: PhysicalParams) -> 
 
     The ideal maps are phase-free, so this measures the passage's deviation
     from them (an adiabatic passage sits near pi). Undefined when less than
-    PHASE_MIN_TRANSFER of the population makes the transfer.
+    PHASE_MIN_TRANSFER of the population makes the transfer. Like
+    transfer_efficiency, each call reads the build of n + 1 rungs; read a
+    range of rungs with one transfer_amplitudes call and transfer_phase.
     """
     amp = complex(transfer_amplitudes(schedule, params, n + 1)[n])
     if abs(amp) ** 2 < PHASE_MIN_TRANSFER:
@@ -614,20 +625,19 @@ class TransferCalibration:
 
 
 def calibrate_transfer(params: PhysicalParams, durations, *,
-                       pump_peak: float = 1.0, stokes_peak: float | None = None,
+                       pump_peak: float = 1.0,
                        n_values=tuple(range(CALIBRATED_RUNGS)), threshold: float = 0.999,
-                       n_steps: int = DEFAULT_N_STEPS,
-                       detuning: float | None = None) -> TransferCalibration:
+                       n_steps: int = DEFAULT_N_STEPS) -> TransferCalibration:
     """Sweep the passage duration upward until every rung transfers >= threshold.
 
-    Peak Rabi rates are held fixed, so longer durations mean larger
-    adiabaticity margins. Returns the first (minimal) duration on the grid
+    Peak Rabi rates are held fixed (the Stokes peak at pump_peak / eta), so
+    longer durations mean larger adiabaticity margins; the detuning is
+    params.delta_stirap. Returns the first (minimal) duration on the grid
     that clears the threshold for every n in n_values, with its margin.
     """
     history = []
     for t in sorted(durations):
-        sched = standard_schedule(t, params, pump_peak=pump_peak, stokes_peak=stokes_peak,
-                                  n_steps=n_steps, detuning=detuning)
+        sched = standard_schedule(t, params, pump_peak=pump_peak, n_steps=n_steps)
         amps = transfer_amplitudes(sched, params, max(n_values) + 1)
         eff = np.abs(amps[np.asarray(n_values)]) ** 2
         margin = min(adiabaticity_margin(sched, params, n) for n in n_values)

@@ -148,6 +148,8 @@ def test_truth_table_thermal(tmp_path, capsys):
     (("gate", "schedule", "dt_s"), 0.004, "not both"),
     (("gate", "schedule", "dt_s"), 0.001, "not both"),  # agrees with n_steps, still both
     (("gate", "schedule", "direction"), "down", "must be the 'up' passage"),
+    (("gate", "schedule", "pump_peak_rabi_rad_per_s"), 50.0, "not both"),
+    (("gate", "schedule", "stokes_peak_rabi_rad_per_s"), 500.0, "not both"),
 ])
 def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, path, value, message):
     doc = stirap_doc()
@@ -230,10 +232,9 @@ def test_fuzzed_config_exits_cleanly(tmp_path, capsys, path, value, command):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    fmt = "json" if command == "truth-table" else "csv"
     try:
         code = cli.main([command, "--config", write(tmp_path, doc),
-                         "--out", str(tmp_path / "out"), "--format", fmt])
+                         "--out", str(tmp_path / "out")])
     except Exception as exc:  # any escape is the failure under test
         pytest.fail(f"{type(exc).__name__} escaped for {path} = {value!r}: {exc}")
     assert code in (0, 2, 3)
@@ -257,9 +258,41 @@ def test_truth_table_missing_schedule(tmp_path, capsys):
 
 
 def test_truth_table_rejects_csv(tmp_path):
-    code = cli.main(["truth-table", "--config", write(tmp_path, ideal_doc()),
-                     "--out", str(tmp_path / "r.csv"), "--format", "csv"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["truth-table", "--config", write(tmp_path, ideal_doc()),
+                  "--out", str(tmp_path / "r.csv"), "--format", "csv"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("truth-table", "json"), ("sweep", "csv"), ("stirap-trace", "csv")])
+def test_format_flag_is_refused(tmp_path, capsys, command, fmt):
+    # each command writes one format, so there is no flag to choose it
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", write(tmp_path, ideal_doc()),
+                  "--out", str(tmp_path / "out"), "--format", fmt])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_out_in_missing_directory_exits_2_without_traceback(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    config = write(tmp_path, ideal_doc(phonon="fock:1", n_max=4))
+    code = cli.main(["truth-table", "--config", config, "--out", str(out)])
+    err = capsys.readouterr().err
     assert code == 2
+    assert str(out) in err
+    assert "Traceback" not in err
+
+
+def test_config_not_utf8_exits_2_without_traceback(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"phonon": "f\xf6ck:0"}')  # Latin-1, not UTF-8
+    code = cli.main(["truth-table", "--config", str(path), "--out", "-"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(path) in err
+    assert "Traceback" not in err
 
 
 def test_simulation_domain_error_exit_code(tmp_path, capsys):

@@ -27,6 +27,18 @@ def test_find_stirap_schedule_defaults(tmp_path, monkeypatch, passage_builds):
     assert len(passage_builds) == 5 == len(doc["history"])
 
 
+def test_find_stirap_schedule_detuned(tmp_path, monkeypatch):
+    # --detuning reaches the calibration only through PhysicalParams.delta_stirap
+    out = tmp_path / "cal.json"
+    run_script(monkeypatch, "find_stirap_schedule.py", "--detuning", "0.1",
+               "--out", str(out))
+    doc = json.loads(out.read_text())
+    assert doc["margin"] == 100.0
+    assert min(doc["efficiencies"]) >= 0.999
+    # a resonant passage reads exactly pi; a detuned one picks up a dynamic phase
+    assert all(phase < np.pi for phase in doc["passage_phases_rad"])
+
+
 def test_timing_error_sweep_one_row_per_pair(tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
     run_script(monkeypatch, "timing_error_sweep.py", "--epsilons", "0", "0.01",
