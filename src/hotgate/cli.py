@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 
@@ -116,6 +119,8 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
     try:
         total = _typed(_require(section, "total_duration_s", "gate.schedule"), float,
                        "total_duration_s")
+        if "detuning_rad_per_s" in section:
+            raise ConfigError("detuning_rad_per_s moved to gate.params.delta_stirap_rad_per_s")
         if "dt_s" in section:
             ratio = total / _typed(section["dt_s"], float, "dt_s")
             n_steps = int(round(ratio))
@@ -125,28 +130,18 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
                 raise ConfigError("give either n_steps or dt_s, not both")
         else:
             n_steps = _typed(section.get("n_steps", stirap.DEFAULT_N_STEPS), int, "n_steps")
-        if n_steps < 1:
-            raise ConfigError(f"schedule needs n_steps >= 1, got {n_steps}")
-        detuning = _optional_float(section, "detuning_rad_per_s")
+        direction = str(section.get("direction", "up"))
         if "pump" in section or "stokes" in section:
             if "margin" in section:
                 raise ConfigError("give either explicit pump/stokes envelopes or a margin")
             pump = _parse_envelope(_require(section, "pump", "gate.schedule"), "pump")
             stokes = _parse_envelope(_require(section, "stokes", "gate.schedule"), "stokes")
-            return stirap.StirapSchedule(
-                pump=pump,
-                stokes=stokes,
-                total_duration=total,
-                detuning=params.delta_stirap if detuning is None else detuning,
-                dt=total / n_steps,
-                direction=str(section.get("direction", "up")),
-            )
+            return stirap.StirapSchedule(pump, stokes, total, n_steps, direction)
         return stirap.standard_schedule(
             total, params, margin=_optional_float(section, "margin"),
             pump_peak=_optional_float(section, "pump_peak_rabi_rad_per_s"),
             stokes_peak=_optional_float(section, "stokes_peak_rabi_rad_per_s"),
-            direction=str(section.get("direction", "up")), n_steps=n_steps,
-            detuning=detuning, shape=str(section.get("shape", "sin2")),
+            direction=direction, n_steps=n_steps, shape=str(section.get("shape", "sin2")),
         )
     except (TypeError, ValueError, ArithmeticError) as exc:
         if isinstance(exc, ConfigError):
@@ -247,24 +242,34 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write_text(path: str, text: str):
+@contextmanager
+def _output(path: str):
+    """Yield the --out writer: the path is opened before any work, without
+    truncation, so a failed run keeps a file that was there (removes one it made)."""
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
+        yield sys.stdout.write
+        return
+    made = not os.path.exists(path)
+    try:
+        with open(path, "a", encoding="utf-8") as fh:
+            def write(text: str):
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
                 fh.write(text)
-        except OSError as exc:
+            yield write
+    except BaseException as exc:
+        if made and os.path.exists(path):
+            os.remove(path)
+        if isinstance(exc, OSError):
             raise ConfigError(f"cannot write output {path}: {exc}") from exc
+        raise
 
 
 def cmd_truth_table(config: ExperimentConfig, out: str, seed: int | None) -> int:
-    phonon = _phonon_input(config, seed)
-    report = gate_mod.gate_report(config.gate, phonon)
-    doc = report.to_dict()
-    doc["phonon"] = config.phonon_spec
-    doc["n_max"] = config.n_max
-    _write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with _output(out) as write:
+        report = gate_mod.gate_report(config.gate, _phonon_input(config, seed))
+        doc = {**report.to_dict(), "phonon": config.phonon_spec, "n_max": config.n_max}
+        write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"qubit_fidelity={_fmt(report.qubit_fidelity)}")
     print(f"phonon_restoration_fidelity={_fmt(report.phonon_restoration_fidelity)}")
     return 0
@@ -307,19 +312,16 @@ def _grid_point_metrics(raw: dict, names, values, seed: int | None) -> dict:
 def cmd_sweep(config: ExperimentConfig, out: str, seed: int | None) -> int:
     if not config.sweep_axes:
         raise ConfigError("sweep requires a non-empty 'axes' list")
-    names = [name for name, _ in config.sweep_axes]
-    grids = [vals for _, vals in config.sweep_axes]
+    names, grids = zip(*config.sweep_axes)
     points = list(product(*grids))
-    rows = [_grid_point_metrics(config.raw, names, vals, seed) for vals in points]
-    metric_cols = ["gate_fidelity", "phonon_restoration", "leakage"]
-    if config.gate.mode == "stirap":
-        metric_cols.append("transfer_efficiency")
-    metric_cols.append("runtime_s")
-    lines = [",".join(names + metric_cols)]
-    for vals, row in zip(points, rows):
-        cells = [_fmt(v) for v in vals] + [_fmt(row[c]) for c in metric_cols]
-        lines.append(",".join(cells))
-    _write_text(out, "\n".join(lines) + "\n")
+    stirap_cols = ["transfer_efficiency"] if config.gate.mode == "stirap" else []
+    metric_cols = ["gate_fidelity", "phonon_restoration", "leakage", *stirap_cols, "runtime_s"]
+    with _output(out) as write:
+        lines = [",".join([*names, *metric_cols])]
+        for vals in points:
+            row = _grid_point_metrics(config.raw, names, vals, seed)
+            lines.append(",".join([_fmt(v) for v in vals] + [_fmt(row[c]) for c in metric_cols]))
+        write("\n".join(lines) + "\n")
     print(f"sweep: {len(points)} grid points -> {out}")
     return 0
 
@@ -332,16 +334,15 @@ def cmd_stirap_trace(config: ExperimentConfig, out: str, seed: int | None) -> in
         raise ConfigError(f"trace.n = {n} outside 0..{config.n_max - 1}")
     schedule = config.gate.schedule
     params = config.gate.params
-    times, amps = stirap.block_trajectory(schedule, params, n)
-    pump = schedule.pump.value(times)
-    sideband = stirap.sideband_rate(n, times, schedule, params)
-    pops = np.abs(amps) ** 2
-    lines = ["t_s,omega_pump_rad_per_s,omega_stokes_n_rad_per_s,pop_1n,pop_3n,pop_2n1"]
-    for k in range(len(times)):
-        lines.append(",".join(_fmt(v) for v in
-                              (times[k], pump[k], sideband[k],
-                               pops[k, 0], pops[k, 1], pops[k, 2])))
-    _write_text(out, "\n".join(lines) + "\n")
+    with _output(out) as write:
+        times, amps = stirap.block_trajectory(schedule, params, n)
+        pump = schedule.pump.value(times)
+        sideband = stirap.sideband_rate(n, times, schedule, params)
+        pops = np.abs(amps) ** 2
+        lines = ["t_s,omega_pump_rad_per_s,omega_stokes_n_rad_per_s,pop_1n,pop_3n,pop_2n1"]
+        for k in range(len(times)):
+            lines.append(",".join(_fmt(v) for v in (times[k], pump[k], sideband[k], *pops[k])))
+        write("\n".join(lines) + "\n")
     print(f"final_transfer_population={_fmt(pops[-1, 2])}")
     return 0
 

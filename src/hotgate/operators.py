@@ -11,6 +11,7 @@ Conventions (normative):
     absorbed here.
   * carrier_rotation(theta, phi) = exp(-i (theta/2) (cos phi sx + sin phi sy))
     on the qubit levels of one ion.
+  * Rung laws, once each: sideband_factors (eta sqrt(n+1)), conditional_phase_factors.
 """
 from __future__ import annotations
 
@@ -130,6 +131,11 @@ def _ion_slice(ndim: int, ion: int, level: int):
     sl = [slice(None)] * ndim
     sl[ion] = level
     return tuple(sl)
+
+
+def sideband_factors(params: PhysicalParams, ns):
+    """Lamb-Dicke red-sideband factor eta sqrt(n+1) of rung n: the passage's rung law."""
+    return params.eta * np.sqrt(np.asarray(ns) + 1.0)
 
 
 def conditional_phase_factors(dim: int, epsilon: float = 0.0) -> np.ndarray:

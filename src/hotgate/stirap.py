@@ -3,9 +3,10 @@
 For each phonon occupation n the dynamics closes on the three levels
 {|1,n>, |3,n>, |2,n+1>}: the pump field drives the carrier |1,n> <-> |3,n>
 with bare Rabi rate Omega_p(t), the Stokes field drives the red sideband
-|2,n+1> <-> |3,n> with effective rate eta*sqrt(n+1)*Omega_S(t), and both
-share the detuning Delta of the intermediate level. In this rotating frame
-the block Hamiltonian is
+|2,n+1> <-> |3,n> with effective rate eta*sqrt(n+1)*Omega_S(t)
+(operators.sideband_factors), and both share the detuning Delta =
+params.delta_stirap of the intermediate level. A StirapSchedule is pulse
+timing only. In this rotating frame the block Hamiltonian is
 
         [ 0            Omega_p/2      0           ]
         [ Omega_p/2    Delta          Omega_Sn/2  ]
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import NormDrift, UndefinedPhase
 from .hilbert import DOMAIN_ATOL, CompositeState
-from .operators import PhysicalParams, passage_check
+from .operators import PhysicalParams, passage_check, sideband_factors
 
 PULSE_SHAPES = ("sin2", "gaussian")
 
@@ -97,40 +98,36 @@ class PulseEnvelope:
 
 @dataclass(frozen=True)
 class StirapSchedule:
-    """Pump/Stokes pulse pair, total duration, shared detuning, step size, direction.
+    """Pulse timing of one passage: pump/Stokes envelopes, duration, step grid, direction.
 
-    'up' transfers |1>|n> -> |2>|n+1> and needs the Stokes pulse first
-    (stokes.center < pump.center); 'down' interchanges the pulse roles.
+    The grid is n_steps steps of dt = total_duration / n_steps. 'up' transfers
+    |1>|n> -> |2>|n+1> and needs the Stokes pulse first (stokes.center <
+    pump.center); 'down' interchanges the pulse roles. The shared detuning is
+    not a schedule setting: every reader takes it from params.delta_stirap.
     """
 
     pump: PulseEnvelope
     stokes: PulseEnvelope
     total_duration: float
-    detuning: float
-    dt: float
+    n_steps: int
     direction: str = "up"
 
     def __post_init__(self):
-        for name in ("total_duration", "detuning", "dt"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not (np.isfinite(self.total_duration) and self.total_duration > 0):
+            raise ValueError(f"total_duration must be finite and > 0, got {self.total_duration}")
+        if (isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer))
+                or self.n_steps < 1):
+            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
         if self.direction not in ("up", "down"):
             raise ValueError(f"direction must be 'up' or 'down', got {self.direction!r}")
-        if self.total_duration <= 0:
-            raise ValueError("total_duration must be > 0")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        ratio = self.total_duration / self.dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ValueError("total_duration must be an integer number of dt steps")
         if self.direction == "up" and not self.stokes.center < self.pump.center:
             raise ValueError("'up' needs the counter-intuitive order: Stokes before pump")
         if self.direction == "down" and not self.pump.center < self.stokes.center:
             raise ValueError("'down' interchanges the roles: pump before Stokes")
 
     @property
-    def n_steps(self) -> int:
-        return int(round(self.total_duration / self.dt))
+    def dt(self) -> float:
+        return self.total_duration / self.n_steps
 
 
 def standard_schedule(total_duration: float, params: PhysicalParams, *,
@@ -139,14 +136,14 @@ def standard_schedule(total_duration: float, params: PhysicalParams, *,
                       stokes_peak: float | None = None,
                       direction: str = "up",
                       n_steps: int = DEFAULT_N_STEPS,
-                      detuning: float | None = None,
                       shape: str = "sin2") -> StirapSchedule:
     """Build the standard counter-intuitive pulse pair for a given duration.
 
     Peak rates follow from the adiabaticity margin (default 100): the pump
     peak is margin/T and the bare Stokes peak margin/(eta*T), which balances
     the two effective couplings on the lowest rung. Explicit pump_peak /
-    stokes_peak override the margin parametrization.
+    stokes_peak override the margin parametrization. The grid has n_steps
+    steps; the detuning is not part of a schedule (params.delta_stirap).
     """
     if margin is not None and (pump_peak is not None or stokes_peak is not None):
         raise ValueError("give either margin or explicit peak rates, not both")
@@ -163,14 +160,9 @@ def standard_schedule(total_duration: float, params: PhysicalParams, *,
     centers = (PUMP_CENTER_FRAC * t, STOKES_CENTER_FRAC * t)
     if direction == "down":
         centers = (centers[1], centers[0])
-    return StirapSchedule(
-        pump=PulseEnvelope(shape, pump_peak, centers[0], width),
-        stokes=PulseEnvelope(shape, stokes_peak, centers[1], width),
-        total_duration=t,
-        detuning=params.delta_stirap if detuning is None else detuning,
-        dt=t / n_steps,
-        direction=direction,
-    )
+    return StirapSchedule(PulseEnvelope(shape, pump_peak, centers[0], width),
+                          PulseEnvelope(shape, stokes_peak, centers[1], width),
+                          t, n_steps, direction)
 
 
 def reversed_schedule(schedule: StirapSchedule) -> StirapSchedule:
@@ -189,14 +181,14 @@ def reversed_schedule(schedule: StirapSchedule) -> StirapSchedule:
 
 def sideband_rate(n: int, t, schedule: StirapSchedule, params: PhysicalParams):
     """Effective Stokes rate on rung n: eta * sqrt(n+1) * Omega_S(t)."""
-    return params.eta * np.sqrt(n + 1.0) * schedule.stokes.value(t)
+    return sideband_factors(params, n) * schedule.stokes.value(t)
 
 
 def adiabaticity_margin(schedule: StirapSchedule, params: PhysicalParams, n: int) -> float:
     """min(T * pump peak, T * effective Stokes peak on rung n); larger is slower."""
     t = schedule.total_duration
     return float(min(t * schedule.pump.peak_rabi,
-                     t * params.eta * np.sqrt(n + 1.0) * schedule.stokes.peak_rabi))
+                     t * sideband_factors(params, n) * schedule.stokes.peak_rabi))
 
 
 def hamiltonian_block(n: int, t: float, schedule: StirapSchedule,
@@ -210,7 +202,7 @@ def hamiltonian_block(n: int, t: float, schedule: StirapSchedule,
     om_s = float(sideband_rate(n, t, schedule, params))
     return np.array(
         [[0.0, om_p / 2, 0.0],
-         [om_p / 2, schedule.detuning, om_s / 2],
+         [om_p / 2, params.delta_stirap, om_s / 2],
          [0.0, om_s / 2, 0.0]],
         dtype=complex,
     )
@@ -386,16 +378,17 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     their exponentials are evaluated for a chunk of _CHUNK_STEPS steps and
     all rungs at once; each chunk's product is taken pairwise (later @
     earlier, log depth), and the chunk products are folded in time order.
-    The trajectory takes each chunk's inclusive prefix
-    products from the same pairwise routine, whose last entry is the chunk
-    product bit for bit, so traj[-1] equals the final propagator exactly.
+    The trajectory takes each chunk's inclusive prefix products from the same
+    pairwise routine, whose last entry is the chunk product bit for bit, so
+    traj[-1] equals the final propagator exactly.
 
-    On two-photon resonance (detuning 0) both generators have real u, v and
-    an imaginary w = i*omega, so M = D (i A) D^dagger with D = diag(1, i, 1)
-    and A = [[0, u, omega], [-u, 0, -v], [-omega, v, 0]] real antisymmetric:
-    each step is the rotation exp(A) in the basis (|1,n>, i|3,n>, |2,n+1>).
-    The steps come from Rodrigues' formula and the whole product runs in
-    real arithmetic; D .. D^dagger is applied once, elementwise, at the end.
+    On two-photon resonance (params.delta_stirap = 0) both generators have
+    real u, v and an imaginary w = i*omega, so M = D (i A) D^dagger with
+    D = diag(1, i, 1) and A = [[0, u, omega], [-u, 0, -v], [-omega, v, 0]]
+    real antisymmetric: each step is the rotation exp(A) in the basis
+    (|1,n>, i|3,n>, |2,n+1>). The steps come from Rodrigues' formula and the
+    whole product runs in real arithmetic; D .. D^dagger is applied once,
+    elementwise, at the end.
     Detuned steps are not rotations and take the closed-form SU(3) kernel.
     """
     ns = np.atleast_1d(np.asarray(ns, dtype=int))
@@ -412,8 +405,8 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     # half Rabi rates: pump shared by all rungs, Stokes scaled per rung
     pumps = [schedule.pump.value(t)[:, None] / 2 for t in nodes]
     stokes = [schedule.stokes.value(t)[:, None] for t in nodes]
-    rates = params.eta * np.sqrt(ns + 1.0)[None, :]
-    delta = schedule.detuning
+    rates = sideband_factors(params, ns)[None, :]
+    delta = params.delta_stirap
     resonant = delta == 0.0
     kappa = _MAGNUS_COEFF * dt
     # product of the chunks so far, (3, 3, rungs); multiplying by 1 is exact

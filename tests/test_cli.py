@@ -67,19 +67,24 @@ def test_config_round_trip():
     assert first.trace_n == second.trace_n
 
 
-def test_parse_explicit_envelopes():
+def test_parse_explicit_envelopes(tmp_path, capsys):
     doc = ideal_doc()
     doc["gate"]["mode"] = "stirap"
     doc["gate"]["schedule"] = {
         "total_duration_s": 2.0,
         "n_steps": 100,
-        "detuning_rad_per_s": 1.5,
         "pump": {"shape": "sin2", "peak_rabi_rad_per_s": 50.0, "center_s": 1.4, "width_s": 1.0},
         "stokes": {"shape": "sin2", "peak_rabi_rad_per_s": 500.0, "center_s": 0.6, "width_s": 1.0},
     }
     config = cli.parse_config(doc)
     assert config.gate.schedule.pump.peak_rabi == 50.0
-    assert config.gate.schedule.detuning == 1.5
+    # the detuning is a physical parameter, not a schedule key: refused, not ignored
+    doc["gate"]["schedule"]["detuning_rad_per_s"] = 1.5
+    code = cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", "-"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "gate.params.delta_stirap_rad_per_s" in err
+    assert "Traceback" not in err
 
 
 def test_parse_rejects_margin_with_envelopes():
@@ -416,6 +421,53 @@ def test_sweep_n_steps_axis_on_dt_s_config_exits_2(tmp_path, capsys):
     assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
     assert "not both" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_delta_stirap_axis_reaches_the_passage(tmp_path):
+    doc = stirap_doc(phonon="fock:1", n_max=4, n_steps=200, sweep={"axes": [
+        {"name": "delta_stirap_rad_per_s", "values": [0.0, 50.0, 200.0]}]})
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len({row["gate_fidelity"] for row in rows}) == 3
+
+
+def test_sweep_unwritable_out_fails_before_the_first_point(tmp_path, capsys, monkeypatch):
+    reports = []
+    original = cli.gate_mod.gate_report
+
+    def counted(*args, **kwargs):
+        reports.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli.gate_mod, "gate_report", counted)
+    doc = stirap_doc(phonon="fock:1", n_max=4, n_steps=200,
+                     sweep={"axes": [{"name": "margin", "values": [80.0, 100.0]}]})
+    out = tmp_path / "missing" / "s.csv"
+    code = cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(out) in err and "Traceback" not in err
+    assert reports == []
+
+
+def test_failed_run_keeps_an_existing_out_file(tmp_path):
+    # a failed run leaves a file that was already there as it was; only a file
+    # the run made is removed
+    doc = stirap_doc(phonon="fock:1", n_max=8,
+                     sweep={"axes": [{"name": "n_steps", "values": [100.5]}]})
+    out = tmp_path / "s.csv"
+    out.write_text("old\n")
+    assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    assert out.read_text() == "old\n"
+
+
+def test_out_replaces_a_longer_existing_file(tmp_path):
+    out = tmp_path / "t.json"
+    out.write_text("x" * 100_000)
+    assert cli.main(["truth-table", "--config", write(tmp_path, ideal_doc()),
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n_max"] == ideal_doc()["n_max"]
 
 
 def test_sweep_empty_axes(tmp_path):

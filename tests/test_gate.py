@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from hotgate import gate as g
 from hotgate import stirap
 
 PARAMS = PhysicalParams(eta=0.1, omega=2 * np.pi * 1e5, n_ions=2, delta=2 * np.pi * 1e7)
+DETUNED = replace(PARAMS, delta_stirap=5.0)
 IDEAL = g.GateConfig(params=PARAMS)
 
 
@@ -566,9 +568,9 @@ ORACLE_CONFIGS = {
     "ideal": IDEAL,
     "ideal-timing-error": g.GateConfig(params=PARAMS, epsilon=0.013),
     "stirap-compensated": g.GateConfig(
-        params=PARAMS, mode="stirap", epsilon=0.004, compensate_phases=True,
         # a detuned intermediate level gives the round trip a phase to correct
-        schedule=stirap.standard_schedule(1.0, PARAMS, margin=100.0, n_steps=400, detuning=5.0)),
+        params=DETUNED, mode="stirap", epsilon=0.004, compensate_phases=True,
+        schedule=stirap.standard_schedule(1.0, DETUNED, margin=100.0, n_steps=400)),
     "stirap-swapped-roles": stirap_config(margin=60.0, n_steps=300, control=1, target=0),
     "stirap-weak": stirap_config(margin=5.0, n_steps=300),
 }
@@ -646,7 +648,7 @@ def test_passage_built_once_per_schedule(passage_builds):
 ], ids=["shifted", "width", "shape"])
 def test_unmirrored_pulses_build_both_passages(passage_builds, pump):
     stokes = stirap.PulseEnvelope("sin2", 900.0, center=0.3, width=0.5)
-    sched = stirap.StirapSchedule(pump, stokes, 1.0, 0.0, 1.0 / 300, "up")
+    sched = stirap.StirapSchedule(pump, stokes, 1.0, 300, "up")
     cfg = g.GateConfig(params=PARAMS, mode="stirap", schedule=sched)
     g.gate_report(cfg, fock_state(1, 8))
     assert sorted(passage_builds) == ["down", "up"]
@@ -691,8 +693,9 @@ def assert_same_report(got, want, skip=()):
 
 
 def spectator_configs(k, control, target):
-    params = PhysicalParams(eta=0.1, omega=2 * np.pi * 1e5, n_ions=k, delta=2 * np.pi * 1e7)
-    sched = stirap.standard_schedule(1.0, params, margin=100.0, n_steps=400, detuning=5.0)
+    params = PhysicalParams(eta=0.1, omega=2 * np.pi * 1e5, n_ions=k, delta=2 * np.pi * 1e7,
+                            delta_stirap=5.0)
+    sched = stirap.standard_schedule(1.0, params, margin=100.0, n_steps=400)
     return [
         g.GateConfig(params=params, control=control, target=target, epsilon=0.013),
         g.GateConfig(params=params, control=control, target=target, mode="stirap",

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,14 @@ from test_gate import passage_builds  # noqa: F401 - build-counting fixture
 PARAMS = PhysicalParams(eta=0.1, omega=2 * np.pi * 1e5, n_ions=2, delta=2 * np.pi * 1e7)
 
 
-def schedule(margin=100.0, n_steps=2000, direction="up", duration=1.0, detuning=None):
+def schedule(margin=100.0, n_steps=2000, direction="up", duration=1.0):
     return stirap.standard_schedule(duration, PARAMS, margin=margin, n_steps=n_steps,
-                                    direction=direction, detuning=detuning)
+                                    direction=direction)
+
+
+def detuned(delta):
+    """PARAMS with the pump/Stokes detuning delta, the one place a passage reads it."""
+    return replace(PARAMS, delta_stirap=delta)
 
 
 def dense_passage_oracle(sched, params, d):
@@ -81,11 +87,8 @@ def test_non_finite_physics_rejected(bad):
             stirap.PulseEnvelope(**kwargs)
     pump = stirap.PulseEnvelope("sin2", 1.0, center=0.7, width=0.2)
     stokes = stirap.PulseEnvelope("sin2", 1.0, center=0.3, width=0.2)
-    for field in ("total_duration", "detuning", "dt"):
-        kwargs = dict(total_duration=1.0, detuning=0.0, dt=0.01)
-        kwargs[field] = bad
-        with pytest.raises(ValueError, match="finite"):
-            stirap.StirapSchedule(pump, stokes, direction="up", **kwargs)
+    with pytest.raises(ValueError, match="finite"):
+        stirap.StirapSchedule(pump, stokes, total_duration=bad, n_steps=100, direction="up")
 
 
 # ---------------------------------------------------------------- schedules
@@ -94,19 +97,31 @@ def test_schedule_ordering_invariants():
     pump = stirap.PulseEnvelope("sin2", 1.0, center=0.3, width=0.2)
     stokes = stirap.PulseEnvelope("sin2", 1.0, center=0.7, width=0.2)
     with pytest.raises(ValueError):  # Stokes must precede the pump going up
-        stirap.StirapSchedule(pump, stokes, 1.0, 0.0, 0.001, "up")
-    stirap.StirapSchedule(pump, stokes, 1.0, 0.0, 0.001, "down")
+        stirap.StirapSchedule(pump, stokes, 1.0, 1000, "up")
+    stirap.StirapSchedule(pump, stokes, 1.0, 1000, "down")
     with pytest.raises(ValueError):
-        stirap.StirapSchedule(stokes, pump, 1.0, 0.0, 0.001, "down")
+        stirap.StirapSchedule(stokes, pump, 1.0, 1000, "down")
 
 
-def test_schedule_step_divisibility():
+@pytest.mark.parametrize("n_steps", [0, -3, 2.5, True])
+def test_schedule_needs_a_positive_integer_step_count(n_steps):
     pump = stirap.PulseEnvelope("sin2", 1.0, center=0.7, width=0.2)
     stokes = stirap.PulseEnvelope("sin2", 1.0, center=0.3, width=0.2)
-    with pytest.raises(ValueError):
-        stirap.StirapSchedule(pump, stokes, 1.0, 0.0, 0.0003, "up")
-    sched = stirap.StirapSchedule(pump, stokes, 1.0, 0.0, 0.0001, "up")
-    assert sched.n_steps == 10000
+    with pytest.raises(ValueError, match="n_steps must be an integer >= 1"):
+        stirap.StirapSchedule(pump, stokes, 1.0, n_steps, "up")
+
+
+def test_schedule_step_is_duration_over_step_count():
+    pump = stirap.PulseEnvelope("sin2", 1.0, center=0.7, width=0.2)
+    stokes = stirap.PulseEnvelope("sin2", 1.0, center=0.3, width=0.2)
+    sched = stirap.StirapSchedule(pump, stokes, 1.0, np.int64(10000), "up")
+    assert sched.n_steps == 10000 and sched.dt == 1.0 / 10000
+    assert schedule(n_steps=300, duration=0.3).dt == 0.3 / 300
+
+
+def test_standard_schedule_refuses_zero_steps():
+    with pytest.raises(ValueError, match="n_steps"):
+        stirap.standard_schedule(1.0, PARAMS, n_steps=0)
 
 
 def test_standard_schedule_geometry():
@@ -144,8 +159,8 @@ def test_reversed_schedule_swaps_roles():
 def test_block_zero_drive_is_bare_detuning():
     pump = stirap.PulseEnvelope("sin2", 1.0, center=0.7, width=0.1)
     stokes = stirap.PulseEnvelope("sin2", 1.0, center=0.3, width=0.1)
-    sched = stirap.StirapSchedule(pump, stokes, 1.0, detuning=2.5, dt=0.001, direction="up")
-    h = stirap.hamiltonian_block(2, 0.5, sched, PARAMS)  # both envelopes are zero here
+    sched = stirap.StirapSchedule(pump, stokes, 1.0, n_steps=1000, direction="up")
+    h = stirap.hamiltonian_block(2, 0.5, sched, detuned(2.5))  # both envelopes are zero here
     assert np.array_equal(h, np.diag([0.0, 2.5, 0.0]).astype(complex))
 
 
@@ -187,7 +202,7 @@ def test_margin_equal_peaks():
 def test_margin_grows_with_n_for_pump_dominant_pair():
     pump = stirap.PulseEnvelope("sin2", 100.0, center=0.7, width=0.5)
     stokes = stirap.PulseEnvelope("sin2", 50.0, center=0.3, width=0.5)  # eta*sqrt(n+1)*50 << 100
-    sched = stirap.StirapSchedule(pump, stokes, 1.0, 0.0, 0.01, "up")
+    sched = stirap.StirapSchedule(pump, stokes, 1.0, 100, "up")
     margins = [stirap.adiabaticity_margin(sched, PARAMS, n) for n in range(4)]
     assert all(b > a for a, b in zip(margins, margins[1:]))
 
@@ -248,7 +263,7 @@ def eigh_stepper_oracle(sched, params, ns, method="magnus4", trajectory=False):
         h[:, :, 0, 1] = h[:, :, 1, 0] = sched.pump.value(ts)[:, None] / 2
         h[:, :, 1, 2] = h[:, :, 2, 1] = stirap.sideband_rate(ns[None, :], ts[:, None],
                                                              sched, params) / 2
-        h[:, :, 1, 1] = sched.detuning
+        h[:, :, 1, 1] = params.delta_stirap
         return h
 
     if method == "midpoint":
@@ -267,47 +282,47 @@ def eigh_stepper_oracle(sched, params, ns, method="magnus4", trajectory=False):
     return np.array(traj) if trajectory else p
 
 
-def narrow_mirrored_schedule(detuning=0.0):
+def narrow_mirrored_schedule():
     # both fields vanish on [0, 0.2] and [0.8, 1]: there the resonant generator
     # is exactly 0, a triple-degenerate spectrum
     pump = stirap.PulseEnvelope("sin2", 300.0, center=0.6, width=0.2)
     stokes = stirap.PulseEnvelope("sin2", 3000.0, center=0.4, width=0.2)
-    return stirap.StirapSchedule(pump, stokes, 1.0, detuning, 1.0 / 800, "up")
+    return stirap.StirapSchedule(pump, stokes, 1.0, 800, "up")
 
 
-KERNEL_SCHEDULES = {
-    "sin2-resonant": narrow_mirrored_schedule,
-    "gaussian": lambda: stirap.standard_schedule(1.0, PARAMS, margin=100.0, n_steps=600,
-                                                 shape="gaussian"),
-    "detuned": lambda: schedule(margin=100.0, n_steps=200, detuning=400.0),  # |D| dt = 2
+KERNEL_SCHEDULES = {  # name: (schedule, params)
+    "sin2-resonant": lambda: (narrow_mirrored_schedule(), PARAMS),
+    "gaussian": lambda: (stirap.standard_schedule(1.0, PARAMS, margin=100.0, n_steps=600,
+                                                  shape="gaussian"), PARAMS),
+    "detuned": lambda: (schedule(margin=100.0, n_steps=200), detuned(400.0)),  # |D| dt = 2
 }
 
 
 @pytest.mark.parametrize("method", ["magnus4", "midpoint"])
 @pytest.mark.parametrize("name", sorted(KERNEL_SCHEDULES))
 def test_block_propagators_match_eigh_oracle(name, method):
-    sched = KERNEL_SCHEDULES[name]()
+    sched, params = KERNEL_SCHEDULES[name]()
     if name == "sin2-resonant":
         assert sched.pump.value(0.1) == 0.0 and sched.stokes.value(0.9) == 0.0
     ns = np.arange(13)
-    got = stirap.block_propagators(sched, PARAMS, ns, method=method)
-    want = eigh_stepper_oracle(sched, PARAMS, ns, method=method)
+    got = stirap.block_propagators(sched, params, ns, method=method)
+    want = eigh_stepper_oracle(sched, params, ns, method=method)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def assert_trajectory_matches_eigh_oracle(sched):
-    got = stirap.block_propagators(sched, PARAMS, [0, 4], trajectory=True)
-    want = eigh_stepper_oracle(sched, PARAMS, [0, 4], trajectory=True)
+def assert_trajectory_matches_eigh_oracle(sched, params):
+    got = stirap.block_propagators(sched, params, [0, 4], trajectory=True)
+    want = eigh_stepper_oracle(sched, params, [0, 4], trajectory=True)
     assert got.shape == want.shape == (801, 2, 3, 3)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_block_trajectory_matches_eigh_oracle():
-    assert_trajectory_matches_eigh_oracle(narrow_mirrored_schedule(detuning=37.0))
+    assert_trajectory_matches_eigh_oracle(narrow_mirrored_schedule(), detuned(37.0))
 
 
 def test_resonant_block_trajectory_matches_eigh_oracle():
-    assert_trajectory_matches_eigh_oracle(narrow_mirrored_schedule(detuning=0.0))
+    assert_trajectory_matches_eigh_oracle(narrow_mirrored_schedule(), PARAMS)
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-9, 0.3 * stirap._SERIES_SPREAD,
@@ -359,12 +374,12 @@ def test_pairwise_prefix_ends_on_the_product(length):
     *(pytest.param(k, 0.0, id=f"{k}-resonant") for k in (1, 257, 513)),
 ])
 def test_block_propagators_match_eigh_oracle_across_chunks(n_steps, detuning):
-    sched = schedule(margin=100.0, n_steps=n_steps, detuning=detuning)
+    sched, params = schedule(margin=100.0, n_steps=n_steps), detuned(detuning)
     ns = np.arange(5)
-    final = stirap.block_propagators(sched, PARAMS, ns)
-    traj = stirap.block_propagators(sched, PARAMS, ns, trajectory=True)
-    assert np.max(np.abs(final - eigh_stepper_oracle(sched, PARAMS, ns))) <= 1e-12
-    want = eigh_stepper_oracle(sched, PARAMS, ns, trajectory=True)
+    final = stirap.block_propagators(sched, params, ns)
+    traj = stirap.block_propagators(sched, params, ns, trajectory=True)
+    assert np.max(np.abs(final - eigh_stepper_oracle(sched, params, ns))) <= 1e-12
+    want = eigh_stepper_oracle(sched, params, ns, trajectory=True)
     assert traj.shape == want.shape == (n_steps + 1, 5, 3, 3)
     assert np.max(np.abs(traj - want)) <= 1e-12
     assert traj.flags.c_contiguous and traj.base is None  # one array, not a view
@@ -384,22 +399,23 @@ def test_empty_rung_batch():
 ])
 def test_passage_blocks_down_is_transposed_up(shape, detuning):
     if shape == "sin2":
-        sched = narrow_mirrored_schedule(detuning=detuning)
+        sched, params = narrow_mirrored_schedule(), detuned(detuning)
     else:
         sched = stirap.standard_schedule(1.0, PARAMS, margin=100.0, n_steps=600,
-                                         shape="gaussian", detuning=-detuning)
+                                         shape="gaussian")
+        params = detuned(-detuning)
     stirap.passage_blocks.cache_clear()
-    up, down = stirap.passage_blocks(sched, PARAMS, 12)
+    up, down = stirap.passage_blocks(sched, params, 12)
     assert np.shares_memory(up, down) and not down.flags.writeable  # no second build
-    integrated = stirap.block_propagators(stirap.reversed_schedule(sched), PARAMS, np.arange(12))
+    integrated = stirap.block_propagators(stirap.reversed_schedule(sched), params, np.arange(12))
     assert np.max(np.abs(down - integrated)) <= 1e-12
 
 
 def test_resonant_branch_is_continuous_in_detuning():
     # detuning 0 takes the rotation kernel, any other the general one
     ns = np.arange(13)
-    at_zero = stirap.block_propagators(schedule(n_steps=600, detuning=0.0), PARAMS, ns)
-    near = stirap.block_propagators(schedule(n_steps=600, detuning=1e-9), PARAMS, ns)
+    at_zero = stirap.block_propagators(schedule(n_steps=600), detuned(0.0), ns)
+    near = stirap.block_propagators(schedule(n_steps=600), detuned(1e-9), ns)
     assert np.max(np.abs(at_zero - near)) <= 1e-7
 
 
@@ -412,16 +428,16 @@ def _refuse(*args):
 def test_detuning_picks_the_step_kernel(monkeypatch, detuning, unused):
     monkeypatch.setattr(stirap, unused, _refuse)
     stirap.passage_blocks.cache_clear()
-    up, down = stirap.passage_blocks(schedule(n_steps=300, detuning=detuning), PARAMS, 12)
+    up, down = stirap.passage_blocks(schedule(n_steps=300), detuned(detuning), 12)
     assert up.shape == down.shape == (12, 3, 3)
-    stirap.block_trajectory(schedule(n_steps=300, detuning=detuning), PARAMS, 3)
+    stirap.block_trajectory(schedule(n_steps=300), detuned(detuning), 3)
 
 
 def test_resonant_passage_is_a_real_rotation():
-    sched = schedule(n_steps=2000, detuning=0.0)
+    sched = schedule(n_steps=2000)
     stirap.passage_blocks.cache_clear()
-    assert np.all(stirap.transfer_amplitudes(sched, PARAMS, 13).imag == 0.0)
-    u = stirap.block_propagators(sched, PARAMS, np.arange(13))
+    assert np.all(stirap.transfer_amplitudes(sched, detuned(0.0), 13).imag == 0.0)
+    u = stirap.block_propagators(sched, detuned(0.0), np.arange(13))
     d = np.diag([1.0, 1j, 1.0])
     r = d.conj().T @ u @ d  # back to the basis (|1,n>, i|3,n>, |2,n+1>)
     assert np.all(r.imag == 0.0)
@@ -486,7 +502,7 @@ def test_propagate_round_trip_reads_one_build(passage_builds):
 def test_unmirrored_down_reader_builds_each_direction_once(passage_builds):
     pump = stirap.PulseEnvelope("sin2", 90.0, center=0.3, width=0.5)
     stokes = stirap.PulseEnvelope("sin2", 900.0, center=0.72, width=0.5)
-    down = stirap.StirapSchedule(pump, stokes, 1.0, 0.0, 1.0 / 300, "down")
+    down = stirap.StirapSchedule(pump, stokes, 1.0, 300, "down")
     stirap.transfer_efficiency(3, down, PARAMS)
     stirap.residual_phase(3, down, PARAMS)
     stirap.propagate(basis_state(CompositeSpace(1, FockSpace(4)), [2], 2), down, PARAMS)
@@ -504,7 +520,7 @@ def test_every_transfer_reader_reads_transfer_amplitudes(tmp_path, passage_build
     assert up == schedule(n_steps=300)  # the mirrored standard pair
     pump = stirap.PulseEnvelope("sin2", 90.0, center=0.3, width=0.5)
     stokes = stirap.PulseEnvelope("sin2", 900.0, center=0.72, width=0.5)
-    down = stirap.StirapSchedule(pump, stokes, 1.0, 0.0, 1.0 / 300, "down")
+    down = stirap.StirapSchedule(pump, stokes, 1.0, 300, "down")
     for sched in (up, down):
         amps = stirap.transfer_amplitudes(sched, PARAMS, d)
         assert stirap.transfer_efficiency(n_max, sched, PARAMS) == abs(amps[n_max]) ** 2
@@ -541,10 +557,10 @@ def test_passage_blocks_is_positional_only():
 
 
 def test_rung_blocks_independent_of_batch():
-    sched = schedule(margin=80.0, n_steps=300, detuning=7.0)
-    full = stirap.block_propagators(sched, PARAMS, np.arange(33))
+    sched, params = schedule(margin=80.0, n_steps=300), detuned(7.0)
+    full = stirap.block_propagators(sched, params, np.arange(33))
     for n in range(33):
-        assert np.array_equal(stirap.block_propagators(sched, PARAMS, [n])[0], full[n])
+        assert np.array_equal(stirap.block_propagators(sched, params, [n])[0], full[n])
 
 
 BOUNDARY_INPUTS = [  # direction, control level, phonon rung (n_max = 4), expected error
@@ -612,7 +628,7 @@ def test_propagate_matches_dense_full_matrix_path():
 def test_transfer_efficiency_zero_drive():
     pump = stirap.PulseEnvelope("sin2", 0.0, center=0.7, width=0.2)
     stokes = stirap.PulseEnvelope("sin2", 0.0, center=0.3, width=0.2)
-    sched = stirap.StirapSchedule(pump, stokes, 1.0, 0.0, 0.01, "up")
+    sched = stirap.StirapSchedule(pump, stokes, 1.0, 100, "up")
     assert stirap.transfer_efficiency(0, sched, PARAMS) == 0.0
 
 
