@@ -16,7 +16,6 @@ from .errors import (
     ShapeError,
     SimulationError,
     TruncationLeakage,
-    UndefinedPhase,
 )
 from .hilbert import (
     DEFAULT_N_MAX,
@@ -28,8 +27,6 @@ from .hilbert import (
     basis_state,
     compose_density,
     compose_state,
-    decode_index,
-    encode_index,
     fidelity,
     parity_decompose,
     partial_trace_ions,
@@ -64,10 +61,8 @@ from .stirap import (
     calibrate_transfer,
     hamiltonian_block,
     propagate,
-    residual_phase,
     reversed_schedule,
     standard_schedule,
-    transfer_efficiency,
 )
 from .gate import (
     GateConfig,

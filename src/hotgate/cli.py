@@ -38,6 +38,14 @@ SWEEP_AXES = {
 }
 
 
+# schedule keys that are gone, each with the one spelling that replaced it
+_REMOVED_SCHEDULE_KEYS = {
+    "detuning_rad_per_s": "gate.params.delta_stirap_rad_per_s",
+    "dt_s": "n_steps (dt = total_duration_s / n_steps)",
+    "direction": "the pulse order (Stokes before pump goes up)",
+}
+
+
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
@@ -52,9 +60,6 @@ class ExperimentConfig:
     sweep_axes: list
     trace_n: int
     raw: dict
-
-    def to_dict(self) -> dict:
-        return json.loads(json.dumps(self.raw))
 
 
 def _require(section: dict, key: str, where: str):
@@ -119,29 +124,21 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
     try:
         total = _typed(_require(section, "total_duration_s", "gate.schedule"), float,
                        "total_duration_s")
-        if "detuning_rad_per_s" in section:
-            raise ConfigError("detuning_rad_per_s moved to gate.params.delta_stirap_rad_per_s")
-        if "dt_s" in section:
-            ratio = total / _typed(section["dt_s"], float, "dt_s")
-            n_steps = int(round(ratio))
-            if abs(ratio - n_steps) > 1e-9 * max(1.0, ratio):
-                raise ConfigError(f"total_duration_s is {ratio:.6g} dt_s, not a whole number")
-            if "n_steps" in section:
-                raise ConfigError("give either n_steps or dt_s, not both")
-        else:
-            n_steps = _typed(section.get("n_steps", stirap.DEFAULT_N_STEPS), int, "n_steps")
-        direction = str(section.get("direction", "up"))
+        for key, instead in _REMOVED_SCHEDULE_KEYS.items():
+            if key in section:
+                raise ConfigError(f"bad schedule: {key} is not a schedule key; use {instead}")
+        n_steps = _typed(section.get("n_steps", stirap.DEFAULT_N_STEPS), int, "n_steps")
         if "pump" in section or "stokes" in section:
             if "margin" in section:
                 raise ConfigError("give either explicit pump/stokes envelopes or a margin")
             pump = _parse_envelope(_require(section, "pump", "gate.schedule"), "pump")
             stokes = _parse_envelope(_require(section, "stokes", "gate.schedule"), "stokes")
-            return stirap.StirapSchedule(pump, stokes, total, n_steps, direction)
+            return stirap.StirapSchedule(pump, stokes, total, n_steps)
         return stirap.standard_schedule(
             total, params, margin=_optional_float(section, "margin"),
             pump_peak=_optional_float(section, "pump_peak_rabi_rad_per_s"),
             stokes_peak=_optional_float(section, "stokes_peak_rabi_rad_per_s"),
-            direction=direction, n_steps=n_steps, shape=str(section.get("shape", "sin2")),
+            n_steps=n_steps, shape=str(section.get("shape", "sin2")),
         )
     except (TypeError, ValueError, ArithmeticError) as exc:
         if isinstance(exc, ConfigError):

@@ -25,9 +25,5 @@ class NonPositiveChi(SimulationError):
     """Conditional-phase coupling rate is not positive, so no pulse duration exists."""
 
 
-class UndefinedPhase(SimulationError):
-    """Transfer amplitude too small for its phase to be meaningful."""
-
-
 class AmbiguousExtraction(SimulationError):
     """Residual ion-phonon entanglement prevents a clean truth-table readout."""

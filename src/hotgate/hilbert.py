@@ -29,6 +29,9 @@ TRACE_ATOL = 1e-12     # trace-one defect of density operators
 EIG_ATOL = 1e-10       # how negative a density eigenvalue may be
 DOMAIN_ATOL = 1e-10    # population allowed on levels outside an operator's domain
 
+# The largest composite dimension whose complex amplitude vector an array can hold.
+MAX_DIM = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+
 
 @dataclass(frozen=True)
 class FockSpace:
@@ -55,6 +58,10 @@ class CompositeSpace:
     def __post_init__(self):
         if self.n_ions < 1:
             raise ValueError(f"n_ions must be >= 1, got {self.n_ions}")
+        if self.dim > MAX_DIM:
+            raise MemoryError(f"{self.n_ions} ions and {self.fock.dim} phonon levels span "
+                              f"{self.dim} amplitudes, more than an array can hold "
+                              f"(at most {MAX_DIM})")
 
     @property
     def n_max(self) -> int:
@@ -93,16 +100,6 @@ class CompositeSpace:
             levels.append(idx % N_ION_LEVELS)
             idx //= N_ION_LEVELS
         return list(reversed(levels)), n
-
-
-def encode_index(ion_levels, n: int, n_max: int) -> int:
-    """Flat composite index for the given ion levels and phonon occupation."""
-    return CompositeSpace(len(ion_levels), FockSpace(n_max)).encode(ion_levels, n)
-
-
-def decode_index(index: int, n_ions: int, n_max: int):
-    """Inverse of encode_index."""
-    return CompositeSpace(n_ions, FockSpace(n_max)).decode(index)
 
 
 class CompositeState:

@@ -139,11 +139,16 @@ def sideband_factors(params: PhysicalParams, ns):
 
 
 def conditional_phase_factors(dim: int, epsilon: float = 0.0) -> np.ndarray:
-    """Phases exp(-i pi (1+epsilon) n) of |1>_t |n> for n < dim; exactly (-1)^n at epsilon = 0."""
+    """Phases exp(-i pi (1+epsilon) n) of |1>_t |n> for n < dim; exactly (-1)^n at epsilon = 0.
+
+    For integer n the phase has period 2 in 1+epsilon, which is therefore
+    taken modulo 2 first: exact, a no-op while 0 <= 1+epsilon < 2, and finite
+    for any finite epsilon.
+    """
     n = np.arange(dim)
     if epsilon == 0.0:
         return (-1.0 + 0j) ** n  # exact alternating signs
-    return np.exp(-1j * np.pi * (1.0 + epsilon) * n)
+    return np.exp(-1j * np.pi * ((1.0 + epsilon) % 2.0) * n)
 
 
 def conditional_phase(target_ion: int, epsilon: float = 0.0) -> IdealUnitary:

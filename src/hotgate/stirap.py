@@ -39,8 +39,10 @@ of its reverse's pair, always integrated by magnus4 (midpoint stays on
 block_propagators as a cross-check). The block Hamiltonian is real symmetric,
 so when the pulses mirror each other about the middle of the passage the down
 passage is the transpose of the up one and a pair costs one integration.
-transfer_amplitudes is the one read of the transfer amplitude from that build.
-Only block_trajectory, which needs every step, integrates on its own.
+transfer_amplitudes is the one read of the transfer amplitudes from that build,
+all rungs in one call, and transfer_phase their phase. A schedule's direction
+is its pulse order (Stokes first goes up), not a separate setting. Only
+block_trajectory, which needs every step, integrates on its own.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NormDrift, UndefinedPhase
+from .errors import NormDrift
 from .hilbert import DOMAIN_ATOL, CompositeState
 from .operators import PhysicalParams, passage_check, sideband_factors
 
@@ -65,6 +67,9 @@ DEFAULT_N_STEPS = 2000
 DEFAULT_METHOD = "magnus4"
 CALIBRATED_RUNGS = 11  # the standard family transfers rungs n < 11 at margin 100
 PHASE_MIN_TRANSFER = 0.5  # transfer population below which a passage phase is undefined
+# The largest step grid whose trajectory (a complex 3x3 block per step
+# boundary, block_trajectory) an array can hold.
+MAX_N_STEPS = np.iinfo(np.intp).max // (9 * np.dtype(complex).itemsize) - 1
 
 
 @dataclass(frozen=True)
@@ -98,19 +103,20 @@ class PulseEnvelope:
 
 @dataclass(frozen=True)
 class StirapSchedule:
-    """Pulse timing of one passage: pump/Stokes envelopes, duration, step grid, direction.
+    """Pulse timing of one passage: pump/Stokes envelopes, duration and step grid.
 
-    The grid is n_steps steps of dt = total_duration / n_steps. 'up' transfers
-    |1>|n> -> |2>|n+1> and needs the Stokes pulse first (stokes.center <
-    pump.center); 'down' interchanges the pulse roles. The shared detuning is
-    not a schedule setting: every reader takes it from params.delta_stirap.
+    The grid is n_steps steps of dt = total_duration / n_steps. The pulse
+    order is the direction: Stokes first (stokes.center < pump.center) is
+    'up', which transfers |1>|n> -> |2>|n+1>; pump first is 'down', which
+    interchanges the pulse roles. Equal centres have no order and are
+    refused. The shared detuning is not a schedule setting: every reader
+    takes it from params.delta_stirap.
     """
 
     pump: PulseEnvelope
     stokes: PulseEnvelope
     total_duration: float
     n_steps: int
-    direction: str = "up"
 
     def __post_init__(self):
         if not (np.isfinite(self.total_duration) and self.total_duration > 0):
@@ -118,12 +124,16 @@ class StirapSchedule:
         if (isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer))
                 or self.n_steps < 1):
             raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
-        if self.direction not in ("up", "down"):
-            raise ValueError(f"direction must be 'up' or 'down', got {self.direction!r}")
-        if self.direction == "up" and not self.stokes.center < self.pump.center:
-            raise ValueError("'up' needs the counter-intuitive order: Stokes before pump")
-        if self.direction == "down" and not self.pump.center < self.stokes.center:
-            raise ValueError("'down' interchanges the roles: pump before Stokes")
+        if self.n_steps > MAX_N_STEPS:
+            raise MemoryError(f"n_steps = {self.n_steps} is more steps than an array can hold "
+                              f"(at most {MAX_N_STEPS})")
+        if self.stokes.center == self.pump.center:
+            raise ValueError("pump and Stokes centres must differ: their order is the direction")
+
+    @property
+    def direction(self) -> str:
+        """'up' when the Stokes pulse comes first, 'down' when the pump does."""
+        return "up" if self.stokes.center < self.pump.center else "down"
 
     @property
     def dt(self) -> float:
@@ -134,16 +144,17 @@ def standard_schedule(total_duration: float, params: PhysicalParams, *,
                       margin: float | None = None,
                       pump_peak: float | None = None,
                       stokes_peak: float | None = None,
-                      direction: str = "up",
                       n_steps: int = DEFAULT_N_STEPS,
                       shape: str = "sin2") -> StirapSchedule:
     """Build the standard counter-intuitive pulse pair for a given duration.
 
-    Peak rates follow from the adiabaticity margin (default 100): the pump
-    peak is margin/T and the bare Stokes peak margin/(eta*T), which balances
-    the two effective couplings on the lowest rung. Explicit pump_peak /
-    stokes_peak override the margin parametrization. The grid has n_steps
-    steps; the detuning is not part of a schedule (params.delta_stirap).
+    Stokes first, so the passage goes up; reversed_schedule gives the down
+    passage. Peak rates follow from the adiabaticity margin (default 100):
+    the pump peak is margin/T and the bare Stokes peak margin/(eta*T), which
+    balances the two effective couplings on the lowest rung. Explicit
+    pump_peak / stokes_peak override the margin parametrization. The grid
+    has n_steps steps; the detuning is not part of a schedule
+    (params.delta_stirap).
     """
     if margin is not None and (pump_peak is not None or stokes_peak is not None):
         raise ValueError("give either margin or explicit peak rates, not both")
@@ -157,26 +168,23 @@ def standard_schedule(total_duration: float, params: PhysicalParams, *,
         stokes_peak = pump_peak / params.eta
     t = total_duration
     width = WIDTH_FRAC * t
-    centers = (PUMP_CENTER_FRAC * t, STOKES_CENTER_FRAC * t)
-    if direction == "down":
-        centers = (centers[1], centers[0])
-    return StirapSchedule(PulseEnvelope(shape, pump_peak, centers[0], width),
-                          PulseEnvelope(shape, stokes_peak, centers[1], width),
-                          t, n_steps, direction)
+    return StirapSchedule(PulseEnvelope(shape, pump_peak, PUMP_CENTER_FRAC * t, width),
+                          PulseEnvelope(shape, stokes_peak, STOKES_CENTER_FRAC * t, width),
+                          t, n_steps)
 
 
 def reversed_schedule(schedule: StirapSchedule) -> StirapSchedule:
     """Interchange the pulse roles: each field takes the other's time course.
 
-    Peak rates stay with their fields; the direction flips. Reversing a
-    standard 'up' schedule yields the matching 'down' passage.
+    Peak rates stay with their fields. The pulse order flips, and with it
+    the direction: reversing a standard 'up' schedule yields the matching
+    'down' passage.
     """
     new_pump = replace(schedule.pump, center=schedule.stokes.center,
                        width=schedule.stokes.width, shape=schedule.stokes.shape)
     new_stokes = replace(schedule.stokes, center=schedule.pump.center,
                          width=schedule.pump.width, shape=schedule.pump.shape)
-    return replace(schedule, pump=new_pump, stokes=new_stokes,
-                   direction="down" if schedule.direction == "up" else "up")
+    return replace(schedule, pump=new_pump, stokes=new_stokes)
 
 
 def sideband_rate(n: int, t, schedule: StirapSchedule, params: PhysicalParams):
@@ -459,16 +467,6 @@ def transfer_amplitudes(schedule: StirapSchedule, params: PhysicalParams, n_rung
     return p[:, 2, 0] if schedule.direction == "up" else p[:, 0, 2]
 
 
-def transfer_efficiency(n: int, schedule: StirapSchedule, params: PhysicalParams) -> float:
-    """Population transferred along the passage direction on rung n.
-
-    Each call reads the cached build of n + 1 rungs, so reading rungs one by
-    one builds one passage per rung; read a range of rungs with one
-    transfer_amplitudes call.
-    """
-    return float(abs(transfer_amplitudes(schedule, params, n + 1)[n]) ** 2)
-
-
 def transfer_phase(amp):
     """Phase(s) of transfer amplitude(s) in (-pi, pi].
 
@@ -482,29 +480,12 @@ def transfer_phase(amp):
     return np.where(phase == -np.pi, np.pi, phase)
 
 
-def residual_phase(n: int, schedule: StirapSchedule, params: PhysicalParams) -> float:
-    """Phase of the transfer amplitude on rung n, in (-pi, pi].
-
-    The ideal maps are phase-free, so this measures the passage's deviation
-    from them (an adiabatic passage sits near pi). Undefined when less than
-    PHASE_MIN_TRANSFER of the population makes the transfer. Like
-    transfer_efficiency, each call reads the build of n + 1 rungs; read a
-    range of rungs with one transfer_amplitudes call and transfer_phase.
-    """
-    amp = complex(transfer_amplitudes(schedule, params, n + 1)[n])
-    if abs(amp) ** 2 < PHASE_MIN_TRANSFER:
-        raise UndefinedPhase(
-            f"transfer efficiency {abs(amp) ** 2:.3f} < {PHASE_MIN_TRANSFER} on rung {n}"
-        )
-    return float(transfer_phase(amp))
-
-
 def block_trajectory(schedule: StirapSchedule, params: PhysicalParams, n: int):
     """Times and 3-level amplitudes over the passage, starting on the source level.
 
     Returns (times, amps) with amps[k] = (c_{1,n}, c_{3,n}, c_{2,n+1}) at step
     boundary k. For an 'up' schedule the final transferred population equals
-    transfer_efficiency exactly: both fold the same closed-form step
+    |transfer_amplitudes|^2 exactly: both fold the same closed-form step
     exponentials in the same order. A 'down' schedule is integrated here, not
     taken as the transpose of its 'up' passage, which gives only the end point.
     """

@@ -59,7 +59,7 @@ def read_csv(path):
 def test_config_round_trip():
     doc = stirap_doc(sweep={"axes": [{"name": "epsilon", "values": [0.0, 0.01]}]})
     first = cli.parse_config(doc)
-    second = cli.parse_config(first.to_dict())
+    second = cli.parse_config(first.raw)
     assert first.gate == second.gate
     assert first.n_max == second.n_max
     assert first.phonon_spec == second.phonon_spec
@@ -144,15 +144,15 @@ def test_truth_table_thermal(tmp_path, capsys):
     (("gate", "epsilon"), False, "epsilon must be a number"),
     (("gate", "schedule", "margin"), "100", "margin must be a number"),
     (("sweep",), {"axes": [{"name": "epsilon", "values": [True]}]}, "values must be a number"),
-    (("gate", "schedule", "dt_s"), 0.3, "not a whole number"),
+    (("gate", "schedule", "dt_s"), 0.3, "use n_steps"),
     (("gate", "schedule", "dt_s"), 5e-324, "bad schedule"),
     (("phonon",), "coherent:nan,0", "malformed state spec"),
     (("phonon",), "coherent:inf,0", "malformed state spec"),
     (("sweep",), {"axes": [{"name": "epsilon", "start": 0, "stop": 1, "steps": 2},
                            {"name": "epsilon", "values": [0.1]}]}, "given twice"),
-    (("gate", "schedule", "dt_s"), 0.004, "not both"),
-    (("gate", "schedule", "dt_s"), 0.001, "not both"),  # agrees with n_steps, still both
-    (("gate", "schedule", "direction"), "down", "must be the 'up' passage"),
+    (("gate", "schedule", "dt_s"), 0.004, "use n_steps"),
+    (("gate", "schedule", "dt_s"), 0.001, "use n_steps"),  # agrees with n_steps, still refused
+    (("gate", "schedule", "direction"), "down", "use the pulse order"),
     (("gate", "schedule", "pump_peak_rabi_rad_per_s"), 50.0, "not both"),
     (("gate", "schedule", "stokes_peak_rabi_rad_per_s"), 500.0, "not both"),
 ])
@@ -191,12 +191,23 @@ def test_integer_numbers_accepted_for_float_keys():
     assert config.sweep_axes == [("eta", [0.0, 1.0])]
 
 
-@pytest.mark.parametrize("total, dt, n_steps", [(1.0, 0.004, 250), (0.3, 0.1, 3)])
-def test_dt_s_that_divides_the_duration_sets_the_steps(total, dt, n_steps):
-    doc = stirap_doc()
+@pytest.mark.parametrize("key, value, replacement", [
+    ("dt_s", 0.004, "n_steps"),  # divides the duration
+    ("dt_s", 1e-300, "n_steps"),  # 1e300 steps
+    ("direction", "up", "the pulse order"),  # agrees with the pulse order, still refused
+])
+def test_removed_schedule_key_exits_2_naming_its_replacement(tmp_path, capsys, key, value,
+                                                              replacement):
+    # the step grid is n_steps and the direction is the pulse order: one spelling each
+    doc = stirap_doc(n_max=4)
     del doc["gate"]["schedule"]["n_steps"]
-    doc["gate"]["schedule"].update(total_duration_s=total, dt_s=dt)  # 0.3 / 0.1 < 3 in floats
-    assert cli.parse_config(doc).gate.schedule.n_steps == n_steps
+    doc["gate"]["schedule"][key] = value
+    out = tmp_path / "r.json"
+    assert cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} is not a schedule key; use {replacement}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 FUZZ_DOC = {
@@ -330,6 +341,44 @@ def test_unallocatable_step_count_exits_3_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode, path, value", [
+    ("stirap", ("gate", "schedule", "n_steps"), 1e20),
+    ("ideal", ("gate", "params", "n_ions"), 40),
+], ids=["n_steps-1e20", "n_ions-40"])
+def test_oversize_run_exits_3_without_traceback(tmp_path, capsys, mode, path, value):
+    # past the largest array numpy can index at all, where it raises ValueError
+    doc = stirap_doc(phonon="fock:1", n_max=4)
+    doc["gate"]["mode"] = mode
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out = tmp_path / "r.json"
+    code = cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "than an array can hold" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_huge_finite_epsilon_reports_finite_metrics(tmp_path, capsys):
+    doc = ideal_doc(phonon="fock:1", n_max=4)
+    doc["gate"]["epsilon"] = 1e308
+    out = tmp_path / "r.json"
+    assert cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    metrics = [report[key] for key in ("qubit_fidelity", "phonon_restoration_fidelity",
+                                       "leakage")]
+    assert np.all(np.isfinite(metrics))
+    assert np.all(np.isfinite(report["truth_table"]))
+    assert "nan" not in capsys.readouterr().out
+
+
 def test_random_family_uses_cli_seed(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     cfg = write(tmp_path, ideal_doc(phonon="random"))
@@ -419,7 +468,7 @@ def test_sweep_n_steps_axis_on_dt_s_config_exits_2(tmp_path, capsys):
     doc["gate"]["schedule"]["dt_s"] = 0.004
     out = tmp_path / "s.csv"
     assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
-    assert "not both" in capsys.readouterr().err
+    assert "dt_s is not a schedule key; use n_steps" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -532,22 +581,32 @@ def test_stirap_trace_final_population_matches_efficiency(tmp_path):
     _, rows = read_csv(out)
     final = float(rows[-1]["pop_2n1"])
     config = cli.parse_config(doc)
-    eff = stirap.transfer_efficiency(1, config.gate.schedule, config.gate.params)
+    eff = abs(stirap.transfer_amplitudes(config.gate.schedule, config.gate.params, 2)[1]) ** 2
     assert abs(final - eff) < 1e-12
 
 
 @pytest.mark.parametrize("command", ["sweep", "stirap-trace"])
 def test_margin_schedule_down_is_refused_not_run_up(tmp_path, capsys, command):
-    # the margin family honours 'direction' as the explicit envelopes do, so
-    # the gate's 'up' rule refuses it instead of running the up passage
+    # a margin schedule has no 'direction' key to ignore: the key is refused,
+    # and the down passage, pump first, is refused by the gate's 'up' rule
     doc = stirap_doc(n_max=8, n_steps=500, trace={"n": 2},
                      sweep={"axes": [{"name": "margin", "values": [100.0]}]})
     doc["gate"]["schedule"]["direction"] = "down"
     params = PhysicalParams(eta=0.1, omega=2 * np.pi * 1e5, n_ions=2, delta=2 * np.pi * 1e7)
-    assert cli._parse_schedule(doc["gate"]["schedule"], params).direction == "down"
+    with pytest.raises(cli.ConfigError, match="use the pulse order"):
+        cli._parse_schedule(doc["gate"]["schedule"], params)
     out = tmp_path / "out.csv"
     assert cli.main([command, "--config", write(tmp_path, doc), "--out", str(out)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+    doc["gate"]["schedule"] = {
+        "total_duration_s": 1.0, "n_steps": 500,
+        "pump": {"peak_rabi_rad_per_s": 100.0, "center_s": 0.3, "width_s": 0.5},
+        "stokes": {"peak_rabi_rad_per_s": 1000.0, "center_s": 0.7, "width_s": 0.5},
+    }
+    assert cli._parse_schedule(doc["gate"]["schedule"], params).direction == "down"
+    assert cli.main([command, "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    assert "must be the 'up' passage" in capsys.readouterr().err
     assert not out.exists()
 
 

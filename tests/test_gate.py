@@ -74,7 +74,7 @@ def test_config_validation():
         g.GateConfig(params=PARAMS, mode="stirap")  # schedule required
     with pytest.raises(ValueError):
         g.GateConfig(params=PARAMS, mode="stirap",
-                     schedule=stirap.standard_schedule(1.0, PARAMS, direction="down"))
+                     schedule=stirap.reversed_schedule(stirap.standard_schedule(1.0, PARAMS)))
     with pytest.raises(ValueError):
         g.GateConfig(params=PARAMS, mode="exact")
 
@@ -648,7 +648,7 @@ def test_passage_built_once_per_schedule(passage_builds):
 ], ids=["shifted", "width", "shape"])
 def test_unmirrored_pulses_build_both_passages(passage_builds, pump):
     stokes = stirap.PulseEnvelope("sin2", 900.0, center=0.3, width=0.5)
-    sched = stirap.StirapSchedule(pump, stokes, 1.0, 300, "up")
+    sched = stirap.StirapSchedule(pump, stokes, 1.0, 300)
     cfg = g.GateConfig(params=PARAMS, mode="stirap", schedule=sched)
     g.gate_report(cfg, fock_state(1, 8))
     assert sorted(passage_builds) == ["down", "up"]

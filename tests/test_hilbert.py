@@ -12,8 +12,6 @@ from hotgate.hilbert import (
     basis_state,
     compose_density,
     compose_state,
-    decode_index,
-    encode_index,
     fidelity,
     parity_decompose,
     partial_trace_ions,
@@ -39,11 +37,18 @@ def random_density(seed, dim):
 # ---------------------------------------------------------------- indexing
 
 def test_encode_all_zero_index():
-    assert encode_index([0, 0], 0, n_max=4) == 0
+    assert CompositeSpace(2, FockSpace(4)).encode([0, 0], 0) == 0
 
 
 def test_encode_decode_round_trip():
-    assert decode_index(encode_index([1, 2], 5, n_max=8), n_ions=2, n_max=8) == ([1, 2], 5)
+    space = CompositeSpace(2, FockSpace(8))
+    assert space.decode(space.encode([1, 2], 5)) == ([1, 2], 5)
+
+
+def test_composite_space_refuses_a_dimension_no_array_can_hold():
+    assert CompositeSpace(28, FockSpace(4)).dim == 5 * 4**28  # a size, no allocation
+    with pytest.raises(MemoryError, match="29 ions and 5 phonon levels"):
+        CompositeSpace(29, FockSpace(4))
 
 
 def test_encode_is_permutation_k1():

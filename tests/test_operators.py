@@ -22,6 +22,7 @@ from hotgate.operators import (
     carrier_rotation,
     chi,
     conditional_phase,
+    conditional_phase_factors,
     conditional_phase_hamiltonian,
     rotation_matrix_2x2,
     tau,
@@ -165,6 +166,16 @@ def test_conditional_phase_timing_error():
     expected = np.exp(-1j * np.pi * (1 + eps) * 3)
     idx = space.encode([1], 3)
     assert abs(out.amplitudes[idx] - expected) < 1e-14
+
+
+def test_conditional_phase_factors_reduce_one_plus_epsilon_modulo_two():
+    n = np.arange(300)
+    for eps in np.linspace(-0.999, 0.999, 2001):  # 0 < 1 + eps < 2: the reduction is a no-op
+        assert np.array_equal(conditional_phase_factors(300, eps),
+                              np.exp(-1j * np.pi * (1.0 + eps) * n))
+    assert np.array_equal(conditional_phase_factors(50, 2.5), conditional_phase_factors(50, 0.5))
+    huge = conditional_phase_factors(50, 1e308)  # pi (1 + eps) alone overflows to inf
+    assert np.array_equal(huge, np.ones(50))
 
 
 def test_conditional_phase_unitary():

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotgate.errors import DomainError, TruncationLeakage, UndefinedPhase
+from hotgate.errors import DomainError, TruncationLeakage
 from hotgate.hilbert import CompositeSpace, CompositeState, FockSpace, basis_state, compose_state
 from hotgate.operators import PhysicalParams, adiabatic_down, adiabatic_up
 from hotgate.states import fock_state
@@ -18,9 +18,8 @@ from test_gate import passage_builds  # noqa: F401 - build-counting fixture
 PARAMS = PhysicalParams(eta=0.1, omega=2 * np.pi * 1e5, n_ions=2, delta=2 * np.pi * 1e7)
 
 
-def schedule(margin=100.0, n_steps=2000, direction="up", duration=1.0):
-    return stirap.standard_schedule(duration, PARAMS, margin=margin, n_steps=n_steps,
-                                    direction=direction)
+def schedule(margin=100.0, n_steps=2000, duration=1.0):
+    return stirap.standard_schedule(duration, PARAMS, margin=margin, n_steps=n_steps)
 
 
 def detuned(delta):
@@ -88,19 +87,21 @@ def test_non_finite_physics_rejected(bad):
     pump = stirap.PulseEnvelope("sin2", 1.0, center=0.7, width=0.2)
     stokes = stirap.PulseEnvelope("sin2", 1.0, center=0.3, width=0.2)
     with pytest.raises(ValueError, match="finite"):
-        stirap.StirapSchedule(pump, stokes, total_duration=bad, n_steps=100, direction="up")
+        stirap.StirapSchedule(pump, stokes, total_duration=bad, n_steps=100)
 
 
 # ---------------------------------------------------------------- schedules
 
 def test_schedule_ordering_invariants():
-    pump = stirap.PulseEnvelope("sin2", 1.0, center=0.3, width=0.2)
-    stokes = stirap.PulseEnvelope("sin2", 1.0, center=0.7, width=0.2)
-    with pytest.raises(ValueError):  # Stokes must precede the pump going up
-        stirap.StirapSchedule(pump, stokes, 1.0, 1000, "up")
-    stirap.StirapSchedule(pump, stokes, 1.0, 1000, "down")
-    with pytest.raises(ValueError):
-        stirap.StirapSchedule(stokes, pump, 1.0, 1000, "down")
+    early = stirap.PulseEnvelope("sin2", 1.0, center=0.3, width=0.2)
+    late = stirap.PulseEnvelope("sin2", 1.0, center=0.7, width=0.2)
+    # the pulse order is the direction: Stokes first goes up, pump first down
+    assert stirap.StirapSchedule(late, early, 1.0, 1000).direction == "up"
+    assert stirap.StirapSchedule(early, late, 1.0, 1000).direction == "down"
+    with pytest.raises(ValueError, match="centres must differ"):  # no order, no direction
+        stirap.StirapSchedule(early, replace(late, center=0.3), 1.0, 1000)
+    with pytest.raises(TypeError):  # no direction field to contradict the order
+        stirap.StirapSchedule(late, early, 1.0, 1000, "down")
 
 
 @pytest.mark.parametrize("n_steps", [0, -3, 2.5, True])
@@ -108,15 +109,23 @@ def test_schedule_needs_a_positive_integer_step_count(n_steps):
     pump = stirap.PulseEnvelope("sin2", 1.0, center=0.7, width=0.2)
     stokes = stirap.PulseEnvelope("sin2", 1.0, center=0.3, width=0.2)
     with pytest.raises(ValueError, match="n_steps must be an integer >= 1"):
-        stirap.StirapSchedule(pump, stokes, 1.0, n_steps, "up")
+        stirap.StirapSchedule(pump, stokes, 1.0, n_steps)
 
 
 def test_schedule_step_is_duration_over_step_count():
     pump = stirap.PulseEnvelope("sin2", 1.0, center=0.7, width=0.2)
     stokes = stirap.PulseEnvelope("sin2", 1.0, center=0.3, width=0.2)
-    sched = stirap.StirapSchedule(pump, stokes, 1.0, np.int64(10000), "up")
+    sched = stirap.StirapSchedule(pump, stokes, 1.0, np.int64(10000))
     assert sched.n_steps == 10000 and sched.dt == 1.0 / 10000
     assert schedule(n_steps=300, duration=0.3).dt == 0.3 / 300
+
+
+def test_schedule_refuses_a_step_grid_no_array_can_hold():
+    pump = stirap.PulseEnvelope("sin2", 1.0, center=0.7, width=0.2)
+    stokes = stirap.PulseEnvelope("sin2", 1.0, center=0.3, width=0.2)
+    assert stirap.StirapSchedule(pump, stokes, 1.0, stirap.MAX_N_STEPS).n_steps > 10**16
+    with pytest.raises(MemoryError, match="n_steps"):
+        stirap.StirapSchedule(pump, stokes, 1.0, stirap.MAX_N_STEPS + 1)
 
 
 def test_standard_schedule_refuses_zero_steps():
@@ -130,7 +139,7 @@ def test_standard_schedule_geometry():
     assert up.pump.value(0.0) == 0.0
     assert up.stokes.value(up.total_duration) == 0.0
     assert abs(up.pump.peak_rabi * up.total_duration - 50.0) < 1e-12
-    down = schedule(margin=50.0, n_steps=100, direction="down")
+    down = stirap.reversed_schedule(up)
     assert down.pump.center < down.stokes.center
 
 
@@ -150,7 +159,8 @@ def test_reversed_schedule_swaps_roles():
     assert down.pump.center == up.stokes.center
     assert down.stokes.center == up.pump.center
     assert down.pump.peak_rabi == up.pump.peak_rabi  # peaks stay with their fields
-    assert down == schedule(margin=80.0, n_steps=64, direction="down")
+    assert down == stirap.StirapSchedule(replace(up.pump, center=up.stokes.center),
+                                         replace(up.stokes, center=up.pump.center), 1.0, 64)
     assert stirap.reversed_schedule(down) == up
 
 
@@ -159,7 +169,7 @@ def test_reversed_schedule_swaps_roles():
 def test_block_zero_drive_is_bare_detuning():
     pump = stirap.PulseEnvelope("sin2", 1.0, center=0.7, width=0.1)
     stokes = stirap.PulseEnvelope("sin2", 1.0, center=0.3, width=0.1)
-    sched = stirap.StirapSchedule(pump, stokes, 1.0, n_steps=1000, direction="up")
+    sched = stirap.StirapSchedule(pump, stokes, 1.0, n_steps=1000)
     h = stirap.hamiltonian_block(2, 0.5, sched, detuned(2.5))  # both envelopes are zero here
     assert np.array_equal(h, np.diag([0.0, 2.5, 0.0]).astype(complex))
 
@@ -202,7 +212,7 @@ def test_margin_equal_peaks():
 def test_margin_grows_with_n_for_pump_dominant_pair():
     pump = stirap.PulseEnvelope("sin2", 100.0, center=0.7, width=0.5)
     stokes = stirap.PulseEnvelope("sin2", 50.0, center=0.3, width=0.5)  # eta*sqrt(n+1)*50 << 100
-    sched = stirap.StirapSchedule(pump, stokes, 1.0, 100, "up")
+    sched = stirap.StirapSchedule(pump, stokes, 1.0, 100)
     margins = [stirap.adiabaticity_margin(sched, PARAMS, n) for n in range(4)]
     assert all(b > a for a, b in zip(margins, margins[1:]))
 
@@ -287,7 +297,7 @@ def narrow_mirrored_schedule():
     # is exactly 0, a triple-degenerate spectrum
     pump = stirap.PulseEnvelope("sin2", 300.0, center=0.6, width=0.2)
     stokes = stirap.PulseEnvelope("sin2", 3000.0, center=0.4, width=0.2)
-    return stirap.StirapSchedule(pump, stokes, 1.0, 800, "up")
+    return stirap.StirapSchedule(pump, stokes, 1.0, 800)
 
 
 KERNEL_SCHEDULES = {  # name: (schedule, params)
@@ -502,13 +512,13 @@ def test_propagate_round_trip_reads_one_build(passage_builds):
 def test_unmirrored_down_reader_builds_each_direction_once(passage_builds):
     pump = stirap.PulseEnvelope("sin2", 90.0, center=0.3, width=0.5)
     stokes = stirap.PulseEnvelope("sin2", 900.0, center=0.72, width=0.5)
-    down = stirap.StirapSchedule(pump, stokes, 1.0, 300, "down")
-    stirap.transfer_efficiency(3, down, PARAMS)
-    stirap.residual_phase(3, down, PARAMS)
+    down = stirap.StirapSchedule(pump, stokes, 1.0, 300)  # pump first: the down passage
+    assert down.direction == "down"
+    amps = stirap.transfer_amplitudes(down, PARAMS, 4)
     stirap.propagate(basis_state(CompositeSpace(1, FockSpace(4)), [2], 2), down, PARAMS)
     assert sorted(passage_builds) == ["down", "up"]
     integrated = stirap.block_propagators(down, PARAMS, [3])[0]
-    assert stirap.transfer_efficiency(3, down, PARAMS) == abs(integrated[0, 2]) ** 2
+    assert abs(amps[3]) ** 2 == abs(integrated[0, 2]) ** 2
 
 
 def test_every_transfer_reader_reads_transfer_amplitudes(tmp_path, passage_builds):
@@ -520,11 +530,10 @@ def test_every_transfer_reader_reads_transfer_amplitudes(tmp_path, passage_build
     assert up == schedule(n_steps=300)  # the mirrored standard pair
     pump = stirap.PulseEnvelope("sin2", 90.0, center=0.3, width=0.5)
     stokes = stirap.PulseEnvelope("sin2", 900.0, center=0.72, width=0.5)
-    down = stirap.StirapSchedule(pump, stokes, 1.0, 300, "down")
-    for sched in (up, down):
-        amps = stirap.transfer_amplitudes(sched, PARAMS, d)
-        assert stirap.transfer_efficiency(n_max, sched, PARAMS) == abs(amps[n_max]) ** 2
-        assert stirap.residual_phase(n_max, sched, PARAMS) == stirap.transfer_phase(amps[n_max])
+    down = stirap.StirapSchedule(pump, stokes, 1.0, 300)
+    # a down read is the down half of its reverse's (up, down) pair
+    pair = stirap.passage_blocks(stirap.reversed_schedule(down), PARAMS, d)
+    assert np.array_equal(stirap.transfer_amplitudes(down, PARAMS, d), pair[1][:, 0, 2])
     amps = stirap.transfer_amplitudes(up, PARAMS, d)
     assert np.array_equal(cal.efficiencies, np.abs(amps) ** 2)
 
@@ -628,29 +637,29 @@ def test_propagate_matches_dense_full_matrix_path():
 def test_transfer_efficiency_zero_drive():
     pump = stirap.PulseEnvelope("sin2", 0.0, center=0.7, width=0.2)
     stokes = stirap.PulseEnvelope("sin2", 0.0, center=0.3, width=0.2)
-    sched = stirap.StirapSchedule(pump, stokes, 1.0, 100, "up")
-    assert stirap.transfer_efficiency(0, sched, PARAMS) == 0.0
+    sched = stirap.StirapSchedule(pump, stokes, 1.0, 100)
+    assert abs(stirap.transfer_amplitudes(sched, PARAMS, 1)[0]) ** 2 == 0.0
 
 
 def test_transfer_efficiency_monotone_in_duration():
-    effs = [stirap.transfer_efficiency(0, stirap.standard_schedule(t, PARAMS, pump_peak=1.0,
-                                                                   n_steps=1000), PARAMS)
-            for t in (25.0, 50.0, 100.0)]
+    scheds = [stirap.standard_schedule(t, PARAMS, pump_peak=1.0, n_steps=1000)
+              for t in (25.0, 50.0, 100.0)]
+    effs = [abs(stirap.transfer_amplitudes(sched, PARAMS, 1)[0]) ** 2 for sched in scheds]
     assert effs[0] <= effs[1] <= effs[2]
     assert effs[2] >= 0.999
 
 
 def test_transfer_efficiency_high_for_low_and_high_rungs():
     sched = schedule()
-    assert stirap.transfer_efficiency(0, sched, PARAMS) >= 0.999
-    assert stirap.transfer_efficiency(5, sched, PARAMS) >= 0.999
+    assert abs(stirap.transfer_amplitudes(sched, PARAMS, 1)[0]) ** 2 >= 0.999
+    assert abs(stirap.transfer_amplitudes(sched, PARAMS, 6)[5]) ** 2 >= 0.999
 
 
 def test_transfer_efficiency_down_direction():
     down = stirap.reversed_schedule(schedule())
     for n in (0, 4):
-        assert stirap.transfer_efficiency(n, down, PARAMS) >= 0.999
-    phase = stirap.residual_phase(0, down, PARAMS)
+        assert abs(stirap.transfer_amplitudes(down, PARAMS, n + 1)[n]) ** 2 >= 0.999
+    phase = stirap.transfer_phase(stirap.transfer_amplitudes(down, PARAMS, 1)[0])
     assert abs(abs(phase) - np.pi) < 1e-3
     _, amps = stirap.block_trajectory(down, PARAMS, 1)
     assert abs(np.abs(amps[0, 2]) ** 2 - 1.0) == 0.0  # starts on the shelf level
@@ -658,14 +667,15 @@ def test_transfer_efficiency_down_direction():
 
 
 def test_residual_phase_dt_converged():
-    p1 = stirap.residual_phase(0, schedule(n_steps=2000), PARAMS)
-    p2 = stirap.residual_phase(0, schedule(n_steps=4000), PARAMS)
+    p1, p2 = (stirap.transfer_phase(stirap.transfer_amplitudes(schedule(n_steps=n), PARAMS, 1)[0])
+              for n in (2000, 4000))
     assert abs(p1 - p2) < 1e-6
 
 
 def test_residual_phase_near_pi_and_reported_per_rung():
     sched = schedule()
-    phases = [stirap.residual_phase(n, sched, PARAMS) for n in (0, 1)]
+    phases = [stirap.transfer_phase(stirap.transfer_amplitudes(sched, PARAMS, n + 1)[n])
+              for n in (0, 1)]
     for p in phases:
         assert abs(abs(p) - np.pi) < 1e-3
     assert -np.pi < phases[0] <= np.pi
@@ -686,8 +696,11 @@ def test_transfer_phase_reads_minus_pi_as_pi():
 
 
 def test_residual_phase_undefined_for_weak_drive():
-    with pytest.raises(UndefinedPhase):
-        stirap.residual_phase(0, schedule(margin=5.0, n_steps=500), PARAMS)
+    sched = schedule(margin=5.0, n_steps=500)
+    assert abs(stirap.transfer_amplitudes(sched, PARAMS, 1)[0]) ** 2 < stirap.PHASE_MIN_TRANSFER
+    report = g.gate_report(g.GateConfig(params=PARAMS, mode="stirap", schedule=sched),
+                           fock_state(0, 4))
+    assert 0 not in report.residual_phases  # too weak a transfer to carry a phase
 
 
 def test_intermediate_occupancy_shrinks_with_margin():
@@ -701,7 +714,7 @@ def test_intermediate_occupancy_shrinks_with_margin():
 def test_block_trajectory_final_population_matches_efficiency():
     sched = schedule(n_steps=500)
     _, amps = stirap.block_trajectory(sched, PARAMS, 2)
-    eff = stirap.transfer_efficiency(2, sched, PARAMS)
+    eff = abs(stirap.transfer_amplitudes(sched, PARAMS, 3)[2]) ** 2
     assert abs(np.abs(amps[-1, 2]) ** 2 - eff) == 0.0  # same accumulated product
 
 
