@@ -27,18 +27,13 @@ from .hilbert import (
     basis_state,
     compose_density,
     compose_state,
-    fidelity,
     parity_decompose,
-    partial_trace_ions,
     partial_trace_phonon,
-    shift_down,
-    shift_up,
 )
 from .states import (
     ThermalSpec,
     coherent_state,
     fock_state,
-    mean_occupation,
     parse_state_spec,
     random_pure_state,
     thermal_state,

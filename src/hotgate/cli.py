@@ -83,7 +83,10 @@ def _typed(value, kind: type, name: str):
         what = "a number"
     if not ok:
         raise ConfigError(f"{name} must be {what}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an integer literal past the largest float
+        raise ConfigError(f"{name} is too large for a float") from None
 
 
 def _optional_float(section: dict, key: str):
@@ -221,10 +224,10 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # also not UTF-8, or an integer literal too long
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(doc)
 
 

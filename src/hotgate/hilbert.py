@@ -1,4 +1,4 @@
-"""Composite ion-phonon Hilbert space: indexing, state containers, parity algebra.
+"""Composite ion-phonon Hilbert space: indexing, state containers, the parity split.
 
 Layout convention (fixed): ion indices are major, the phonon index is minor.
 For k ions with levels (l_0, ..., l_{k-1}) and phonon occupation n,
@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, TruncationLeakage
+from .errors import ShapeError
 
 N_ION_LEVELS = 4
 
 DEFAULT_N_MAX = 32
 
 # Tolerances (normative; see module docstrings of the operators they guard).
-LEAK_TOL = 1e-8        # squared amplitude allowed at the Fock boundary
+LEAK_TOL = 1e-8        # share of the weight allowed at the top of the passage ladder
 HERM_ATOL = 1e-12      # Hermiticity defect of density operators
 TRACE_ATOL = 1e-12     # trace-one defect of density operators
 EIG_ATOL = 1e-10       # how negative a density eigenvalue may be
@@ -42,6 +42,9 @@ class FockSpace:
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if self.dim > MAX_DIM:
+            raise MemoryError(f"n_max = {self.n_max} spans {self.dim} phonon levels, "
+                              f"more than an array can hold (at most {MAX_DIM})")
 
     @property
     def dim(self) -> int:
@@ -58,10 +61,11 @@ class CompositeSpace:
     def __post_init__(self):
         if self.n_ions < 1:
             raise ValueError(f"n_ions must be >= 1, got {self.n_ions}")
-        if self.dim > MAX_DIM:
+        # n_ions is bounded first, so dim's exact 4**n_ions stays a small integer
+        if self.n_ions > MAX_DIM.bit_length() or self.dim > MAX_DIM:
             raise MemoryError(f"{self.n_ions} ions and {self.fock.dim} phonon levels span "
-                              f"{self.dim} amplitudes, more than an array can hold "
-                              f"(at most {MAX_DIM})")
+                              f"{N_ION_LEVELS}^{self.n_ions} x {self.fock.dim} amplitudes, "
+                              f"more than an array can hold (at most {MAX_DIM})")
 
     @property
     def n_max(self) -> int:
@@ -128,23 +132,10 @@ class CompositeState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalize(self) -> "CompositeState":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        self.amplitudes /= n
-        return self
-
-    def copy(self) -> "CompositeState":
-        return CompositeState(self.space, self.amplitudes, copy=True)
-
     def overlap(self, other: "CompositeState") -> complex:
         if other.space != self.space:
             raise ShapeError("overlap between states on different spaces")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def to_density(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.space)
 
 
 def basis_state(space: CompositeSpace, ion_levels, n: int) -> CompositeState:
@@ -199,9 +190,6 @@ class DensityOperator:
             raise ValueError(f"eigenvalue {eig_min:.3e} below -{EIG_ATOL}")
         return self
 
-    def copy(self) -> "DensityOperator":
-        return DensityOperator(self.matrix, self.space, validate=False)
-
 
 def compose_density(rho_ion: np.ndarray, rho_phonon: np.ndarray,
                     space: CompositeSpace) -> DensityOperator:
@@ -226,100 +214,11 @@ def parity_decompose(phonon_amplitudes):
     return even, odd
 
 
-def shift_up(phonon_amplitudes):
-    """Add one phonon: output[n+1] = input[n], output[0] = 0.
-
-    The top amplitude would fall off the truncated ladder, so its squared
-    magnitude must be below LEAK_TOL.
-    """
-    v = np.asarray(phonon_amplitudes, dtype=complex)
-    top = abs(v[-1]) ** 2
-    if top > LEAK_TOL:
-        raise TruncationLeakage(
-            f"|amplitude|^2 = {top:.3e} at the Fock boundary exceeds LEAK_TOL = {LEAK_TOL}"
-        )
-    out = np.zeros_like(v)
-    out[1:] = v[:-1]
-    return out
-
-
-def shift_down(phonon_amplitudes):
-    """Remove one phonon: output[n] = input[n+1], output[n_max] = 0.
-
-    Inverse of shift_up on vectors with zero top amplitude. The vacuum
-    amplitude is discarded; callers guard it when that matters.
-    """
-    v = np.asarray(phonon_amplitudes, dtype=complex)
-    out = np.zeros_like(v)
-    out[:-1] = v[1:]
-    return out
-
-
-def _split_composite(rho: DensityOperator):
+def partial_trace_phonon(rho: DensityOperator) -> DensityOperator:
+    """Trace out the phonon mode, leaving the ion-register density operator."""
     if not isinstance(rho.space, CompositeSpace):
         raise ShapeError("partial trace needs a density operator on a CompositeSpace")
     d_ion = N_ION_LEVELS**rho.space.n_ions
     d_ph = rho.space.fock.dim
-    return rho.matrix.reshape(d_ion, d_ph, d_ion, d_ph)
-
-
-def partial_trace_phonon(rho: DensityOperator) -> DensityOperator:
-    """Trace out the phonon mode, leaving the ion-register density operator."""
-    r = _split_composite(rho)
+    r = rho.matrix.reshape(d_ion, d_ph, d_ion, d_ph)
     return DensityOperator(np.einsum("anbn->ab", r), space=None, validate=False)
-
-
-def partial_trace_ions(rho: DensityOperator) -> DensityOperator:
-    """Trace out all ions, leaving the phonon density operator."""
-    r = _split_composite(rho)
-    return DensityOperator(np.einsum("anam->nm", r), space=rho.space.fock, validate=False)
-
-
-def _as_vec_or_mat(x):
-    if isinstance(x, CompositeState):
-        return x.amplitudes, True
-    if isinstance(x, DensityOperator):
-        return x.matrix, False
-    arr = np.asarray(x, dtype=complex)
-    if arr.ndim == 1:
-        return arr, True
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        return arr, False
-    raise ShapeError(f"cannot interpret array of shape {arr.shape} as a state or density")
-
-
-def _clip_spectrum(w: np.ndarray) -> np.ndarray:
-    # zero out eigenvalue dust so sqrt does not amplify it to ~1e-8
-    w = np.clip(w, 0.0, None)
-    if w.size:
-        w[w < w.max() * w.size * np.finfo(float).eps] = 0.0
-    return w
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    w = _clip_spectrum(w)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def fidelity(a, b) -> float:
-    """Fidelity between two states/density operators, in [0, 1].
-
-    Pure-pure reduces to |<a|b>|^2; mixed cases use the Uhlmann fidelity,
-    which agrees with the pure-pure convention.
-    """
-    xa, a_pure = _as_vec_or_mat(a)
-    xb, b_pure = _as_vec_or_mat(b)
-    if (xa.shape[0]) != (xb.shape[0]):
-        raise ShapeError(f"dimension mismatch: {xa.shape[0]} vs {xb.shape[0]}")
-    if a_pure and b_pure:
-        val = abs(np.vdot(xa, xb)) ** 2
-    elif a_pure:
-        val = float(np.real(np.vdot(xa, xb @ xa)))
-    elif b_pure:
-        val = float(np.real(np.vdot(xb, xa @ xb)))
-    else:
-        s = _psd_sqrt(xa)
-        w = _clip_spectrum(np.linalg.eigvalsh(s @ xb @ s))
-        val = float(np.sum(np.sqrt(w)) ** 2)
-    return float(np.clip(val, 0.0, 1.0))

@@ -119,21 +119,14 @@ def random_pure_state(seed: int, n_max: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def mean_occupation(state) -> float:
-    """Expectation of the number operator for a phonon vector or density operator."""
-    if isinstance(state, DensityOperator):
-        probs = np.real(np.diag(state.matrix))
-    else:
-        probs = np.abs(np.asarray(state, dtype=complex)) ** 2
-    return float(np.sum(np.arange(len(probs)) * probs))
-
-
 def parse_state_spec(spec: str, n_max: int, default_seed: int | None = None):
     """Parse a state-family string into a phonon vector or density operator.
 
     Families: ``fock:N``, ``coherent:RE,IM``, ``thermal:NBAR``, ``random:SEED``
-    (``random`` alone uses default_seed). Raises ValueError on malformed input.
+    (``random`` alone uses default_seed). Raises ValueError on malformed input
+    and MemoryError, before any allocation, on an n_max no array can hold.
     """
+    FockSpace(n_max)
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
     arg = arg.strip()

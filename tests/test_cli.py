@@ -155,6 +155,13 @@ def test_truth_table_thermal(tmp_path, capsys):
     (("gate", "schedule", "direction"), "down", "use the pulse order"),
     (("gate", "schedule", "pump_peak_rabi_rad_per_s"), 50.0, "not both"),
     (("gate", "schedule", "stokes_peak_rabi_rad_per_s"), 500.0, "not both"),
+    # 401-digit integer literals: JSON numbers past the largest float
+    pytest.param(("gate", "params", "eta"), 10**400, "eta is too large for a float",
+                 id="eta-401-digits"),
+    pytest.param(("gate", "epsilon"), 10**400, "epsilon is too large for a float",
+                 id="epsilon-401-digits"),
+    pytest.param(("sweep",), {"axes": [{"name": "epsilon", "values": [10**400]}]},
+                 "values is too large for a float", id="sweep-values-401-digits"),
 ])
 def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, path, value, message):
     doc = stirap_doc()
@@ -311,6 +318,17 @@ def test_config_not_utf8_exits_2_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_config_integer_literal_too_long_exits_2_without_traceback(tmp_path, capsys):
+    # past the digit limit of int(), which the JSON decoder raises as a plain ValueError
+    path = tmp_path / "long.json"
+    path.write_text('{"n_max": ' + "1" * 5000 + ', "phonon": "fock:0"}')
+    code = cli.main(["truth-table", "--config", str(path), "--out", "-"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"cannot read config {path}" in err
+    assert "Traceback" not in err
+
+
 def test_simulation_domain_error_exit_code(tmp_path, capsys):
     # coherent amplitude far too hot for the truncation
     code = cli.main(["truth-table", "--config",
@@ -344,7 +362,9 @@ def test_unallocatable_step_count_exits_3_without_traceback(tmp_path, capsys):
 @pytest.mark.parametrize("mode, path, value", [
     ("stirap", ("gate", "schedule", "n_steps"), 1e20),
     ("ideal", ("gate", "params", "n_ions"), 40),
-], ids=["n_steps-1e20", "n_ions-40"])
+    ("ideal", ("n_max",), 1e20),
+    ("ideal", ("gate", "params", "n_ions"), 10000),  # 4**10000 has over 6000 digits
+], ids=["n_steps-1e20", "n_ions-40", "n_max-1e20", "n_ions-10000"])
 def test_oversize_run_exits_3_without_traceback(tmp_path, capsys, mode, path, value):
     # past the largest array numpy can index at all, where it raises ValueError
     doc = stirap_doc(phonon="fock:1", n_max=4)
@@ -360,6 +380,17 @@ def test_oversize_run_exits_3_without_traceback(tmp_path, capsys, mode, path, va
     assert "than an array can hold" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("phonon", ["fock:1", "coherent:0.5,0", "thermal:1.0", "random:3"])
+def test_oversize_n_max_exits_3_naming_it(tmp_path, capsys, phonon):
+    # refused by its size, before any allocation, and not read as a malformed spec
+    code = cli.main(["truth-table", "--config", write(tmp_path, ideal_doc(phonon, n_max=1e20)),
+                     "--out", "-"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "n_max = 100000000000000000000" in err
+    assert "Traceback" not in err
 
 
 def test_huge_finite_epsilon_reports_finite_metrics(tmp_path, capsys):

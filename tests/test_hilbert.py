@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotgate.errors import ShapeError, TruncationLeakage
+from hotgate.errors import ShapeError
 from hotgate.hilbert import (
     CompositeSpace,
     CompositeState,
@@ -12,12 +12,8 @@ from hotgate.hilbert import (
     basis_state,
     compose_density,
     compose_state,
-    fidelity,
     parity_decompose,
-    partial_trace_ions,
     partial_trace_phonon,
-    shift_down,
-    shift_up,
 )
 
 
@@ -107,58 +103,12 @@ def test_parity_reconstruction_and_orthogonality(seed):
     assert np.vdot(even, odd) == 0
 
 
-# ---------------------------------------------------------------- shifts
-
-def test_shift_up_pattern():
-    v = np.array([0.5, 0.5j, -0.5, 0.0], dtype=complex)
-    assert np.array_equal(shift_up(v), [0.0, 0.5, 0.5j, -0.5])
-
-
-def test_shift_up_vacuum():
-    v = np.zeros(5, dtype=complex)
-    v[0] = 1.0
-    out = shift_up(v)
-    assert out[1] == 1.0 and np.count_nonzero(out) == 1
-
-
-def test_shift_up_leakage_guard():
-    v = np.zeros(4, dtype=complex)
-    v[3] = 1e-3
-    v[0] = np.sqrt(1 - 1e-6)
-    with pytest.raises(TruncationLeakage):
-        shift_up(v)
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_shift_round_trip_and_isometry(seed):
-    v = random_vector(seed, 12)
-    v[-1] = 0.0
-    v /= np.linalg.norm(v)
-    up = shift_up(v)
-    assert abs(np.linalg.norm(up) - np.linalg.norm(v)) < 1e-14
-    assert np.array_equal(shift_down(up), v)
-
-
-def test_shift_up_maps_even_to_odd_support():
-    v = np.array([0.6, 0.0, 0.8, 0.0], dtype=complex)  # even support
-    up = shift_up(v)
-    assert not up[0::2].any()  # exactly zero on even indices
-
-
 # ---------------------------------------------------------------- states & densities
 
 def test_composite_state_shape_guard():
     space = CompositeSpace(2, FockSpace(3))
     with pytest.raises(ShapeError):
         CompositeState(space, np.zeros(5, dtype=complex))
-
-
-def test_normalize_tolerance():
-    space = CompositeSpace(1, FockSpace(3))
-    state = CompositeState(space, np.full(space.dim, 0.3 + 0.1j))
-    state.normalize()
-    assert abs(state.norm - 1.0) < 1e-12
 
 
 def test_basis_state_and_overlap():
@@ -197,7 +147,6 @@ def test_partial_trace_product_state():
     rho_ph = np.asarray(random_density(9, 5))
     rho = compose_density(rho_ion, rho_ph, space)
     assert np.max(np.abs(partial_trace_phonon(rho).matrix - rho_ion)) < 1e-14
-    assert np.max(np.abs(partial_trace_ions(rho).matrix - rho_ph)) < 1e-14
 
 
 def test_partial_trace_maximally_entangled():
@@ -206,7 +155,7 @@ def test_partial_trace_maximally_entangled():
     vec = np.zeros(space.dim, dtype=complex)
     vec[space.encode([0], 0)] = 1 / np.sqrt(2)
     vec[space.encode([1], 1)] = 1 / np.sqrt(2)
-    rho_ion = partial_trace_phonon(CompositeState(space, vec).to_density()).matrix
+    rho_ion = partial_trace_phonon(DensityOperator(np.outer(vec, vec.conj()), space)).matrix
     expected = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     assert np.max(np.abs(rho_ion - expected)) < 1e-14
 
@@ -216,47 +165,12 @@ def test_partial_trace_preserves_trace_random():
     for seed in range(50):
         rho = DensityOperator(random_density(seed, space.dim), space)
         assert abs(np.trace(partial_trace_phonon(rho).matrix) - 1.0) < 1e-12
-        assert abs(np.trace(partial_trace_ions(rho).matrix) - 1.0) < 1e-12
 
 
 def test_partial_trace_needs_composite_space():
     rho = DensityOperator(random_density(2, 6), FockSpace(5))
     with pytest.raises(ShapeError):
         partial_trace_phonon(rho)
-
-
-# ---------------------------------------------------------------- fidelity
-
-def test_fidelity_trivial_cases():
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
-    assert fidelity(e0, e0) == 1.0
-    assert fidelity(e0, e1) == 0.0
-    plus = (e0 + e1) / np.sqrt(2)
-    assert abs(fidelity(plus, e0) - 0.5) < 1e-14
-
-
-def test_fidelity_symmetric_and_self():
-    for seed in range(5):
-        v = random_vector(seed, 7)
-        rho = random_density(seed + 100, 7)
-        assert abs(fidelity(v, rho) - fidelity(rho, v)) < 1e-12
-        assert abs(fidelity(rho, rho) - 1.0) < 1e-10
-        sigma = random_density(seed + 200, 7)
-        assert abs(fidelity(rho, sigma) - fidelity(sigma, rho)) < 1e-10
-
-
-def test_fidelity_mixed_agrees_with_pure_convention():
-    v = random_vector(11, 6)
-    w = random_vector(12, 6)
-    pure = fidelity(v, w)
-    via_density = fidelity(np.outer(v, v.conj()), np.outer(w, w.conj()))
-    assert abs(pure - via_density) < 1e-10
-
-
-def test_fidelity_shape_guard():
-    with pytest.raises(ShapeError):
-        fidelity(np.zeros(3, dtype=complex), np.zeros(4, dtype=complex))
 
 
 def test_compose_state_layout_matches_encode():

@@ -10,7 +10,6 @@ from hotgate.states import (
     coherent_discarded_weight,
     coherent_state,
     fock_state,
-    mean_occupation,
     parse_state_spec,
     random_pure_state,
     thermal_discarded_weight,
@@ -110,7 +109,7 @@ def test_thermal_geometric_probabilities():
 
 def test_thermal_mean_occupation_recovered():
     rho = thermal_state(ThermalSpec(2.0), 64)
-    assert abs(mean_occupation(rho) - 2.0) < 1e-6
+    assert abs(np.trace(number_operator(64) @ rho.matrix).real - 2.0) < 1e-6
 
 
 def test_thermal_commutes_with_number_operator():

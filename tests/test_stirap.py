@@ -613,6 +613,26 @@ def test_propagate_domain_guards():
         stirap.propagate(basis_state(space, [2], 0), down, PARAMS)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-2, 1e2])  # unnormalized too: the rule is relative
+@pytest.mark.parametrize("share, expected", [(1e-6, TruncationLeakage), (1e-10, None)])
+def test_passage_ladder_top_rule_is_relative_at_leak_tol(share, expected, scale):
+    # a share of the weight on |1>|n_max>, the rest on |1>|0>; LEAK_TOL = 1e-8 lies
+    # between the shares, and scaling by 1e-2 or 1e2 moves the absolute top weight
+    # across it, which an absolute rule would follow
+    space = CompositeSpace(1, FockSpace(4))
+    amps = np.zeros(space.dim, dtype=complex)
+    amps[space.encode([1], 0)] = np.sqrt(1.0 - share)
+    amps[space.encode([1], 4)] = np.sqrt(share)
+    state = CompositeState(space, scale * amps)
+    for run in (lambda: stirap.propagate(state, schedule(n_steps=50), PARAMS),
+                lambda: adiabatic_up(0).apply(state)):
+        if expected is None:
+            run()
+        else:
+            with pytest.raises(expected, match="LEAK_TOL"):
+                run()
+
+
 def test_propagate_matches_dense_full_matrix_path():
     # block-diagonal structure: the assembled full-space propagation is identical
     d = 9  # n_max = 8
