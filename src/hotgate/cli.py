@@ -25,17 +25,19 @@ from .errors import SimulationError
 from .hilbert import DEFAULT_N_MAX
 from .operators import PhysicalParams
 
+# The config key of each sweep axis. omega and delta only set chi, to which the
+# phase pulse is calibrated (tau = pi/chi), so no output reads them: not axes.
 SWEEP_AXES = {
     "epsilon": ("gate", "epsilon"),
     "eta": ("gate", "params", "eta"),
-    "omega_rad_per_s": ("gate", "params", "omega_rad_per_s"),
-    "delta_rad_per_s": ("gate", "params", "delta_rad_per_s"),
     "delta_stirap_rad_per_s": ("gate", "params", "delta_stirap_rad_per_s"),
     "n_max": ("n_max",),
     "total_duration_s": ("gate", "schedule", "total_duration_s"),
     "margin": ("gate", "schedule", "margin"),
     "n_steps": ("gate", "schedule", "n_steps"),
 }
+# what only a stirap gate reads
+_PASSAGE_AXES = ("eta", "delta_stirap_rad_per_s", "total_duration_s", "margin", "n_steps")
 
 
 # schedule keys that are gone, each with the one spelling that replaced it
@@ -43,6 +45,7 @@ _REMOVED_SCHEDULE_KEYS = {
     "detuning_rad_per_s": "gate.params.delta_stirap_rad_per_s",
     "dt_s": "n_steps (dt = total_duration_s / n_steps)",
     "direction": "the pulse order (Stokes before pump goes up)",
+    "stokes_peak_rabi_rad_per_s": "explicit pump/stokes envelopes",
 }
 
 
@@ -140,7 +143,6 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
         return stirap.standard_schedule(
             total, params, margin=_optional_float(section, "margin"),
             pump_peak=_optional_float(section, "pump_peak_rabi_rad_per_s"),
-            stokes_peak=_optional_float(section, "stokes_peak_rabi_rad_per_s"),
             n_steps=n_steps, shape=str(section.get("shape", "sin2")),
         )
     except (TypeError, ValueError, ArithmeticError) as exc:
@@ -149,7 +151,7 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
         raise ConfigError(f"bad schedule: {exc}") from exc
 
 
-def _parse_axes(section: dict) -> list:
+def _parse_axes(section: dict, mode: str) -> list:
     axes = _require(section, "axes", "sweep")
     if not isinstance(axes, list) or not axes:
         raise ConfigError("sweep requires a non-empty 'axes' list")
@@ -162,16 +164,12 @@ def _parse_axes(section: dict) -> list:
             )
         if name in (seen for seen, _ in parsed):
             raise ConfigError(f"sweep axis {name!r} is given twice")
+        if mode == "ideal" and name in _PASSAGE_AXES:
+            raise ConfigError(f"sweep axis {name!r} sets the passage; ideal mode runs none")
+        if any(key in axis for key in ("start", "stop", "steps")):
+            raise ConfigError(f"axis {name}: list its points in 'values', not start/stop/steps")
         try:
-            if "values" in axis:
-                values = [_typed(v, float, "values") for v in axis["values"]]
-            else:
-                start = _typed(_require(axis, "start", "axis"), float, "start")
-                stop = _typed(_require(axis, "stop", "axis"), float, "stop")
-                steps = _typed(_require(axis, "steps", "axis"), int, "steps")
-                if steps < 1:
-                    raise ConfigError("steps must be >= 1")
-                values = list(np.linspace(start, stop, steps))
+            values = [_typed(v, float, "values") for v in _require(axis, "values", "axis")]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"axis {name}: {exc}") from exc
         if not values:
@@ -191,6 +189,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     gate_sec = _require(doc, "gate", "config")
     params = _parse_params(_require(gate_sec, "params", "gate"))
     mode = str(gate_sec.get("mode", "ideal"))
+    if mode not in ("ideal", "stirap"):
+        raise ConfigError(f"bad gate section: mode must be 'ideal' or 'stirap', got {mode!r}")
     schedule = None
     if mode == "stirap":
         if "schedule" not in gate_sec:
@@ -201,7 +201,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
             params=params,
             control=_typed(gate_sec.get("control", 0), int, "control"),
             target=_typed(gate_sec.get("target", 1), int, "target"),
-            mode=mode,
             schedule=schedule,
             epsilon=_typed(gate_sec.get("epsilon", 0.0), float, "epsilon"),
             compensate_phases=_typed(gate_sec.get("compensate_phases", False), bool,
@@ -209,7 +208,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad gate section: {exc}") from exc
-    sweep_axes = _parse_axes(doc["sweep"]) if "sweep" in doc else []
+    sweep_axes = _parse_axes(doc["sweep"], mode) if "sweep" in doc else []
     trace = doc.get("trace", {})
     if not isinstance(trace, dict):
         raise ConfigError('trace must be an object such as {"n": 2}')
@@ -245,17 +244,19 @@ def _fmt(value: float) -> str:
 @contextmanager
 def _output(path: str):
     """Yield the --out writer: the path is opened before any work, without
-    truncation, so a failed run keeps a file that was there (removes one it made)."""
+    truncation, so a failed run keeps a file that was there (removes one it made);
+    the text overwrites it from the start and cuts a regular file at its end."""
     if path == "-":
         yield sys.stdout.write
         return
     made = not os.path.exists(path)
     try:
-        with open(path, "a", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8",
+                  opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
             def write(text: str):
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    fh.truncate(0)
                 fh.write(text)
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
             yield write
     except BaseException as exc:
         if made and os.path.exists(path):

@@ -63,15 +63,17 @@ _FIDELITY_INPUTS = np.array([
 ], dtype=complex)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateConfig:
-    """Which ions play control/target, the model, and its knobs."""
+    """Which ions play control/target, the passage model, and its knobs.
+
+    The model is the schedule: none runs the ideal passages ('ideal' mode), an
+    'up' schedule its time-resolved STIRAP ('stirap' mode)."""
 
     params: PhysicalParams
     control: int = 0
     target: int = 1
-    mode: str = "ideal"  # 'ideal' | 'stirap'
-    schedule: stirap.StirapSchedule | None = None  # up-direction passage (stirap mode)
+    schedule: stirap.StirapSchedule | None = None  # up-direction passage
     epsilon: float = 0.0  # relative conditional-phase duration error
     compensate_phases: bool = False  # frame-correct measured passage phases
 
@@ -83,13 +85,13 @@ class GateConfig:
         k = self.params.n_ions
         if not (0 <= self.control < k and 0 <= self.target < k):
             raise ValueError(f"ion indices must be < n_ions = {k}")
-        if self.mode not in ("ideal", "stirap"):
-            raise ValueError(f"mode must be 'ideal' or 'stirap', got {self.mode!r}")
-        if self.mode == "stirap":
-            if self.schedule is None:
-                raise ValueError("stirap mode requires a schedule")
-            if self.schedule.direction != "up":
-                raise ValueError("the configured schedule must be the 'up' passage")
+        if self.schedule is not None and self.schedule.direction != "up":
+            raise ValueError("the configured schedule must be the 'up' passage")
+
+    @property
+    def mode(self) -> str:
+        """'ideal' without a schedule, 'stirap' with one."""
+        return "ideal" if self.schedule is None else "stirap"
 
 
 @dataclass
@@ -290,8 +292,9 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
             raw, fid = fid, fidelity(cols[:, 0] * frame)
         amps = stirap.transfer_amplitudes(config.schedule, config.params, d)
         amps = amps[:min(stirap.CALIBRATED_RUNGS, d - 1)]
-        phases = {n: float(stirap.transfer_phase(amp)) for n, amp in enumerate(amps)
-                  if abs(amp) ** 2 >= stirap.PHASE_MIN_TRANSFER}
+        angles = stirap.transfer_phase(amps)
+        phases = {n: float(angles[n]) for n in range(len(amps))
+                  if abs(amps[n]) ** 2 >= stirap.PHASE_MIN_TRANSFER}
         if vec is not None:
             out = cols * np.append(0.0, vec)[np.arange(d) + np.array([[1], [1], [0]])]
             ion = out @ out.conj().transpose(0, 2, 1)
@@ -367,11 +370,10 @@ def mixed_state_equivalence(config: GateConfig, spec: ThermalSpec, n_max: int = 
     """
     space = CompositeSpace(config.params.n_ions, FockSpace(n_max))
     ion = _qubit_register(config, 0.5 * np.ones(4, dtype=complex))
-    rho_ph = np.diag(thermal_probabilities(spec, n_max).astype(complex))
-    direct_in = compose_density(np.outer(ion, ion.conj()), rho_ph, space)
+    probs = thermal_probabilities(spec, n_max)
+    direct_in = compose_density(np.outer(ion, ion.conj()), np.diag(probs.astype(complex)), space)
     direct = crot(direct_in, config).matrix
     ensemble = np.zeros_like(direct)
-    probs = thermal_probabilities(spec, n_max)
     for n, p in enumerate(probs):
         if p < 1e-16:
             continue

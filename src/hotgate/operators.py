@@ -60,8 +60,6 @@ class PhysicalParams:
 
 def chi(params: PhysicalParams) -> float:
     """Conditional-phase coupling rate eta^2 omega^2 / (n_ions delta), rad/s."""
-    if params.n_ions == 0 or params.delta == 0:
-        raise ZeroDivisionError("chi undefined for delta = 0 or n_ions = 0")
     return params.eta**2 * params.omega**2 / (params.n_ions * params.delta)
 
 

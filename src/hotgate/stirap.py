@@ -143,33 +143,29 @@ class StirapSchedule:
 def standard_schedule(total_duration: float, params: PhysicalParams, *,
                       margin: float | None = None,
                       pump_peak: float | None = None,
-                      stokes_peak: float | None = None,
                       n_steps: int = DEFAULT_N_STEPS,
                       shape: str = "sin2") -> StirapSchedule:
     """Build the standard counter-intuitive pulse pair for a given duration.
 
     Stokes first, so the passage goes up; reversed_schedule gives the down
-    passage. Peak rates follow from the adiabaticity margin (default 100):
-    the pump peak is margin/T and the bare Stokes peak margin/(eta*T), which
-    balances the two effective couplings on the lowest rung. Explicit
-    pump_peak / stokes_peak override the margin parametrization. The grid
-    has n_steps steps; the detuning is not part of a schedule
-    (params.delta_stirap).
+    passage. The peaks come from one of two settings: the adiabaticity
+    margin (default 100), for a pump peak margin/T and a bare Stokes peak
+    margin/(eta*T), or an explicit pump_peak, with the Stokes peak at
+    pump_peak/eta. Either way the two effective couplings balance on the
+    lowest rung. The grid has n_steps steps; the detuning is not part of a
+    schedule (params.delta_stirap).
     """
-    if margin is not None and (pump_peak is not None or stokes_peak is not None):
-        raise ValueError("give either margin or explicit peak rates, not both")
-    if pump_peak is None and stokes_peak is not None:
-        raise ValueError("stokes_peak needs an explicit pump_peak")
+    if margin is not None and pump_peak is not None:
+        raise ValueError("give either margin or an explicit pump peak rate, not both")
     if pump_peak is None:
         m = DEFAULT_MARGIN if margin is None else margin
-        pump_peak = m / total_duration
-        stokes_peak = m / (params.eta * total_duration)
-    elif stokes_peak is None:
-        stokes_peak = pump_peak / params.eta
+        pump_peak, stokes_rabi = m / total_duration, m / (params.eta * total_duration)
+    else:
+        stokes_rabi = pump_peak / params.eta
     t = total_duration
     width = WIDTH_FRAC * t
     return StirapSchedule(PulseEnvelope(shape, pump_peak, PUMP_CENTER_FRAC * t, width),
-                          PulseEnvelope(shape, stokes_peak, STOKES_CENTER_FRAC * t, width),
+                          PulseEnvelope(shape, stokes_rabi, STOKES_CENTER_FRAC * t, width),
                           t, n_steps)
 
 
@@ -200,12 +196,10 @@ def adiabaticity_margin(schedule: StirapSchedule, params: PhysicalParams, n: int
 
 
 def hamiltonian_block(n: int, t: float, schedule: StirapSchedule,
-                      params: PhysicalParams, n_max: int | None = None) -> np.ndarray:
+                      params: PhysicalParams) -> np.ndarray:
     """3x3 Hermitian block over {|1,n>, |3,n>, |2,n+1>} at time t."""
     if n < 0:
         raise IndexError(f"occupation {n} must be >= 0")
-    if n_max is not None and n >= n_max:
-        raise IndexError(f"no rung above n = {n} in a space truncated at {n_max}")
     om_p = float(schedule.pump.value(t))
     om_s = float(sideband_rate(n, t, schedule, params))
     return np.array(

@@ -148,13 +148,12 @@ def test_truth_table_thermal(tmp_path, capsys):
     (("gate", "schedule", "dt_s"), 5e-324, "bad schedule"),
     (("phonon",), "coherent:nan,0", "malformed state spec"),
     (("phonon",), "coherent:inf,0", "malformed state spec"),
-    (("sweep",), {"axes": [{"name": "epsilon", "start": 0, "stop": 1, "steps": 2},
+    (("sweep",), {"axes": [{"name": "epsilon", "values": [0.0, 1.0]},
                            {"name": "epsilon", "values": [0.1]}]}, "given twice"),
     (("gate", "schedule", "dt_s"), 0.004, "use n_steps"),
     (("gate", "schedule", "dt_s"), 0.001, "use n_steps"),  # agrees with n_steps, still refused
     (("gate", "schedule", "direction"), "down", "use the pulse order"),
     (("gate", "schedule", "pump_peak_rabi_rad_per_s"), 50.0, "not both"),
-    (("gate", "schedule", "stokes_peak_rabi_rad_per_s"), 500.0, "not both"),
     # 401-digit integer literals: JSON numbers past the largest float
     pytest.param(("gate", "params", "eta"), 10**400, "eta is too large for a float",
                  id="eta-401-digits"),
@@ -187,8 +186,7 @@ def test_integral_float_keys_accepted():
 
 
 def test_integer_numbers_accepted_for_float_keys():
-    doc = stirap_doc(margin=100, sweep={"axes": [{"name": "eta", "start": 0, "stop": 1,
-                                                  "steps": 2}]})
+    doc = stirap_doc(margin=100, sweep={"axes": [{"name": "eta", "values": [0, 1]}]})
     doc["gate"]["params"]["eta"] = 1
     doc["gate"]["epsilon"] = 0
     doc["gate"]["schedule"]["total_duration_s"] = 1
@@ -202,6 +200,7 @@ def test_integer_numbers_accepted_for_float_keys():
     ("dt_s", 0.004, "n_steps"),  # divides the duration
     ("dt_s", 1e-300, "n_steps"),  # 1e300 steps
     ("direction", "up", "the pulse order"),  # agrees with the pulse order, still refused
+    ("stokes_peak_rabi_rad_per_s", 500.0, "explicit pump/stokes envelopes"),
 ])
 def test_removed_schedule_key_exits_2_naming_its_replacement(tmp_path, capsys, key, value,
                                                               replacement):
@@ -222,7 +221,7 @@ FUZZ_DOC = {
     "phonon": "thermal:0.5",
     "gate": {"mode": "ideal", "control": 0, "target": 1, "epsilon": 0.0,
              "compensate_phases": False, "params": dict(BASE_PARAMS)},
-    "sweep": {"axes": [{"name": "epsilon", "start": 0.0, "stop": 0.01, "steps": 2}]},
+    "sweep": {"axes": [{"name": "epsilon", "values": [0.0, 0.01]}]},
     "trace": {"n": 1},
 }
 
@@ -440,7 +439,7 @@ def test_sweep_epsilon_monotone(tmp_path):
 
 def test_sweep_deterministic_modulo_runtime(tmp_path):
     doc = ideal_doc(phonon="random:3", n_max=8,
-                    sweep={"axes": [{"name": "epsilon", "start": 0.0, "stop": 0.01, "steps": 3}]})
+                    sweep={"axes": [{"name": "epsilon", "values": [0.0, 0.005, 0.01]}]})
     cfg = write(tmp_path, doc)
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -577,13 +576,75 @@ def test_sweep_margin_axis_needs_schedule(tmp_path):
 def test_sweep_two_axes_lexicographic(tmp_path):
     doc = ideal_doc(phonon="fock:2", n_max=8, sweep={"axes": [
         {"name": "epsilon", "values": [0.0, 0.01]},
-        {"name": "eta", "values": [0.1, 0.2]},
+        {"name": "n_max", "values": [4, 8]},
     ]})
     out = tmp_path / "grid.csv"
     assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
     _, rows = read_csv(out)
-    grid = [(float(r["epsilon"]), float(r["eta"])) for r in rows]
-    assert grid == [(0.0, 0.1), (0.0, 0.2), (0.01, 0.1), (0.01, 0.2)]
+    grid = [(float(r["epsilon"]), float(r["n_max"])) for r in rows]
+    assert grid == [(0.0, 4.0), (0.0, 8.0), (0.01, 4.0), (0.01, 8.0)]
+
+
+@pytest.mark.parametrize("name", ["omega_rad_per_s", "delta_rad_per_s"])
+def test_sweep_over_a_chi_parameter_exits_2(tmp_path, capsys, name):
+    # omega and delta only set chi, to which the conditional phase is
+    # calibrated: no output reads them, so they are not axes
+    doc = stirap_doc(phonon="fock:1", n_max=4, n_steps=200,
+                     sweep={"axes": [{"name": name, "values": [1e5, 2e5]}]})
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown sweep axis {name!r}; known:" in err and "epsilon" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert len(cli.SWEEP_AXES) == 7
+
+
+@pytest.mark.parametrize("form", [
+    {"start": 0.0, "stop": 0.01, "steps": 2},
+    {"values": [0.0], "steps": 2},
+    {"start": 0.0},
+])
+def test_sweep_start_stop_steps_axis_exits_2_naming_values(tmp_path, capsys, form):
+    doc = ideal_doc(phonon="fock:1", n_max=4, sweep={"axes": [{"name": "epsilon", **form}]})
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "axis epsilon: list its points in 'values', not start/stop/steps" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["eta", "delta_stirap_rad_per_s", "total_duration_s",
+                                  "margin", "n_steps"])
+def test_ideal_mode_passage_axis_exits_2(tmp_path, capsys, monkeypatch, name):
+    # an ideal gate reads no passage setting, so such a sweep would write
+    # identical rows; it is refused before any grid point runs, also when the
+    # config carries a schedule section for switching to stirap mode
+    reports = []
+    monkeypatch.setattr(cli.gate_mod, "gate_report", lambda *args: reports.append(args))
+    doc = stirap_doc(phonon="fock:1", n_max=4, n_steps=200,
+                     sweep={"axes": [{"name": name, "values": [0.01, 0.3]}]})
+    doc["gate"]["mode"] = "ideal"
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"sweep axis {name!r} sets the passage; ideal mode runs none" in err
+    assert "Traceback" not in err
+    assert not out.exists() and reports == []
+
+
+def test_ideal_config_with_a_schedule_section_runs(tmp_path):
+    # one config file switches mode: ideal ignores the schedule section
+    doc = stirap_doc(phonon="fock:1", n_max=4, n_steps=200)
+    ideal = ideal_doc(phonon="fock:1", n_max=4)
+    doc["gate"]["mode"] = "ideal"
+    reports = []
+    for d in (doc, ideal):
+        out = tmp_path / "r.json"
+        assert cli.main(["truth-table", "--config", write(tmp_path, d), "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------- stirap-trace command

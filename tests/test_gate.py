@@ -1,5 +1,5 @@
 import functools
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -60,7 +60,7 @@ def random_density(seed, n_max):
 
 def stirap_config(margin=100.0, n_steps=2000, **kwargs):
     sched = stirap.standard_schedule(1.0, PARAMS, margin=margin, n_steps=n_steps)
-    return g.GateConfig(params=PARAMS, mode="stirap", schedule=sched, **kwargs)
+    return g.GateConfig(params=PARAMS, schedule=sched, **kwargs)
 
 
 # ---------------------------------------------------------------- config validation
@@ -71,12 +71,24 @@ def test_config_validation():
     with pytest.raises(ValueError):
         g.GateConfig(params=PARAMS, control=0, target=5)
     with pytest.raises(ValueError):
-        g.GateConfig(params=PARAMS, mode="stirap")  # schedule required
-    with pytest.raises(ValueError):
-        g.GateConfig(params=PARAMS, mode="stirap",
+        g.GateConfig(params=PARAMS,
                      schedule=stirap.reversed_schedule(stirap.standard_schedule(1.0, PARAMS)))
-    with pytest.raises(ValueError):
-        g.GateConfig(params=PARAMS, mode="exact")
+
+
+def test_config_mode_is_the_schedule():
+    # the model is the schedule, not a second field that could disagree with it
+    assert "mode" not in {f.name for f in fields(g.GateConfig)}
+    assert IDEAL.mode == "ideal"
+    cfg = stirap_config(n_steps=64)
+    assert cfg.mode == "stirap"
+    # frozen: a schedule set after construction would skip the 'up' rule
+    with pytest.raises(FrozenInstanceError):
+        cfg.schedule = stirap.reversed_schedule(cfg.schedule)
+    with pytest.raises(FrozenInstanceError):
+        cfg.schedule = None
+    with pytest.raises(FrozenInstanceError):
+        IDEAL.epsilon = 0.1
+    assert cfg.schedule.direction == "up" and IDEAL.epsilon == 0.0
 
 
 # ---------------------------------------------------------------- step table
@@ -569,7 +581,7 @@ ORACLE_CONFIGS = {
     "ideal-timing-error": g.GateConfig(params=PARAMS, epsilon=0.013),
     "stirap-compensated": g.GateConfig(
         # a detuned intermediate level gives the round trip a phase to correct
-        params=DETUNED, mode="stirap", epsilon=0.004, compensate_phases=True,
+        params=DETUNED, epsilon=0.004, compensate_phases=True,
         schedule=stirap.standard_schedule(1.0, DETUNED, margin=100.0, n_steps=400)),
     "stirap-swapped-roles": stirap_config(margin=60.0, n_steps=300, control=1, target=0),
     "stirap-weak": stirap_config(margin=5.0, n_steps=300),
@@ -649,7 +661,7 @@ def test_passage_built_once_per_schedule(passage_builds):
 def test_unmirrored_pulses_build_both_passages(passage_builds, pump):
     stokes = stirap.PulseEnvelope("sin2", 900.0, center=0.3, width=0.5)
     sched = stirap.StirapSchedule(pump, stokes, 1.0, 300)
-    cfg = g.GateConfig(params=PARAMS, mode="stirap", schedule=sched)
+    cfg = g.GateConfig(params=PARAMS, schedule=sched)
     g.gate_report(cfg, fock_state(1, 8))
     assert sorted(passage_builds) == ["down", "up"]
 
@@ -698,7 +710,7 @@ def spectator_configs(k, control, target):
     sched = stirap.standard_schedule(1.0, params, margin=100.0, n_steps=400)
     return [
         g.GateConfig(params=params, control=control, target=target, epsilon=0.013),
-        g.GateConfig(params=params, control=control, target=target, mode="stirap",
+        g.GateConfig(params=params, control=control, target=target,
                      schedule=sched, epsilon=0.004, compensate_phases=True),
     ]
 
