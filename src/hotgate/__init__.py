@@ -11,7 +11,6 @@ adiabatic-passage model are provided, for pure and mixed phonon inputs.
 from .errors import (
     AmbiguousExtraction,
     DomainError,
-    NonPositiveChi,
     NormDrift,
     ShapeError,
     SimulationError,

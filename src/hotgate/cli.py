@@ -1,9 +1,11 @@
 """Command-line front end: truth-table, sweep, and stirap-trace experiments.
 
 Config files are JSON with explicit unit suffixes on physical keys
-(rad_per_s, _s). Exit codes: 0 success, 2 usage/config error, 3 simulation
-domain error or a run too large to allocate. CSV output carries 17
-significant digits so downstream convergence checks stay meaningful.
+(rad_per_s, _s). The keys of each section, with their kinds and defaults, are
+declared once in the tables below and read by _read; any other key exits 2.
+Exit codes: 0 success, 2 usage/config error, 3 simulation domain error or a
+run too large to allocate. CSV output carries 17 significant digits so
+downstream convergence checks stay meaningful.
 """
 from __future__ import annotations
 
@@ -39,7 +41,6 @@ SWEEP_AXES = {
 # what only a stirap gate reads
 _PASSAGE_AXES = ("eta", "delta_stirap_rad_per_s", "total_duration_s", "margin", "n_steps")
 
-
 # schedule keys that are gone, each with the one spelling that replaced it
 _REMOVED_SCHEDULE_KEYS = {
     "detuning_rad_per_s": "gate.params.delta_stirap_rad_per_s",
@@ -47,6 +48,28 @@ _REMOVED_SCHEDULE_KEYS = {
     "direction": "the pulse order (Stokes before pump goes up)",
     "stokes_peak_rabi_rad_per_s": "explicit pump/stokes envelopes",
 }
+
+# Every key of each config section, once: key -> (kind, default). A key whose
+# default is None may be left out or given as null; any other key is refused.
+_REQUIRED = object()  # the default of a key that must be given
+_ROOT = {"n_max": (int, DEFAULT_N_MAX), "phonon": (str, _REQUIRED), "gate": (dict, _REQUIRED),
+         "sweep": (dict, None), "trace": (dict, {})}
+_GATE = {"mode": (str, "ideal"), "params": (dict, _REQUIRED), "schedule": (dict, None),
+         "control": (int, 0), "target": (int, 1), "epsilon": (float, 0.0),
+         "compensate_phases": (bool, False)}
+_PARAMS = {"eta": (float, _REQUIRED), "omega_rad_per_s": (float, _REQUIRED),
+           "delta_rad_per_s": (float, _REQUIRED), "n_ions": (int, 2),
+           "delta_stirap_rad_per_s": (float, 0.0)}
+_SCHEDULE = {"total_duration_s": (float, _REQUIRED), "n_steps": (int, stirap.DEFAULT_N_STEPS),
+             "margin": (float, None), "pump_peak_rabi_rad_per_s": (float, None),
+             "shape": (str, "sin2"), "pump": (dict, None), "stokes": (dict, None)}
+_ENVELOPE = {"shape": (str, "sin2"), "peak_rabi_rad_per_s": (float, _REQUIRED),
+             "center_s": (float, _REQUIRED), "width_s": (float, _REQUIRED)}
+_SWEEP = {"axes": (list, _REQUIRED)}
+_AXIS = {"name": (str, _REQUIRED), "values": (list, _REQUIRED)}
+_TRACE = {"n": (int, 0)}
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               dict: "an object", list: "a list"}
 
 
 class ConfigError(ValueError):
@@ -65,156 +88,130 @@ class ExperimentConfig:
     raw: dict
 
 
-def _require(section: dict, key: str, where: str):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    if key not in section:
-        raise ConfigError(f"missing {key!r} in {where}")
-    return section[key]
-
-
 def _typed(value, kind: type, name: str):
-    """value as a strict bool (a JSON boolean), int (an integral number: 1200.0
-    passes) or float (any JSON number, never a boolean or a string)."""
-    if kind is bool:
-        ok, what = isinstance(value, bool), "true or false"
-    elif kind is int:  # type() and not isinstance(): True is an int too
+    """value as a strict bool, int (an integral number: 1200.0 passes), float (any
+    JSON number, never a boolean or a string), str, dict (JSON object) or list."""
+    if kind is int:  # type() and not isinstance(): True is an int too
         ok = type(value) is int or isinstance(value, float) and value.is_integer()
-        what = "an integer"
-    else:
+    elif kind is float:
         ok = type(value) is int or isinstance(value, float)
-        what = "a number"
+    else:
+        ok = isinstance(value, kind)
     if not ok:
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
+        raise TypeError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
     try:
         return kind(value)
     except OverflowError:  # an integer literal past the largest float
-        raise ConfigError(f"{name} is too large for a float") from None
+        raise ValueError(f"{name} is too large for a float") from None
 
 
-def _optional_float(section: dict, key: str):
-    value = section.get(key)
-    return None if value is None else _typed(value, float, key)
+def _read(section, table: dict, where: str) -> dict:
+    """Every key of table from one config section (where: its dotted path, '' at
+    the root), typed, with its default filled in; any other key is refused."""
+    here = where or "config"
+    section = _typed(section, dict, here)
+    for key in section:
+        if key in table:
+            continue
+        if where == "gate.schedule" and key in _REMOVED_SCHEDULE_KEYS:
+            raise ValueError(f"{key} is not a schedule key; use {_REMOVED_SCHEDULE_KEYS[key]}")
+        raise ValueError(f"unknown key {key!r} in {here}; known: {', '.join(table)}")
+    values = {}
+    for key, (kind, default) in table.items():
+        value = section.get(key, default)
+        if value is _REQUIRED:
+            raise ValueError(f"missing {key!r} in {here}")
+        if value is not default:  # the declared default (and null where it is None) is valid
+            value = _typed(value, kind, f"{where}.{key}" if where else key)
+        values[key] = value
+    return values
 
 
-def _parse_params(section: dict) -> PhysicalParams:
+@contextmanager
+def _config_errors(prefix: str):
+    """Report a bad value met in the block as a ConfigError that starts with
+    prefix; a ConfigError from a section read inside it passes unchanged."""
     try:
-        return PhysicalParams(
-            eta=_typed(_require(section, "eta", "gate.params"), float, "eta"),
-            omega=_typed(_require(section, "omega_rad_per_s", "gate.params"), float,
-                         "omega_rad_per_s"),
-            n_ions=_typed(section.get("n_ions", 2), int, "n_ions"),
-            delta=_typed(_require(section, "delta_rad_per_s", "gate.params"), float,
-                         "delta_rad_per_s"),
-            delta_stirap=_typed(section.get("delta_stirap_rad_per_s", 0.0), float,
-                                "delta_stirap_rad_per_s"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad physical parameters: {exc}") from exc
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(prefix + str(exc)) from exc
 
 
-def _parse_envelope(section: dict, where: str) -> stirap.PulseEnvelope:
-    try:
-        return stirap.PulseEnvelope(
-            shape=str(section.get("shape", "sin2")),
-            peak_rabi=_typed(_require(section, "peak_rabi_rad_per_s", where), float,
-                             "peak_rabi_rad_per_s"),
-            center=_typed(_require(section, "center_s", where), float, "center_s"),
-            width=_typed(_require(section, "width_s", where), float, "width_s"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad pulse envelope in {where}: {exc}") from exc
+def _parse_envelope(section: dict, name: str) -> stirap.PulseEnvelope:
+    with _config_errors(f"bad pulse envelope in {name}: "):
+        e = _read(section, _ENVELOPE, f"gate.schedule.{name}")
+        return stirap.PulseEnvelope(shape=e["shape"], peak_rabi=e["peak_rabi_rad_per_s"],
+                                    center=e["center_s"], width=e["width_s"])
 
 
 def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSchedule:
-    try:
-        total = _typed(_require(section, "total_duration_s", "gate.schedule"), float,
-                       "total_duration_s")
-        for key, instead in _REMOVED_SCHEDULE_KEYS.items():
+    with _config_errors("bad schedule: "):
+        s = _read(section, _SCHEDULE, "gate.schedule")
+        total, n_steps = s["total_duration_s"], s["n_steps"]
+        if s["pump"] is None and s["stokes"] is None:
+            return stirap.standard_schedule(
+                total, params, margin=s["margin"], pump_peak=s["pump_peak_rabi_rad_per_s"],
+                n_steps=n_steps, shape=s["shape"])
+        for key in ("margin", "pump_peak_rabi_rad_per_s", "shape"):
             if key in section:
-                raise ConfigError(f"bad schedule: {key} is not a schedule key; use {instead}")
-        n_steps = _typed(section.get("n_steps", stirap.DEFAULT_N_STEPS), int, "n_steps")
-        if "pump" in section or "stokes" in section:
-            if "margin" in section:
-                raise ConfigError("give either explicit pump/stokes envelopes or a margin")
-            pump = _parse_envelope(_require(section, "pump", "gate.schedule"), "pump")
-            stokes = _parse_envelope(_require(section, "stokes", "gate.schedule"), "stokes")
-            return stirap.StirapSchedule(pump, stokes, total, n_steps)
-        return stirap.standard_schedule(
-            total, params, margin=_optional_float(section, "margin"),
-            pump_peak=_optional_float(section, "pump_peak_rabi_rad_per_s"),
-            n_steps=n_steps, shape=str(section.get("shape", "sin2")),
-        )
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad schedule: {exc}") from exc
+                raise ValueError("give either explicit pump/stokes envelopes or a margin; "
+                                 f"{key} belongs to the standard family they replace")
+        pump, stokes = (_parse_envelope(s[name], name) for name in ("pump", "stokes"))
+        return stirap.StirapSchedule(pump, stokes, total, n_steps)
 
 
 def _parse_axes(section: dict, mode: str) -> list:
-    axes = _require(section, "axes", "sweep")
-    if not isinstance(axes, list) or not axes:
-        raise ConfigError("sweep requires a non-empty 'axes' list")
+    axes = _read(section, _SWEEP, "sweep")["axes"]
+    if not axes:
+        raise ValueError("sweep requires a non-empty 'axes' list")
     parsed = []
-    for axis in axes:
-        name = _require(axis, "name", "sweep axis")
-        if not isinstance(name, str) or name not in SWEEP_AXES:
-            raise ConfigError(
-                f"unknown sweep axis {name!r}; known: {sorted(SWEEP_AXES)}"
-            )
+    for i, axis in enumerate(axes):
+        if isinstance(axis, dict) and axis.keys() & {"start", "stop", "steps"}:
+            raise ValueError(f"axis {axis.get('name')}: list its points in 'values', "
+                             "not start/stop/steps")
+        axis = _read(axis, _AXIS, f"sweep.axes[{i}]")
+        name = axis["name"]
+        if name not in SWEEP_AXES:
+            raise ValueError(f"unknown sweep axis {name!r}; known: {sorted(SWEEP_AXES)}")
         if name in (seen for seen, _ in parsed):
-            raise ConfigError(f"sweep axis {name!r} is given twice")
+            raise ValueError(f"sweep axis {name!r} is given twice")
         if mode == "ideal" and name in _PASSAGE_AXES:
-            raise ConfigError(f"sweep axis {name!r} sets the passage; ideal mode runs none")
-        if any(key in axis for key in ("start", "stop", "steps")):
-            raise ConfigError(f"axis {name}: list its points in 'values', not start/stop/steps")
-        try:
-            values = [_typed(v, float, "values") for v in _require(axis, "values", "axis")]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"axis {name}: {exc}") from exc
+            raise ValueError(f"sweep axis {name!r} sets the passage; ideal mode runs none")
+        values = [_typed(v, float, f"axis {name}: values") for v in axis["values"]]
         if not values:
-            raise ConfigError(f"axis {name}: empty value range")
+            raise ValueError(f"axis {name}: empty value range")
         parsed.append((name, values))
     return parsed
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate and build the experiment from a JSON document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    n_max = _typed(doc.get("n_max", DEFAULT_N_MAX), int, "n_max")
-    if n_max < 1:
-        raise ConfigError("n_max must be >= 1")
-    phonon_spec = str(_require(doc, "phonon", "config"))
-    gate_sec = _require(doc, "gate", "config")
-    params = _parse_params(_require(gate_sec, "params", "gate"))
-    mode = str(gate_sec.get("mode", "ideal"))
-    if mode not in ("ideal", "stirap"):
-        raise ConfigError(f"bad gate section: mode must be 'ideal' or 'stirap', got {mode!r}")
-    schedule = None
-    if mode == "stirap":
-        if "schedule" not in gate_sec:
-            raise ConfigError("stirap mode: schedule required")
-        schedule = _parse_schedule(gate_sec["schedule"], params)
-    try:
-        gate_config = gate_mod.GateConfig(
-            params=params,
-            control=_typed(gate_sec.get("control", 0), int, "control"),
-            target=_typed(gate_sec.get("target", 1), int, "target"),
-            schedule=schedule,
-            epsilon=_typed(gate_sec.get("epsilon", 0.0), float, "epsilon"),
-            compensate_phases=_typed(gate_sec.get("compensate_phases", False), bool,
-                                     "compensate_phases"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad gate section: {exc}") from exc
-    sweep_axes = _parse_axes(doc["sweep"], mode) if "sweep" in doc else []
-    trace = doc.get("trace", {})
-    if not isinstance(trace, dict):
-        raise ConfigError('trace must be an object such as {"n": 2}')
-    trace_n = _typed(trace.get("n", 0), int, "trace.n")
+    with _config_errors(""):
+        root = _read(doc, _ROOT, "")
+        if root["n_max"] < 1:
+            raise ValueError("n_max must be >= 1")
+        with _config_errors("bad gate section: "):
+            gate = _read(root["gate"], _GATE, "gate")
+            mode = gate["mode"]
+            if mode not in ("ideal", "stirap"):
+                raise ValueError(f"mode must be 'ideal' or 'stirap', got {mode!r}")
+            if mode == "stirap" and gate["schedule"] is None:
+                raise ValueError("stirap mode: schedule required")
+            p = _read(gate["params"], _PARAMS, "gate.params")
+            params = PhysicalParams(eta=p["eta"], omega=p["omega_rad_per_s"], n_ions=p["n_ions"],
+                                    delta=p["delta_rad_per_s"],
+                                    delta_stirap=p["delta_stirap_rad_per_s"])
+            gate_config = gate_mod.GateConfig(
+                params=params, control=gate["control"], target=gate["target"],
+                schedule=_parse_schedule(gate["schedule"], params) if mode == "stirap" else None,
+                epsilon=gate["epsilon"], compensate_phases=gate["compensate_phases"],
+            )
+        sweep_axes = [] if root["sweep"] is None else _parse_axes(root["sweep"], mode)
+        trace_n = _read(root["trace"], _TRACE, "trace")["n"]
     return ExperimentConfig(
-        n_max=n_max, phonon_spec=phonon_spec, gate=gate_config,
+        n_max=root["n_max"], phonon_spec=root["phonon"], gate=gate_config,
         sweep_axes=sweep_axes, trace_n=trace_n, raw=doc,
     )
 
@@ -282,10 +279,7 @@ def _patched_raw(raw: dict, names, values) -> dict:
     for name, value in zip(names, values):
         path = SWEEP_AXES[name]
         node = doc
-        for key in path[:-1]:
-            if key not in node or not isinstance(node[key], dict):
-                raise ConfigError(
-                    f"sweep axis {name!r} needs a {'.'.join(path[:-1])} section")
+        for key in path[:-1]:  # a section parse_config read: ideal mode has no passage axes
             node = node[key]
         node[path[-1]] = value  # parse_config reads n_max and n_steps as strict integers
     return doc

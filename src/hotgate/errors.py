@@ -21,9 +21,5 @@ class NormDrift(SimulationError):
     """State norm drifted beyond the unitarity budget during propagation."""
 
 
-class NonPositiveChi(SimulationError):
-    """Conditional-phase coupling rate is not positive, so no pulse duration exists."""
-
-
 class AmbiguousExtraction(SimulationError):
     """Residual ion-phonon entanglement prevents a clean truth-table readout."""

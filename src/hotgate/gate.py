@@ -134,6 +134,13 @@ class GateReport:
         }
 
 
+def _passages(config: GateConfig, d: int):
+    """(up, down) per-rung passage blocks on d rungs: the ideal swaps, or the schedule's build."""
+    if config.mode == "ideal":
+        return (np.broadcast_to(_IDEAL_PASSAGE, (d, 3, 3)),) * 2
+    return stirap.passage_blocks(config.schedule, config.params, d)
+
+
 def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
     """The four-pulse sequence as per-rung blocks on a phonon axis padded by one rung.
 
@@ -144,10 +151,7 @@ def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
     """
     k, d = space.n_ions, space.fock.dim
     phi = conditional_phase_factors(d + 1, config.epsilon)
-    if config.mode == "ideal":
-        up = down = np.broadcast_to(_IDEAL_PASSAGE, (d, 3, 3))
-    else:
-        up, down = stirap.passage_blocks(config.schedule, config.params, d)
+    up, down = _passages(config, d)
     ph = np.stack((phi[:-1], phi[:-1], phi[1:]), axis=-1)
     bare = down @ up
     phased = down @ (ph[:, :, None] * up * ph[:, None, :])
@@ -282,14 +286,14 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
 
     fid = fidelity(cols[:, 0])
     raw = phases = residue = None
+    if config.compensate_phases:
+        # frame correction from the measured round-trip phase of each rung (0 if ideal)
+        up, down = _passages(config, d)
+        delta = np.angle((down[:-1] @ up[:-1])[:, 0, 0])
+        frame = np.ones((4, d), dtype=complex)
+        frame[2:, :-1] = np.exp(-1j * delta)  # the control's |1>
+        raw, fid = fid, fidelity(cols[:, 0] * frame)
     if config.mode == "stirap":
-        up, down = stirap.passage_blocks(config.schedule, config.params, d)
-        if config.compensate_phases:
-            # frame correction from the measured round-trip phase of each rung
-            delta = np.angle((down[:-1] @ up[:-1])[:, 0, 0])
-            frame = np.ones((4, d), dtype=complex)
-            frame[2:, :-1] = np.exp(-1j * delta)  # the control's |1>
-            raw, fid = fid, fidelity(cols[:, 0] * frame)
         amps = stirap.transfer_amplitudes(config.schedule, config.params, d)
         amps = amps[:min(stirap.CALIBRATED_RUNGS, d - 1)]
         angles = stirap.transfer_phase(amps)

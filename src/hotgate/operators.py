@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonPositiveChi, TruncationLeakage
+from .errors import DomainError, TruncationLeakage
 from .hilbert import (
     DOMAIN_ATOL,
     LEAK_TOL,
@@ -34,7 +34,8 @@ class PhysicalParams:
     """Trap and laser parameters.
 
     eta: Lamb-Dicke parameter; omega: carrier Rabi frequency (rad/s);
-    n_ions: ions sharing the bus mode; delta: standing-wave detuning (rad/s);
+    n_ions: ions sharing the bus mode; delta: standing-wave detuning (rad/s,
+    > 0, so that chi > 0 and the conditional-phase pulse lasts tau = pi/chi);
     delta_stirap: detuning of pump/Stokes from the intermediate level (rad/s).
     """
 
@@ -54,8 +55,8 @@ class PhysicalParams:
             raise ValueError(f"omega must be > 0, got {self.omega}")
         if self.n_ions < 1:
             raise ValueError(f"n_ions must be >= 1, got {self.n_ions}")
-        if self.delta == 0:
-            raise ValueError("delta must be nonzero")
+        if self.delta <= 0:
+            raise ValueError(f"delta must be > 0, got {self.delta}")
 
 
 def chi(params: PhysicalParams) -> float:
@@ -64,11 +65,8 @@ def chi(params: PhysicalParams) -> float:
 
 
 def tau(params: PhysicalParams) -> float:
-    """Conditional-phase pulse duration pi/chi (s); requires chi > 0."""
-    c = chi(params)
-    if c <= 0:
-        raise NonPositiveChi(f"chi = {c:.3e} is not positive")
-    return np.pi / c
+    """Conditional-phase pulse duration pi/chi (s); PhysicalParams keeps chi > 0."""
+    return np.pi / chi(params)
 
 
 class IdealUnitary:

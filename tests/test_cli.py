@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,16 +90,133 @@ def test_parse_explicit_envelopes(tmp_path, capsys):
 
 
 def test_parse_rejects_margin_with_envelopes():
-    doc = ideal_doc()
-    doc["gate"]["mode"] = "stirap"
+    # every key of the standard family is refused next to explicit envelopes
+    for key, value in (("margin", 50.0), ("pump_peak_rabi_rad_per_s", 7.0),
+                       ("shape", "gaussian")):
+        doc = ideal_doc()
+        doc["gate"]["mode"] = "stirap"
+        doc["gate"]["schedule"] = {
+            "total_duration_s": 1.0,
+            key: value,
+            "pump": {"peak_rabi_rad_per_s": 1.0, "center_s": 0.7, "width_s": 0.5},
+            "stokes": {"peak_rabi_rad_per_s": 1.0, "center_s": 0.3, "width_s": 0.5},
+        }
+        with pytest.raises(cli.ConfigError, match=f"{key} belongs to the standard family"):
+            cli.parse_config(doc)
+
+
+def envelope_doc():
+    """A stirap config with explicit envelopes, a sweep and a trace: all 9 sections."""
+    doc = stirap_doc(phonon="fock:1", n_max=4, trace={"n": 1},
+                     sweep={"axes": [{"name": "epsilon", "values": [0.0]}]})
     doc["gate"]["schedule"] = {
-        "total_duration_s": 1.0,
-        "margin": 50.0,
-        "pump": {"peak_rabi_rad_per_s": 1.0, "center_s": 0.7, "width_s": 0.5},
-        "stokes": {"peak_rabi_rad_per_s": 1.0, "center_s": 0.3, "width_s": 0.5},
+        "total_duration_s": 1.0, "n_steps": 200,
+        "pump": {"peak_rabi_rad_per_s": 100.0, "center_s": 0.7, "width_s": 0.5},
+        "stokes": {"peak_rabi_rad_per_s": 1000.0, "center_s": 0.3, "width_s": 0.5},
     }
-    with pytest.raises(cli.ConfigError):
+    return doc
+
+
+SECTIONS = {
+    "config": (), "gate": ("gate",), "gate.params": ("gate", "params"),
+    "gate.schedule": ("gate", "schedule"), "gate.schedule.pump": ("gate", "schedule", "pump"),
+    "gate.schedule.stokes": ("gate", "schedule", "stokes"), "sweep": ("sweep",),
+    "sweep.axes[0]": ("sweep", "axes", 0), "trace": ("trace",),
+}
+
+
+@pytest.mark.parametrize("command", ["truth-table", "sweep"])
+@pytest.mark.parametrize("where", sorted(SECTIONS))
+def test_undeclared_key_exits_2_naming_it_and_its_section(tmp_path, capsys, where, command):
+    doc = envelope_doc()
+    node = doc
+    for key in SECTIONS[where]:
+        node = node[key]
+    node["bogus"] = 1.0
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key 'bogus' in {where}; known: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [5, None, [1.0]])
+def test_envelope_that_is_not_an_object_exits_2(tmp_path, capsys, value):
+    # read as a section, not indexed: no AttributeError traceback
+    doc = envelope_doc()
+    doc["gate"]["schedule"]["pump"] = value
+    assert cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", "-"]) == 2
+    err = capsys.readouterr().err
+    assert f"gate.schedule.pump must be an object, got {value!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, key", [
+    (("gate", "schedule", "margin"), "margn"),
+    (("gate", "epsilon"), "epsilom"),
+    (("n_max",), "nmax"),
+    (("gate", "schedule", "n_steps"), "n_step"),
+    (("gate", "params", "delta_stirap_rad_per_s"), "delta_stirap"),
+], ids=["margn", "epsilom", "nmax", "n_step", "delta_stirap"])
+def test_misspelled_key_exits_2(tmp_path, capsys, path, key):
+    # a misspelled key is refused, not dropped for the default
+    doc = stirap_doc(phonon="fock:3", n_max=8, n_steps=200)
+    node = doc
+    for name in path[:-1]:
+        node = node[name]
+    node.pop(path[-1], None)
+    node[key] = 5
+    out = tmp_path / "r.json"
+    assert cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key {key!r}" in err and path[-1] in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_null_leaves_out_a_key_without_default():
+    doc = stirap_doc(sweep=None)
+    doc["gate"]["schedule"]["pump_peak_rabi_rad_per_s"] = None
+    config = cli.parse_config(doc)
+    assert config.sweep_axes == []
+    assert config.gate.schedule == cli.parse_config(stirap_doc()).gate.schedule
+    doc["gate"]["epsilon"] = None  # a key with a default must be a value
+    with pytest.raises(cli.ConfigError, match="gate.epsilon must be a number, got None"):
         cli.parse_config(doc)
+
+
+def test_negative_delta_exits_2_naming_it(tmp_path, capsys):
+    # chi = eta^2 omega^2 / (N delta) < 0 leaves the phase pulse no duration
+    doc = stirap_doc(phonon="fock:1", n_max=4, n_steps=200)
+    doc["gate"]["params"]["delta_rad_per_s"] = -3e7
+    out = tmp_path / "r.json"
+    assert cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "delta must be > 0, got -30000000.0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.013])
+def test_ideal_compensated_report_reads_raw_fidelity(tmp_path, epsilon):
+    # ideal passages have no round-trip phase, so the compensation changes nothing
+    doc = ideal_doc(phonon="thermal:1.5", n_max=16)
+    doc["gate"].update(epsilon=epsilon, compensate_phases=True)
+    out = tmp_path / "r.json"
+    assert cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["qubit_fidelity_raw"] is not None
+    assert report["qubit_fidelity_raw"] == report["qubit_fidelity"]
+
+
+def test_readme_config_examples_parse():
+    # a README example that the strict reader refuses would exit 2 for anyone copying it
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", text, flags=re.S)
+    assert blocks
+    for block in blocks:
+        cli.parse_config(json.loads(block))
 
 
 def test_parse_params_match_library():

@@ -534,8 +534,8 @@ def oracle_report(config, phonon_input):
                 table[a, b] = ref.overlap(out)
 
     def fidelity(compensate):
-        frame = np.ones(space.shape, dtype=complex)
-        if compensate:
+        frame = np.ones(space.shape, dtype=complex)  # ideal passages have no round-trip phase
+        if compensate and stirap_mode:
             up, down = (stirap.block_propagators(sched, config.params, np.arange(d - 1))
                         for sched in (config.schedule, stirap.reversed_schedule(config.schedule)))
             delta = np.append(np.angle((down @ up)[:, 0, 0]), 0.0)
@@ -556,7 +556,7 @@ def oracle_report(config, phonon_input):
             total += np.clip(np.real(np.vdot(target, rho_ion @ target)), 0.0, 1.0)
         return total / len(FIDELITY_PROBES)
 
-    compensated = stirap_mode and config.compensate_phases
+    compensated = config.compensate_phases
     phases = None
     if stirap_mode:
         props = stirap.block_propagators(config.schedule, config.params,
@@ -579,6 +579,7 @@ def oracle_report(config, phonon_input):
 ORACLE_CONFIGS = {
     "ideal": IDEAL,
     "ideal-timing-error": g.GateConfig(params=PARAMS, epsilon=0.013),
+    "ideal-compensated": g.GateConfig(params=PARAMS, epsilon=0.013, compensate_phases=True),
     "stirap-compensated": g.GateConfig(
         # a detuned intermediate level gives the round trip a phase to correct
         params=DETUNED, epsilon=0.004, compensate_phases=True,

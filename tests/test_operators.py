@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotgate.errors import DomainError, NonPositiveChi, TruncationLeakage
+from hotgate.errors import DomainError, TruncationLeakage
 from hotgate.hilbert import (
     CompositeSpace,
     CompositeState,
@@ -83,12 +83,6 @@ def test_tau_chi_algebraic_identity(eta, omega, n_ions, delta):
     assert abs(tau(params) * chi(params) - np.pi) < 1e-9
 
 
-def test_tau_negative_chi():
-    params = PhysicalParams(eta=0.1, omega=1e5, n_ions=2, delta=-1e7)
-    with pytest.raises(NonPositiveChi):
-        tau(params)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         PhysicalParams(eta=-0.1, omega=1.0, n_ions=2, delta=1.0)
@@ -96,6 +90,8 @@ def test_params_validation():
         PhysicalParams(eta=0.1, omega=1.0, n_ions=0, delta=1.0)
     with pytest.raises(ValueError):
         PhysicalParams(eta=0.1, omega=1.0, n_ions=2, delta=0.0)
+    with pytest.raises(ValueError, match="delta must be > 0"):  # chi < 0: no pulse duration
+        PhysicalParams(eta=0.1, omega=1e5, n_ions=2, delta=-1e7)
 
 
 # ---------------------------------------------------------------- conditional phase
