@@ -83,6 +83,13 @@ def test_tau_chi_algebraic_identity(eta, omega, n_ions, delta):
     assert abs(tau(params) * chi(params) - np.pi) < 1e-9
 
 
+def test_tau_negative_chi():
+    # A negative detuning would give chi < 0 and no pulse duration tau, so
+    # PhysicalParams refuses it before tau can be asked for.
+    with pytest.raises(ValueError, match="delta must be > 0"):
+        PhysicalParams(eta=0.1, omega=1e5, n_ions=2, delta=-1e7)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         PhysicalParams(eta=-0.1, omega=1.0, n_ions=2, delta=1.0)
@@ -90,8 +97,6 @@ def test_params_validation():
         PhysicalParams(eta=0.1, omega=1.0, n_ions=0, delta=1.0)
     with pytest.raises(ValueError):
         PhysicalParams(eta=0.1, omega=1.0, n_ions=2, delta=0.0)
-    with pytest.raises(ValueError, match="delta must be > 0"):  # chi < 0: no pulse duration
-        PhysicalParams(eta=0.1, omega=1e5, n_ions=2, delta=-1e7)
 
 
 # ---------------------------------------------------------------- conditional phase
