@@ -75,7 +75,7 @@ class GateConfig:
     target: int = 1
     schedule: stirap.StirapSchedule | None = None  # up-direction passage
     epsilon: float = 0.0  # relative conditional-phase duration error
-    compensate_phases: bool = False  # frame-correct measured passage phases
+    compensate_phases: bool = False  # one best Z rotation on the control's |1>
 
     def __post_init__(self):
         if not np.isfinite(self.epsilon):
@@ -134,13 +134,6 @@ class GateReport:
         }
 
 
-def _passages(config: GateConfig, d: int):
-    """(up, down) per-rung passage blocks on d rungs: the ideal swaps, or the schedule's build."""
-    if config.mode == "ideal":
-        return (np.broadcast_to(_IDEAL_PASSAGE, (d, 3, 3)),) * 2
-    return stirap.passage_blocks(config.schedule, config.params, d)
-
-
 def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
     """The four-pulse sequence as per-rung blocks on a phonon axis padded by one rung.
 
@@ -151,7 +144,10 @@ def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
     """
     k, d = space.n_ions, space.fock.dim
     phi = conditional_phase_factors(d + 1, config.epsilon)
-    up, down = _passages(config, d)
+    if config.mode == "ideal":
+        up = down = np.broadcast_to(_IDEAL_PASSAGE, (d, 3, 3))
+    else:
+        up, down = stirap.passage_blocks(config.schedule, config.params, d)
     ph = np.stack((phi[:-1], phi[:-1], phi[1:]), axis=-1)
     bare = down @ up
     phased = down @ (ph[:, :, None] * up * ph[:, None, :])
@@ -248,7 +244,9 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     channel (Schumacher, PRA 54, 2614 (1996)) and leakage is weighted by
     diag rho; both are worst cases over the basis inputs. The entanglement
     residue (stirap mode) needs amplitudes and is reported for pure inputs
-    only, since mixing depresses purity on its own.
+    only, since mixing depresses purity on its own. Under compensate_phases
+    the qubit fidelity is read after one Z rotation exp(-i phi) on the control's
+    |1> at its best phase, and qubit_fidelity_raw is the one without it.
     """
     if isinstance(phonon_input, DensityOperator):
         vec, rho = None, phonon_input.matrix
@@ -284,15 +282,15 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
         loss = (1.0 - np.abs(amp) ** 2) @ diag
         return float(np.mean(np.clip(1.0 - loss, 0.0, 1.0)))
 
-    fid = fidelity(cols[:, 0])
+    q = cols[:, 0]
+    fid = fidelity(q)
     raw = phases = residue = None
     if config.compensate_phases:
-        # frame correction from the measured round-trip phase of each rung (0 if ideal)
-        up, down = _passages(config, d)
-        delta = np.angle((down[:-1] @ up[:-1])[:, 0, 0])
-        frame = np.ones((4, d), dtype=complex)
-        frame[2:, :-1] = np.exp(-1j * delta)  # the control's |1>
-        raw, fid = fid, fidelity(cols[:, 0] * frame)
+        # exp(-i phi) on the control's |1> moves only the |+>_c|t> probes: the
+        # fidelity is a constant plus Re(z exp(-i phi)) / 16, so the best phi is arg z
+        z = (q[0].conj() * q[2] - q[1].conj() * q[3]) @ diag
+        turn = np.exp(-1j * np.angle(z) * np.array([[0], [0], [1], [1]]))
+        raw, fid = fid, fidelity(q * turn)
     if config.mode == "stirap":
         amps = stirap.transfer_amplitudes(config.schedule, config.params, d)
         amps = amps[:min(stirap.CALIBRATED_RUNGS, d - 1)]

@@ -236,7 +236,7 @@ def _step_exponentials(u, v, w, d: float) -> np.ndarray:
     any gap; the second switches to its Taylor series about the (zero) mean
     when the spread y1 - y3 is small, so degenerate spectra (M = 0) are exact.
     """
-    q = d / 3.0
+    q = np.float64(d) / 3.0  # a numpy scalar: past the float range q**3 is inf, not an error
     uu = u.real**2 + u.imag**2
     vv = v.real**2 + v.imag**2
     ww = w.real**2 + w.imag**2
@@ -368,6 +368,9 @@ def _pairwise_product(m: np.ndarray, prefix: bool = False) -> np.ndarray:
     return out
 
 
+# A step generator past the float range turns the product into inf or nan,
+# which the finiteness check refuses, so numpy's warnings about it are muted.
+@np.errstate(over="ignore", invalid="ignore")
 def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
                       method: str = DEFAULT_METHOD, trajectory: bool = False) -> np.ndarray:
     """Time-ordered propagator of each n-block over the full schedule.
@@ -392,6 +395,7 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     whole product runs in real arithmetic; D .. D^dagger is applied once,
     elementwise, at the end.
     Detuned steps are not rotations and take the closed-form SU(3) kernel.
+    A propagator that is not finite raises NormDrift.
     """
     ns = np.atleast_1d(np.asarray(ns, dtype=int))
     n_steps = schedule.n_steps
@@ -442,7 +446,14 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
         else:
             p = _matmul3(_pairwise_product(steps), p)
     out = traj if trajectory else np.ascontiguousarray(p.transpose(2, 0, 1))
-    return out * _ROTATION_PHASES if resonant else out
+    if resonant:
+        out = out * _ROTATION_PHASES
+    if not np.all(np.isfinite(out)):
+        raise NormDrift(
+            "the passage propagator is not finite: a step generator overflows a float "
+            f"(dt = {dt:.3g} s, pump peak {schedule.pump.peak_rabi:.3g} rad/s, Stokes peak "
+            f"{schedule.stokes.peak_rabi:.3g} rad/s, detuning {delta:.3g} rad/s)")
+    return out
 
 
 def _passage(schedule: StirapSchedule, params: PhysicalParams, n_rungs: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -200,14 +201,23 @@ def test_negative_delta_exits_2_naming_it(tmp_path, capsys):
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.013])
 def test_ideal_compensated_report_reads_raw_fidelity(tmp_path, epsilon):
-    # ideal passages have no round-trip phase, so the compensation changes nothing
+    # ideal passages have no round-trip phase, but a timing error leaves a
+    # rung-independent one: exp(i pi eps) between the |+>_c|t> probes, which
+    # the best Z rotation (phi = -pi eps / 2) splits evenly between them
     doc = ideal_doc(phonon="thermal:1.5", n_max=16)
     doc["gate"].update(epsilon=epsilon, compensate_phases=True)
     out = tmp_path / "r.json"
     assert cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["qubit_fidelity_raw"] is not None
-    assert report["qubit_fidelity_raw"] == report["qubit_fidelity"]
+    raw, compensated = report["qubit_fidelity_raw"], report["qubit_fidelity"]
+    assert raw is not None
+    if epsilon == 0.0:
+        assert raw == compensated
+    else:
+        # the two probes' infidelity sin^2(pi eps / 2) becomes 2 sin^2(pi eps / 4)
+        gain = (np.sin(np.pi * epsilon / 2) ** 2 - 2 * np.sin(np.pi * epsilon / 4) ** 2) / 8
+        assert compensated > raw
+        assert abs(compensated - raw - gain) <= 1e-12
 
 
 def test_readme_config_examples_parse():
@@ -475,6 +485,34 @@ def test_unallocatable_step_count_exits_3_without_traceback(tmp_path, capsys):
     assert code == 3
     assert "simulation error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["truth-table", "sweep", "stirap-trace"])
+@pytest.mark.parametrize("detuning", [0.0, 300.0])
+@pytest.mark.parametrize("key, value", [
+    ("margin", 1e150), ("margin", 1e300), ("pump_peak_rabi_rad_per_s", 1e160),
+    ("total_duration_s", 1e300), ("total_duration_s", 1e-300),
+], ids=["margin-1e150", "margin-1e300", "pump-1e160", "duration-1e300", "duration-1e-300"])
+def test_overflowing_passage_exits_3_without_nan(tmp_path, capsys, command, detuning, key,
+                                                 value):
+    # a step generator past the float range makes the propagator inf or nan
+    doc = stirap_doc(phonon="fock:2", n_max=8, n_steps=200, trace={"n": 1},
+                     sweep={"axes": [{"name": "epsilon", "values": [0.0, 0.01]}]})
+    doc["gate"]["params"]["delta_stirap_rad_per_s"] = detuning
+    schedule = doc["gate"]["schedule"]
+    if key == "pump_peak_rabi_rad_per_s":
+        del schedule["margin"]
+    schedule[key] = value
+    out = tmp_path / "r.out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main([command, "--config", write(tmp_path, doc), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "the passage propagator is not finite" in captured.err
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+    assert "nan" not in captured.out.lower()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode, path, value", [

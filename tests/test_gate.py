@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from hotgate.errors import AmbiguousExtraction, DomainError
 from hotgate.hilbert import (
@@ -25,6 +26,7 @@ from hotgate.operators import (
 )
 from hotgate.states import (
     ThermalSpec,
+    coherent_state,
     fock_state,
     random_pure_state,
     thermal_discarded_weight,
@@ -479,6 +481,62 @@ FIDELITY_PROBES = [np.eye(4)[a] for a in range(4)] + [
 ]
 
 
+def oracle_register(config, coeffs):
+    """Ion-register vector carrying (control, target) qubit coefficients."""
+    return sum(coeffs[2 * c + t] * qubit_ion_vector(c, t, config.control, config.target)
+               for c in range(2) for t in range(2))
+
+
+def oracle_fidelity(config, phonon_input):
+    """The eight-probe qubit fidelity of oracle_crot runs, as a function of a Z
+    rotation exp(-i phi) on the control's |1> applied to the gate's output;
+    phi may be an array."""
+    mixed = isinstance(phonon_input, DensityOperator)
+    d = phonon_input.dim if mixed else len(phonon_input)
+    space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
+
+    register = functools.partial(oracle_register, config)
+
+    runs = []  # (ideal output, ion state with the phonon traced out) per probe
+    for coeffs in FIDELITY_PROBES:
+        ion = register(coeffs)
+        if mixed:
+            rho_in = compose_density(np.outer(ion, ion.conj()), phonon_input.matrix, space)
+            out = oracle_crot(rho_in, config).matrix.reshape(16, d, 16, d)
+            rho_ion = np.einsum("anbn->ab", out)
+        else:
+            x = oracle_crot(compose_state(space, ion, phonon_input), config).amplitudes
+            x = x.reshape(-1, d)
+            rho_ion = x @ x.conj().T
+        runs.append((register(np.diag([1, 1, 1, -1]) @ coeffs), rho_ion))
+    # exp(-i phi) on every ion cell with the control on |1>
+    on_one = np.moveaxis(np.zeros((4,) * space.n_ions), config.control, 0)
+    on_one[1] = 1.0
+    on_one = np.moveaxis(on_one, 0, config.control).reshape(-1)
+
+    def fidelity(phi):  # phi a number or an array of them
+        total = 0.0
+        for target, rho_ion in runs:
+            # <target| F rho F^dagger |target> for F = exp(-i phi) on the control's |1>
+            turned = np.exp(1j * np.multiply.outer(phi, on_one)) * target
+            value = np.einsum("...i,ij,...j->...", turned.conj(), rho_ion, turned)
+            total = total + np.clip(np.real(value), 0.0, 1.0)
+        return total / len(FIDELITY_PROBES)
+
+    return fidelity
+
+
+def best_phase_fidelity(fidelity):
+    """max over phi of fidelity(phi): a 64-point scan, then a bounded search
+    within one scan step of the best point."""
+    grid = np.linspace(-np.pi, np.pi, 65)
+    best = grid[np.argmax([fidelity(phi) for phi in grid])]
+    step = grid[1] - grid[0]
+    found = minimize_scalar(lambda phi: -fidelity(phi), bounds=(best - step, best + step),
+                            method="bounded", options={"xatol": 1e-10})
+    return -found.fun
+
+
 def oracle_report(config, phonon_input):
     """Report fields from per-basis-input loops over oracle_crot runs.
 
@@ -490,9 +548,7 @@ def oracle_report(config, phonon_input):
     space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
     stirap_mode = config.mode == "stirap"
 
-    def register(coeffs):
-        return sum(coeffs[2 * c + t] * qubit_ion_vector(c, t, config.control, config.target)
-                   for c in range(2) for t in range(2))
+    register = functools.partial(oracle_register, config)
 
     def outside(pops):  # weight of the control and target outside the qubit levels
         return sum(np.moveaxis(pops, ion, 0)[2:].sum() for ion in (config.control, config.target))
@@ -533,29 +589,7 @@ def oracle_report(config, phonon_input):
                 ref = compose_state(space, register(np.eye(4)[b]), phonon)
                 table[a, b] = ref.overlap(out)
 
-    def fidelity(compensate):
-        frame = np.ones(space.shape, dtype=complex)  # ideal passages have no round-trip phase
-        if compensate and stirap_mode:
-            up, down = (stirap.block_propagators(sched, config.params, np.arange(d - 1))
-                        for sched in (config.schedule, stirap.reversed_schedule(config.schedule)))
-            delta = np.append(np.angle((down @ up)[:, 0, 0]), 0.0)
-            np.moveaxis(frame, config.control, 0)[1] *= np.exp(-1j * delta)
-        frame = frame.reshape(-1)
-        total = 0.0
-        for coeffs in FIDELITY_PROBES:
-            ion = register(coeffs)
-            target = register(np.diag([1, 1, 1, -1]) @ coeffs)
-            if mixed:
-                rho_in = compose_density(np.outer(ion, ion.conj()), phonon_input.matrix, space)
-                out = oracle_crot(rho_in, config).matrix * np.outer(frame, frame.conj())
-                rho_ion = np.einsum("anbn->ab", out.reshape(16, d, 16, d))
-            else:
-                out = oracle_crot(compose_state(space, ion, phonon_input), config).amplitudes
-                x = (out * frame).reshape(-1, d)
-                rho_ion = x @ x.conj().T
-            total += np.clip(np.real(np.vdot(target, rho_ion @ target)), 0.0, 1.0)
-        return total / len(FIDELITY_PROBES)
-
+    fidelity = oracle_fidelity(config, phonon_input)
     compensated = config.compensate_phases
     phases = None
     if stirap_mode:
@@ -567,8 +601,8 @@ def oracle_report(config, phonon_input):
     return {
         "truth_table": None if stirap_mode and restoration < g.MIN_RESTORATION_FOR_TABLE
         else table,
-        "qubit_fidelity": fidelity(compensated),
-        "qubit_fidelity_raw": fidelity(False) if compensated else None,
+        "qubit_fidelity": best_phase_fidelity(fidelity) if compensated else fidelity(0.0),
+        "qubit_fidelity_raw": fidelity(0.0) if compensated else None,
         "phonon_restoration_fidelity": restoration,
         "leakage": leakage,
         "entanglement_residue": residue if stirap_mode and not mixed else None,
@@ -627,6 +661,86 @@ def test_block_gate_matches_four_pulse_oracle(name):
                 assert np.max(np.abs(np.asarray(actual) - value)) <= 1e-12, field
     # the residue is reported for pure inputs only
     assert_same_report(reports[3], reports[1], skip=("entanglement_residue",))
+
+
+# ---------------------------------------------------------------- phase compensation
+
+def detuned_config(detuning, **kwargs):
+    params = replace(PARAMS, delta_stirap=detuning)
+    sched = stirap.standard_schedule(1.0, params, margin=100.0, n_steps=400)
+    return g.GateConfig(params=params, schedule=sched, compensate_phases=True, **kwargs)
+
+
+@pytest.mark.parametrize("detuning", [100.0, 300.0])
+@pytest.mark.parametrize("phonon", [
+    thermal_state(ThermalSpec(0.5), 8), coherent_state(1.0, 8), random_phonon(3, 8),
+], ids=["thermal", "coherent", "random"])
+def test_compensation_is_the_best_z_rotation(detuning, phonon):
+    # one Z rotation on the control, at the best point of a dense phi scan of
+    # the oracle, refined on a second scan around it
+    config = detuned_config(detuning)
+    fidelity = oracle_fidelity(config, phonon)
+    grid = np.linspace(-np.pi, np.pi, 20001)
+    best = grid[np.argmax(fidelity(grid))]
+    fine = np.linspace(best - (grid[1] - grid[0]), best + (grid[1] - grid[0]), 2001)
+    report = g.gate_report(config, phonon)
+    assert report.qubit_fidelity > report.qubit_fidelity_raw
+    assert abs(report.qubit_fidelity - np.max(fidelity(fine))) <= 1e-9
+
+
+@given(detuning=st.floats(-500.0, 500.0), margin=st.floats(20.0, 200.0),
+       epsilon=st.floats(-0.1, 0.1), seed=st.integers(0, 2**32 - 1),
+       n_max=st.integers(1, 8), swapped=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_compensation_never_lowers_the_fidelity(detuning, margin, epsilon, seed, n_max, swapped):
+    # phi = 0 is one of the rotations the compensation chooses from
+    params = replace(PARAMS, delta_stirap=detuning)
+    sched = stirap.standard_schedule(1.0, params, margin=margin, n_steps=200)
+    config = g.GateConfig(params=params, schedule=sched, epsilon=epsilon,
+                          compensate_phases=True, control=int(swapped), target=1 - swapped)
+    report = g.gate_report(config, random_phonon(seed, n_max))
+    assert report.qubit_fidelity >= report.qubit_fidelity_raw - 1e-15
+
+
+@pytest.mark.parametrize("epsilon", [0.013, -0.2, 0.5])
+def test_ideal_compensation_undoes_half_the_timing_error(epsilon):
+    # every rung's |+>_c|1>_t probe carries the same extra phase pi eps, and the
+    # best rotation splits it with the |+>_c|0>_t probe: phi = -pi eps / 2
+    config = g.GateConfig(params=PARAMS, epsilon=epsilon, compensate_phases=True)
+    for phonon in (thermal_state(ThermalSpec(1.0), 8), random_phonon(2, 8)):
+        report = g.gate_report(config, phonon)
+        fidelity = oracle_fidelity(config, phonon)
+        assert abs(report.qubit_fidelity_raw - fidelity(0.0)) <= 1e-12
+        assert abs(report.qubit_fidelity - fidelity(-np.pi * epsilon / 2)) <= 1e-12
+
+
+def test_resonant_passage_needs_no_compensation():
+    # the calibrated resonant round trip is real on every rung: no phase to correct
+    for config in (stirap_config(compensate_phases=True),
+                   stirap_config(compensate_phases=True, control=1, target=0)):
+        for phonon in (fock_state(3, 12), random_phonon(5, 12),
+                       thermal_state(ThermalSpec(1.0), 12), coherent_state(1.0, 12)):
+            report = g.gate_report(config, phonon)
+            assert report.qubit_fidelity == report.qubit_fidelity_raw
+
+
+def test_compensated_report_reads_no_extra_passage(monkeypatch):
+    calls = []
+    original = stirap.passage_blocks
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(stirap, "passage_blocks", counting)
+    config = detuned_config(100.0, epsilon=0.01)
+    counts = []
+    for compensate in (False, True):
+        calls.clear()
+        g.gate_report(replace(config, compensate_phases=compensate),
+                      thermal_state(ThermalSpec(0.5), 8))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.fixture
