@@ -203,9 +203,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
             params = PhysicalParams(eta=p["eta"], omega=p["omega_rad_per_s"], n_ions=p["n_ions"],
                                     delta=p["delta_rad_per_s"],
                                     delta_stirap=p["delta_stirap_rad_per_s"])
+            schedule = gate["schedule"]
+            if schedule is not None:  # read in either mode, so one file can switch mode
+                schedule = _parse_schedule(schedule, params)
             gate_config = gate_mod.GateConfig(
                 params=params, control=gate["control"], target=gate["target"],
-                schedule=_parse_schedule(gate["schedule"], params) if mode == "stirap" else None,
+                schedule=schedule if mode == "stirap" else None,
                 epsilon=gate["epsilon"], compensate_phases=gate["compensate_phases"],
             )
         sweep_axes = [] if root["sweep"] is None else _parse_axes(root["sweep"], mode)

@@ -107,8 +107,13 @@ class GateReport:
     residual_phases: dict | None = None
     entanglement_residue: float | None = None
     qubit_fidelity_raw: float | None = None
-    table_extraction_failed: bool = False
     notes: dict = field(default_factory=dict)
+
+    @property
+    def table_extraction_failed(self) -> bool:
+        """No truth table: in stirap mode the phonon came back below the restoration
+        bar; ideal mode always has one."""
+        return self.truth_table is None
 
     def to_dict(self) -> dict:
         table = None
@@ -247,6 +252,8 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     only, since mixing depresses purity on its own. Under compensate_phases
     the qubit fidelity is read after one Z rotation exp(-i phi) on the control's
     |1> at its best phase, and qubit_fidelity_raw is the one without it.
+    An input whose total weight Tr rho is zero or not finite is refused
+    (ValueError), since every metric is read relative to it.
     """
     if isinstance(phonon_input, DensityOperator):
         vec, rho = None, phonon_input.matrix
@@ -269,6 +276,8 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     weight = np.stack((diag, diag, np.append(0.0, diag[:-1])))
     overlap = np.sum(cols * coherence, axis=-1)  # Tr(rho K_aj)
     trace = np.sum(coherence[0]).real  # the same summation, so an exact gate reads 1
+    if not (np.isfinite(trace) and trace > 0):
+        raise ValueError(f"phonon input has total weight {trace}; it must be finite and > 0")
     restoration = np.clip(np.sum(np.abs(overlap) ** 2, axis=-1) / trace**2, 0.0, 1.0)
     worst_restoration = float(np.min(restoration))
     pops = np.abs(cols) ** 2 * weight
@@ -313,7 +322,6 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
         residual_phases=phases,
         entanglement_residue=residue,
         qubit_fidelity_raw=raw,
-        table_extraction_failed=failed,
     )
 
 

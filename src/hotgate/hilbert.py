@@ -68,10 +68,6 @@ class CompositeSpace:
                               f"more than an array can hold (at most {MAX_DIM})")
 
     @property
-    def n_max(self) -> int:
-        return self.fock.n_max
-
-    @property
     def dim(self) -> int:
         return N_ION_LEVELS**self.n_ions * self.fock.dim
 

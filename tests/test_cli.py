@@ -290,6 +290,8 @@ def test_truth_table_thermal(tmp_path, capsys):
                  id="epsilon-401-digits"),
     pytest.param(("sweep",), {"axes": [{"name": "epsilon", "values": [10**400]}]},
                  "values is too large for a float", id="sweep-values-401-digits"),
+    (("n_max",), 0, "n_max must be >= 1"),
+    (("sweep",), {"axes": [{"name": "epsilon", "values": []}]}, "axis epsilon: empty value range"),
 ])
 def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, path, value, message):
     doc = stirap_doc()
@@ -297,12 +299,36 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, path, valu
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    code = cli.main(["truth-table", "--config", write(tmp_path, doc),
-                     "--out", str(tmp_path / "r.json")])
-    err = capsys.readouterr().err
+    out = tmp_path / "r.json"
+    code = cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)])
+    captured = capsys.readouterr()
     assert code == 2
-    assert message in err
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    # no NaN that the config did not hold, and no --out file
+    if not re.search(r"\bnan\b", repr(value), re.I):
+        assert not re.search(r"\bnan\b", captured.out + captured.err, re.I)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, where", [
+    (("phonon",), "config"),
+    (("gate", "params"), "gate"),
+    (("gate", "params", "eta"), "gate.params"),
+    (("gate", "schedule", "total_duration_s"), "gate.schedule"),
+])
+def test_missing_required_key_exits_2_naming_it(tmp_path, capsys, path, where):
+    doc = stirap_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    out = tmp_path / "r.json"
+    assert cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"missing {path[-1]!r} in {where}" in err
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_integral_float_keys_accepted():
@@ -330,6 +356,7 @@ def test_integer_numbers_accepted_for_float_keys():
     ("dt_s", 1e-300, "n_steps"),  # 1e300 steps
     ("direction", "up", "the pulse order"),  # agrees with the pulse order, still refused
     ("stokes_peak_rabi_rad_per_s", 500.0, "explicit pump/stokes envelopes"),
+    ("detuning_rad_per_s", 50.0, "gate.params.delta_stirap_rad_per_s"),
 ])
 def test_removed_schedule_key_exits_2_naming_its_replacement(tmp_path, capsys, key, value,
                                                               replacement):
@@ -446,6 +473,16 @@ def test_config_not_utf8_exits_2_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_config_not_json_exits_2_without_traceback(tmp_path, capsys):
+    path = tmp_path / "cut.json"
+    path.write_text('{"n_max": 4, "phonon": ')
+    code = cli.main(["truth-table", "--config", str(path), "--out", "-"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config {path} is not valid JSON" in err
+    assert "Traceback" not in err
+
+
 def test_config_integer_literal_too_long_exits_2_without_traceback(tmp_path, capsys):
     # past the digit limit of int(), which the JSON decoder raises as a plain ValueError
     path = tmp_path / "long.json"
@@ -511,7 +548,7 @@ def test_overflowing_passage_exits_3_without_nan(tmp_path, capsys, command, detu
     assert code == 3
     assert "the passage propagator is not finite" in captured.err
     assert "Traceback" not in captured.err and "Warning" not in captured.err
-    assert "nan" not in captured.out.lower()
+    assert "nan" not in (captured.out + captured.err).lower()
     assert not out.exists()
 
 
@@ -531,10 +568,11 @@ def test_oversize_run_exits_3_without_traceback(tmp_path, capsys, mode, path, va
     node[path[-1]] = value
     out = tmp_path / "r.json"
     code = cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 3
-    assert "than an array can hold" in err
-    assert "Traceback" not in err
+    assert "than an array can hold" in captured.err
+    assert "Traceback" not in captured.err
+    assert "nan" not in (captured.out + captured.err).lower()
     assert not out.exists()
 
 
@@ -550,20 +588,20 @@ def test_oversize_n_max_exits_3_naming_it(tmp_path, capsys, phonon):
 
 
 def test_huge_finite_epsilon_reports_finite_metrics(tmp_path, capsys):
-    doc = ideal_doc(phonon="fock:1", n_max=4)
-    doc["gate"]["epsilon"] = 1e308
-    out = tmp_path / "r.json"
-    assert cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
-
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
 
-    report = json.loads(out.read_text(), parse_constant=refuse)
-    metrics = [report[key] for key in ("qubit_fidelity", "phonon_restoration_fidelity",
-                                       "leakage")]
-    assert np.all(np.isfinite(metrics))
-    assert np.all(np.isfinite(report["truth_table"]))
-    assert "nan" not in capsys.readouterr().out
+    for phonon, n_max in (("fock:1", 4), ("thermal:1.0", 8)):
+        doc = ideal_doc(phonon=phonon, n_max=n_max)
+        doc["gate"]["epsilon"] = 1e308
+        out = tmp_path / "r.json"
+        assert cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        metrics = [report[key] for key in ("qubit_fidelity", "phonon_restoration_fidelity",
+                                           "leakage")]
+        assert np.all(np.isfinite(metrics))
+        assert np.all(np.isfinite(report["truth_table"]))
+        assert "nan" not in capsys.readouterr().out
 
 
 def test_random_family_uses_cli_seed(tmp_path):
@@ -789,6 +827,28 @@ def test_ideal_mode_passage_axis_exits_2(tmp_path, capsys, monkeypatch, name):
     assert f"sweep axis {name!r} sets the passage; ideal mode runs none" in err
     assert "Traceback" not in err
     assert not out.exists() and reports == []
+
+
+@pytest.mark.parametrize("schedule", [
+    {"total_duration_s": -1.0, "margn": 5, "n_steps": 0},
+    {"total_duration_s": -1.0, "n_steps": 10},
+    {"total_duration_s": 1.0, "n_steps": 0},
+    {"total_duration_s": 1.0, "margin": 100.0,
+     "pump": {"peak_rabi_rad_per_s": 1.0, "center_s": 0.7, "width_s": 0.5}},
+], ids=["margn", "negative-duration", "no-steps", "margin-and-envelope"])
+def test_ideal_mode_reads_its_schedule_section_like_stirap(tmp_path, capsys, schedule):
+    # every config key is read or refused: ideal mode runs no passage, but a
+    # schedule section it carries is read and refused as in stirap mode
+    errors = []
+    for mode in ("stirap", "ideal"):
+        doc = stirap_doc(phonon="fock:1", n_max=4)
+        doc["gate"].update(mode=mode, schedule=schedule)
+        out = tmp_path / "r.json"
+        assert cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("config error: bad schedule: ")
 
 
 def test_ideal_config_with_a_schedule_section_runs(tmp_path):

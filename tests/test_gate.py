@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -428,6 +428,25 @@ def test_ideal_report_serializes():
     assert doc["residual_phases"] is None
     table = np.array([[complex(re, im) for re, im in row] for row in doc["truth_table"]])
     assert np.max(np.abs(table - np.diag([1, 1, 1, -1]))) < 1e-12
+    assert doc["table_extraction_failed"] is False
+
+
+@pytest.mark.parametrize("config", [IDEAL, stirap_config(margin=90.0, n_steps=300)],
+                         ids=["ideal", "stirap"])
+@pytest.mark.parametrize("phonon, weight", [
+    (np.zeros(5), "0.0"),
+    (DensityOperator(np.zeros((5, 5)), FockSpace(4), validate=False), "0.0"),
+    (np.array([1.0, np.nan, 0.0, 0.0, 0.0]), "nan"),
+    (DensityOperator(np.diag([np.nan, 1.0, 0.0, 0.0, 0.0]), FockSpace(4), validate=False),
+     "nan"),
+], ids=["zero-vector", "zero-density", "nan-vector", "nan-density"])
+def test_report_refuses_an_input_without_finite_weight(config, phonon, weight):
+    # every metric is read relative to Tr rho: no weight is no input, not fidelity 1
+    with pytest.raises(ValueError, match=f"phonon input has total weight {weight}"):
+        g.gate_report(config, phonon)
+    # an input with fewer than two rungs is still refused by its size first
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        g.gate_report(config, np.zeros(1))
 
 
 # ---------------------------------------------------------------- four-pulse oracle
@@ -690,15 +709,19 @@ def test_compensation_is_the_best_z_rotation(detuning, phonon):
 
 @given(detuning=st.floats(-500.0, 500.0), margin=st.floats(20.0, 200.0),
        epsilon=st.floats(-0.1, 0.1), seed=st.integers(0, 2**32 - 1),
-       n_max=st.integers(1, 8), swapped=st.booleans())
-@settings(max_examples=25, deadline=None)
-def test_compensation_never_lowers_the_fidelity(detuning, margin, epsilon, seed, n_max, swapped):
-    # phi = 0 is one of the rotations the compensation chooses from
+       n_max=st.integers(1, 8), swapped=st.booleans(), fock=st.booleans())
+@example(detuning=300.0, margin=50.0, epsilon=0.0, seed=2, n_max=4, swapped=False, fock=True)
+@settings(max_examples=50, deadline=None)
+def test_compensation_never_lowers_the_fidelity(detuning, margin, epsilon, seed, n_max, swapped,
+                                                fock):
+    # phi = 0 is one of the rotations the compensation chooses from; a Fock
+    # input takes its occupation from the seed
     params = replace(PARAMS, delta_stirap=detuning)
     sched = stirap.standard_schedule(1.0, params, margin=margin, n_steps=200)
     config = g.GateConfig(params=params, schedule=sched, epsilon=epsilon,
                           compensate_phases=True, control=int(swapped), target=1 - swapped)
-    report = g.gate_report(config, random_phonon(seed, n_max))
+    phonon = fock_state(seed % (n_max + 1), n_max) if fock else random_phonon(seed, n_max)
+    report = g.gate_report(config, phonon)
     assert report.qubit_fidelity >= report.qubit_fidelity_raw - 1e-15
 
 
