@@ -21,6 +21,7 @@ its first superdiagonal, so a hot (mixed) input is never decomposed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,14 +253,21 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     only, since mixing depresses purity on its own. Under compensate_phases
     the qubit fidelity is read after one Z rotation exp(-i phi) on the control's
     |1> at its best phase, and qubit_fidelity_raw is the one without it.
-    An input whose total weight Tr rho is zero or not finite is refused
-    (ValueError), since every metric is read relative to it.
+    An input whose total weight Tr rho is zero or not finite, or that has an
+    entry that is not finite, is refused (ValueError), since every metric is
+    read relative to it.
     """
     if isinstance(phonon_input, DensityOperator):
-        vec, rho = None, phonon_input.matrix
-        diag, sup = np.real(np.diagonal(rho)), np.diagonal(rho, 1)
+        vec, entries = None, phonon_input.matrix
     else:
-        vec = np.asarray(phonon_input, dtype=complex)
+        vec = entries = np.asarray(phonon_input, dtype=complex)
+    if not np.all(np.isfinite(entries)):  # before any arithmetic, which would warn
+        bad = entries[~np.isfinite(entries)][0]
+        raise ValueError(f"phonon input has total weight nan: an entry is {bad}; "
+                         "every entry must be finite")
+    if vec is None:
+        diag, sup = np.real(np.diagonal(entries)), np.diagonal(entries, 1)
+    else:
         diag, sup = np.abs(vec) ** 2, vec[:-1] * vec[1:].conj()
     d = len(diag)
     space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
@@ -278,7 +286,12 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     trace = np.sum(coherence[0]).real  # the same summation, so an exact gate reads 1
     if not (np.isfinite(trace) and trace > 0):
         raise ValueError(f"phonon input has total weight {trace}; it must be finite and > 0")
-    restoration = np.clip(np.sum(np.abs(overlap) ** 2, axis=-1) / trace**2, 0.0, 1.0)
+    # Tr rho = mantissa 2^k. A read relative to the weight is scaled by a power
+    # of two before squaring, which is exact: the same bits, and a tiny or huge
+    # weight neither under- nor overflows
+    mantissa, k = math.frexp(trace)
+    scaled = np.ldexp(overlap.view(float), -k).view(complex)
+    restoration = np.clip(np.sum(np.abs(scaled) ** 2, axis=-1) / mantissa**2, 0.0, 1.0)
     worst_restoration = float(np.min(restoration))
     pops = np.abs(cols) ** 2 * weight
     leakage = np.maximum(0.0, trace - pops.sum(axis=(1, 2))) + pops[:, 1:].sum(axis=(1, 2))
@@ -307,7 +320,9 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
         phases = {n: float(angles[n]) for n in range(len(amps))
                   if abs(amps[n]) ** 2 >= stirap.PHASE_MIN_TRANSFER}
         if vec is not None:
-            out = cols * np.append(0.0, vec)[np.arange(d) + np.array([[1], [1], [0]])]
+            # scaled to unit size, so that the purity's fourth powers stay in range
+            padded = np.append(0.0, vec * math.ldexp(1.0, -(k // 2)))
+            out = cols * padded[np.arange(d) + np.array([[1], [1], [0]])]
             ion = out @ out.conj().transpose(0, 2, 1)
             norm = np.maximum(np.real(np.trace(ion, axis1=1, axis2=2)), 1e-300)
             purity = np.real(np.einsum("aij,aji->a", ion, ion)) / norm**2

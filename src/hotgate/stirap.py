@@ -19,19 +19,23 @@ samples H at two Gauss nodes and adds their commutator for 4th-order dt
 convergence; 'midpoint' is the same formula with both nodes at mid-step,
 where the commutator is exactly 0 (2nd order). On two-photon resonance
 (Delta = 0, the default) the passage is a rotation in the basis
-(|1,n>, i|3,n>, |2,n+1>): each step is a real 3x3 rotation from Rodrigues'
-formula, the whole product is taken in real arithmetic, and the basis phases
-are put back once at the end. A detuned
-step is not a rotation and takes the general SU(3) kernel: eigenvalues from
-the trigonometric solution of the characteristic cubic, the exponential from
-Cayley-Hamilton as a Newton divided-difference interpolant, with no
-eigendecomposition. The time-ordered product of the steps is taken pairwise
-(later @ earlier, log depth) within chunks of a fixed number of steps, and
-the chunk products are folded in time order; the grouping depends on the
-step index only, so rung n comes out the same in every batch. A trajectory
-takes each chunk's prefix products from the same pairwise tree, whose last
-entry is the chunk product by construction, so the trajectory ends on the
-end-point propagator bit for bit.
+(|1,n>, i|3,n>, |2,n+1>). SO(3) is SU(2)/{1, -1}, so each step is stored as
+the Cayley-Klein pair (alpha, beta) of its spin-1/2 matrix, two complex
+numbers instead of nine reals; the pairs multiply in SU(2), each product is
+read out as a real 3x3 rotation only at the end (once per rung, or once per
+step boundary for a trajectory), and the basis phases are put back
+elementwise (the Majorana picture of the resonant Lambda system: K.
+Bergmann, H. Theuer and B. W. Shore, Rev. Mod. Phys. 70, 1003 (1998)). A
+detuned step is not a rotation and takes the general SU(3) kernel:
+eigenvalues from the trigonometric solution of the characteristic cubic, the
+exponential from Cayley-Hamilton as a Newton divided-difference interpolant,
+with no eigendecomposition. Either way the time-ordered product of the steps
+is taken pairwise (later @ earlier, log depth) by one tree within chunks of
+a fixed number of steps, and the chunk products are folded in time order;
+the grouping depends on the step index only, so rung n comes out the same in
+every batch. A trajectory takes each chunk's prefix products from the same
+pairwise tree, whose last entry is the chunk product by construction, so the
+trajectory ends on the end-point propagator bit for bit.
 
 Every end-point reader takes its blocks from one cached build, passage_blocks:
 the (up, down) pair of an 'up' schedule, a 'down' schedule being the down half
@@ -291,36 +295,69 @@ def _step_exponentials(u, v, w, d: float) -> np.ndarray:
     return out
 
 
-def _step_rotations(u, v, w) -> np.ndarray:
-    """exp(A) for stacked real antisymmetric A = [[0, u, w], [-u, 0, -v], [-w, v, 0]].
+def _step_spinors(u, v, w) -> np.ndarray:
+    """exp(A) for stacked real antisymmetric A = [[0, u, w], [-u, 0, -v], [-w, v, 0]], in SU(2).
 
-    u, v, w are real and broadcast to the stack shape; the result is laid
-    out matrix axes first, (3, 3) + stack shape. A is the cross product with
-    a = (v, w, -u), so with theta = |a| Rodrigues' formula gives
+    u, v, w are real and broadcast to the stack shape. A is the cross product
+    with a = (v, w, -u), so exp(A) turns by theta = |a| about a / theta. The
+    result is that rotation's Cayley-Klein pair, laid out pair axis first,
+    (2,) + stack shape:
 
-        exp(A) = cos(theta) 1 + (sin(theta)/theta) A + ((1 - cos(theta))/theta^2) a a^T
+        alpha = cos(theta/2) + i u sin(theta/2)/theta
+        beta = -(w + i v) sin(theta/2)/theta
 
-    with 1 - cos(theta) = 2 sin^2(theta/2): two sines, no cancellation at
-    small angles. At theta = 0 the coefficients of A and a a^T multiply
-    zeros, so any finite value does and A = 0 maps to the identity exactly.
+    standing for the SU(2) matrix [[alpha, beta], [-conj(beta), conj(alpha)]]
+    (_spinor_product, _rotation_from_spinor). At theta = 0 the sine
+    multiplies zeros, so A = 0 maps to (1, 0), the identity, exactly.
     """
     theta = np.sqrt(u * u + v * v + w * w)
-    safe = np.where(theta > 0.0, theta, 1.0)
-    half = np.sin(0.5 * theta)
-    c0 = 1.0 - 2.0 * half * half
-    c1 = np.sin(theta) / safe
-    c2 = 2.0 * (half / safe) ** 2
-    vw, uv, uw = c2 * v * w, c2 * u * v, c2 * u * w
-    out = np.empty((3, 3) + theta.shape)
-    out[0, 0] = c0 + c2 * v * v
-    out[1, 1] = c0 + c2 * w * w
-    out[2, 2] = c0 + c2 * u * u
-    out[0, 1] = vw + c1 * u
-    out[1, 0] = vw - c1 * u
-    out[0, 2] = c1 * w - uv
-    out[2, 0] = -c1 * w - uv
-    out[1, 2] = -c1 * v - uw
-    out[2, 1] = c1 * v - uw
+    half = 0.5 * theta
+    s = np.sin(half) / np.where(theta > 0.0, theta, 1.0)
+    out = np.empty((2,) + theta.shape, dtype=complex)
+    np.cos(half, out=out[0].real)
+    np.multiply(u, s, out=out[0].imag)
+    np.negative(s, out=s)
+    np.multiply(w, s, out=out[1].real)
+    np.multiply(v, s, out=out[1].imag)
+    return out
+
+
+def _spinor_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b for stacks of SU(2) matrices stored as Cayley-Klein pairs, (2, ...).
+
+    alpha = alpha_a alpha_b - beta_a conj(beta_b) and beta = alpha_a beta_b +
+    beta_a conj(alpha_b); each multiply covers both rows.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    t = a[1] * b[::-1].conj()
+    np.multiply(a[0], b, out=out)
+    out[0] -= t[0]
+    out[1] += t[1]
+    return out
+
+
+def _rotation_from_spinor(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The real 3x3 rotations of stacked Cayley-Klein pairs (2, ...), as (3, 3, ...).
+
+    Each entry is quadratic in (alpha, beta), the Cayley-Klein form of the
+    rotation of [[alpha, beta], [-conj(beta), conj(alpha)]]; the pair (1, 0)
+    reads the identity exactly.
+    """
+    alpha, beta = x[0], x[1]
+    if out is None:
+        out = np.empty((3, 3) + alpha.shape)
+    aa, bb, ab, abc = alpha * alpha, beta * beta, alpha * beta, alpha * beta.conj()
+    plus, minus = aa + bb, aa - bb
+    out[0, 0] = minus.real
+    out[0, 1] = plus.imag
+    out[0, 2] = -2.0 * ab.real
+    out[1, 0] = -minus.imag
+    out[1, 1] = plus.real
+    out[1, 2] = 2.0 * ab.imag
+    out[2, 0] = 2.0 * abc.real
+    out[2, 1] = 2.0 * abc.imag
+    out[2, 2] = alpha.real**2 + alpha.imag**2 - beta.real**2 - beta.imag**2
     return out
 
 
@@ -337,32 +374,34 @@ def _matmul3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.
     return out
 
 
-def _pairwise_product(m: np.ndarray, prefix: bool = False) -> np.ndarray:
-    """Time-ordered product m[:, :, -1] @ ... @ m[:, :, 0] of a (3, 3, steps, ...) stack.
+def _pairwise_product(m: np.ndarray, product, prefix: bool = False) -> np.ndarray:
+    """Time-ordered product of a stack of steps along axis 2, later @ earlier.
 
-    Neighbours multiply pairwise, later @ earlier, and an odd tail is carried
-    up a level, until one matrix is left: log-depth, each level one
-    vectorized multiply. With prefix=True returns the inclusive prefix
-    products instead, shaped like m: each level's prefixes are its pair
-    products' prefixes, plus one multiply for the even entries. The last
-    prefix is the reduction's root, computed by the same multiplies on the
-    same arrays, so it equals the product bit for bit.
+    product(later, earlier, out=None) multiplies two stacks: _matmul3 for
+    (3, 3, steps, ...) matrices, _spinor_product for (2, ..., steps)
+    Cayley-Klein pairs. Neighbours multiply pairwise, later @ earlier, and
+    an odd tail is carried up a level, until one element is left:
+    log-depth, each level one vectorized multiply. With prefix=True returns
+    the inclusive prefix products instead, shaped like m: each level's
+    prefixes are its pair products' prefixes, plus one multiply for the even
+    entries. The last prefix is the reduction's root, computed by the same
+    multiplies on the same arrays, so it equals the product bit for bit.
     """
     s = m.shape[2]
     if s == 1:
         return m if prefix else m[:, :, 0]
     half = s // 2
     pairs = np.empty(m.shape[:2] + (half + s % 2,) + m.shape[3:], dtype=m.dtype)
-    _matmul3(m[:, :, 1:2 * half:2], m[:, :, 0:2 * half:2], out=pairs[:, :, :half])
+    product(m[:, :, 1:2 * half:2], m[:, :, 0:2 * half:2], out=pairs[:, :, :half])
     if s % 2:
         pairs[:, :, -1] = m[:, :, -1]
     if not prefix:
-        return _pairwise_product(pairs)
-    sub = _pairwise_product(pairs, prefix=True)
+        return _pairwise_product(pairs, product)
+    sub = _pairwise_product(pairs, product, prefix=True)
     out = np.empty_like(m)
     out[:, :, 0] = m[:, :, 0]
     out[:, :, 1::2] = sub[:, :, :half]
-    _matmul3(m[:, :, 2:2 * half:2], sub[:, :, :half - 1], out=out[:, :, 2:2 * half:2])
+    product(m[:, :, 2:2 * half:2], sub[:, :, :half - 1], out=out[:, :, 2:2 * half:2])
     if s % 2:
         out[:, :, -1] = sub[:, :, -1]
     return out
@@ -391,9 +430,11 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     real u, v and an imaginary w = i*omega, so M = D (i A) D^dagger with
     D = diag(1, i, 1) and A = [[0, u, omega], [-u, 0, -v], [-omega, v, 0]]
     real antisymmetric: each step is the rotation exp(A) in the basis
-    (|1,n>, i|3,n>, |2,n+1>). The steps come from Rodrigues' formula and the
-    whole product runs in real arithmetic; D .. D^dagger is applied once,
-    elementwise, at the end.
+    (|1,n>, i|3,n>, |2,n+1>). Each step is kept as its Cayley-Klein pair
+    (_step_spinors) and the product runs in SU(2) (_spinor_product, the same
+    pairwise tree and chunks); the rotation is read out once per rung, or
+    once per step boundary for a trajectory (_rotation_from_spinor), and
+    D .. D^dagger is applied once, elementwise, at the end.
     Detuned steps are not rotations and take the closed-form SU(3) kernel.
     A propagator that is not finite raises NormDrift.
     """
@@ -409,43 +450,60 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
         raise ValueError(f"unknown integration method {method!r}")
     nodes = (starts + c1 * dt, starts + c2 * dt)
     # half Rabi rates: pump shared by all rungs, Stokes scaled per rung
-    pumps = [schedule.pump.value(t)[:, None] / 2 for t in nodes]
-    stokes = [schedule.stokes.value(t)[:, None] for t in nodes]
-    rates = sideband_factors(params, ns)[None, :]
+    pumps = [schedule.pump.value(t) / 2 for t in nodes]
+    stokes = [schedule.stokes.value(t) for t in nodes]
+    rates = sideband_factors(params, ns)
     delta = params.delta_stirap
     resonant = delta == 0.0
     kappa = _MAGNUS_COEFF * dt
-    # product of the chunks so far, (3, 3, rungs); multiplying by 1 is exact
-    dtype = float if resonant else complex
-    p = np.broadcast_to(np.eye(3, dtype=dtype)[:, :, None], (3, 3, len(ns)))
-    traj = np.empty((n_steps + 1, len(ns), 3, 3), dtype=dtype) if trajectory else None
+    # Steps run along axis 2 of every stack: (2, rungs, steps) Cayley-Klein
+    # pairs on resonance, (3, 3, steps, rungs) blocks off it. p is the product
+    # of the chunks so far; multiplying by the identity is exact.
+    if resonant:
+        product, p = _spinor_product, np.array([[1.0], [0.0]], dtype=complex)
+        half_rates = rates[:, None] / 2
+    else:
+        product, p = _matmul3, np.eye(3, dtype=complex)[:, :, None]
+    p = np.broadcast_to(p, p.shape[:-1] + (len(ns),))
     if trajectory:
-        traj[0] = p.transpose(2, 0, 1)
+        traj = np.empty((n_steps + 1, len(ns), 3, 3), dtype=float if resonant else complex)
+        # the product at every step boundary: a detuned one is the trajectory
+        # itself, a resonant one is read out as rotations at the end
+        hist = (np.empty((2, len(ns), n_steps + 1), dtype=complex) if resonant
+                else traj.transpose(2, 3, 0, 1))
+        hist[:, :, 0] = p
     for lo in range(0, n_steps, _CHUNK_STEPS):
         sl = slice(lo, lo + _CHUNK_STEPS)
-        a = [x[sl] for x in pumps]
-        b = [rates * x[sl] / 2 for x in stokes]
         if resonant:
-            # the commutator term alone survives in w = i omega
-            (a1, a2), (b1, b2) = a, b
+            # (rungs, chunk); the commutator term alone survives in w = i omega
+            a1, a2 = (x[sl] for x in pumps)
+            b1, b2 = (half_rates * x[sl] for x in stokes)
             u, v = dt * ((a1 + a2) / 2), dt * ((b1 + b2) / 2)
             w = -kappa * dt * (a2 * b1 - b2 * a1)
+            steps = _step_spinors(u, v, w)
         else:
-            # generator (h1 + h2)/2 - i kappa [h2, h1]; the commutator is real
-            # antisymmetric with entries D(a2 - a1), a2 b1 - b2 a1, D(b1 - b2)
-            (a1, a2), (b1, b2) = a, b
+            # (chunk, rungs); generator (h1 + h2)/2 - i kappa [h2, h1]; the commutator
+            # is real antisymmetric with entries D(a2 - a1), a2 b1 - b2 a1, D(b1 - b2)
+            a1, a2 = (x[sl, None] for x in pumps)
+            b1, b2 = (rates * x[sl, None] / 2 for x in stokes)
             u = dt * ((a1 + a2) / 2 - 1j * kappa * delta * (a2 - a1))
             v = dt * ((b1 + b2) / 2 - 1j * kappa * delta * (b1 - b2))
             w = -1j * kappa * dt * (a2 * b1 - b2 * a1)
-        # (3, 3, chunk, rungs)
-        steps = _step_rotations(u, v, w) if resonant else _step_exponentials(u, v, w, delta * dt)
+            steps = _step_exponentials(u, v, w, delta * dt)
         if trajectory:
-            prefix = _matmul3(_pairwise_product(steps, prefix=True), p[:, :, None])
-            traj[1:][sl] = prefix.transpose(2, 3, 0, 1)
+            prefix = product(_pairwise_product(steps, product, prefix=True), p[:, :, None])
+            hist[:, :, lo + 1:lo + 1 + prefix.shape[2]] = prefix
             p = prefix[:, :, -1]
         else:
-            p = _matmul3(_pairwise_product(steps), p)
-    out = traj if trajectory else np.ascontiguousarray(p.transpose(2, 0, 1))
+            p = product(_pairwise_product(steps, product), p)
+    if trajectory:
+        if resonant:
+            _rotation_from_spinor(hist, out=traj.transpose(2, 3, 1, 0))
+        out = traj
+    elif resonant:
+        out = np.ascontiguousarray(_rotation_from_spinor(p).transpose(2, 0, 1))
+    else:
+        out = np.ascontiguousarray(p.transpose(2, 0, 1))
     if resonant:
         out = out * _ROTATION_PHASES
     if not np.all(np.isfinite(out)):

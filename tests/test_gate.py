@@ -439,7 +439,15 @@ def test_ideal_report_serializes():
     (np.array([1.0, np.nan, 0.0, 0.0, 0.0]), "nan"),
     (DensityOperator(np.diag([np.nan, 1.0, 0.0, 0.0, 0.0]), FockSpace(4), validate=False),
      "nan"),
-], ids=["zero-vector", "zero-density", "nan-vector", "nan-density"])
+    # an entry that is not finite is refused before any arithmetic on it, which would warn
+    (np.array([1.0, np.inf, 0.0, 0.0, 0.0]), "nan: an entry is .*inf"),
+    (np.array([1.0, 0.0, complex(0.0, -np.inf), 0.0, 0.0]), "nan: an entry is .*inf"),
+    (DensityOperator(np.diag([np.inf, 1.0, 0.0, 0.0, 0.0]), FockSpace(4), validate=False),
+     "nan: an entry is .*inf"),
+    (DensityOperator(np.diag([0.0, 0.0, 1.0, 0.0, 0.0]) + np.diag([np.inf, 0, 0, 0], 1),
+                     FockSpace(4), validate=False), "nan: an entry is .*inf"),
+], ids=["zero-vector", "zero-density", "nan-vector", "nan-density", "inf-vector",
+        "imaginary-inf-vector", "inf-density", "inf-coherence-density"])
 def test_report_refuses_an_input_without_finite_weight(config, phonon, weight):
     # every metric is read relative to Tr rho: no weight is no input, not fidelity 1
     with pytest.raises(ValueError, match=f"phonon input has total weight {weight}"):
@@ -447,6 +455,26 @@ def test_report_refuses_an_input_without_finite_weight(config, phonon, weight):
     # an input with fewer than two rungs is still refused by its size first
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         g.gate_report(config, np.zeros(1))
+
+
+@pytest.mark.parametrize("config", [replace(IDEAL, epsilon=0.02),
+                                    stirap_config(margin=90.0, n_steps=300)],
+                         ids=["ideal", "stirap"])
+@pytest.mark.parametrize("density", [False, True], ids=["vector", "density"])
+def test_report_restoration_is_independent_of_the_input_scale(config, density):
+    # Tr rho**2 underflows for a weight below ~1e-162; the restoration is read
+    # relative to the weight, so a tiny input reads what a unit one does
+    def report(amplitude):
+        vec = np.full(5, amplitude)
+        if density:
+            return g.gate_report(config, DensityOperator(np.outer(vec, vec), FockSpace(4),
+                                                         validate=False))
+        return g.gate_report(config, vec)
+
+    unit = report(1.0).phonon_restoration_fidelity
+    assert 0.5 < unit < 1.0
+    assert report(2.0**-300).phonon_restoration_fidelity == unit  # a power of two: exact
+    assert abs(report(1e-85).phonon_restoration_fidelity - unit) <= 1e-15
 
 
 # ---------------------------------------------------------------- four-pulse oracle

@@ -343,34 +343,50 @@ def test_step_exponentials_match_expm(scale):
 
 @pytest.mark.parametrize("scale", [0.0, 1e-9, 0.5, 4.0, 40.0])
 def test_step_rotations_match_eigh_exponential(scale):
-    # exp(A) = exp(-i (iA)) through eigh of the Hermitian iA: within 4e-15 of a
-    # 40-digit exponential up to scale 4 and 4e-14 at 40, where scipy's expm
-    # itself is off by 7e-14 and 8e-13 (scaling and squaring)
+    # the rotation read out of a step's Cayley-Klein pair against exp(A) =
+    # exp(-i (iA)) through eigh of the Hermitian iA: within 4e-15 of a 40-digit
+    # exponential up to scale 4 and 4e-14 at 40, where scipy's expm itself is
+    # off by 7e-14 and 8e-13 (scaling and squaring)
     rng = np.random.default_rng(6)
     for _ in range(30):
         u, v, w = scale * rng.standard_normal(3)
         a = np.array([[0, u, w], [-u, 0, -v], [-w, v, 0]])
         lam, vec = np.linalg.eigh(1j * a)
         want = (vec * np.exp(-1j * lam)) @ vec.conj().T
-        got = stirap._step_rotations(np.array([u]), np.array([v]), np.array([w]))[..., 0]
+        spinor = stirap._step_spinors(np.array([u]), np.array([v]), np.array([w]))
+        got = stirap._rotation_from_spinor(spinor)[..., 0]
         if scale == 0.0:
             assert np.array_equal(got, np.eye(3))
         assert np.max(np.abs(got - want)) <= (1e-13 if scale > 4 else 1e-14)
 
 
+def spinor_matrices(x):
+    """(steps, batch, 2, 2) SU(2) matrices [[alpha, beta], [-conj(beta), conj(alpha)]]
+    of (2, batch, steps) Cayley-Klein pairs."""
+    alpha, beta = x.transpose(0, 2, 1)
+    return np.stack((np.stack((alpha, beta), -1), np.stack((-beta.conj(), alpha.conj()), -1)), -2)
+
+
 @pytest.mark.parametrize("length", [1, 2, 3, 5, 255, 256, 257])
 def test_pairwise_prefix_ends_on_the_product(length):
+    # one tree, two products: complex 3x3 blocks and SU(2) Cayley-Klein pairs
     rng = np.random.default_rng(length)
     m = rng.standard_normal((length, 2, 3, 3)) + 1j * rng.standard_normal((length, 2, 3, 3))
     m /= np.linalg.norm(m, ord=2, axis=(-2, -1), keepdims=True)  # keep long products O(1)
-    stack = np.ascontiguousarray(m.transpose(2, 3, 0, 1))  # (3, 3, steps, batch)
-    prefix = stirap._pairwise_product(stack, prefix=True)
-    assert np.array_equal(prefix[:, :, -1], stirap._pairwise_product(stack))
-    want = m[0]
-    for k in range(length):
-        if k:
-            want = m[k] @ want
-        assert np.max(np.abs(prefix[:, :, k].transpose(2, 0, 1) - want)) <= 1e-12
+    matrices = np.ascontiguousarray(m.transpose(2, 3, 0, 1))  # (3, 3, steps, batch)
+    pairs = rng.standard_normal((2, 2, length)) + 1j * rng.standard_normal((2, 2, length))
+    pairs /= np.sqrt(np.sum(np.abs(pairs) ** 2, axis=0))  # unit: a point of SU(2)
+    for stack, product, as_matrices in [
+            (matrices, stirap._matmul3, lambda x: x.transpose(2, 3, 0, 1)),
+            (pairs, stirap._spinor_product, spinor_matrices)]:
+        prefix = stirap._pairwise_product(stack, product, prefix=True)
+        assert np.array_equal(prefix[:, :, -1], stirap._pairwise_product(stack, product))
+        steps, got = as_matrices(stack), as_matrices(prefix)  # (steps, batch, k, k)
+        want = steps[0]
+        for k in range(length):
+            if k:
+                want = steps[k] @ want
+            assert np.max(np.abs(got[k] - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("n_steps, detuning", [  # step counts not multiples of the chunk
@@ -428,7 +444,7 @@ def _refuse(*args):
 
 
 @pytest.mark.parametrize("detuning, unused", [(0.0, "_step_exponentials"),
-                                              (37.0, "_step_rotations")])
+                                              (37.0, "_step_spinors")])
 def test_detuning_picks_the_step_kernel(monkeypatch, detuning, unused):
     monkeypatch.setattr(stirap, unused, _refuse)
     stirap.passage_blocks.cache_clear()
@@ -447,6 +463,22 @@ def test_resonant_passage_is_a_real_rotation():
     assert np.all(r.imag == 0.0)
     r = r.real
     assert np.max(np.abs(r @ r.transpose(0, 2, 1) - np.eye(3))) <= 1e-13
+
+
+def test_resonant_transfer_amplitude_is_exactly_real():
+    # transfer_phase reads pi for an adiabatic resonant passage only because
+    # the amplitude has no imaginary part at all: up, a down passage that is
+    # integrated on its own (the pulses do not mirror), and a trajectory
+    up = schedule(n_steps=1000)
+    down = stirap.reversed_schedule(replace(up, pump=replace(up.pump, width=0.45)))
+    stirap.passage_blocks.cache_clear()
+    for sched in (up, down):
+        amps = stirap.transfer_amplitudes(sched, PARAMS, 13)
+        assert np.all(amps.imag == 0.0) and np.all(amps.real < 0.0)
+        assert np.all(stirap.transfer_phase(amps) == np.pi)
+        _, traj = stirap.block_trajectory(sched, PARAMS, 4)
+        assert traj[-1, 2 if sched is up else 0] == amps[4]
+        assert np.all(traj[:, [0, 2]].imag == 0.0) and np.all(traj[:, 1].real == 0.0)
 
 
 # ---------------------------------------------------------------- propagate
@@ -560,10 +592,11 @@ def test_passage_blocks_is_positional_only():
 
 
 def test_rung_blocks_independent_of_batch():
-    sched, params = schedule(margin=80.0, n_steps=300), detuned(7.0)
-    full = stirap.block_propagators(sched, params, np.arange(33))
-    for n in range(33):
-        assert np.array_equal(stirap.block_propagators(sched, params, [n])[0], full[n])
+    sched = schedule(margin=80.0, n_steps=300)
+    for params in (detuned(7.0), detuned(0.0)):  # the SU(3) and the SU(2) product
+        full = stirap.block_propagators(sched, params, np.arange(33))
+        for n in range(33):
+            assert np.array_equal(stirap.block_propagators(sched, params, [n])[0], full[n])
 
 
 BOUNDARY_INPUTS = [  # direction, control level, phonon rung (n_max = 4), expected error
