@@ -265,10 +265,13 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
         bad = entries[~np.isfinite(entries)][0]
         raise ValueError(f"phonon input has total weight nan: an entry is {bad}; "
                          "every entry must be finite")
-    if vec is None:
-        diag, sup = np.real(np.diagonal(entries)), np.diagonal(entries, 1)
-    else:
-        diag, sup = np.abs(vec) ** 2, vec[:-1] * vec[1:].conj()
+    # finite entries can still square or sum past the float range; the weight
+    # is then inf, which the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        if vec is None:
+            diag, sup = np.real(np.diagonal(entries)), np.diagonal(entries, 1)
+        else:
+            diag, sup = np.abs(vec) ** 2, vec[:-1] * vec[1:].conj()
     d = len(diag)
     space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
     # one run carries all four basis inputs, since they reach disjoint cells
@@ -282,8 +285,9 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     # and rho enters as coherence[j, n] = rho[s, n] and weight[j, n] = rho[s, s]
     coherence = np.stack((diag, diag, np.append(0.0, sup)))
     weight = np.stack((diag, diag, np.append(0.0, diag[:-1])))
-    overlap = np.sum(cols * coherence, axis=-1)  # Tr(rho K_aj)
-    trace = np.sum(coherence[0]).real  # the same summation, so an exact gate reads 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlap = np.sum(cols * coherence, axis=-1)  # Tr(rho K_aj)
+        trace = np.sum(coherence[0]).real  # the same summation, so an exact gate reads 1
     if not (np.isfinite(trace) and trace > 0):
         raise ValueError(f"phonon input has total weight {trace}; it must be finite and > 0")
     # Tr rho = mantissa 2^k. A read relative to the weight is scaled by a power

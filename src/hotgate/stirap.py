@@ -26,16 +26,21 @@ read out as a real 3x3 rotation only at the end (once per rung, or once per
 step boundary for a trajectory), and the basis phases are put back
 elementwise (the Majorana picture of the resonant Lambda system: K.
 Bergmann, H. Theuer and B. W. Shore, Rev. Mod. Phys. 70, 1003 (1998)). A
+resonant step with one field off turns about a fixed axis, so the leading
+and the trailing run of such steps (Stokes alone at the start of the
+counter-intuitive order, the pump alone at the end) are each one rotation by
+their summed angle, and only the steps in between are evaluated one by one. A
 detuned step is not a rotation and takes the general SU(3) kernel:
 eigenvalues from the trigonometric solution of the characteristic cubic, the
 exponential from Cayley-Hamilton as a Newton divided-difference interpolant,
 with no eigendecomposition. Either way the time-ordered product of the steps
 is taken pairwise (later @ earlier, log depth) by one tree within chunks of
 a fixed number of steps, and the chunk products are folded in time order;
-the grouping depends on the step index only, so rung n comes out the same in
-every batch. A trajectory takes each chunk's prefix products from the same
-pairwise tree, whose last entry is the chunk product by construction, so the
-trajectory ends on the end-point propagator bit for bit.
+the runs and the grouping depend on the envelopes and the step index only,
+so rung n comes out the same in every batch. A trajectory takes each chunk's
+prefix products from the same pairwise tree, whose last entry is the chunk
+product by construction, and folds it by the same call as the end point, so
+the trajectory ends on the end-point propagator bit for bit.
 
 Every end-point reader takes its blocks from one cached build, passage_blocks:
 the (up, down) pair of an 'up' schedule, a 'down' schedule being the down half
@@ -322,6 +327,40 @@ def _step_spinors(u, v, w) -> np.ndarray:
     return out
 
 
+def _single_field_run(pump_off: np.ndarray, stokes_off: np.ndarray) -> tuple[int, bool]:
+    """Length of the leading run of steps with one field off, and whether it is the pump.
+
+    pump_off and stokes_off flag the steps where that field is exactly 0 at
+    both quadrature nodes. The longer of the two leading runs is taken; steps
+    with both fields off belong to either.
+    """
+    counts = [len(off) if off.all() else int(off.argmin()) for off in (pump_off, stokes_off)]
+    return max(counts), counts[0] >= counts[1]
+
+
+def _run_spinors(live, scale, pump_off: bool, dt: float, prefix: bool) -> np.ndarray:
+    """Cayley-Klein pairs of a single-field run of resonant steps, (2, rungs, 1).
+
+    live holds the other field's half rate at the two nodes of each step of
+    the run, scale its per-rung factor, (rungs, 1). With one field off, w = 0
+    and every step turns about one fixed axis (x with the pump off, z with
+    the Stokes field off), so the steps commute and the run is one rotation
+    by their summed angle: v = scale dt sum (b1 + b2)/2 with u = 0, or
+    u = scale dt sum (a1 + a2)/2 with v = 0, the sum taken pairwise. With
+    prefix=True returns the rotations by the running sums instead, (2,
+    rungs, steps); the last is the run's rotation from the same call, so it
+    equals the end point bit for bit.
+    """
+    mid = (live[0] + live[1]) / 2
+
+    def turn(c):
+        angle = scale * (dt * c)
+        return _step_spinors(0.0, angle, 0.0) if pump_off else _step_spinors(angle, 0.0, 0.0)
+
+    last = turn(np.sum(mid, keepdims=True))
+    return np.concatenate((turn(np.cumsum(mid[:-1])), last), axis=2) if prefix else last
+
+
 def _spinor_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b for stacks of SU(2) matrices stored as Cayley-Klein pairs, (2, ...).
 
@@ -423,8 +462,9 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     all rungs at once; each chunk's product is taken pairwise (later @
     earlier, log depth), and the chunk products are folded in time order.
     The trajectory takes each chunk's inclusive prefix products from the same
-    pairwise routine, whose last entry is the chunk product bit for bit, so
-    traj[-1] equals the final propagator exactly.
+    pairwise routine, whose last entry is the chunk product bit for bit; both
+    modes fold each chunk product into the running product by the same call,
+    so traj[-1] equals the final propagator exactly.
 
     On two-photon resonance (params.delta_stirap = 0) both generators have
     real u, v and an imaginary w = i*omega, so M = D (i A) D^dagger with
@@ -435,7 +475,17 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     pairwise tree and chunks); the rotation is read out once per rung, or
     once per step boundary for a trajectory (_rotation_from_spinor), and
     D .. D^dagger is applied once, elementwise, at the end.
-    Detuned steps are not rotations and take the closed-form SU(3) kernel.
+    A resonant step with one field exactly 0 at both nodes has w = 0 and
+    either u = 0 (pump off) or v = 0 (Stokes off): it turns about a fixed
+    axis. So the leading and the trailing run of such steps (Stokes alone on
+    [0, 0.2T] and the pump alone on [0.8T, T] in the standard schedule, 40 %
+    of the steps) each collapse to one rotation by their summed angle
+    (_run_spinors); only the steps between the runs take the step kernel
+    and the tree. A trajectory reads the rotations by the running sums
+    inside a run. Gaussian envelopes are never exactly 0, so they have no run.
+    Detuned steps are not rotations and take the closed-form SU(3) kernel;
+    there a single-field step does not commute with the next, so every step
+    is evaluated.
     A propagator that is not finite raises NormDrift.
     """
     ns = np.atleast_1d(np.asarray(ns, dtype=int))
@@ -458,12 +508,27 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     kappa = _MAGNUS_COEFF * dt
     # Steps run along axis 2 of every stack: (2, rungs, steps) Cayley-Klein
     # pairs on resonance, (3, 3, steps, rungs) blocks off it. p is the product
-    # of the chunks so far; multiplying by the identity is exact.
+    # of the segments so far; multiplying by the identity is exact. A segment
+    # is (steps, run): run is None for a chunk of the step kernel, else True
+    # for a single-field run with the pump off, False for one with Stokes off.
+    # The runs are read off the envelopes, so they are the same for every rung.
+    lead = trail = 0
     if resonant:
         product, p = _spinor_product, np.array([[1.0], [0.0]], dtype=complex)
         half_rates = rates[:, None] / 2
+        pump_off = (pumps[0] == 0.0) & (pumps[1] == 0.0)
+        stokes_off = (stokes[0] == 0.0) & (stokes[1] == 0.0)
+        lead, lead_pump_off = _single_field_run(pump_off, stokes_off)
+        trail, trail_pump_off = _single_field_run(pump_off[lead:][::-1], stokes_off[lead:][::-1])
     else:
         product, p = _matmul3, np.eye(3, dtype=complex)[:, :, None]
+    end = n_steps - trail
+    segments = [(slice(lo, min(lo + _CHUNK_STEPS, end)), None)
+                for lo in range(lead, end, _CHUNK_STEPS)]
+    if lead:
+        segments.insert(0, (slice(0, lead), lead_pump_off))
+    if trail:
+        segments.append((slice(end, n_steps), trail_pump_off))
     p = np.broadcast_to(p, p.shape[:-1] + (len(ns),))
     if trajectory:
         traj = np.empty((n_steps + 1, len(ns), 3, 3), dtype=float if resonant else complex)
@@ -472,9 +537,11 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
         hist = (np.empty((2, len(ns), n_steps + 1), dtype=complex) if resonant
                 else traj.transpose(2, 3, 0, 1))
         hist[:, :, 0] = p
-    for lo in range(0, n_steps, _CHUNK_STEPS):
-        sl = slice(lo, lo + _CHUNK_STEPS)
-        if resonant:
+    for sl, run in segments:
+        if run is not None:
+            live, scale = (stokes, half_rates) if run else (pumps, np.ones_like(half_rates))
+            steps = _run_spinors([x[sl] for x in live], scale, run, dt, trajectory)
+        elif resonant:
             # (rungs, chunk); the commutator term alone survives in w = i omega
             a1, a2 = (x[sl] for x in pumps)
             b1, b2 = (half_rates * x[sl] for x in stokes)
@@ -491,14 +558,22 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
             w = -1j * kappa * dt * (a2 * b1 - b2 * a1)
             steps = _step_exponentials(u, v, w, delta * dt)
         if trajectory:
-            prefix = product(_pairwise_product(steps, product, prefix=True), p[:, :, None])
-            hist[:, :, lo + 1:lo + 1 + prefix.shape[2]] = prefix
-            p = prefix[:, :, -1]
+            if run is None:
+                steps = _pairwise_product(steps, product, prefix=True)
+            hist[:, :, sl.start + 1:sl.stop] = product(steps[:, :, :-1], p[:, :, None])
+            root = steps[:, :, -1]
         else:
-            p = product(_pairwise_product(steps, product), p)
+            root = _pairwise_product(steps, product)
+        # numpy's complex multiply rounds differently on some layouts (a
+        # broadcast operand, an elided temporary), so both modes carry the
+        # product by the same call on arrays of the same shape and layout
+        p = product(np.ascontiguousarray(root), p)
+        if trajectory:
+            hist[:, :, sl.stop] = p
     if trajectory:
-        if resonant:
-            _rotation_from_spinor(hist, out=traj.transpose(2, 3, 1, 0))
+        if resonant:  # the last boundary read out as the end point is
+            _rotation_from_spinor(hist[:, :, :-1], out=traj[:-1].transpose(2, 3, 1, 0))
+            _rotation_from_spinor(p, out=traj[-1].transpose(1, 2, 0))
         out = traj
     elif resonant:
         out = np.ascontiguousarray(_rotation_from_spinor(p).transpose(2, 0, 1))

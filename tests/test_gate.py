@@ -457,6 +457,28 @@ def test_report_refuses_an_input_without_finite_weight(config, phonon, weight):
         g.gate_report(config, np.zeros(1))
 
 
+@pytest.mark.parametrize("config", [IDEAL, stirap_config(margin=90.0, n_steps=300)],
+                         ids=["ideal", "stirap"])
+@pytest.mark.parametrize("phonon", [
+    np.full(5, 1e154),  # each |c|^2 fits a float, their sum does not
+    np.full(5, 1e155),  # |c|^2 itself does not
+    DensityOperator(np.diag(np.full(5, 1e308)), FockSpace(4), validate=False),
+], ids=["vector-sum", "vector-square", "density-sum"])
+def test_report_refuses_a_weight_past_the_float_range(config, phonon):
+    # finite entries whose weight overflows: refused by name, not by a warning
+    with pytest.raises(ValueError, match="phonon input has total weight inf"):
+        g.gate_report(config, phonon)
+
+
+@pytest.mark.parametrize("config", [IDEAL, stirap_config(margin=90.0, n_steps=300)],
+                         ids=["ideal", "stirap"])
+def test_report_reads_a_large_finite_weight(config):
+    report = g.gate_report(config, np.full(5, 1e150))
+    assert np.isfinite(report.qubit_fidelity) and np.isfinite(report.leakage)
+    unit = g.gate_report(config, np.full(5, 1.0)).phonon_restoration_fidelity
+    assert abs(report.phonon_restoration_fidelity - unit) <= 1e-15
+
+
 @pytest.mark.parametrize("config", [replace(IDEAL, epsilon=0.02),
                                     stirap_config(margin=90.0, n_steps=300)],
                          ids=["ideal", "stirap"])

@@ -453,6 +453,120 @@ def test_detuning_picks_the_step_kernel(monkeypatch, detuning, unused):
     stirap.block_trajectory(schedule(n_steps=300), detuned(detuning), 3)
 
 
+def count_step_entries(monkeypatch, kernel, n_rungs):
+    """Wrap a step kernel; the returned list collects its step entries per rung, per call."""
+    calls, original = [], getattr(stirap, kernel)
+
+    def counted(u, v, w, *rest):
+        calls.append(np.broadcast(u, v, w).size // n_rungs)
+        return original(u, v, w, *rest)
+
+    monkeypatch.setattr(stirap, kernel, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, kernel, expected", [
+    # Stokes alone on [0, 0.2T] and the pump alone on [0.8T, T]: 400 + 400 of
+    # 2000 steps collapse to one rotation each, the other 1200 take the kernel
+    ("sin2", "_step_spinors", 1202),
+    ("gaussian", "_step_spinors", 2000),  # never exactly 0: no run
+    ("detuned", "_step_exponentials", 2000),  # a single-field run does not commute
+])
+def test_step_kernel_work_per_rung(monkeypatch, name, kernel, expected):
+    n_rungs = 13
+    sched = stirap.standard_schedule(1.0, PARAMS, margin=100.0, n_steps=2000,
+                                     shape="gaussian" if name == "gaussian" else "sin2")
+    params = detuned(37.0) if name == "detuned" else PARAMS
+    calls = count_step_entries(monkeypatch, kernel, n_rungs)
+    stirap.block_propagators(sched, params, np.arange(n_rungs))
+    assert sum(calls) == expected
+
+
+def per_step_spinor_reference(sched, params, ns):
+    """Resonant passage as a plain step-by-step product of _step_spinors pairs.
+
+    Returns the blocks at every step boundary, (n_steps + 1, rungs, 3, 3)."""
+    dt, half_rates = sched.dt, stirap.sideband_factors(params, np.asarray(ns)) / 2
+    c1, c2 = stirap._MAGNUS_C1, stirap._MAGNUS_C2
+    p = np.zeros((2, len(ns)), dtype=complex)
+    p[0] = 1.0
+    out = [p]
+    for k in range(sched.n_steps):
+        t1, t2 = (k + c1) * dt, (k + c2) * dt
+        a1, a2 = sched.pump.value(t1) / 2, sched.pump.value(t2) / 2
+        b1, b2 = half_rates * sched.stokes.value(t1), half_rates * sched.stokes.value(t2)
+        u, v = np.full(len(ns), dt * (a1 + a2) / 2), dt * (b1 + b2) / 2
+        w = -stirap._MAGNUS_COEFF * dt * dt * (a2 * b1 - b2 * a1)
+        p = stirap._spinor_product(stirap._step_spinors(u, v, w), p)
+        out.append(p)
+    rotations = stirap._rotation_from_spinor(np.stack(out, axis=-1))  # (3, 3, rungs, steps + 1)
+    return rotations.transpose(3, 2, 0, 1) * stirap._ROTATION_PHASES
+
+
+def unequal_widths():
+    up = schedule(n_steps=1000)
+    return replace(up, pump=replace(up.pump, width=0.45))  # pump off on [0, 0.25]
+
+
+COLLAPSE_SCHEDULES = {  # name: (schedule, (leading, trailing) run lengths)
+    "standard-1": (schedule(n_steps=1), (0, 0)),
+    "standard-7": (schedule(n_steps=7), (1, 1)),
+    "standard-1000": (schedule(n_steps=1000), (200, 200)),
+    "standard-3000": (schedule(n_steps=3000), (600, 600)),  # longer than a chunk
+    "down": (stirap.reversed_schedule(schedule(n_steps=1000)), (200, 200)),
+    "unequal-widths": (unequal_widths(), (250, 200)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLAPSE_SCHEDULES))
+def test_collapsed_runs_match_the_per_step_product(monkeypatch, name):
+    sched, (lead, trail) = COLLAPSE_SCHEDULES[name]
+    if name == "down":  # the leading run has the Stokes field off
+        assert sched.stokes.value(0.0) == 0.0 and sched.pump.value(0.0) > 0.0
+    ns = np.arange(13)
+    calls = count_step_entries(monkeypatch, "_step_spinors", len(ns))
+    final = stirap.block_propagators(sched, PARAMS, ns)
+    # each run is one step entry, every other step one
+    assert sum(calls) == sched.n_steps - lead - trail + (lead > 0) + (trail > 0)
+    traj = stirap.block_propagators(sched, PARAMS, ns, trajectory=True)
+    want = per_step_spinor_reference(sched, PARAMS, ns)
+    assert np.max(np.abs(final - want[-1])) <= 1e-13
+    assert np.max(np.abs(traj - want)) <= 1e-13
+    assert np.array_equal(traj[-1], final)
+
+
+def test_passage_without_pump_is_one_closed_form_rotation(monkeypatch):
+    # the whole passage is one pump-off run: a rotation by the summed Stokes
+    # angle theta_n on (|3,n>, |2,n+1>)
+    up = schedule(n_steps=1000)
+    sched = replace(up, pump=replace(up.pump, peak_rabi=0.0))
+    ns = np.arange(13)
+    calls = count_step_entries(monkeypatch, "_step_spinors", len(ns))
+    final = stirap.block_propagators(sched, PARAMS, ns)
+    assert calls == [1]
+    steps = np.arange(sched.n_steps)[:, None]
+    nodes = (steps + [stirap._MAGNUS_C1, stirap._MAGNUS_C2]) * sched.dt
+    theta = stirap.sideband_factors(PARAMS, ns) / 2 * sched.dt * np.sum(
+        sched.stokes.value(nodes).mean(axis=1))
+    want = np.zeros((13, 3, 3), dtype=complex)
+    want[:, 0, 0] = 1.0
+    want[:, 1, 1] = want[:, 2, 2] = np.cos(theta)
+    want[:, 1, 2] = want[:, 2, 1] = -1j * np.sin(theta)
+    traj = stirap.block_propagators(sched, PARAMS, ns, trajectory=True)
+    assert np.max(np.abs(final - want)) <= 1e-13
+    assert np.max(np.abs(traj - per_step_spinor_reference(sched, PARAMS, ns))) <= 1e-13
+    assert np.array_equal(traj[-1], final)
+
+
+def test_passage_without_fields_is_the_identity():
+    sched = schedule(margin=0.0, n_steps=1000)
+    ns = np.arange(13)
+    final = stirap.block_propagators(sched, PARAMS, ns)
+    traj = stirap.block_propagators(sched, PARAMS, ns, trajectory=True)
+    assert np.array_equal(final, np.broadcast_to(np.eye(3), (13, 3, 3)))
+    assert np.array_equal(traj, np.broadcast_to(np.eye(3), (1001, 13, 3, 3)))
+
+
 def test_resonant_passage_is_a_real_rotation():
     sched = schedule(n_steps=2000)
     stirap.passage_blocks.cache_clear()
@@ -597,6 +711,15 @@ def test_rung_blocks_independent_of_batch():
         full = stirap.block_propagators(sched, params, np.arange(33))
         for n in range(33):
             assert np.array_equal(stirap.block_propagators(sched, params, [n])[0], full[n])
+
+
+@pytest.mark.parametrize("batch", [[5], [5, 6, 7], list(range(5, 13)), [12, 5, 0]])
+def test_collapsed_rung_blocks_independent_of_batch(batch):
+    # the single-field runs (400 + 400 of 2000 steps) are found from the
+    # envelopes, not the rungs, so a batch that starts elsewhere reads the same
+    sched = schedule(n_steps=2000)
+    full = stirap.block_propagators(sched, PARAMS, np.arange(13))
+    assert np.array_equal(stirap.block_propagators(sched, PARAMS, batch), full[batch])
 
 
 BOUNDARY_INPUTS = [  # direction, control level, phonon rung (n_max = 4), expected error
