@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -932,3 +935,55 @@ def test_stirap_trace_rejects_out_of_range_rung(tmp_path):
 
 def test_missing_config_file(capsys):
     assert cli.main(["truth-table", "--config", "/nonexistent.json", "--out", "-"]) == 2
+
+
+# ---------------------------------------------------------------- runtime dependencies
+
+NO_SCIPY = """
+import importlib.abc
+import json
+import sys
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} imported at run time")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from hotgate import cli
+
+runs = json.loads(sys.argv[1])
+codes = [cli.main(run) for run in runs]
+assert codes == [0] * len(runs), codes
+assert "scipy" not in sys.modules
+print("commands run:", len(runs))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # numpy is the one runtime dependency: scipy is only a test oracle
+    import hotgate
+
+    runs = []
+    for phonon in ("fock:1", "coherent:0.6,-0.3", "thermal:0.5", "random:3"):
+        for mode, doc in (("ideal", ideal_doc(phonon=phonon, n_max=8)),
+                          ("stirap", stirap_doc(phonon=phonon, n_max=8, n_steps=200))):
+            config = write(tmp_path, doc, f"{phonon.partition(':')[0]}-{mode}.json")
+            runs.append(["truth-table", "--config", config,
+                         "--out", str(tmp_path / "report.json")])
+    config = write(tmp_path, stirap_doc(phonon="coherent:0.5,0", n_max=8, n_steps=200,
+                                        sweep={"axes": [{"name": "epsilon",
+                                                         "values": [0.0, 0.01]}]},
+                                        trace={"n": 1}), "passage.json")
+    runs.append(["sweep", "--config", config, "--out", str(tmp_path / "sweep.csv")])
+    runs.append(["stirap-trace", "--config", config, "--out", str(tmp_path / "trace.csv")])
+    package_root = str(Path(hotgate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(runs)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1] == "commands run: 10"

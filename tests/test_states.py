@@ -7,6 +7,7 @@ from hotgate.errors import TruncationLeakage
 from hotgate.hilbert import DensityOperator, parity_decompose
 from hotgate.states import (
     ThermalSpec,
+    _log_factorial,
     coherent_discarded_weight,
     coherent_state,
     fock_state,
@@ -71,14 +72,32 @@ def test_coherent_truncation_guard():
     assert coherent_discarded_weight(5.0, 8) > 1e-2
 
 
-@pytest.mark.parametrize("alpha, n_max", [(0.0, 4), (0.3, 4), (1.5 - 2j, 20), (5.0, 64)])
+@pytest.mark.parametrize("alpha, n_max", [
+    (0.0, 4), (0.3, 4), (1.5 - 2j, 20), (5.0, 64),  # |alpha|^2 well below n_max
+    (20.0, 400), (np.sqrt(400.5), 400), (np.sqrt(401), 400),  # at n_max and n_max + 1
+    (30.0, 400), (5.0, 8), (3.0, 1),  # above: one minus the head
+    (1e-160, 4),  # |alpha|^2 subnormal
+    (1e155 + 1e155j, 1),  # |alpha| finite, |alpha|^2 overflows
+])
 def test_coherent_discarded_weight_is_poisson_tail(alpha, n_max):
     from scipy.special import gammaln
 
-    m = abs(alpha) ** 2
-    n = np.arange(n_max + 1, n_max + 400)
+    m = abs(alpha) * abs(alpha)  # float ** would raise on overflow
+    if np.isinf(m):
+        assert coherent_discarded_weight(alpha, n_max) == 1.0
+        return
+    n = np.arange(n_max + 1, n_max + 400 + int(m + 40 * np.sqrt(m)))
     tail = np.sum(np.exp(n * np.log(m) - m - gammaln(n + 1.0))) if m else 0.0
     assert abs(coherent_discarded_weight(alpha, n_max) - tail) <= 1e-12 * max(tail, 1e-300)
+
+
+def test_log_factorial_within_4_ulp_of_gammaln():
+    from scipy.special import gammaln
+
+    n = np.arange(1501)
+    exact = gammaln(n + 1.0)
+    ulp = np.spacing(np.maximum(exact, np.finfo(float).tiny))
+    assert np.all(np.abs(_log_factorial(n) - exact) <= 4 * ulp)
 
 
 def test_overflowing_coherent_amplitude_is_refused():
