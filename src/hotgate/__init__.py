@@ -26,7 +26,6 @@ from .hilbert import (
     basis_state,
     compose_density,
     compose_state,
-    parity_decompose,
     partial_trace_phonon,
 )
 from .states import (

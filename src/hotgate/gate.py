@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,28 +141,46 @@ class GateReport:
         }
 
 
-def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
-    """The four-pulse sequence as per-rung blocks on a phonon axis padded by one rung.
+@lru_cache(maxsize=32)
+def _gate_blocks(schedule: stirap.StirapSchedule | None, params: PhysicalParams,
+                 epsilon: float, n_rungs: int, /) -> tuple:
+    """Read-only (blocks, ground) of the four-pulse sequence, rungs 0..n_rungs-1.
 
-    For target level t and rung n the block is down[n] Phi_t(n) up[n] Phi_t(n)
-    on {|1,n>, |3,n>, |2,n+1>} of the control ion, and |0,n> picks up
-    Phi_t(n)^2. Only |1>_t carries conditional phases; the other target
-    levels see the bare passage round trip.
+    blocks[t, n] = down[n] Phi_t(n) up[n] Phi_t(n) on {|1,n>, |3,n>, |2,n+1>}
+    of the control ion, for target level t (shape (4, n_rungs, 3, 3)), and
+    ground[t] the phases Phi_t(n)^2 of |0,n> over the padded phonon axis
+    (shape (4, n_rungs + 1)). Only |1>_t carries conditional phases; the
+    other target levels see the bare passage round trip. Without a schedule
+    the passages are the ideal ones. The one cached composition that crot
+    reads; the arguments are positional-only, so a configuration has one key.
     """
-    k, d = space.n_ions, space.fock.dim
-    phi = conditional_phase_factors(d + 1, config.epsilon)
-    if config.mode == "ideal":
-        up = down = np.broadcast_to(_IDEAL_PASSAGE, (d, 3, 3))
+    phi = conditional_phase_factors(n_rungs + 1, epsilon)
+    if schedule is None:
+        up = down = np.broadcast_to(_IDEAL_PASSAGE, (n_rungs, 3, 3))
     else:
-        up, down = stirap.passage_blocks(config.schedule, config.params, d)
+        up, down = stirap.passage_blocks(schedule, params, n_rungs)
     ph = np.stack((phi[:-1], phi[:-1], phi[1:]), axis=-1)
     bare = down @ up
     phased = down @ (ph[:, :, None] * up * ph[:, None, :])
-    lead = (4,) + (1,) * (k - 1)  # target level, then the spectator and batch axes
-    blocks = np.stack((bare, phased, bare, bare)).reshape(lead + (d, 3, 3))
-    ground = np.ones((4, d + 1), dtype=complex)
+    blocks = np.stack((bare, phased, bare, bare))
+    ground = np.ones((4, n_rungs + 1), dtype=complex)
     ground[1] = phi * phi
-    ground = ground.reshape(lead + (d + 1,))
+    blocks.flags.writeable = False
+    ground.flags.writeable = False
+    return blocks, ground
+
+
+def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
+    """The four-pulse sequence as per-rung blocks on a phonon axis padded by one rung.
+
+    Reads the cached _gate_blocks as views with the target level first and
+    one broadcast axis for each spectator ion and the batch.
+    """
+    k, d = space.n_ions, space.fock.dim
+    blocks, ground = _gate_blocks(config.schedule, config.params, config.epsilon, d)
+    lead = (4,) + (1,) * (k - 1)  # target level, then the spectator and batch axes
+    blocks = blocks.reshape(lead + blocks.shape[1:])
+    ground = ground.reshape(lead + ground.shape[1:])
     axes, moved = (config.control, config.target, k + 1), (0, 1, k)
 
     def kernel(sp, x):

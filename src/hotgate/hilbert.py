@@ -1,4 +1,4 @@
-"""Composite ion-phonon Hilbert space: indexing, state containers, the parity split.
+"""Composite ion-phonon Hilbert space: indexing and state containers.
 
 Layout convention (fixed): ion indices are major, the phonon index is minor.
 For k ions with levels (l_0, ..., l_{k-1}) and phonon occupation n,
@@ -149,7 +149,7 @@ def compose_state(space: CompositeSpace, ion_vector, phonon_vector) -> Composite
         raise ShapeError(f"ion vector has shape {ion_vector.shape}")
     if phonon_vector.shape != (space.fock.dim,):
         raise ShapeError(f"phonon vector has shape {phonon_vector.shape}")
-    return CompositeState(space, np.kron(ion_vector, phonon_vector), copy=False)
+    return CompositeState(space, np.outer(ion_vector, phonon_vector).reshape(-1), copy=False)
 
 
 class DensityOperator:
@@ -194,20 +194,6 @@ def compose_density(rho_ion: np.ndarray, rho_phonon: np.ndarray,
     if mat.shape[0] != space.dim:
         raise ShapeError("factor dimensions do not match the composite space")
     return DensityOperator(mat, space, validate=False)
-
-
-def parity_decompose(phonon_amplitudes):
-    """Split a phonon vector into its even- and odd-occupation parts.
-
-    Returns (even, odd) with even + odd == input exactly; each part keeps the
-    original length and zeros at the other parity's indices.
-    """
-    v = np.asarray(phonon_amplitudes, dtype=complex)
-    even = np.zeros_like(v)
-    odd = np.zeros_like(v)
-    even[0::2] = v[0::2]
-    odd[1::2] = v[1::2]
-    return even, odd
 
 
 def partial_trace_phonon(rho: DensityOperator) -> DensityOperator:

@@ -47,9 +47,11 @@ def _coherent_unnormalized(alpha: complex, n_max: int) -> np.ndarray:
         v = np.zeros(n_max + 1, dtype=complex)
         v[0] = 1.0
         return v
-    # a_n = alpha^n / sqrt(n!) computed in log space to dodge overflow
+    # a_n = exp(-|alpha|^2 / 2) alpha^n / sqrt(n!) computed in log space: every
+    # |a_n| <= 1, so neither an amplitude nor the norm overflows
     n = np.arange(n_max + 1)
-    log_mag = n * np.log(np.abs(alpha)) - 0.5 * _log_factorial(n)
+    r = np.abs(alpha)
+    log_mag = n * np.log(r) - 0.5 * _log_factorial(n) - 0.5 * r * r
     phase = np.exp(1j * n * np.angle(alpha))
     return np.exp(log_mag) * phase
 

@@ -1,7 +1,20 @@
-"""Hypothesis profiles: HYPOTHESIS_PROFILE=ci replays the same examples on every run."""
+"""Hypothesis profiles: HYPOTHESIS_PROFILE=ci replays the same examples on every run.
+
+Every test starts from cold block caches, so none passes or fails because of
+what an earlier test left cached.
+"""
 import os
 
+import pytest
 from hypothesis import settings
+
+from hotgate import gate, stirap
 
 settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(autouse=True)
+def cold_block_caches():
+    stirap.passage_blocks.cache_clear()
+    gate._gate_blocks.cache_clear()

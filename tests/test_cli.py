@@ -506,6 +506,16 @@ def test_simulation_domain_error_exit_code(tmp_path, capsys):
     assert "discarded weight" in capsys.readouterr().err
 
 
+def test_hot_coherent_input_reports_an_exact_gate(tmp_path, capsys):
+    # |alpha|^2 = 900: past about 710 the unscaled amplitudes' norm overflowed
+    out = tmp_path / "r.json"
+    code = cli.main(["truth-table", "--config",
+                     write(tmp_path, ideal_doc(phonon="coherent:30,0", n_max=3000)),
+                     "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert json.loads(out.read_text())["qubit_fidelity"] == 1.0
+
+
 def test_overflowing_coherent_amplitude_exits_3(tmp_path, capsys):
     # |alpha|^2 overflows to inf; the discarded weight must read 1, not nan
     code = cli.main(["truth-table", "--config",
@@ -673,7 +683,6 @@ def test_sweep_grid_point_builds_passage_once(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(stirap, "block_propagators", counting)
-    stirap.passage_blocks.cache_clear()
     doc = stirap_doc(phonon="fock:1", n_max=8, n_steps=300,
                      sweep={"axes": [{"name": "margin", "values": [70.0]}]})
     out = tmp_path / "sweep.csv"

@@ -15,7 +15,6 @@ from hotgate.hilbert import (
     FockSpace,
     compose_density,
     compose_state,
-    parity_decompose,
 )
 from hotgate.operators import (
     IdealUnitary,
@@ -115,7 +114,8 @@ def test_gate_parity_bookkeeping_mid_sequence():
     n_max = 11
     space = CompositeSpace(2, FockSpace(n_max))
     phonon = random_phonon(23, n_max)
-    even, _ = parity_decompose(phonon)
+    even = np.zeros_like(phonon)
+    even[0::2] = phonon[0::2]
     even[-1] = 0.0
     even /= np.linalg.norm(even)
     state = compose_state(space, qubit_ion_vector(1, 1), even)
@@ -810,6 +810,8 @@ def test_compensated_report_reads_no_extra_passage(monkeypatch):
     counts = []
     for compensate in (False, True):
         calls.clear()
+        original.cache_clear()
+        g._gate_blocks.cache_clear()
         g.gate_report(replace(config, compensate_phases=compensate),
                       thermal_state(ThermalSpec(0.5), 8))
         counts.append(len(calls))
@@ -818,7 +820,7 @@ def test_compensated_report_reads_no_extra_passage(monkeypatch):
 
 @pytest.fixture
 def passage_builds(monkeypatch):
-    """Directions of the block_propagators builds a test makes, from a cold cache."""
+    """Directions of the block_propagators builds a test makes."""
     builds = []
     original = stirap.block_propagators
 
@@ -827,7 +829,6 @@ def passage_builds(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(stirap, "block_propagators", counting)
-    stirap.passage_blocks.cache_clear()
     return builds
 
 
@@ -852,6 +853,45 @@ def test_unmirrored_pulses_build_both_passages(passage_builds, pump):
     cfg = g.GateConfig(params=PARAMS, schedule=sched)
     g.gate_report(cfg, fock_state(1, 8))
     assert sorted(passage_builds) == ["down", "up"]
+
+
+@pytest.mark.parametrize("config", [
+    IDEAL, stirap_config(margin=90.0, n_steps=300, epsilon=0.01),
+], ids=["ideal", "stirap"])
+def test_second_report_composes_no_gate_blocks(passage_builds, config):
+    phonon = thermal_state(ThermalSpec(0.5), 8)
+    g.gate_report(config, phonon)
+    builds = list(passage_builds)
+    g.gate_report(config, phonon)
+    assert g._gate_blocks.cache_info().misses == 1
+    assert passage_builds == builds
+
+
+@pytest.mark.parametrize("config", [
+    IDEAL, replace(IDEAL, epsilon=0.02, control=1, target=0),
+    stirap_config(margin=90.0, n_steps=300, epsilon=0.01),
+], ids=["ideal", "ideal-epsilon", "stirap"])
+def test_warm_report_equals_cold_report(config):
+    for phonon in (fock_state(3, 8), random_phonon(4, 8), thermal_state(ThermalSpec(1.0), 8)):
+        g._gate_blocks.cache_clear()
+        cold = g.gate_report(config, phonon).to_dict()
+        assert g.gate_report(config, phonon).to_dict() == cold
+
+
+@pytest.mark.parametrize("schedule", [None, stirap_config(n_steps=300).schedule],
+                         ids=["ideal", "stirap"])
+def test_gate_blocks_are_read_only(schedule):
+    blocks, ground = g._gate_blocks(schedule, PARAMS, 0.01, 5)
+    assert blocks.shape == (4, 5, 3, 3) and ground.shape == (4, 6)
+    for cached in (blocks, ground):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+
+
+def test_gate_blocks_is_positional_only():
+    # a keyword call would key the cache apart from the positional one
+    with pytest.raises(TypeError):
+        g._gate_blocks(None, PARAMS, 0.0, n_rungs=3)
 
 
 @pytest.mark.parametrize("config", [

@@ -12,7 +12,6 @@ from hotgate.hilbert import (
     basis_state,
     compose_density,
     compose_state,
-    parity_decompose,
     partial_trace_phonon,
 )
 
@@ -76,31 +75,6 @@ def test_encode_out_of_range():
         space.encode([0, 0], 4)
     with pytest.raises(IndexError):
         space.decode(space.dim)
-
-
-# ---------------------------------------------------------------- parity
-
-def test_parity_decompose_pattern():
-    a = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-    even, odd = parity_decompose(a)
-    assert np.array_equal(even, [1.0, 0.0, 3.0, 0.0])
-    assert np.array_equal(odd, [0.0, 2.0, 0.0, 4.0])
-
-
-def test_vacuum_is_even():
-    even, odd = parity_decompose(np.array([1.0, 0, 0, 0], dtype=complex))
-    assert np.array_equal(even, [1.0, 0, 0, 0])
-    assert not odd.any()
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_parity_reconstruction_and_orthogonality(seed):
-    v = random_vector(seed, 33)
-    even, odd = parity_decompose(v)
-    # split is an exact direct sum: bitwise-equal reconstruction
-    assert np.array_equal(even + odd, v)
-    assert np.vdot(even, odd) == 0
 
 
 # ---------------------------------------------------------------- states & densities
@@ -180,3 +154,13 @@ def test_compose_state_layout_matches_encode():
     ph = np.array([0.0, 1.0, 0.0], dtype=complex)
     state = compose_state(space, ion, ph)
     assert state.amplitudes[space.encode([1, 2], 1)] == 1.0
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 40))
+@settings(max_examples=30, deadline=None)
+def test_compose_state_is_the_kronecker_product(seed, n_ions, n_max):
+    # the outer product forms the same products a[i] * b[n] as np.kron
+    space = CompositeSpace(n_ions, FockSpace(n_max))
+    ion = random_vector(seed, 4**n_ions)
+    ph = random_vector(seed + 1, n_max + 1)
+    assert np.array_equal(compose_state(space, ion, ph).amplitudes, np.kron(ion, ph))

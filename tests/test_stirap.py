@@ -424,7 +424,6 @@ def test_passage_blocks_down_is_transposed_up(shape, detuning):
         sched = stirap.standard_schedule(1.0, PARAMS, margin=100.0, n_steps=600,
                                          shape="gaussian")
         params = detuned(-detuning)
-    stirap.passage_blocks.cache_clear()
     up, down = stirap.passage_blocks(sched, params, 12)
     assert np.shares_memory(up, down) and not down.flags.writeable  # no second build
     integrated = stirap.block_propagators(stirap.reversed_schedule(sched), params, np.arange(12))
@@ -447,7 +446,6 @@ def _refuse(*args):
                                               (37.0, "_step_spinors")])
 def test_detuning_picks_the_step_kernel(monkeypatch, detuning, unused):
     monkeypatch.setattr(stirap, unused, _refuse)
-    stirap.passage_blocks.cache_clear()
     up, down = stirap.passage_blocks(schedule(n_steps=300), detuned(detuning), 12)
     assert up.shape == down.shape == (12, 3, 3)
     stirap.block_trajectory(schedule(n_steps=300), detuned(detuning), 3)
@@ -569,7 +567,6 @@ def test_passage_without_fields_is_the_identity():
 
 def test_resonant_passage_is_a_real_rotation():
     sched = schedule(n_steps=2000)
-    stirap.passage_blocks.cache_clear()
     assert np.all(stirap.transfer_amplitudes(sched, detuned(0.0), 13).imag == 0.0)
     u = stirap.block_propagators(sched, detuned(0.0), np.arange(13))
     d = np.diag([1.0, 1j, 1.0])
@@ -585,7 +582,6 @@ def test_resonant_transfer_amplitude_is_exactly_real():
     # integrated on its own (the pulses do not mirror), and a trajectory
     up = schedule(n_steps=1000)
     down = stirap.reversed_schedule(replace(up, pump=replace(up.pump, width=0.45)))
-    stirap.passage_blocks.cache_clear()
     for sched in (up, down):
         amps = stirap.transfer_amplitudes(sched, PARAMS, 13)
         assert np.all(amps.imag == 0.0) and np.all(amps.real < 0.0)
