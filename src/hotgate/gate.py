@@ -80,7 +80,7 @@ class GateConfig:
     compensate_phases: bool = False  # one best Z rotation on the control's |1>
 
     def __post_init__(self):
-        if not np.isfinite(self.epsilon):
+        if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if self.control == self.target:
             raise ValueError("control and target must differ")
@@ -120,7 +120,7 @@ class GateReport:
     def to_dict(self) -> dict:
         table = None
         if self.truth_table is not None:
-            table = [[[float(z.real), float(z.imag)] for z in row] for row in self.truth_table]
+            table = self.truth_table.view(float).reshape(4, 4, 2).tolist()
         phases = None
         if self.residual_phases is not None:
             phases = {str(k): float(v) for k, v in self.residual_phases.items()}
@@ -174,21 +174,29 @@ def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
     """The four-pulse sequence as per-rung blocks on a phonon axis padded by one rung.
 
     Reads the cached _gate_blocks as views with the target level first and
-    one broadcast axis for each spectator ion and the batch.
+    one broadcast axis for each spectator ion and the batch. The transpose
+    that brings the control and target axes first is fixed here, with its
+    inverse, so each application is two transposes and one block product.
     """
     k, d = space.n_ions, space.fock.dim
     blocks, ground = _gate_blocks(config.schedule, config.params, config.epsilon, d)
     lead = (4,) + (1,) * (k - 1)  # target level, then the spectator and batch axes
     blocks = blocks.reshape(lead + blocks.shape[1:])
     ground = ground.reshape(lead + ground.shape[1:])
-    axes, moved = (config.control, config.target, k + 1), (0, 1, k)
+    # control, target, spectators, batch, phonon
+    order = (config.control, config.target,
+             *(i for i in range(k) if i not in (config.control, config.target)), k + 1, k)
+    inverse = [0] * len(order)
+    for i, axis in enumerate(order):
+        inverse[axis] = i
 
     def kernel(sp, x):
-        xc = np.moveaxis(x, axes, moved)  # control, target, spectators, batch, phonon
-        pad = np.zeros(xc.shape[:-1] + (1,), dtype=complex)
-        y = stirap.apply_blocks(np.concatenate((xc, pad), axis=-1), blocks)
+        xc = x.transpose(order)
+        padded = np.zeros(xc.shape[:-1] + (d + 1,), dtype=complex)
+        padded[..., :-1] = xc
+        y = stirap.apply_blocks(padded, blocks)
         y[0] *= ground
-        return np.moveaxis(y[..., :-1], moved, axes)
+        return y[..., :-1].transpose(inverse)
 
     def check(sp, pops):
         for ion in (config.control, config.target):
@@ -248,17 +256,31 @@ def cnot_matrix_oracle() -> np.ndarray:
     return r_post @ ideal_crot_matrix() @ r_pre
 
 
-def _qubit_cells(x: np.ndarray, config: GateConfig) -> np.ndarray:
-    """View of x with the control and target axes first and the spectators at level 0."""
-    x = np.moveaxis(x, (config.control, config.target), (0, 1))
-    return x[(slice(None), slice(None)) + (0,) * (config.params.n_ions - 2)]
+@lru_cache(maxsize=32)
+def _report_layout(n_ions: int, control: int, target: int, d: int, /) -> tuple:
+    """Read-only (register, index) of the report's one gate run on d phonon levels.
 
-
-def _qubit_register(config: GateConfig, coeffs) -> np.ndarray:
-    """Ion-register vector (length 4^k) carrying (control, target) qubit coefficients."""
-    reg = np.zeros((4,) * config.params.n_ions, dtype=complex)
-    _qubit_cells(reg, config)[:2, :2] = np.reshape(coeffs, (2, 2))
-    return reg.reshape(-1)
+    register (length 4^n_ions) carries all four (control, target) basis
+    inputs with the spectators at level 0, and index (shape (4, 3, d)) the
+    flat position in the gate's output of each (basis input, reached cell,
+    rung): cell 0 is the qubit cell, cells 1 and 2 are levels 3 and 2 of the
+    control ion for control 1. A control-0 input reaches neither; its two
+    unreached cells read |2>_c|0>, which no input feeds and the gate copies,
+    so they read an exact 0. The arguments are positional-only, so a layout
+    has one key.
+    """
+    c_stride, t_stride = 4 ** (n_ions - 1 - control), 4 ** (n_ions - 1 - target)
+    register = np.zeros(4**n_ions, dtype=complex)
+    register[[0, t_stride, c_stride, c_stride + t_stride]] = 1.0
+    rungs = np.arange(d)
+    index = np.empty((4, 3, d), dtype=np.intp)
+    index[:2, 1:] = 2 * c_stride * d
+    for a, (c, t) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        for j, level in enumerate((1, 3, 2) if c else (0,)):
+            index[a, j] = (level * c_stride + t * t_stride) * d + rungs
+    register.flags.writeable = False
+    index.flags.writeable = False
+    return register, index
 
 
 def gate_report(config: GateConfig, phonon_input) -> GateReport:
@@ -272,60 +294,70 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     only, since mixing depresses purity on its own. Under compensate_phases
     the qubit fidelity is read after one Z rotation exp(-i phi) on the control's
     |1> at its best phase, and qubit_fidelity_raw is the one without it.
-    An input whose total weight Tr rho is zero or not finite, or that has an
-    entry that is not finite, is refused (ValueError), since every metric is
-    read relative to it.
+    Every field is read relative to the total weight Tr rho, so an input
+    scaled by any factor reads what its unit version does. An input whose
+    total weight is zero or past the float range, or that has an entry that
+    is not finite, is refused (ValueError).
     """
     if isinstance(phonon_input, DensityOperator):
         vec, entries = None, phonon_input.matrix
     else:
         vec = entries = np.asarray(phonon_input, dtype=complex)
-    if not np.all(np.isfinite(entries)):  # before any arithmetic, which would warn
+    if not np.isfinite(entries).all():  # before any arithmetic, which would warn
         bad = entries[~np.isfinite(entries)][0]
         raise ValueError(f"phonon input has total weight nan: an entry is {bad}; "
                          "every entry must be finite")
-    # finite entries can still square or sum past the float range; the weight
-    # is then inf, which the check below refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        if vec is None:
-            diag, sup = np.real(np.diagonal(entries)), np.diagonal(entries, 1)
-        else:
-            diag, sup = np.abs(vec) ** 2, vec[:-1] * vec[1:].conj()
+    # Every read is relative to Tr rho, so the entries are first scaled by the
+    # power of two 2^-shift that brings the largest into [1/2, 1). That is exact,
+    # and then no square or sum under- or overflows, whatever the input's scale.
+    # Tr rho is trace 2^exponent
+    if vec is None:
+        diag = np.real(np.diagonal(entries))
+        sup = np.ascontiguousarray(np.diagonal(entries, 1)).view(float)
+        shift = math.frexp(max(np.abs(diag).max(initial=0.0), np.abs(sup).max(initial=0.0)))[1]
+        diag, sup = np.ldexp(diag, -shift), np.ldexp(sup, -shift).view(complex)
+        exponent = shift
+    else:
+        parts = np.ascontiguousarray(vec).view(float)  # real and imaginary parts
+        shift = math.frexp(np.abs(parts).max(initial=0.0))[1]
+        vec = np.ldexp(parts, -shift).view(complex)
+        diag, sup = np.abs(vec) ** 2, vec[:-1] * vec[1:].conj()
+        exponent = 2 * shift
     d = len(diag)
     space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
+    register, index = _report_layout(config.params.n_ions, config.control, config.target, d)
     # one run carries all four basis inputs, since they reach disjoint cells
-    run = crot(compose_state(space, _qubit_register(config, np.ones(4)), np.ones(d)), config)
-    x = _qubit_cells(run.tensor(), config)
-    cols = np.zeros((4, 3, d), dtype=complex)  # basis input, cell (qubit, 3, shelf), rung
-    cols[:2, 0] = x[0, :2]
-    cols[2:] = np.moveaxis(x[[1, 3, 2], :2], 1, 0)
+    cols = crot(compose_state(space, register, np.ones(d)), config).amplitudes[index]
     # cell (j, n) is fed by input rung s(j, n): n, or n - 1 on the shelf. So
     # basis input a acts on the phonon by K_aj[n, m] = cols[a, j, n] delta(m, s(j, n)),
     # and rho enters as coherence[j, n] = rho[s, n] and weight[j, n] = rho[s, s]
-    coherence = np.stack((diag, diag, np.append(0.0, sup)))
-    weight = np.stack((diag, diag, np.append(0.0, diag[:-1])))
-    with np.errstate(over="ignore", invalid="ignore"):
-        overlap = np.sum(cols * coherence, axis=-1)  # Tr(rho K_aj)
-        trace = np.sum(coherence[0]).real  # the same summation, so an exact gate reads 1
-    if not (np.isfinite(trace) and trace > 0):
-        raise ValueError(f"phonon input has total weight {trace}; it must be finite and > 0")
-    # Tr rho = mantissa 2^k. A read relative to the weight is scaled by a power
-    # of two before squaring, which is exact: the same bits, and a tiny or huge
-    # weight neither under- nor overflows
-    mantissa, k = math.frexp(trace)
-    scaled = np.ldexp(overlap.view(float), -k).view(complex)
-    restoration = np.clip(np.sum(np.abs(scaled) ** 2, axis=-1) / mantissa**2, 0.0, 1.0)
-    worst_restoration = float(np.min(restoration))
+    coherence = np.empty((3, d), dtype=complex)
+    weight = np.empty((3, d))
+    coherence[:2] = weight[:2] = diag
+    coherence[2, 0] = weight[2, 0] = 0.0
+    coherence[2, 1:] = sup
+    weight[2, 1:] = diag[:-1]
+    overlap = np.add.reduce(cols * coherence, axis=-1)  # Tr(rho K_aj), scaled
+    trace = np.add.reduce(coherence[0]).real  # the same summation, so an exact gate reads 1
+    with np.errstate(over="ignore"):
+        total = np.ldexp(trace, exponent)  # Tr rho itself, which may pass the float range
+    if not (trace > 0 and np.isfinite(total)):
+        raise ValueError(f"phonon input has total weight {total}; "
+                         "it must be finite and > 0")
+    restoration = np.add.reduce(np.abs(overlap) ** 2, axis=-1) / (trace * trace)
+    worst_restoration = float(np.minimum.reduce(np.minimum(np.maximum(0.0, restoration), 1.0)))
     pops = np.abs(cols) ** 2 * weight
-    leakage = np.maximum(0.0, trace - pops.sum(axis=(1, 2))) + pops[:, 1:].sum(axis=(1, 2))
+    leakage = (np.maximum(0.0, trace - np.add.reduce(pops, axis=(1, 2)))
+               + np.add.reduce(pops[:, 1:], axis=(1, 2))) / trace
     failed = config.mode == "stirap" and worst_restoration < MIN_RESTORATION_FOR_TABLE
-    table = None if failed else np.diag(overlap[:, 0])
+    # divided per component, so that an exact gate's +-trace reads exactly +-1
+    table = None if failed else np.diag((overlap.view(float) / trace).view(complex)[:, 0])
 
     def fidelity(qubit):  # basis input, rung of the qubit cell
         amp = _FIDELITY_PROBES @ qubit
         # summed as infidelity per rung, so that an exact gate scores exactly 1
-        loss = (1.0 - np.abs(amp) ** 2) @ diag
-        return float(np.mean(np.clip(1.0 - loss, 0.0, 1.0)))
+        loss = (1.0 - np.abs(amp) ** 2) @ diag / trace
+        return float(np.add.reduce(np.minimum(np.maximum(0.0, 1.0 - loss), 1.0)) / len(loss))
 
     q = cols[:, 0]
     fid = fidelity(q)
@@ -343,8 +375,7 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
         phases = {n: float(angles[n]) for n in range(len(amps))
                   if abs(amps[n]) ** 2 >= stirap.PHASE_MIN_TRANSFER}
         if vec is not None:
-            # scaled to unit size, so that the purity's fourth powers stay in range
-            padded = np.append(0.0, vec * math.ldexp(1.0, -(k // 2)))
+            padded = np.append(0.0, vec)  # at unit size: the fourth powers stay in range
             out = cols * padded[np.arange(d) + np.array([[1], [1], [0]])]
             ion = out @ out.conj().transpose(0, 2, 1)
             norm = np.maximum(np.real(np.trace(ion, axis1=1, axis2=2)), 1e-300)
@@ -354,7 +385,7 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
         truth_table=table,
         qubit_fidelity=fid,
         phonon_restoration_fidelity=worst_restoration,
-        leakage=float(np.max(leakage)),
+        leakage=float(np.maximum.reduce(leakage)),
         mode=config.mode,
         epsilon=config.epsilon,
         residual_phases=phases,
@@ -366,12 +397,12 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
 def truth_table(config: GateConfig, phonon_input) -> np.ndarray:
     """4x4 overlap table of the gate with the restored-phonon references.
 
-    Entry [a, b] is Tr(rho K_ab), with K_ab[n, m] = <b, n|U|a, m>: for a pure
-    input, the amplitude of basis output b (with the phonon factor back in its
-    input state) when feeding basis input a. It is linear in rho, so a mixed
-    input reads the average table of any pure ensemble that makes it up; only
-    the diagonal is non-zero and it reads only diag rho. In stirap mode
-    the extraction is refused (AmbiguousExtraction) when the phonon comes
+    Entry [a, b] is Tr(rho K_ab) / Tr rho, with K_ab[n, m] = <b, n|U|a, m>: for
+    a unit pure input, the amplitude of basis output b (with the phonon factor
+    back in its input state) when feeding basis input a. It is linear in rho,
+    so a mixed input reads the average table of any pure ensemble that makes
+    it up; only the diagonal is non-zero and it reads only diag rho. In stirap
+    mode the extraction is refused (AmbiguousExtraction) when the phonon comes
     back with fidelity below 0.9, since no clean table exists then.
     """
     report = gate_report(config, phonon_input)
@@ -404,7 +435,7 @@ def phonon_restoration(config: GateConfig, phonon_input) -> float:
 
 def gate_leakage(config: GateConfig, phonon_input) -> float:
     """Worst case over basis inputs of the norm loss plus the population left
-    outside the two-qubit subspace, each rung weighted by diag rho."""
+    outside the two-qubit subspace, each rung weighted by diag rho / Tr rho."""
     return gate_report(config, phonon_input).leakage
 
 
@@ -417,7 +448,9 @@ def mixed_state_equivalence(config: GateConfig, spec: ThermalSpec, n_max: int = 
     element-wise deviation between the two output density matrices.
     """
     space = CompositeSpace(config.params.n_ions, FockSpace(n_max))
-    ion = _qubit_register(config, 0.5 * np.ones(4, dtype=complex))
+    register, _ = _report_layout(config.params.n_ions, config.control, config.target,
+                                 n_max + 1)
+    ion = 0.5 * register
     probs = thermal_probabilities(spec, n_max)
     direct_in = compose_density(np.outer(ion, ion.conj()), np.diag(probs.astype(complex)), space)
     direct = crot(direct_in, config).matrix

@@ -15,6 +15,7 @@ Conventions (normative):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name in ("eta", "omega", "delta", "delta_stirap"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta <= 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")

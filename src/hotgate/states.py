@@ -29,7 +29,7 @@ class ThermalSpec:
     n_bar: float
 
     def __post_init__(self):
-        if not np.isfinite(self.n_bar) or self.n_bar < 0:
+        if not math.isfinite(self.n_bar) or self.n_bar < 0:
             raise ValueError(f"n_bar must be finite and >= 0, got {self.n_bar}")
 
 
@@ -161,7 +161,7 @@ def parse_state_spec(spec: str, n_max: int, default_seed: int | None = None):
         if name == "coherent":
             re_s, _, im_s = arg.partition(",")
             alpha = complex(float(re_s), float(im_s))
-            if not np.isfinite(alpha):
+            if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
                 raise ValueError
             return coherent_state(alpha, n_max)
         if name == "thermal":

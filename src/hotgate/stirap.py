@@ -59,6 +59,7 @@ block_trajectory, which needs every step, integrates on its own.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -96,7 +97,7 @@ class PulseEnvelope:
 
     def __post_init__(self):
         for name in ("peak_rabi", "center", "width"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.shape not in PULSE_SHAPES:
             raise ValueError(f"unknown pulse shape {self.shape!r}")
@@ -132,7 +133,7 @@ class StirapSchedule:
     n_steps: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.total_duration) and self.total_duration > 0):
+        if not (math.isfinite(self.total_duration) and self.total_duration > 0):
             raise ValueError(f"total_duration must be finite and > 0, got {self.total_duration}")
         if (isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer))
                 or self.n_steps < 1):
@@ -685,7 +686,10 @@ def apply_blocks(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     (level 0, the ladder top on levels 1 and 3, and |2>|0>) are copied.
     """
     y = x.copy()
-    v = np.stack((x[1, ..., :-1], x[3, ..., :-1], x[2, ..., 1:]), axis=-1)
+    v = np.empty(x.shape[1:-1] + (x.shape[-1] - 1, 3), dtype=x.dtype)
+    v[..., 0] = x[1, ..., :-1]
+    v[..., 1] = x[3, ..., :-1]
+    v[..., 2] = x[2, ..., 1:]
     w = np.einsum("...nij,...nj->...ni", blocks, v)
     y[1, ..., :-1] = w[..., 0]
     y[3, ..., :-1] = w[..., 1]

@@ -18,3 +18,4 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 def cold_block_caches():
     stirap.passage_blocks.cache_clear()
     gate._gate_blocks.cache_clear()
+    gate._report_layout.cache_clear()

@@ -1,4 +1,5 @@
 import functools
+import json
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -499,6 +500,29 @@ def test_report_restoration_is_independent_of_the_input_scale(config, density):
     assert abs(report(1e-85).phonon_restoration_fidelity - unit) <= 1e-15
 
 
+@pytest.mark.parametrize("config", [IDEAL, stirap_config(margin=100.0, n_steps=500)],
+                         ids=["ideal", "stirap"])
+@pytest.mark.parametrize("phonon", [random_phonon(3, 8), fock_state(1, 8),
+                                    thermal_state(ThermalSpec(1.0), 8)],
+                         ids=["random", "fock", "thermal"])
+@pytest.mark.parametrize("scale", [2.0**-300, 1e-150, 1e-160, 1e-170, 1e150, 1e300])
+def test_report_reads_every_field_relative_to_the_weight(config, phonon, scale):
+    # a tiny weight used to read fidelity 1 and leakage ~0, and below 1e-162 an
+    # underflowing square was refused as weight 0; a huge one read fidelity 0.375
+    if isinstance(phonon, DensityOperator):
+        scaled = DensityOperator(phonon.matrix * scale, FockSpace(8), validate=False)
+    else:
+        scaled = phonon * np.sqrt(scale)
+    unit, report = g.gate_report(config, phonon), g.gate_report(config, scaled)
+    if scale == 2.0**-300:  # a power of two: the same bits
+        assert report.to_dict() == unit.to_dict()
+    assert_same_report(report, unit)
+    if config.mode == "ideal":  # exact at any scale
+        assert np.array_equal(report.truth_table, np.diag([1, 1, 1, -1]))
+        assert report.qubit_fidelity == report.phonon_restoration_fidelity == 1.0
+        assert report.leakage <= 1e-15
+
+
 # ---------------------------------------------------------------- four-pulse oracle
 
 @functools.lru_cache(maxsize=None)
@@ -512,7 +536,8 @@ def dense_passage(config, schedule, workspace):
 
     def kernel(space, x):
         xc = np.moveaxis(x, config.control, 0)
-        return np.moveaxis(np.einsum("amcn,c...nb->a...mb", mat, xc), 0, config.control)
+        return np.moveaxis(np.einsum("amcn,c...nb->a...mb", mat, xc, optimize=True), 0,
+                           config.control)
 
     return IdealUnitary("dense passage", kernel)
 
@@ -552,7 +577,8 @@ FIDELITY_PROBES = [np.eye(4)[a] for a in range(4)] + [
 
 def oracle_register(config, coeffs):
     """Ion-register vector carrying (control, target) qubit coefficients."""
-    return sum(coeffs[2 * c + t] * qubit_ion_vector(c, t, config.control, config.target)
+    return sum(coeffs[2 * c + t] * qubit_ion_vector(c, t, config.control, config.target,
+                                                    config.params.n_ions)
                for c in range(2) for t in range(2))
 
 
@@ -571,7 +597,7 @@ def oracle_fidelity(config, phonon_input):
         ion = register(coeffs)
         if mixed:
             rho_in = compose_density(np.outer(ion, ion.conj()), phonon_input.matrix, space)
-            out = oracle_crot(rho_in, config).matrix.reshape(16, d, 16, d)
+            out = oracle_crot(rho_in, config).matrix.reshape(len(ion), d, len(ion), d)
             rho_ion = np.einsum("anbn->ab", out)
         else:
             x = oracle_crot(compose_state(space, ion, phonon_input), config).amplitudes
@@ -689,6 +715,11 @@ ORACLE_CONFIGS = {
         schedule=stirap.standard_schedule(1.0, DETUNED, margin=100.0, n_steps=400)),
     "stirap-swapped-roles": stirap_config(margin=60.0, n_steps=300, control=1, target=0),
     "stirap-weak": stirap_config(margin=5.0, n_steps=300),
+    "stirap-three-ions": g.GateConfig(
+        params=replace(DETUNED, n_ions=3), control=2, target=0, epsilon=0.004,
+        compensate_phases=True,
+        schedule=stirap.standard_schedule(1.0, replace(DETUNED, n_ions=3), margin=60.0,
+                                          n_steps=300)),
 }
 
 
@@ -696,12 +727,11 @@ ORACLE_CONFIGS = {
 def test_block_gate_matches_four_pulse_oracle(name):
     config = ORACLE_CONFIGS[name]
     n_max = 8
-    space = CompositeSpace(2, FockSpace(n_max))
+    space = CompositeSpace(config.params.n_ions, FockSpace(n_max))
     rng = np.random.default_rng(5)
     qubit = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     qubit /= np.linalg.norm(qubit)
-    ion = sum(qubit[2 * c + t] * qubit_ion_vector(c, t, config.control, config.target)
-              for c in range(2) for t in range(2))
+    ion = oracle_register(config, qubit)
     pure = random_phonon(12, n_max)
     # a rank-one density must read the same as its vector
     inputs = [fock_state(3, n_max), pure, thermal_state(ThermalSpec(1.0), n_max),
@@ -892,6 +922,82 @@ def test_gate_blocks_is_positional_only():
     # a keyword call would key the cache apart from the positional one
     with pytest.raises(TypeError):
         g._gate_blocks(None, PARAMS, 0.0, n_rungs=3)
+
+
+def register_gather(config, d):
+    """The report's (basis input, cell, rung) columns read through a register
+    tensor with the control and target axes moved first."""
+    k = config.params.n_ions
+
+    def cells(x):  # the control and target axes first, the spectators at level 0
+        x = np.moveaxis(x, (config.control, config.target), (0, 1))
+        return x[(slice(None), slice(None)) + (0,) * (k - 2)]
+
+    register = np.zeros((4,) * k, dtype=complex)
+    cells(register)[:2, :2] = 1.0
+    space = CompositeSpace(k, FockSpace(d - 1))
+    x = cells(g.crot(compose_state(space, register.reshape(-1), np.ones(d)), config).tensor())
+    cols = np.zeros((4, 3, d), dtype=complex)
+    cols[:2, 0] = x[0, :2]
+    cols[2:] = np.moveaxis(x[[1, 3, 2], :2], 1, 0)
+    return register.reshape(-1), cols
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_report_layout_gathers_the_register_cells(k):
+    params = replace(DETUNED, n_ions=k)
+    schedule = stirap.standard_schedule(1.0, params, margin=60.0, n_steps=200)
+    for control, target in ((c, t) for c in range(k) for t in range(k) if c != t):
+        config = g.GateConfig(params=params, control=control, target=target, epsilon=0.01,
+                              schedule=schedule)
+        for d in (2, 9):
+            register, index = g._report_layout(k, control, target, d)
+            want_register, want = register_gather(config, d)
+            space = CompositeSpace(k, FockSpace(d - 1))
+            cols = g.crot(compose_state(space, register, np.ones(d)), config).amplitudes[index]
+            assert index.shape == (4, 3, d)
+            # bit for bit, signed zeros too
+            assert register.tobytes() == want_register.tobytes()
+            assert cols.tobytes() == want.tobytes()
+
+
+def test_report_layout_is_read_only_and_positional_only():
+    register, index = g._report_layout(3, 2, 0, 5)
+    for cached in (register, index):
+        with pytest.raises(ValueError):
+            cached[0] = 0
+    # a keyword call would key the cache apart from the positional one
+    with pytest.raises(TypeError):
+        g._report_layout(3, 2, 0, d=5)
+
+
+def test_second_report_on_a_layout_adds_no_cache_entry():
+    # the block caches start cold in every test, and so does the layout's
+    assert g._report_layout.cache_info().currsize == 0
+    g.gate_report(IDEAL, fock_state(3, 8))
+    g.gate_report(replace(IDEAL, epsilon=0.01), thermal_state(ThermalSpec(1.0), 8))
+    g.gate_report(stirap_config(margin=90.0, n_steps=300), random_phonon(2, 8))
+    info = g._report_layout.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+    g.gate_report(replace(IDEAL, control=1, target=0), fock_state(3, 8))
+    g.gate_report(IDEAL, fock_state(3, 9))
+    assert g._report_layout.cache_info().currsize == 3
+
+
+def test_to_dict_table_is_the_entry_list():
+    report = g.gate_report(IDEAL, fock_state(1, 4))
+    tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+    report.truth_table = np.array([
+        [1.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)],
+        [tiny, complex(-tiny, 2.5e-310), -1.0, 0.5 + 0.25j],
+        [complex(1e300, -1e-300), np.pi, -np.e, 1j],
+        [0.0, complex(0.0, tiny), -2.0**-1074, complex(-1.0, 1e-17)],
+    ])
+    want = [[[float(z.real), float(z.imag)] for z in row] for row in report.truth_table]
+    got = report.to_dict()["truth_table"]
+    assert all(type(x) is float for row in got for z in row for x in z)
+    # json spells -0.0 and every subnormal apart from its neighbours
+    assert json.dumps(got) == json.dumps(want)
 
 
 @pytest.mark.parametrize("config", [
