@@ -175,6 +175,11 @@ class DensityOperator:
         return self.matrix.shape[0]
 
     def validate(self) -> "DensityOperator":
+        # every comparison with nan is False, so the bounds below cannot see one
+        bad = np.argwhere(~np.isfinite(self.matrix))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"entry ({i}, {j}) = {self.matrix[i, j]} is not finite")
         herm = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
         if herm > HERM_ATOL:
             raise ValueError(f"Hermiticity defect {herm:.3e} exceeds {HERM_ATOL}")

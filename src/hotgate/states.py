@@ -1,13 +1,12 @@
 """Initial phonon-state families: Fock, coherent, thermal, seeded random.
 
 Coherent and thermal constructors renormalize after truncation; the discarded
-weight is available as the geometric tail of the thermal distribution in
-closed form (thermal_discarded_weight) and as the Poisson tail of the coherent
-one, summed as a series that does not cancel (coherent_discarded_weight), and
-construction aborts when it exceeds the constant MAX_STATE_DISCARD = 1e-2,
-keeping the family honest about how hot a state the chosen n_max can hold.
-The module needs numpy and the standard library's math only: log n! is
-math.lgamma per occupation.
+weight is the geometric tail of the thermal distribution in closed form
+(thermal_discarded_weight) and, for a coherent state, one minus the Poisson
+weight its kept amplitudes carry. Construction aborts when it exceeds the
+constant MAX_STATE_DISCARD = 1e-2, keeping the family honest about how hot a
+state the chosen n_max can hold. The module needs numpy and the standard
+library's math only: log n! is math.lgamma per occupation.
 """
 from __future__ import annotations
 
@@ -60,49 +59,27 @@ def _log_factorial(n: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, (n + 1.0).tolist()), float, n.size)
 
 
-def coherent_discarded_weight(alpha: complex, n_max: int) -> float:
-    """Probability weight of the coherent state above the truncation n_max.
-
-    The occupation is Poisson with mean m = |alpha|^2, so this is the Poisson
-    upper tail, summed so that it neither overflows nor cancels. When
-    m <= n_max + 1 the terms fall from j = n_max + 1 on (each is the last
-    times m / j < 1), so the tail is summed directly until a term no longer
-    changes the sum. Otherwise the tail is 1 minus the head, summed
-    downwards from j = n_max, and the tail is at least 1/2 there. The first
-    term comes from log space, whose rounding bounds the relative accuracy
-    (about 1e-12 at n_max near 1000). A mean m that overflows to inf gives
-    weight 1.
-    """
-    m = abs(alpha) * abs(alpha)  # float ** would raise on overflow
-    if m == 0:
-        return 0.0
-    if not m < math.inf:  # overflowed (or nan): no truncation holds it
-        return 1.0
-    direct = m <= n_max + 1
-    j = n_max + 1 if direct else n_max
-    term = math.exp(j * math.log(m) - m - math.lgamma(j + 1.0))
-    total = 0.0
-    while total + term != total:
-        total += term
-        if direct:
-            j += 1
-            term *= m / j
-        else:
-            term *= j / m
-            j -= 1
-    return total if direct else 1.0 - total
-
-
 def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
-    """Truncated, renormalized coherent state with amplitude alpha."""
-    discard = coherent_discarded_weight(alpha, n_max)
+    """Truncated, renormalized coherent state with amplitude alpha.
+
+    The kept amplitudes carry the factor e^{-|alpha|^2/2}, so one minus their
+    squared norm is the Poisson weight above n_max that renormalizing
+    discards. A |alpha|^2 that overflows keeps no weight.
+    """
+    r = abs(complex(alpha))
+    m = r * r  # float ** would raise on overflow
+    if m < math.inf:
+        v = _coherent_unnormalized(alpha, n_max)
+    else:  # overflowed (or nan): no truncation holds it
+        v = np.zeros(n_max + 1, dtype=complex)
+    norm = np.linalg.norm(v)
+    discard = 1.0 - norm * norm
     if discard > MAX_STATE_DISCARD:
         raise TruncationLeakage(
-            f"|alpha|^2 = {abs(alpha) * abs(alpha):.3g} too large for n_max = {n_max}: "
+            f"|alpha|^2 = {m:.3g} too large for n_max = {n_max}: "
             f"discarded weight {discard:.3e} exceeds {MAX_STATE_DISCARD}"
         )
-    v = _coherent_unnormalized(alpha, n_max)
-    return v / np.linalg.norm(v)
+    return v / norm
 
 
 def thermal_discarded_weight(n_bar: float, n_max: int) -> float:

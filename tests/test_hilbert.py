@@ -110,6 +110,17 @@ def test_density_invariants_reject_bad_trace():
         DensityOperator(np.eye(4, dtype=complex))
 
 
+@pytest.mark.parametrize("matrix, entry", [
+    (np.full((2, 2), np.nan), r"\(0, 0\) = \(nan\+0j\)"),
+    (np.diag([np.nan, 1.0]), r"\(0, 0\) = \(nan\+0j\)"),
+    (np.array([[0.5, np.inf], [np.inf, 0.5]]), r"\(0, 1\) = \(inf\+0j\)"),
+], ids=["all-nan", "nan-diagonal", "inf-coherence"])
+def test_density_invariants_reject_non_finite_entries(matrix, entry):
+    # a nan fails no bound and an inf coherence would warn in the Hermiticity check
+    with pytest.raises(ValueError, match=f"entry {entry} is not finite"):
+        DensityOperator(matrix)
+
+
 # ---------------------------------------------------------------- partial traces
 
 def test_partial_trace_product_state():

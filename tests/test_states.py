@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hotgate.hilbert import DensityOperator
 from hotgate.states import (
     ThermalSpec,
     _log_factorial,
-    coherent_discarded_weight,
     coherent_state,
     fock_state,
     parse_state_spec,
@@ -80,7 +80,6 @@ def test_coherent_amplitudes_are_root_poisson(alpha):
 def test_coherent_truncation_guard():
     with pytest.raises(TruncationLeakage):
         coherent_state(5.0, 8)
-    assert coherent_discarded_weight(5.0, 8) > 1e-2
 
 
 @pytest.mark.parametrize("alpha, n_max", [
@@ -90,16 +89,26 @@ def test_coherent_truncation_guard():
     (1e-160, 4),  # |alpha|^2 subnormal
     (1e155 + 1e155j, 1),  # |alpha| finite, |alpha|^2 overflows
 ])
-def test_coherent_discarded_weight_is_poisson_tail(alpha, n_max):
+def test_coherent_state_refuses_past_poisson_tail(alpha, n_max):
+    # refused exactly when the Poisson weight above n_max exceeds 1e-2, and the
+    # printed weight is that tail to its 4 printed digits
     from scipy.special import gammaln
 
     m = abs(alpha) * abs(alpha)  # float ** would raise on overflow
     if np.isinf(m):
-        assert coherent_discarded_weight(alpha, n_max) == 1.0
+        tail = 1.0
+    elif m:
+        n = np.arange(n_max + 1, n_max + 400 + int(m + 40 * np.sqrt(m)))
+        tail = np.sum(np.exp(n * np.log(m) - m - gammaln(n + 1.0)))
+    else:
+        tail = 0.0
+    if tail <= 1e-2:
+        coherent_state(alpha, n_max)
         return
-    n = np.arange(n_max + 1, n_max + 400 + int(m + 40 * np.sqrt(m)))
-    tail = np.sum(np.exp(n * np.log(m) - m - gammaln(n + 1.0))) if m else 0.0
-    assert abs(coherent_discarded_weight(alpha, n_max) - tail) <= 1e-12 * max(tail, 1e-300)
+    with pytest.raises(TruncationLeakage) as info:
+        coherent_state(alpha, n_max)
+    printed = float(re.search(r"discarded weight (\S+) exceeds", str(info.value)).group(1))
+    assert abs(printed - tail) <= 5e-4 * tail
 
 
 def test_log_factorial_within_4_ulp_of_gammaln():
@@ -113,8 +122,7 @@ def test_log_factorial_within_4_ulp_of_gammaln():
 
 def test_overflowing_coherent_amplitude_is_refused():
     # |alpha|^2 overflows: the whole weight lies above any truncation
-    assert coherent_discarded_weight(1e200, 8) == 1.0
-    with pytest.raises(TruncationLeakage, match="discarded weight"):
+    with pytest.raises(TruncationLeakage, match="discarded weight 1.000e"):
         parse_state_spec("coherent:1e200,0", 8)
 
 

@@ -764,7 +764,8 @@ def test_propagate_domain_guards():
         stirap.propagate(basis_state(space, [2], 0), down, PARAMS)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-2, 1e2])  # unnormalized too: the rule is relative
+# unnormalized too: the ladder-top rule and the norm-drift check are both relative
+@pytest.mark.parametrize("scale", [1.0, 1e-2, 1e2, 1e6, 1e9])
 @pytest.mark.parametrize("share, expected", [(1e-6, TruncationLeakage), (1e-10, None)])
 def test_passage_ladder_top_rule_is_relative_at_leak_tol(share, expected, scale):
     # a share of the weight on |1>|n_max>, the rest on |1>|0>; LEAK_TOL = 1e-8 lies
