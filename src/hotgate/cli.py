@@ -62,9 +62,9 @@ _PARAMS = {"eta": (float, _REQUIRED), "omega_rad_per_s": (float, _REQUIRED),
            "delta_stirap_rad_per_s": (float, 0.0)}
 _SCHEDULE = {"total_duration_s": (float, _REQUIRED), "n_steps": (int, stirap.DEFAULT_N_STEPS),
              "margin": (float, None), "pump_peak_rabi_rad_per_s": (float, None),
-             "shape": (str, "sin2"), "pump": (dict, None), "stokes": (dict, None)}
-_ENVELOPE = {"shape": (str, "sin2"), "peak_rabi_rad_per_s": (float, _REQUIRED),
-             "center_s": (float, _REQUIRED), "width_s": (float, _REQUIRED)}
+             "pump": (dict, None), "stokes": (dict, None)}
+_ENVELOPE = {"peak_rabi_rad_per_s": (float, _REQUIRED), "center_s": (float, _REQUIRED),
+             "width_s": (float, _REQUIRED)}
 _SWEEP = {"axes": (list, _REQUIRED)}
 _AXIS = {"name": (str, _REQUIRED), "values": (list, _REQUIRED)}
 _TRACE = {"n": (int, 0)}
@@ -142,8 +142,8 @@ def _config_errors(prefix: str):
 def _parse_envelope(section: dict, name: str) -> stirap.PulseEnvelope:
     with _config_errors(f"bad pulse envelope in {name}: "):
         e = _read(section, _ENVELOPE, f"gate.schedule.{name}")
-        return stirap.PulseEnvelope(shape=e["shape"], peak_rabi=e["peak_rabi_rad_per_s"],
-                                    center=e["center_s"], width=e["width_s"])
+        return stirap.PulseEnvelope(peak_rabi=e["peak_rabi_rad_per_s"], center=e["center_s"],
+                                    width=e["width_s"])
 
 
 def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSchedule:
@@ -153,8 +153,8 @@ def _parse_schedule(section: dict, params: PhysicalParams) -> stirap.StirapSched
         if s["pump"] is None and s["stokes"] is None:
             return stirap.standard_schedule(
                 total, params, margin=s["margin"], pump_peak=s["pump_peak_rabi_rad_per_s"],
-                n_steps=n_steps, shape=s["shape"])
-        for key in ("margin", "pump_peak_rabi_rad_per_s", "shape"):
+                n_steps=n_steps)
+        for key in ("margin", "pump_peak_rabi_rad_per_s"):
             if key in section:
                 raise ValueError("give either explicit pump/stokes envelopes or a margin; "
                                  f"{key} belongs to the standard family they replace")

@@ -297,12 +297,20 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     Every field is read relative to the total weight Tr rho, so an input
     scaled by any factor reads what its unit version does. An input whose
     total weight is zero or past the float range, or that has an entry that
-    is not finite, is refused (ValueError).
+    is not finite, is refused (ValueError), and so is an input that is not a
+    phonon state: a density operator on the composite space, or an array that
+    is not a vector.
     """
     if isinstance(phonon_input, DensityOperator):
+        if isinstance(phonon_input.space, CompositeSpace):
+            raise ValueError(f"phonon input has shape {phonon_input.matrix.shape} on "
+                             f"{phonon_input.space}; it must be a phonon state")
         vec, entries = None, phonon_input.matrix
     else:
         vec = entries = np.asarray(phonon_input, dtype=complex)
+        if vec.ndim != 1:
+            raise ValueError(f"phonon input has shape {vec.shape}; it must be a vector "
+                             "of phonon amplitudes or a DensityOperator")
     if not np.isfinite(entries).all():  # before any arithmetic, which would warn
         bad = entries[~np.isfinite(entries)][0]
         raise ValueError(f"phonon input has total weight nan: an entry is {bad}; "

@@ -131,8 +131,14 @@ def _ion_slice(ndim: int, ion: int, level: int):
 
 
 def sideband_factors(params: PhysicalParams, ns):
-    """Lamb-Dicke red-sideband factor eta sqrt(n+1) of rung n: the passage's rung law."""
-    return params.eta * np.sqrt(np.asarray(ns) + 1.0)
+    """Lamb-Dicke red-sideband factor eta sqrt(n+1) of rung n: the passage's rung law.
+
+    A rung below 0 raises IndexError; every reader of a rung takes its factor here.
+    """
+    ns = np.asarray(ns)
+    if ns.size and ns.min() < 0:
+        raise IndexError(f"occupation {ns.min()} must be >= 0")
+    return params.eta * np.sqrt(ns + 1.0)
 
 
 def conditional_phase_factors(dim: int, epsilon: float = 0.0) -> np.ndarray:

@@ -69,8 +69,6 @@ from .errors import NormDrift
 from .hilbert import DOMAIN_ATOL, CompositeState
 from .operators import PhysicalParams, passage_check, sideband_factors
 
-PULSE_SHAPES = ("sin2", "gaussian")
-
 # Standard counter-intuitive sin^2 pair, as fractions of the total duration.
 # Calibrated so that one family parameter (the margin) controls adiabaticity.
 STOKES_CENTER_FRAC = 0.30
@@ -88,9 +86,8 @@ MAX_N_STEPS = np.iinfo(np.intp).max // (9 * np.dtype(complex).itemsize) - 1
 
 @dataclass(frozen=True)
 class PulseEnvelope:
-    """One laser pulse envelope; sin2 has compact support [center-width, center+width]."""
+    """One sin^2 laser pulse envelope, with compact support [center-width, center+width]."""
 
-    shape: str
     peak_rabi: float
     center: float
     width: float
@@ -99,8 +96,6 @@ class PulseEnvelope:
         for name in ("peak_rabi", "center", "width"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.shape not in PULSE_SHAPES:
-            raise ValueError(f"unknown pulse shape {self.shape!r}")
         if self.peak_rabi < 0:
             raise ValueError("peak_rabi must be >= 0")
         if self.width <= 0:
@@ -110,9 +105,7 @@ class PulseEnvelope:
         """Envelope value at time(s) t; stays within [0, peak_rabi]."""
         t = np.asarray(t, dtype=float)
         x = (t - self.center) / self.width
-        if self.shape == "sin2":
-            return np.where(np.abs(x) < 1.0, self.peak_rabi * np.cos(0.5 * np.pi * x) ** 2, 0.0)
-        return self.peak_rabi * np.exp(-0.5 * x**2)
+        return np.where(np.abs(x) < 1.0, self.peak_rabi * np.cos(0.5 * np.pi * x) ** 2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -157,8 +150,7 @@ class StirapSchedule:
 def standard_schedule(total_duration: float, params: PhysicalParams, *,
                       margin: float | None = None,
                       pump_peak: float | None = None,
-                      n_steps: int = DEFAULT_N_STEPS,
-                      shape: str = "sin2") -> StirapSchedule:
+                      n_steps: int = DEFAULT_N_STEPS) -> StirapSchedule:
     """Build the standard counter-intuitive pulse pair for a given duration.
 
     Stokes first, so the passage goes up; reversed_schedule gives the down
@@ -178,8 +170,8 @@ def standard_schedule(total_duration: float, params: PhysicalParams, *,
         stokes_rabi = pump_peak / params.eta
     t = total_duration
     width = WIDTH_FRAC * t
-    return StirapSchedule(PulseEnvelope(shape, pump_peak, PUMP_CENTER_FRAC * t, width),
-                          PulseEnvelope(shape, stokes_rabi, STOKES_CENTER_FRAC * t, width),
+    return StirapSchedule(PulseEnvelope(pump_peak, PUMP_CENTER_FRAC * t, width),
+                          PulseEnvelope(stokes_rabi, STOKES_CENTER_FRAC * t, width),
                           t, n_steps)
 
 
@@ -190,10 +182,8 @@ def reversed_schedule(schedule: StirapSchedule) -> StirapSchedule:
     the direction: reversing a standard 'up' schedule yields the matching
     'down' passage.
     """
-    new_pump = replace(schedule.pump, center=schedule.stokes.center,
-                       width=schedule.stokes.width, shape=schedule.stokes.shape)
-    new_stokes = replace(schedule.stokes, center=schedule.pump.center,
-                         width=schedule.pump.width, shape=schedule.pump.shape)
+    new_pump = replace(schedule.pump, center=schedule.stokes.center, width=schedule.stokes.width)
+    new_stokes = replace(schedule.stokes, center=schedule.pump.center, width=schedule.pump.width)
     return replace(schedule, pump=new_pump, stokes=new_stokes)
 
 
@@ -212,8 +202,6 @@ def adiabaticity_margin(schedule: StirapSchedule, params: PhysicalParams, n: int
 def hamiltonian_block(n: int, t: float, schedule: StirapSchedule,
                       params: PhysicalParams) -> np.ndarray:
     """3x3 Hermitian block over {|1,n>, |3,n>, |2,n+1>} at time t."""
-    if n < 0:
-        raise IndexError(f"occupation {n} must be >= 0")
     om_p = float(schedule.pump.value(t))
     om_s = float(sideband_rate(n, t, schedule, params))
     return np.array(
@@ -487,7 +475,7 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     of the steps) each collapse to one rotation by their summed angle
     (_run_spinors); only the steps between the runs take the step kernel
     and the tree. A trajectory reads the rotations by the running sums
-    inside a run. Gaussian envelopes are never exactly 0, so they have no run.
+    inside a run.
     Detuned steps are not rotations and take the closed-form SU(3) kernel;
     there a single-field step does not commute with the next, so every step
     is evaluated.
@@ -642,12 +630,12 @@ def block_trajectory(schedule: StirapSchedule, params: PhysicalParams, n: int):
 def _is_mirrored(schedule: StirapSchedule) -> bool:
     """True when the pulses mirror each other about the middle of the passage.
 
-    Same shape and width, and pump.center + stokes.center equal to the total
-    duration to rounding: then the reversed schedule's Hamiltonian at t is
-    this one's at T - t.
+    Same width, and pump.center + stokes.center equal to the total duration
+    to rounding: then the reversed schedule's Hamiltonian at t is this one's
+    at T - t.
     """
     pump, stokes = schedule.pump, schedule.stokes
-    return (pump.shape == stokes.shape and pump.width == stokes.width
+    return (pump.width == stokes.width
             and abs(pump.center + stokes.center - schedule.total_duration)
             <= 1e-14 * schedule.total_duration)
 

@@ -79,8 +79,8 @@ def test_parse_explicit_envelopes(tmp_path, capsys):
     doc["gate"]["schedule"] = {
         "total_duration_s": 2.0,
         "n_steps": 100,
-        "pump": {"shape": "sin2", "peak_rabi_rad_per_s": 50.0, "center_s": 1.4, "width_s": 1.0},
-        "stokes": {"shape": "sin2", "peak_rabi_rad_per_s": 500.0, "center_s": 0.6, "width_s": 1.0},
+        "pump": {"peak_rabi_rad_per_s": 50.0, "center_s": 1.4, "width_s": 1.0},
+        "stokes": {"peak_rabi_rad_per_s": 500.0, "center_s": 0.6, "width_s": 1.0},
     }
     config = cli.parse_config(doc)
     assert config.gate.schedule.pump.peak_rabi == 50.0
@@ -95,8 +95,7 @@ def test_parse_explicit_envelopes(tmp_path, capsys):
 
 def test_parse_rejects_margin_with_envelopes():
     # every key of the standard family is refused next to explicit envelopes
-    for key, value in (("margin", 50.0), ("pump_peak_rabi_rad_per_s", 7.0),
-                       ("shape", "gaussian")):
+    for key, value in (("margin", 50.0), ("pump_peak_rabi_rad_per_s", 7.0)):
         doc = ideal_doc()
         doc["gate"]["mode"] = "stirap"
         doc["gate"]["schedule"] = {
@@ -141,6 +140,25 @@ def test_undeclared_key_exits_2_naming_it_and_its_section(tmp_path, capsys, wher
     assert cli.main([command, "--config", write(tmp_path, doc), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"unknown key 'bogus' in {where}; known: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make_doc, where", [
+    (lambda: stirap_doc(n_max=4, n_steps=200), "gate.schedule"),
+    (envelope_doc, "gate.schedule.pump"),
+], ids=["standard", "envelope"])
+def test_pulse_shape_key_exits_2(tmp_path, capsys, make_doc, where):
+    # sin^2 is the one envelope: a shape key is refused like any unknown key
+    doc = make_doc()
+    node = doc
+    for key in SECTIONS[where]:
+        node = node[key]
+    node["shape"] = "sin2"
+    out = tmp_path / "out"
+    assert cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key 'shape' in {where}; known: " in err
     assert "Traceback" not in err
     assert not out.exists()
 
