@@ -53,7 +53,6 @@ from .stirap import (
     block_propagators,
     calibrate_transfer,
     hamiltonian_block,
-    propagate,
     reversed_schedule,
     standard_schedule,
 )

@@ -18,7 +18,7 @@ class TruncationLeakage(SimulationError):
 
 
 class NormDrift(SimulationError):
-    """State norm drifted beyond the unitarity budget during propagation."""
+    """A passage propagator is not finite: a step generator overflowed a float."""
 
 
 class AmbiguousExtraction(SimulationError):

@@ -33,6 +33,7 @@ from .hilbert import (
     CompositeState,
     DensityOperator,
     FockSpace,
+    _is_integer,
     compose_density,
     compose_state,
 )
@@ -82,6 +83,9 @@ class GateConfig:
     def __post_init__(self):
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+        for name in ("control", "target"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.control == self.target:
             raise ValueError("control and target must differ")
         k = self.params.n_ions

@@ -33,6 +33,11 @@ DOMAIN_ATOL = 1e-10    # population allowed on levels outside an operator's doma
 MAX_DIM = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 
+def _is_integer(value) -> bool:
+    """The rule for a size or an index: an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FockSpace:
     """Truncated phonon mode keeping occupations 0..n_max."""
@@ -40,6 +45,8 @@ class FockSpace:
     n_max: int
 
     def __post_init__(self):
+        if not _is_integer(self.n_max):
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.dim > MAX_DIM:
@@ -59,6 +66,8 @@ class CompositeSpace:
     fock: FockSpace
 
     def __post_init__(self):
+        if not _is_integer(self.n_ions):
+            raise ValueError(f"n_ions must be an integer, got {self.n_ions!r}")
         if self.n_ions < 1:
             raise ValueError(f"n_ions must be >= 1, got {self.n_ions}")
         # n_ions is bounded first, so dim's exact 4**n_ions stays a small integer

@@ -27,6 +27,7 @@ from .hilbert import (
     CompositeSpace,
     CompositeState,
     DensityOperator,
+    _is_integer,
 )
 
 
@@ -54,6 +55,8 @@ class PhysicalParams:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if self.omega <= 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
+        if not _is_integer(self.n_ions):
+            raise ValueError(f"n_ions must be an integer, got {self.n_ions!r}")
         if self.n_ions < 1:
             raise ValueError(f"n_ions must be >= 1, got {self.n_ions}")
         if self.delta <= 0:
@@ -113,15 +116,29 @@ class IdealUnitary:
         return self._kernel(space, eye).reshape(d, d)
 
 
-def outside_weight(weights: np.ndarray, ion: int, levels, tol: float = DOMAIN_ATOL) -> float:
-    """Population of one ion on the given levels if it exceeds tol times the total, else 0.
+def _ion_axis(n_ions: int, ion: int) -> int:
+    """One ion's tensor axis, which is its index; outside 0..n_ions-1 raises IndexError.
 
-    The one outside-the-domain rule: the conditional phase, the passages and
-    the gate's qubit-subspace check raise when it is non-zero.
+    The one ion-index rule of every pulse operator's check or kernel: the
+    phonon and batch axes follow the ions, so such an index would address one
+    of them.
     """
+    if not 0 <= ion < n_ions:
+        raise IndexError(f"ion {ion} outside 0..{n_ions - 1} of a register of n_ions = {n_ions}")
+    return ion
+
+
+def outside_weight(weights: np.ndarray, ion: int, levels) -> float:
+    """Population of one ion on the given levels if it exceeds DOMAIN_ATOL times the total, else 0.
+
+    weights has one axis per ion and a trailing phonon axis. The one
+    outside-the-domain rule: the conditional phase, the passages and the
+    gate's qubit-subspace check raise when it is non-zero.
+    """
+    axis = _ion_axis(weights.ndim - 1, ion)
     total = max(float(np.sum(weights)), 1e-300)
-    bad = float(np.sum(np.take(weights, levels, axis=ion)))
-    return bad if bad > tol * total else 0.0
+    bad = float(np.sum(np.take(weights, levels, axis=axis)))
+    return bad if bad > DOMAIN_ATOL * total else 0.0
 
 
 def _ion_slice(ndim: int, ion: int, level: int):
@@ -164,7 +181,7 @@ def conditional_phase(target_ion: int, epsilon: float = 0.0) -> IdealUnitary:
 
     def kernel(space, x):
         out = x.copy()
-        sl = _ion_slice(x.ndim, target_ion, 1)
+        sl = _ion_slice(x.ndim, _ion_axis(space.n_ions, target_ion), 1)
         phases = conditional_phase_factors(space.fock.dim, epsilon)
         # after slicing the target axis away, the phonon axis sits at n_ions-1
         shape = [1] * (x.ndim - 1)
@@ -185,7 +202,7 @@ def conditional_phase(target_ion: int, epsilon: float = 0.0) -> IdealUnitary:
 
 def _swap_kernel(control_ion: int):
     def kernel(space, x):
-        x = np.moveaxis(x, control_ion, 0)
+        x = np.moveaxis(x, _ion_axis(space.n_ions, control_ion), 0)
         out = x.copy()
         # exchange |1>|n> and |2>|n+1>; |1>|n_max> and |2>|0> have no partner
         out[(2, Ellipsis, slice(1, None), slice(None))] = x[(1, Ellipsis, slice(0, -1), slice(None))]
@@ -195,7 +212,7 @@ def _swap_kernel(control_ion: int):
     return kernel
 
 
-def passage_check(control_ion: int, direction: str, domain_tol: float = DOMAIN_ATOL):
+def passage_check(control_ion: int, direction: str):
     """Domain rule of a passage on the control ion, as an IdealUnitary check.
 
     'up' needs the control ion on {0,1} and the ladder top on levels 1 and 3
@@ -205,7 +222,7 @@ def passage_check(control_ion: int, direction: str, domain_tol: float = DOMAIN_A
     outside = (2, 3) if direction == "up" else (1, 3)
 
     def check(space, weights):
-        bad = outside_weight(weights, control_ion, outside, domain_tol)
+        bad = outside_weight(weights, control_ion, outside)
         if bad:
             raise DomainError(
                 f"passage {direction} undefined: control ion {control_ion} has population "
@@ -222,7 +239,7 @@ def passage_check(control_ion: int, direction: str, domain_tol: float = DOMAIN_A
                 )
         else:
             vac = float(np.sum(w[2, ..., 0]))
-            if vac > domain_tol * total:
+            if vac > DOMAIN_ATOL * total:
                 raise DomainError(
                     f"passage down undefined on |2>|0>: population {vac:.3e} with no "
                     "phonon to remove"
@@ -266,9 +283,10 @@ def carrier_rotation(ion: int, theta: float, phi: float) -> IdealUnitary:
     r = rotation_matrix_2x2(theta, phi)
 
     def kernel(space, x):
+        axis = _ion_axis(space.n_ions, ion)
         out = x.copy()
-        sl0 = _ion_slice(x.ndim, ion, 0)
-        sl1 = _ion_slice(x.ndim, ion, 1)
+        sl0 = _ion_slice(x.ndim, axis, 0)
+        sl1 = _ion_slice(x.ndim, axis, 1)
         x0, x1 = x[sl0], x[sl1]
         out[sl0] = r[0, 0] * x0 + r[0, 1] * x1
         out[sl1] = r[1, 0] * x0 + r[1, 1] * x1
@@ -286,7 +304,7 @@ def conditional_phase_hamiltonian(target_ion: int, params: PhysicalParams,
     the conditional phase, which tests verify by dense exponentiation.
     """
     diag = np.zeros(space.shape)
-    sl = _ion_slice(len(space.shape), target_ion, 1)
+    sl = _ion_slice(len(space.shape), _ion_axis(space.n_ions, target_ion), 1)
     n = np.arange(space.fock.dim)
     shape = [1] * (len(space.shape) - 1)
     shape[space.n_ions - 1] = space.fock.dim

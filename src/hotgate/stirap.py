@@ -66,8 +66,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NormDrift
-from .hilbert import DOMAIN_ATOL, CompositeState
-from .operators import PhysicalParams, passage_check, sideband_factors
+from .hilbert import _is_integer
+from .operators import PhysicalParams, sideband_factors
 
 # Standard counter-intuitive sin^2 pair, as fractions of the total duration.
 # Calibrated so that one family parameter (the margin) controls adiabaticity.
@@ -128,8 +128,7 @@ class StirapSchedule:
     def __post_init__(self):
         if not (math.isfinite(self.total_duration) and self.total_duration > 0):
             raise ValueError(f"total_duration must be finite and > 0, got {self.total_duration}")
-        if (isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer))
-                or self.n_steps < 1):
+        if not _is_integer(self.n_steps) or self.n_steps < 1:
             raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
         if self.n_steps > MAX_N_STEPS:
             raise MemoryError(f"n_steps = {self.n_steps} is more steps than an array can hold "
@@ -683,29 +682,6 @@ def apply_blocks(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     y[3, ..., :-1] = w[..., 1]
     y[2, ..., 1:] = w[..., 2]
     return y
-
-
-def propagate(state: CompositeState, schedule: StirapSchedule, params: PhysicalParams, *,
-              control_ion: int = 0, domain_tol: float = DOMAIN_ATOL) -> CompositeState:
-    """Propagate a composite state through the passage, block-by-block in n.
-
-    Components with the control ion in |0> are untouched. The domain rule is
-    operators.passage_check's, with domain_tol as its domain bound. A norm
-    change of more than 1e-9 times the state's norm raises NormDrift, so the
-    check reads the same on a state of any scale.
-    """
-    space = state.space
-    x = state.tensor()
-    passage_check(control_ion, schedule.direction, domain_tol)(space, np.abs(x) ** 2)
-    blocks = _passage(schedule, params, space.fock.dim - 1)
-    y = apply_blocks(np.moveaxis(x, control_ion, 0), blocks)
-    amps = np.moveaxis(y, 0, control_ion).reshape(space.dim)
-    out = CompositeState(space, amps, copy=False)
-    norm = state.norm
-    drift = abs(out.norm - norm)
-    if drift > 1e-9 * norm:
-        raise NormDrift(f"norm drifted by {drift:.3e}, more than 1e-9 of {norm:.3e}")
-    return out
 
 
 def passage_matrix(schedule: StirapSchedule, params: PhysicalParams,

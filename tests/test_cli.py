@@ -250,6 +250,17 @@ def test_readme_config_examples_parse():
         cli.parse_config(json.loads(block))
 
 
+def test_readme_python_quick_start_runs(capsys):
+    # a public name the example uses and the package no longer has would break it
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    assert np.max(np.abs(namespace["table"] - np.diag([1.0, 1.0, 1.0, -1.0]))) <= 1e-12
+    assert capsys.readouterr().out
+
+
 def test_parse_params_match_library():
     config = cli.parse_config(ideal_doc())
     assert config.gate.params == PhysicalParams(

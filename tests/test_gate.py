@@ -77,6 +77,18 @@ def test_config_validation():
                      schedule=stirap.reversed_schedule(stirap.standard_schedule(1.0, PARAMS)))
 
 
+@pytest.mark.parametrize("field", ["control", "target"])
+@pytest.mark.parametrize("value", [1.0, True, np.float64(1.0)],
+                         ids=["1.0", "True", "float64"])
+def test_config_ion_indices_are_integers(field, value):
+    # a float index would fail only inside gate_report, as numpy's IndexError
+    roles = {"control": 0, "target": 0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+        g.GateConfig(params=PARAMS, **roles)
+    roles[field] = np.int64(1)
+    assert g.GateConfig(params=PARAMS, **roles).mode == "ideal"
+
+
 def test_config_mode_is_the_schedule():
     # the model is the schedule, not a second field that could disagree with it
     assert "mode" not in {f.name for f in fields(g.GateConfig)}
@@ -276,6 +288,32 @@ def test_cnot_reversed_roles():
     out = g.cnot(state, cfg)
     expected = compose_state(space, qubit_ion_vector(1, 1, control=1, target=0), phonon)
     assert abs(abs(expected.overlap(out)) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("config", [IDEAL, stirap_config(margin=90.0, n_steps=300)],
+                         ids=["ideal", "stirap"])
+def test_cnot_density_is_the_state_path_projector(config):
+    n_max = 6
+    space = CompositeSpace(2, FockSpace(n_max))
+    rng = np.random.default_rng(13)
+    qubit = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    qubit /= np.linalg.norm(qubit)
+    ion = sum(qubit[2 * c + t] * qubit_ion_vector(c, t) for c in range(2) for t in range(2))
+    state = compose_state(space, ion, random_phonon(6, n_max))
+    psi = g.cnot(state, config).amplitudes
+    rho = DensityOperator(np.outer(state.amplitudes, state.amplitudes.conj()), space)
+    out = g.cnot(rho, config)
+    assert isinstance(out, DensityOperator) and out.space == space
+    assert np.max(np.abs(out.matrix - np.outer(psi, psi.conj()))) < 1e-12
+
+
+def test_crot_refuses_an_input_off_the_configured_register():
+    with pytest.raises(DomainError, match="gate input must live on a CompositeSpace"):
+        g.crot(DensityOperator(np.eye(5) / 5, FockSpace(4)), IDEAL)
+    space = CompositeSpace(3, FockSpace(4))
+    state = compose_state(space, np.eye(64)[0], fock_state(0, 4))
+    with pytest.raises(DomainError, match="input has 3 ions but params declare 2"):
+        g.crot(state, IDEAL)
 
 
 def test_cnot_matrix_oracle_is_permutation():

@@ -75,6 +75,24 @@ def test_encode_out_of_range():
         space.encode([0, 0], 4)
     with pytest.raises(IndexError):
         space.decode(space.dim)
+    with pytest.raises(IndexError, match="expected 2 ion levels, got 1"):
+        space.encode([0], 0)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(2.0)],
+                         ids=["2.5", "2.0", "True", "float64"])
+def test_sizes_are_integers(value):
+    # a float size would make FockSpace.dim fractional
+    with pytest.raises(ValueError, match="n_max must be an integer, got"):
+        FockSpace(value)
+    with pytest.raises(ValueError, match="n_ions must be an integer, got"):
+        CompositeSpace(value, FockSpace(3))
+    assert CompositeSpace(np.int64(2), FockSpace(np.int64(3))).dim == 64
+
+
+def test_composite_space_needs_an_ion():
+    with pytest.raises(ValueError, match="n_ions must be >= 1, got 0"):
+        CompositeSpace(0, FockSpace(3))
 
 
 # ---------------------------------------------------------------- states & densities
@@ -83,6 +101,10 @@ def test_composite_state_shape_guard():
     space = CompositeSpace(2, FockSpace(3))
     with pytest.raises(ShapeError):
         CompositeState(space, np.zeros(5, dtype=complex))
+    with pytest.raises(ShapeError, match="ion vector has shape"):
+        compose_state(space, np.ones(4), np.ones(4))
+    with pytest.raises(ShapeError, match="phonon vector has shape"):
+        compose_state(space, np.ones(16), np.ones(3))
 
 
 def test_basis_state_and_overlap():
@@ -91,6 +113,8 @@ def test_basis_state_and_overlap():
     b = basis_state(space, [1, 0], 2)
     assert a.overlap(b) == 1.0
     assert a.overlap(basis_state(space, [0, 1], 2)) == 0.0
+    with pytest.raises(ShapeError, match="different spaces"):
+        a.overlap(basis_state(CompositeSpace(2, FockSpace(3)), [1, 0], 2))
 
 
 def test_density_invariants_accept_valid():
@@ -108,6 +132,20 @@ def test_density_invariants_reject_nonhermitian():
 def test_density_invariants_reject_bad_trace():
     with pytest.raises(ValueError):
         DensityOperator(np.eye(4, dtype=complex))
+
+
+def test_density_invariants_reject_negative_eigenvalue():
+    with pytest.raises(ValueError, match="eigenvalue -5.000e-01 below"):
+        DensityOperator(np.diag([1.5, -0.5]))
+
+
+def test_density_shape_guard():
+    with pytest.raises(ShapeError, match="must be square"):
+        DensityOperator(np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match="does not match space dim 5"):
+        DensityOperator(np.eye(4) / 4, FockSpace(4))
+    with pytest.raises(ShapeError, match="factor dimensions"):
+        compose_density(np.eye(4) / 4, np.eye(3) / 3, CompositeSpace(1, FockSpace(3)))
 
 
 @pytest.mark.parametrize("matrix, entry", [

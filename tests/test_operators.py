@@ -10,6 +10,7 @@ from hotgate.errors import DomainError, TruncationLeakage
 from hotgate.hilbert import (
     CompositeSpace,
     CompositeState,
+    DensityOperator,
     FockSpace,
     basis_state,
     compose_state,
@@ -96,6 +97,17 @@ def test_params_validation():
         PhysicalParams(eta=0.1, omega=1.0, n_ions=0, delta=1.0)
     with pytest.raises(ValueError):
         PhysicalParams(eta=0.1, omega=1.0, n_ions=2, delta=0.0)
+    with pytest.raises(ValueError, match="omega must be > 0"):
+        PhysicalParams(eta=0.1, omega=0.0, n_ions=2, delta=1.0)
+
+
+@pytest.mark.parametrize("n_ions", [2.5, 2.0, True, np.float64(2.0)],
+                         ids=["2.5", "2.0", "True", "float64"])
+def test_params_n_ions_is_an_integer(n_ions):
+    # a float n_ions would fail only later, inside numpy
+    with pytest.raises(ValueError, match="n_ions must be an integer, got"):
+        PhysicalParams(eta=0.1, omega=1.0, n_ions=n_ions, delta=1.0)
+    assert PhysicalParams(eta=0.1, omega=1.0, n_ions=np.int64(2), delta=1.0).n_ions == 2
 
 
 # ---------------------------------------------------------------- conditional phase
@@ -353,3 +365,40 @@ def test_operators_norm_preserving_on_valid_inputs():
         x[:, :, -1] = 0.0
         state = CompositeState(space, x.reshape(space.dim) / np.linalg.norm(x), copy=False)
         assert abs(op.apply(state).norm - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------- ion indices
+
+ION_OPERATORS = {
+    "conditional_phase": conditional_phase,
+    "adiabatic_up": adiabatic_up,
+    "adiabatic_down": adiabatic_down,
+    "carrier_rotation": lambda ion: carrier_rotation(ion, np.pi, 0.0),
+}
+
+
+@pytest.mark.parametrize("n_max", [3, 5])
+@pytest.mark.parametrize("ion", [2, -1])
+@pytest.mark.parametrize("name", ION_OPERATORS)
+def test_ion_outside_the_register_is_refused(name, ion, n_max):
+    # ion 2 of 2 would address the phonon axis, and -1 the batch axis
+    space = CompositeSpace(2, FockSpace(n_max))
+    state = random_state(space, 7, qubit_only_ions=(0, 1))
+    before = state.amplitudes.copy()
+    rho = DensityOperator(np.outer(before, before.conj()), space)
+    op = ION_OPERATORS[name](ion)
+    message = rf"ion {ion} outside 0\.\.1 of a register of n_ions = 2"
+    for run in (lambda: op.apply(state), lambda: op.apply_density(rho),
+                lambda: op.to_matrix(space)):
+        with pytest.raises(IndexError, match=message):
+            run()
+    assert np.array_equal(state.amplitudes, before)
+    if name == "conditional_phase":
+        with pytest.raises(IndexError, match=message):
+            conditional_phase_hamiltonian(ion, PARAMS, space)
+
+
+def test_apply_density_needs_a_composite_space():
+    rho = DensityOperator(np.eye(5) / 5, FockSpace(4))
+    with pytest.raises(DomainError, match="needs a density operator on a CompositeSpace"):
+        adiabatic_up(0).apply_density(rho)

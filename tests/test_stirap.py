@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hotgate.errors import DomainError, TruncationLeakage
-from hotgate.hilbert import CompositeSpace, CompositeState, FockSpace, basis_state, compose_state
+from hotgate.hilbert import CompositeSpace, CompositeState, DensityOperator, FockSpace, basis_state
 from hotgate.operators import PhysicalParams, adiabatic_down, adiabatic_up
 from hotgate.states import fock_state
 from hotgate import cli, stirap
@@ -596,57 +596,27 @@ def test_resonant_transfer_amplitude_is_exactly_real():
         assert np.all(traj[:, [0, 2]].imag == 0.0) and np.all(traj[:, 1].real == 0.0)
 
 
-# ---------------------------------------------------------------- propagate
+# ---------------------------------------------------------------- applying the blocks
 
 def test_propagate_ground_control_untouched():
-    space = CompositeSpace(2, FockSpace(8))
     rng = np.random.default_rng(2)
-    phonon = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    phonon /= np.linalg.norm(phonon)
-    ion = np.zeros(16, dtype=complex)
-    ion[0 * 4 + 1] = 1.0  # control |0>, target |1>
-    state = compose_state(space, ion, phonon)
-    out = stirap.propagate(state, schedule(n_steps=200), PARAMS, control_ion=0)
-    assert np.array_equal(out.amplitudes, state.amplitudes)
-
-
-def test_propagate_transfers_vacuum_rung():
-    space = CompositeSpace(1, FockSpace(4))
-    state = basis_state(space, [1], 0)
-    sched = schedule(n_steps=2000)
-    out = stirap.propagate(state, sched, PARAMS)
-    pop = abs(out.amplitudes[space.encode([2], 1)]) ** 2
-    assert pop >= 0.999
-    # halved-dt integration oracle agrees to 1e-8
-    out2 = stirap.propagate(state, schedule(n_steps=4000), PARAMS)
-    pop2 = abs(out2.amplitudes[space.encode([2], 1)]) ** 2
-    assert abs(pop - pop2) < 1e-8
-    assert abs(out.norm - 1.0) < 1e-9
-
-
-def test_propagate_round_trip_all_rungs():
-    up = schedule(n_steps=2000)
-    down = stirap.reversed_schedule(up)
-    space = CompositeSpace(1, FockSpace(12))
-    for n in range(11):
-        state = basis_state(space, [1], n)
-        lifted = stirap.propagate(state, up, PARAMS)
-        # the up passage leaves ~1e-4 non-adiabatic residue on levels 1/3;
-        # let the down passage carry it through rather than reject the state
-        back = stirap.propagate(lifted, down, PARAMS, domain_tol=0.05)
-        assert abs(state.overlap(back)) ** 2 >= 0.998
+    blocks = stirap.passage_blocks(schedule(n_steps=200), PARAMS, 8)[0]
+    # control ion first, then the target, then 9 phonon levels
+    x = rng.standard_normal((4, 4, 9)) + 1j * rng.standard_normal((4, 4, 9))
+    y = stirap.apply_blocks(x, blocks)
+    assert np.array_equal(y[0], x[0])
+    ground = np.zeros_like(x)
+    ground[0] = x[0]
+    assert np.array_equal(stirap.apply_blocks(ground, blocks), ground)
 
 
 def test_propagate_round_trip_reads_one_build(passage_builds):
     up = schedule(n_steps=2000)
     down = stirap.reversed_schedule(up)
-    space = CompositeSpace(1, FockSpace(12))
-    for n in range(11):
-        lifted = stirap.propagate(basis_state(space, [1], n), up, PARAMS)
-        stirap.propagate(lifted, down, PARAMS, domain_tol=0.05)
+    for sched in (up, down, up, down):
+        stirap.passage_matrix(sched, PARAMS, 13)
     assert passage_builds == ["up"]  # the down passage is the mirrored up^T
-    stirap.passage_matrix(up, PARAMS, 13)
-    stirap.passage_matrix(down, PARAMS, 13)
+    stirap.transfer_amplitudes(down, PARAMS, 12)
     assert passage_builds == ["up"]
 
 
@@ -656,7 +626,7 @@ def test_unmirrored_down_reader_builds_each_direction_once(passage_builds):
     down = stirap.StirapSchedule(pump, stokes, 1.0, 300)  # pump first: the down passage
     assert down.direction == "down"
     amps = stirap.transfer_amplitudes(down, PARAMS, 4)
-    stirap.propagate(basis_state(CompositeSpace(1, FockSpace(4)), [2], 2), down, PARAMS)
+    stirap.passage_matrix(down, PARAMS, 5)
     assert sorted(passage_builds) == ["down", "up"]
     integrated = stirap.block_propagators(down, PARAMS, [3])[0]
     assert abs(amps[3]) ** 2 == abs(integrated[0, 2]) ** 2
@@ -739,15 +709,14 @@ BOUNDARY_INPUTS = [  # direction, control level, phonon rung (n_max = 4), expect
 @pytest.mark.parametrize("control", [0, 1])
 @pytest.mark.parametrize("direction, level, n, expected", BOUNDARY_INPUTS)
 def test_propagate_and_ideal_passages_share_domain_rule(direction, level, n, expected, control):
+    # a state and its density operator meet the one rule, operators.passage_check
     levels = [1, 1]
     levels[control] = level
-    state = basis_state(CompositeSpace(2, FockSpace(4)), levels, n)
-    sched = schedule(n_steps=50)
-    ideal = adiabatic_up(control)
-    if direction == "down":
-        sched, ideal = stirap.reversed_schedule(sched), adiabatic_down(control)
-    for run in (lambda: stirap.propagate(state, sched, PARAMS, control_ion=control),
-                lambda: ideal.apply(state)):
+    space = CompositeSpace(2, FockSpace(4))
+    state = basis_state(space, levels, n)
+    rho = DensityOperator(np.outer(state.amplitudes, state.amplitudes.conj()), space)
+    ideal = adiabatic_up(control) if direction == "up" else adiabatic_down(control)
+    for run in (lambda: ideal.apply(state), lambda: ideal.apply_density(rho)):
         if expected is None:
             run()
         else:
@@ -755,21 +724,7 @@ def test_propagate_and_ideal_passages_share_domain_rule(direction, level, n, exp
                 run()
 
 
-def test_propagate_domain_guards():
-    space = CompositeSpace(1, FockSpace(4))
-    up = schedule(n_steps=100)
-    with pytest.raises(DomainError):
-        stirap.propagate(basis_state(space, [2], 1), up, PARAMS)
-    with pytest.raises(TruncationLeakage):
-        stirap.propagate(basis_state(space, [1], 4), up, PARAMS)
-    down = stirap.reversed_schedule(up)
-    with pytest.raises(DomainError):
-        stirap.propagate(basis_state(space, [1], 1), down, PARAMS)
-    with pytest.raises(DomainError):
-        stirap.propagate(basis_state(space, [2], 0), down, PARAMS)
-
-
-# unnormalized too: the ladder-top rule and the norm-drift check are both relative
+# unnormalized too: the ladder-top rule is relative to the total weight
 @pytest.mark.parametrize("scale", [1.0, 1e-2, 1e2, 1e6, 1e9])
 @pytest.mark.parametrize("share, expected", [(1e-6, TruncationLeakage), (1e-10, None)])
 def test_passage_ladder_top_rule_is_relative_at_leak_tol(share, expected, scale):
@@ -781,8 +736,8 @@ def test_passage_ladder_top_rule_is_relative_at_leak_tol(share, expected, scale)
     amps[space.encode([1], 0)] = np.sqrt(1.0 - share)
     amps[space.encode([1], 4)] = np.sqrt(share)
     state = CompositeState(space, scale * amps)
-    for run in (lambda: stirap.propagate(state, schedule(n_steps=50), PARAMS),
-                lambda: adiabatic_up(0).apply(state)):
+    rho = DensityOperator(scale**2 * np.outer(amps, amps.conj()), space, validate=False)
+    for run in (lambda: adiabatic_up(0).apply(state), lambda: adiabatic_up(0).apply_density(rho)):
         if expected is None:
             run()
         else:
@@ -791,20 +746,16 @@ def test_passage_ladder_top_rule_is_relative_at_leak_tol(share, expected, scale)
 
 
 def test_propagate_matches_dense_full_matrix_path():
-    # block-diagonal structure: the assembled full-space propagation is identical
+    # block-diagonal structure: the blocks applied by slicing and the assembled
+    # matrix both equal the full-space propagation, on every cell
     d = 9  # n_max = 8
     sched = schedule(margin=40.0, n_steps=200)
     u_dense = dense_passage_oracle(sched, PARAMS, d)
-    space = CompositeSpace(1, FockSpace(d - 1))
     rng = np.random.default_rng(11)
-    amps = np.zeros(space.dim, dtype=complex)
-    for lvl in (0, 1):
-        for n in range(d - 1):  # keep the ladder top clear
-            amps[space.encode([lvl], n)] = rng.standard_normal() + 1j * rng.standard_normal()
-    amps /= np.linalg.norm(amps)
-    state = CompositeState(space, amps)
-    out = stirap.propagate(state, sched, PARAMS)
-    assert np.max(np.abs(out.amplitudes - u_dense @ amps)) < 1e-10
+    amps = rng.standard_normal(4 * d) + 1j * rng.standard_normal(4 * d)
+    blocks = stirap.passage_blocks(sched, PARAMS, d - 1)[0]
+    out = stirap.apply_blocks(amps.reshape(4, d), blocks).reshape(-1)
+    assert np.max(np.abs(out - u_dense @ amps)) < 1e-10
     u_blocks = stirap.passage_matrix(sched, PARAMS, d)
     assert np.max(np.abs(u_blocks - u_dense)) < 1e-10
 
@@ -859,10 +810,11 @@ def test_residual_phase_near_pi_and_reported_per_rung():
 
 
 def test_identity_branch_phase_zero():
-    space = CompositeSpace(1, FockSpace(5))
-    state = basis_state(space, [0], 3)
-    out = stirap.propagate(state, schedule(n_steps=100), PARAMS)
-    assert np.angle(out.overlap(state)) == 0.0
+    d = 6
+    u = stirap.passage_matrix(schedule(n_steps=100), PARAMS, d)
+    # the control's |0> rows and columns are exactly the identity: no phase, no coupling
+    assert np.array_equal(u[:d], np.eye(4 * d)[:d])
+    assert np.array_equal(u[:, :d], np.eye(4 * d)[:, :d])
 
 
 def test_transfer_phase_reads_minus_pi_as_pi():
