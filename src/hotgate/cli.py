@@ -221,8 +221,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        # the newlines of a text-mode read, so an error names the same position
+        doc = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     except (OSError, ValueError) as exc:  # also not UTF-8, or an integer literal too long
@@ -357,13 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hotgate",
         description="Simulate the four-pulse controlled-rotation gate on a hot ion string.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="experiment config (JSON)")
-        p.add_argument("--out", required=True, help="output path ('-' for stdout)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="default seed for the 'random' phonon family")
+    parser.add_argument("command", choices=_COMMANDS, help="the experiment to run")
+    parser.add_argument("--config", required=True, help="experiment config (JSON)")
+    parser.add_argument("--out", required=True, help="output path ('-' for stdout)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="default seed for the 'random' phonon family")
     return parser
 
 

@@ -8,14 +8,15 @@ sequence acts as diag(1, 1, 1, -1) in the (control, target) basis
 Every pulse conserves n + [control on |2>], so the whole sequence is a set of
 independent per-rung blocks: for each target level and occupation n, one 3x3
 block on {|1,n>, |3,n>, |2,n+1>} of the control ion and a phase on |0,n>.
-The phonon axis is padded by one rung so that inputs with support up to n_max
-survive the intermediate single-phonon excursion exactly; weight left on the
-padded rung is dropped and reported as leakage. The same conservation law
-makes each output cell of the gate depend on one input rung only, and each
-qubit-basis input reach at most three cells of the control ion: (0, t) for
-control 0, and (1, t), (3, t) and the shelf (2, t) for control 1. These cells
-are disjoint, so the report runs the gate once on all four basis inputs
-together and takes every metric from a (basis input, cell, rung) array.
+The blocks run up to rung n_max, so inputs with support up to n_max survive
+the intermediate single-phonon excursion exactly; the top block's shelf cell
+|2, n_max+1> lies past the phonon axis, so weight left there is dropped and
+reported as leakage. The same conservation law makes each output cell of
+the gate depend on one input rung only, and each qubit-basis input reach at
+most three cells of the control ion: (0, t) for control 0, and (1, t),
+(3, t) and the shelf (2, t) for control 1. These cells are disjoint, so
+the report runs the gate once on all four basis inputs together and takes
+every metric from a (basis input, cell, rung) array.
 Every metric is linear in the phonon input rho and reads only diag rho and
 its first superdiagonal, so a hot (mixed) input is never decomposed.
 """
@@ -152,11 +153,11 @@ def _gate_blocks(schedule: stirap.StirapSchedule | None, params: PhysicalParams,
 
     blocks[t, n] = down[n] Phi_t(n) up[n] Phi_t(n) on {|1,n>, |3,n>, |2,n+1>}
     of the control ion, for target level t (shape (4, n_rungs, 3, 3)), and
-    ground[t] the phases Phi_t(n)^2 of |0,n> over the padded phonon axis
-    (shape (4, n_rungs + 1)). Only |1>_t carries conditional phases; the
-    other target levels see the bare passage round trip. Without a schedule
-    the passages are the ideal ones. The one cached composition that crot
-    reads; the arguments are positional-only, so a configuration has one key.
+    ground[t] the phases Phi_t(n)^2 of |0,n> (shape (4, n_rungs)). Only |1>_t
+    carries conditional phases; the other target levels see the bare passage
+    round trip. Without a schedule the passages are the ideal ones. The one
+    cached composition that crot reads; the arguments are positional-only, so
+    a configuration has one key.
     """
     phi = conditional_phase_factors(n_rungs + 1, epsilon)
     if schedule is None:
@@ -167,20 +168,23 @@ def _gate_blocks(schedule: stirap.StirapSchedule | None, params: PhysicalParams,
     bare = down @ up
     phased = down @ (ph[:, :, None] * up * ph[:, None, :])
     blocks = np.stack((bare, phased, bare, bare))
-    ground = np.ones((4, n_rungs + 1), dtype=complex)
-    ground[1] = phi * phi
+    ground = np.ones((4, n_rungs), dtype=complex)
+    ground[1] = phi[:-1] * phi[:-1]
     blocks.flags.writeable = False
     ground.flags.writeable = False
     return blocks, ground
 
 
-def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
-    """The four-pulse sequence as per-rung blocks on a phonon axis padded by one rung.
+@lru_cache(maxsize=32)
+def _crot_unitary(config: GateConfig, space: CompositeSpace, /) -> IdealUnitary:
+    """The four-pulse sequence as per-rung blocks, built once per configuration and space.
 
     Reads the cached _gate_blocks as views with the target level first and
     one broadcast axis for each spectator ion and the batch. The transpose
-    that brings the control and target axes first is fixed here, with its
-    inverse, so each application is two transposes and one block product.
+    that brings the control and target axes first is fixed here, so each
+    application is one copy of the input and one in-place block product on a
+    transposed view of it. The arguments are positional-only, so a
+    configuration has one key.
     """
     k, d = space.n_ions, space.fock.dim
     blocks, ground = _gate_blocks(config.schedule, config.params, config.epsilon, d)
@@ -190,17 +194,13 @@ def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
     # control, target, spectators, batch, phonon
     order = (config.control, config.target,
              *(i for i in range(k) if i not in (config.control, config.target)), k + 1, k)
-    inverse = [0] * len(order)
-    for i, axis in enumerate(order):
-        inverse[axis] = i
 
     def kernel(sp, x):
-        xc = x.transpose(order)
-        padded = np.zeros(xc.shape[:-1] + (d + 1,), dtype=complex)
-        padded[..., :-1] = xc
-        y = stirap.apply_blocks(padded, blocks)
-        y[0] *= ground
-        return y[..., :-1].transpose(inverse)
+        y = np.array(x, dtype=complex, order="C")
+        yc = y.transpose(order)
+        stirap.apply_blocks(yc, blocks)
+        yc[0] *= ground
+        return y
 
     def check(sp, pops):
         for ion in (config.control, config.target):
@@ -384,8 +384,8 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
         amps = stirap.transfer_amplitudes(config.schedule, config.params, d)
         amps = amps[:min(stirap.CALIBRATED_RUNGS, d - 1)]
         angles = stirap.transfer_phase(amps)
-        phases = {n: float(angles[n]) for n in range(len(amps))
-                  if abs(amps[n]) ** 2 >= stirap.PHASE_MIN_TRANSFER}
+        keep = np.abs(amps) ** 2 >= stirap.PHASE_MIN_TRANSFER
+        phases = dict(zip(np.flatnonzero(keep).tolist(), angles[keep].tolist()))
         if vec is not None:
             padded = np.append(0.0, vec)  # at unit size: the fourth powers stay in range
             out = cols * padded[np.arange(d) + np.array([[1], [1], [0]])]

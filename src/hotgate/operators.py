@@ -136,8 +136,8 @@ def outside_weight(weights: np.ndarray, ion: int, levels) -> float:
     gate's qubit-subspace check raise when it is non-zero.
     """
     axis = _ion_axis(weights.ndim - 1, ion)
-    total = max(float(np.sum(weights)), 1e-300)
-    bad = float(np.sum(np.take(weights, levels, axis=axis)))
+    total = max(float(np.add.reduce(weights, axis=None)), 1e-300)
+    bad = float(np.add.reduce(weights.take(levels, axis=axis), axis=None))
     return bad if bad > DOMAIN_ATOL * total else 0.0
 
 

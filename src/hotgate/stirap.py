@@ -664,24 +664,25 @@ def passage_blocks(schedule: StirapSchedule, params: PhysicalParams, n_rungs: in
     return up, down
 
 
-def apply_blocks(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Apply per-rung 3x3 blocks on {|1,n>, |3,n>, |2,n+1>} of the control ion.
+def apply_blocks(x: np.ndarray, blocks: np.ndarray) -> None:
+    """Apply per-rung 3x3 blocks on {|1,n>, |3,n>, |2,n+1>} of the control ion, in place.
 
     x carries the control-ion level on axis 0 and the phonon occupation on
-    its last axis; blocks has shape (..., x.shape[-1] - 1, 3, 3) and
-    broadcasts against the axes in between. Cells outside every block
-    (level 0, the ladder top on levels 1 and 3, and |2>|0>) are copied.
+    its last axis; blocks has shape (..., n_rungs, 3, 3) and broadcasts
+    against the axes in between. With n_rungs = x.shape[-1] - 1 the ladder
+    top on levels 1 and 3 is left as it is; with n_rungs = x.shape[-1] the
+    top block's shelf cell lies past the phonon axis, so it enters as 0 and
+    what the block sends there is dropped. Level 0 and |2>|0> are left as they are.
     """
-    y = x.copy()
-    v = np.empty(x.shape[1:-1] + (x.shape[-1] - 1, 3), dtype=x.dtype)
-    v[..., 0] = x[1, ..., :-1]
-    v[..., 1] = x[3, ..., :-1]
-    v[..., 2] = x[2, ..., 1:]
+    n, top = blocks.shape[-3], x.shape[-1] - 1
+    v = np.zeros(x.shape[1:-1] + (n, 3), dtype=x.dtype)
+    v[..., 0] = x[1, ..., :n]
+    v[..., 1] = x[3, ..., :n]
+    v[..., :top, 2] = x[2, ..., 1:]
     w = np.einsum("...nij,...nj->...ni", blocks, v)
-    y[1, ..., :-1] = w[..., 0]
-    y[3, ..., :-1] = w[..., 1]
-    y[2, ..., 1:] = w[..., 2]
-    return y
+    x[1, ..., :n] = w[..., 0]
+    x[3, ..., :n] = w[..., 1]
+    x[2, ..., 1:] = w[..., :top, 2]
 
 
 def passage_matrix(schedule: StirapSchedule, params: PhysicalParams,

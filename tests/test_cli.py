@@ -485,6 +485,30 @@ def test_format_flag_is_refused(tmp_path, capsys, command, fmt):
     assert "--format" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus-command"], "invalid choice: 'bogus-command'"),
+    (["truth-table", "--out", "-", "--format", "json"], "unrecognized arguments: --format"),
+    (["sweep"], "the following arguments are required: --out"),
+], ids=["no-command", "unknown-command", "format", "missing-out"])
+def test_usage_error_exits_2_without_traceback(tmp_path, capsys, argv, message):
+    config = write(tmp_path, ideal_doc())
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", config])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: hotgate") and message in err
+    assert "Traceback" not in err
+
+
+def test_help_exits_0_and_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in ("truth-table", "sweep", "stirap-trace"))
+
+
 def test_out_in_missing_directory_exits_2_without_traceback(tmp_path, capsys):
     out = tmp_path / "missing" / "r.json"
     config = write(tmp_path, ideal_doc(phonon="fock:1", n_max=4))

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import json
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -962,6 +963,7 @@ def test_second_report_composes_no_gate_blocks(passage_builds, config):
 def test_warm_report_equals_cold_report(config):
     for phonon in (fock_state(3, 8), random_phonon(4, 8), thermal_state(ThermalSpec(1.0), 8)):
         g._gate_blocks.cache_clear()
+        g._crot_unitary.cache_clear()
         cold = g.gate_report(config, phonon).to_dict()
         assert g.gate_report(config, phonon).to_dict() == cold
 
@@ -970,7 +972,7 @@ def test_warm_report_equals_cold_report(config):
                          ids=["ideal", "stirap"])
 def test_gate_blocks_are_read_only(schedule):
     blocks, ground = g._gate_blocks(schedule, PARAMS, 0.01, 5)
-    assert blocks.shape == (4, 5, 3, 3) and ground.shape == (4, 6)
+    assert blocks.shape == (4, 5, 3, 3) and ground.shape == (4, 5)
     for cached in (blocks, ground):
         with pytest.raises(ValueError):
             cached[0] = 0.0
@@ -1079,6 +1081,121 @@ def test_report_runs_gate_once(monkeypatch, config):
         calls.clear()
         g.gate_report(config, phonon)
         assert sorted(calls) == ["compose_state", "crot"]
+
+
+# ---------------------------------------------------------------- the cached gate
+
+@pytest.mark.parametrize("config", [
+    IDEAL, stirap_config(margin=90.0, n_steps=300, compensate_phases=True),
+], ids=["ideal", "stirap"])
+def test_second_report_builds_no_crot_unitary(config):
+    phonon = thermal_state(ThermalSpec(0.5), 8)
+    g.gate_report(config, phonon)
+    before = g._crot_unitary.cache_info()
+    g.gate_report(config, phonon)
+    after = g._crot_unitary.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)
+
+
+def test_crot_unitary_is_positional_only_with_one_entry_per_configuration():
+    space = CompositeSpace(2, FockSpace(4))
+    # a keyword call would key the cache apart from the positional one
+    with pytest.raises(TypeError):
+        g._crot_unitary(IDEAL, space=space)
+    g._crot_unitary(IDEAL, space)
+    # equal configurations and spaces, as other objects, read the same entry
+    g._crot_unitary(replace(IDEAL), CompositeSpace(2, FockSpace(4)))
+    assert g._crot_unitary.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("schedule", [None, stirap_config(n_steps=300).schedule],
+                         ids=["ideal", "stirap"])
+def test_crot_unitary_arrays_are_read_only_views_of_the_gate_blocks(schedule):
+    config = g.GateConfig(params=PARAMS, control=1, target=0, schedule=schedule, epsilon=0.01)
+    gate = g._crot_unitary(config, CompositeSpace(2, FockSpace(4)))
+    cached = [value for value in inspect.getclosurevars(gate._kernel).nonlocals.values()
+              if isinstance(value, np.ndarray)]
+    blocks, ground = g._gate_blocks(schedule, PARAMS, 0.01, 5)
+    assert len(cached) == 2
+    for array in cached:
+        with pytest.raises(ValueError):
+            array[...] = 0.0
+        # no second copy of the composed blocks
+        assert np.shares_memory(array, blocks) or np.shares_memory(array, ground)
+
+
+def dense_crot_matrix(config, space):
+    """The four pulses' dense to_matrix product on a Fock space one rung larger,
+    restricted to the cells of space: what reaches |2, n_max + 1> is dropped."""
+    d = space.fock.dim
+    workspace = CompositeSpace(space.n_ions, FockSpace(d))
+    keep = (np.arange(4**space.n_ions)[:, None] * (d + 1) + np.arange(d)).reshape(-1)
+    phase = conditional_phase(config.target, config.epsilon).to_matrix(workspace)
+    if config.mode == "ideal":
+        up, down = adiabatic_up(config.control), adiabatic_down(config.control)
+    else:
+        up = dense_passage(config, config.schedule, workspace)
+        down = dense_passage(config, stirap.reversed_schedule(config.schedule), workspace)
+    full = down.to_matrix(workspace) @ phase @ up.to_matrix(workspace) @ phase
+    return full[np.ix_(keep, keep)]
+
+
+KERNEL_CONFIGS = {
+    "ideal": IDEAL,
+    "ideal-swapped": g.GateConfig(params=PARAMS, control=1, target=0, epsilon=0.013),
+    "stirap-swapped": g.GateConfig(
+        params=DETUNED, control=1, target=0, epsilon=0.004,
+        schedule=stirap.standard_schedule(1.0, DETUNED, margin=60.0, n_steps=300)),
+    "stirap-weak": stirap_config(margin=5.0, n_steps=300),
+    "stirap-three-ions": g.GateConfig(
+        params=replace(DETUNED, n_ions=3), control=2, target=0, epsilon=0.004,
+        schedule=stirap.standard_schedule(1.0, replace(DETUNED, n_ions=3), margin=60.0,
+                                          n_steps=300)),
+    "ideal-four-ions": g.GateConfig(params=replace(PARAMS, n_ions=4), control=3, target=1,
+                                    epsilon=0.02),
+}
+
+
+# a 4-ion dense product is checked at n_max 1 only
+@pytest.mark.parametrize("name, n_max", [(name, n_max) for name in sorted(KERNEL_CONFIGS)
+                                         for n_max in (1, 4) if "four" not in name or n_max == 1])
+def test_crot_kernel_matches_dense_pulse_product(name, n_max):
+    config = KERNEL_CONFIGS[name]
+    space = CompositeSpace(config.params.n_ions, FockSpace(n_max))
+    want = dense_crot_matrix(config, space)
+    assert np.max(np.abs(g._crot_unitary(config, space).to_matrix(space) - want)) <= 1e-14
+    # control and target on their qubit levels, the spectators anywhere, and
+    # weight on every rung, the top one too
+    rng = np.random.default_rng(3)
+    amps = rng.standard_normal(space.shape) + 1j * rng.standard_normal(space.shape)
+    for ion in (config.control, config.target):
+        np.moveaxis(amps, ion, 0)[2:] = 0.0
+    amps = amps.reshape(-1) / np.linalg.norm(amps)
+    state = CompositeState(space, amps)
+    assert np.max(np.abs(g.crot(state, config).amplitudes - want @ amps)) <= 1e-14
+    rho = DensityOperator(np.outer(amps, amps.conj()), space, validate=False)
+    rho_out = want @ rho.matrix @ want.conj().T
+    assert np.max(np.abs(g.crot(rho, config).matrix - rho_out)) <= 1e-14
+
+
+@pytest.mark.parametrize("n_max", [1, 4])
+def test_weight_sent_past_the_top_rung_is_dropped_and_reported_as_leakage(n_max):
+    # a weak passage leaves part of |1>_c|n_max> on the shelf |2>_c|n_max + 1>,
+    # which lies past the phonon axis
+    config = KERNEL_CONFIGS["stirap-weak"]
+    space = CompositeSpace(2, FockSpace(n_max))
+    state = compose_state(space, qubit_ion_vector(1, 0), fock_state(n_max, n_max))
+    out = g.crot(state, config)
+    lost = 1.0 - out.norm**2
+    assert lost > 1e-3
+    # the same run on a space one rung larger keeps that cell
+    larger = CompositeSpace(2, FockSpace(n_max + 1))
+    padded = compose_state(larger, qubit_ion_vector(1, 0), fock_state(n_max, n_max + 1))
+    out_larger = dense_crot_matrix(config, larger) @ padded.amplitudes
+    shelf = out_larger[larger.encode([2, 0], n_max + 1)]
+    assert abs(abs(shelf) ** 2 - lost) <= 1e-14
+    report = g.gate_report(config, fock_state(n_max, n_max))
+    assert report.leakage >= lost - 1e-14
 
 
 def assert_same_report(got, want, skip=()):
