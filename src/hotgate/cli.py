@@ -272,7 +272,7 @@ def cmd_truth_table(config: ExperimentConfig, out: str, seed: int | None) -> int
     with _output(out) as write:
         report = gate_mod.gate_report(config.gate, _phonon_input(config, seed))
         doc = {**report.to_dict(), "phonon": config.phonon_spec, "n_max": config.n_max}
-        write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write(json.dumps(doc, sort_keys=True) + "\n")
     print(f"qubit_fidelity={_fmt(report.qubit_fidelity)}")
     print(f"phonon_restoration_fidelity={_fmt(report.phonon_restoration_fidelity)}")
     return 0

@@ -23,6 +23,7 @@ its first superdiagonal, so a hot (mixed) input is never decomposed.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -55,6 +56,11 @@ CNOT_PRE_PHASE = -np.pi / 2
 CNOT_POST_PHASE = np.pi / 2
 
 MIN_RESTORATION_FOR_TABLE = 0.9
+
+# A report holds about four register-sized complex arrays at once: its input,
+# the gate's copy of it, and apply_blocks' two work arrays of 3/4 of it each.
+_REPORT_ARRAYS = 4
+_PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 # Ideal passage on one rung block {|1,n>, |3,n>, |2,n+1>}: |1,n> <-> |2,n+1>.
 _IDEAL_PASSAGE = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
@@ -149,21 +155,29 @@ class GateReport:
 @lru_cache(maxsize=32)
 def _gate_blocks(schedule: stirap.StirapSchedule | None, params: PhysicalParams,
                  epsilon: float, n_rungs: int, /) -> tuple:
-    """Read-only (blocks, ground) of the four-pulse sequence, rungs 0..n_rungs-1.
+    """Read-only (blocks, ground, phases) of the four-pulse sequence, rungs 0..n_rungs-1.
 
     blocks[t, n] = down[n] Phi_t(n) up[n] Phi_t(n) on {|1,n>, |3,n>, |2,n+1>}
     of the control ion, for target level t (shape (4, n_rungs, 3, 3)), and
     ground[t] the phases Phi_t(n)^2 of |0,n> (shape (4, n_rungs)). Only |1>_t
     carries conditional phases; the other target levels see the bare passage
-    round trip. Without a schedule the passages are the ideal ones. The one
-    cached composition that crot reads; the arguments are positional-only, so
-    a configuration has one key.
+    round trip. Without a schedule the passages are the ideal ones and phases
+    is None; with one, phases holds the (rung, transfer phase) pairs of the
+    up passage's calibrated rungs that transfer at least PHASE_MIN_TRANSFER.
+    The one cached composition that crot and the report read; the arguments
+    are positional-only, so a configuration has one key.
     """
     phi = conditional_phase_factors(n_rungs + 1, epsilon)
+    phases = None
     if schedule is None:
         up = down = np.broadcast_to(_IDEAL_PASSAGE, (n_rungs, 3, 3))
     else:
         up, down = stirap.passage_blocks(schedule, params, n_rungs)
+        amps = stirap.transfer_amplitudes(schedule, params, n_rungs)
+        amps = amps[:min(stirap.CALIBRATED_RUNGS, n_rungs - 1)]
+        keep = np.abs(amps) ** 2 >= stirap.PHASE_MIN_TRANSFER
+        phases = tuple(zip(np.flatnonzero(keep).tolist(),
+                           stirap.transfer_phase(amps)[keep].tolist()))
     ph = np.stack((phi[:-1], phi[:-1], phi[1:]), axis=-1)
     bare = down @ up
     phased = down @ (ph[:, :, None] * up * ph[:, None, :])
@@ -172,7 +186,7 @@ def _gate_blocks(schedule: stirap.StirapSchedule | None, params: PhysicalParams,
     ground[1] = phi[:-1] * phi[:-1]
     blocks.flags.writeable = False
     ground.flags.writeable = False
-    return blocks, ground
+    return blocks, ground, phases
 
 
 @lru_cache(maxsize=32)
@@ -187,7 +201,7 @@ def _crot_unitary(config: GateConfig, space: CompositeSpace, /) -> IdealUnitary:
     configuration has one key.
     """
     k, d = space.n_ions, space.fock.dim
-    blocks, ground = _gate_blocks(config.schedule, config.params, config.epsilon, d)
+    blocks, ground, _ = _gate_blocks(config.schedule, config.params, config.epsilon, d)
     lead = (4,) + (1,) * (k - 1)  # target level, then the spectator and batch axes
     blocks = blocks.reshape(lead + blocks.shape[1:])
     ground = ground.reshape(lead + ground.shape[1:])
@@ -262,7 +276,7 @@ def cnot_matrix_oracle() -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _report_layout(n_ions: int, control: int, target: int, d: int, /) -> tuple:
-    """Read-only (register, index) of the report's one gate run on d phonon levels.
+    """Read-only (register, index, source) of the report's one gate run on d phonon levels.
 
     register (length 4^n_ions) carries all four (control, target) basis
     inputs with the spectators at level 0, and index (shape (4, 3, d)) the
@@ -270,8 +284,10 @@ def _report_layout(n_ions: int, control: int, target: int, d: int, /) -> tuple:
     rung): cell 0 is the qubit cell, cells 1 and 2 are levels 3 and 2 of the
     control ion for control 1. A control-0 input reaches neither; its two
     unreached cells read |2>_c|0>, which no input feeds and the gate copies,
-    so they read an exact 0. The arguments are positional-only, so a layout
-    has one key.
+    so they read an exact 0. source (shape (3, d)) is the input rung of each
+    (cell, rung) plus one, as an index into the amplitudes behind a leading
+    0: the rung itself, or the one below on the shelf. The arguments are
+    positional-only, so a layout has one key.
     """
     c_stride, t_stride = 4 ** (n_ions - 1 - control), 4 ** (n_ions - 1 - target)
     register = np.zeros(4**n_ions, dtype=complex)
@@ -282,9 +298,10 @@ def _report_layout(n_ions: int, control: int, target: int, d: int, /) -> tuple:
     for a, (c, t) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         for j, level in enumerate((1, 3, 2) if c else (0,)):
             index[a, j] = (level * c_stride + t * t_stride) * d + rungs
-    register.flags.writeable = False
-    index.flags.writeable = False
-    return register, index
+    source = rungs + np.array([[1], [1], [0]])
+    for cached in (register, index, source):
+        cached.flags.writeable = False
+    return register, index, source
 
 
 def gate_report(config: GateConfig, phonon_input) -> GateReport:
@@ -337,7 +354,14 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
         exponent = 2 * shift
     d = len(diag)
     space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
-    register, index = _report_layout(config.params.n_ions, config.control, config.target, d)
+    need = _REPORT_ARRAYS * 16 * space.dim  # bytes of complex128
+    if need > _PHYSICAL_MEMORY:  # the operating system would kill the run without a message
+        raise MemoryError(f"a report on {space.n_ions} ions and {d} phonon levels needs about "
+                          f"{need / 1e9:.3g} GB ({_REPORT_ARRAYS} x 16 B x 4^{space.n_ions} x "
+                          f"{d}), more than the {_PHYSICAL_MEMORY / 1e9:.3g} GB of physical "
+                          "memory")
+    register, index, source = _report_layout(config.params.n_ions, config.control,
+                                             config.target, d)
     # one run carries all four basis inputs, since they reach disjoint cells
     cols = crot(compose_state(space, register, np.ones(d)), config).amplitudes[index]
     # cell (j, n) is fed by input rung s(j, n): n, or n - 1 on the shelf. So
@@ -381,18 +405,14 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
         turn = np.exp(-1j * np.angle(z) * np.array([[0], [0], [1], [1]]))
         raw, fid = fid, fidelity(q * turn)
     if config.mode == "stirap":
-        amps = stirap.transfer_amplitudes(config.schedule, config.params, d)
-        amps = amps[:min(stirap.CALIBRATED_RUNGS, d - 1)]
-        angles = stirap.transfer_phase(amps)
-        keep = np.abs(amps) ** 2 >= stirap.PHASE_MIN_TRANSFER
-        phases = dict(zip(np.flatnonzero(keep).tolist(), angles[keep].tolist()))
+        phases = dict(_gate_blocks(config.schedule, config.params, config.epsilon, d)[2])
         if vec is not None:
-            padded = np.append(0.0, vec)  # at unit size: the fourth powers stay in range
-            out = cols * padded[np.arange(d) + np.array([[1], [1], [0]])]
+            padded = np.concatenate(((0.0,), vec))  # at unit size: the fourth powers stay in range
+            out = cols * padded[source]
             ion = out @ out.conj().transpose(0, 2, 1)
-            norm = np.maximum(np.real(np.trace(ion, axis1=1, axis2=2)), 1e-300)
-            purity = np.real(np.einsum("aij,aji->a", ion, ion)) / norm**2
-            residue = float(np.max(1.0 - purity, initial=0.0))
+            norm = np.maximum(ion.trace(axis1=1, axis2=2).real, 1e-300)
+            purity = np.einsum("aij,aji->a", ion, ion).real / norm**2
+            residue = float(np.maximum.reduce(1.0 - purity, initial=0.0))
     return GateReport(
         truth_table=table,
         qubit_fidelity=fid,
@@ -460,8 +480,8 @@ def mixed_state_equivalence(config: GateConfig, spec: ThermalSpec, n_max: int = 
     element-wise deviation between the two output density matrices.
     """
     space = CompositeSpace(config.params.n_ions, FockSpace(n_max))
-    register, _ = _report_layout(config.params.n_ions, config.control, config.target,
-                                 n_max + 1)
+    register = _report_layout(config.params.n_ions, config.control, config.target,
+                              n_max + 1)[0]
     ion = 0.5 * register
     probs = thermal_probabilities(spec, n_max)
     direct_in = compose_density(np.outer(ion, ion.conj()), np.diag(probs.astype(complex)), space)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hotgate import cli
 from hotgate.operators import PhysicalParams
-from hotgate import stirap
+from hotgate import gate, states, stirap
 
 BASE_PARAMS = {
     "eta": 0.1,
@@ -281,6 +281,43 @@ def test_truth_table_thermal(tmp_path, capsys):
     table = np.array([[complex(re, im) for re, im in row] for row in doc["truth_table"]])
     assert np.max(np.abs(table - np.diag([1, 1, 1, -1]))) < 1e-12
     assert doc["leakage"] < 1e-12
+
+
+def float_bits(value):
+    """value with every float replaced by its hex spelling, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: float_bits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [float_bits(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("make_doc", [ideal_doc, stirap_doc], ids=["ideal", "stirap"])
+@pytest.mark.parametrize("phonon", ["fock:3", "coherent:0.8,-0.4", "thermal:0.7"],
+                         ids=["fock", "coherent", "thermal-density"])
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
+def test_truth_table_writes_one_sorted_line(tmp_path, capsys, make_doc, phonon, to_stdout):
+    doc = make_doc(phonon=phonon, n_max=10)
+    config = write(tmp_path, doc)
+    out = tmp_path / "report.json"
+    texts = []
+    for _ in range(2):
+        assert cli.main(["truth-table", "--config", config,
+                         "--out", "-" if to_stdout else str(out)]) == 0
+        printed = capsys.readouterr().out
+        # on stdout the document comes first, then the two fidelity lines
+        texts.append(printed.split("\n", 1)[0] + "\n" if to_stdout else out.read_text())
+    text = texts[0]
+    assert texts[1] == text  # byte for byte
+    assert text.endswith("}\n") and text.count("\n") == 1
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True) + "\n"  # compact, keys sorted
+    parsed = cli.parse_config(doc)
+    want = gate.gate_report(parsed.gate, states.parse_state_spec(phonon, 10))
+    assert float_bits(report) == float_bits(
+        {**want.to_dict(), "phonon": phonon, "n_max": 10})
 
 
 @pytest.mark.parametrize("path, value, message", [
@@ -639,6 +676,39 @@ def test_oversize_run_exits_3_without_traceback(tmp_path, capsys, mode, path, va
     assert "than an array can hold" in captured.err
     assert "Traceback" not in captured.err
     assert "nan" not in (captured.out + captured.err).lower()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_ions", [2, 3])
+def test_report_past_physical_memory_exits_3_with_its_estimate(tmp_path, capsys, monkeypatch,
+                                                              n_ions):
+    # refused before its register is allocated, not killed by the operating system
+    doc = ideal_doc(phonon="fock:1", n_max=8)
+    doc["gate"]["params"]["n_ions"] = n_ions
+    config = write(tmp_path, doc)
+    out = tmp_path / "r.json"
+    need = 4 * 16 * 4**n_ions * 9  # four register-sized complex arrays
+    monkeypatch.setattr(gate, "_PHYSICAL_MEMORY", need - 1)
+    assert cli.main(["truth-table", "--config", config, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"a report on {n_ions} ions and 9 phonon levels needs about {need / 1e9:.3g} GB" in err
+    assert f"4 x 16 B x 4^{n_ions} x 9" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert gate._report_layout.cache_info().currsize == 0  # no register
+    monkeypatch.setattr(gate, "_PHYSICAL_MEMORY", need)
+    assert cli.main(["truth-table", "--config", config, "--out", str(out)]) == 0
+
+
+def test_sweep_point_past_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
+    doc = ideal_doc(phonon="fock:1", n_max=8,
+                    sweep={"axes": [{"name": "n_max", "values": [4, 8]}]})
+    out = tmp_path / "sweep.csv"
+    monkeypatch.setattr(gate, "_PHYSICAL_MEMORY", 4 * 16 * 4**2 * 5)  # fits n_max 4 only
+    assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "a report on 2 ions and 9 phonon levels needs about" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import functools
 import inspect
 import json
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -956,6 +957,32 @@ def test_second_report_composes_no_gate_blocks(passage_builds, config):
     assert passage_builds == builds
 
 
+def test_second_stirap_report_builds_no_read_out(monkeypatch):
+    config = stirap_config(margin=90.0, n_steps=300, compensate_phases=True)
+    phonon = random_phonon(3, 8)  # pure, so the report reads the entanglement residue too
+    g.gate_report(config, phonon)
+    caches = (stirap.passage_blocks, g._gate_blocks, g._report_layout, g._crot_unitary)
+    before = [cache.cache_info() for cache in caches]
+    phase_reads = []
+    original = stirap.transfer_phase
+    monkeypatch.setattr(stirap, "transfer_phase",
+                        lambda amps: phase_reads.append(amps) or original(amps))
+    report = g.gate_report(config, phonon)
+    after = [cache.cache_info() for cache in caches]
+    assert [a.misses - b.misses for a, b in zip(after, before)] == [0, 0, 0, 0]
+    assert phase_reads == []
+    assert report.residual_phases and report.entanglement_residue is not None
+
+
+def test_each_report_has_its_own_phases():
+    config = stirap_config(margin=90.0, n_steps=300)
+    first = g.gate_report(config, fock_state(2, 8))
+    want = dict(first.residual_phases)
+    first.residual_phases[0] = 0.0
+    first.residual_phases[99] = 1.0
+    assert g.gate_report(config, fock_state(2, 8)).residual_phases == want
+
+
 @pytest.mark.parametrize("config", [
     IDEAL, replace(IDEAL, epsilon=0.02, control=1, target=0),
     stirap_config(margin=90.0, n_steps=300, epsilon=0.01),
@@ -971,11 +998,13 @@ def test_warm_report_equals_cold_report(config):
 @pytest.mark.parametrize("schedule", [None, stirap_config(n_steps=300).schedule],
                          ids=["ideal", "stirap"])
 def test_gate_blocks_are_read_only(schedule):
-    blocks, ground = g._gate_blocks(schedule, PARAMS, 0.01, 5)
+    blocks, ground, phases = g._gate_blocks(schedule, PARAMS, 0.01, 5)
     assert blocks.shape == (4, 5, 3, 3) and ground.shape == (4, 5)
     for cached in (blocks, ground):
         with pytest.raises(ValueError):
             cached[0] = 0.0
+    # the phases are an immutable tuple of (rung, phase) pairs, or None without a passage
+    assert phases is None if schedule is None else isinstance(phases, tuple)
 
 
 def test_gate_blocks_is_positional_only():
@@ -1011,8 +1040,12 @@ def test_report_layout_gathers_the_register_cells(k):
         config = g.GateConfig(params=params, control=control, target=target, epsilon=0.01,
                               schedule=schedule)
         for d in (2, 9):
-            register, index = g._report_layout(k, control, target, d)
+            register, index, source = g._report_layout(k, control, target, d)
             want_register, want = register_gather(config, d)
+            # each cell's input rung, one past a leading 0: the same rung, or the
+            # one below on the shelf
+            rungs = np.arange(d)
+            assert np.array_equal(source - 1, [rungs, rungs, rungs - 1])
             space = CompositeSpace(k, FockSpace(d - 1))
             cols = g.crot(compose_state(space, register, np.ones(d)), config).amplitudes[index]
             assert index.shape == (4, 3, d)
@@ -1022,8 +1055,8 @@ def test_report_layout_gathers_the_register_cells(k):
 
 
 def test_report_layout_is_read_only_and_positional_only():
-    register, index = g._report_layout(3, 2, 0, 5)
-    for cached in (register, index):
+    register, index, source = g._report_layout(3, 2, 0, 5)
+    for cached in (register, index, source):
         with pytest.raises(ValueError):
             cached[0] = 0
     # a keyword call would key the cache apart from the positional one
@@ -1042,6 +1075,21 @@ def test_second_report_on_a_layout_adds_no_cache_entry():
     g.gate_report(replace(IDEAL, control=1, target=0), fock_state(3, 8))
     g.gate_report(IDEAL, fock_state(3, 9))
     assert g._report_layout.cache_info().currsize == 3
+
+
+def test_report_memory_estimate_covers_its_peak():
+    # the refusal counts four register-sized complex arrays; numpy reports its
+    # allocations to tracemalloc, so the report's traced peak shows the count
+    d = 64
+    config = replace(IDEAL, params=replace(PARAMS, n_ions=5))
+    register = 16 * 4**5 * d
+    tracemalloc.start()
+    try:
+        g.gate_report(config, fock_state(3, d - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3 * register < peak <= g._REPORT_ARRAYS * register
 
 
 def test_to_dict_table_is_the_entry_list():
@@ -1115,7 +1163,7 @@ def test_crot_unitary_arrays_are_read_only_views_of_the_gate_blocks(schedule):
     gate = g._crot_unitary(config, CompositeSpace(2, FockSpace(4)))
     cached = [value for value in inspect.getclosurevars(gate._kernel).nonlocals.values()
               if isinstance(value, np.ndarray)]
-    blocks, ground = g._gate_blocks(schedule, PARAMS, 0.01, 5)
+    blocks, ground, _ = g._gate_blocks(schedule, PARAMS, 0.01, 5)
     assert len(cached) == 2
     for array in cached:
         with pytest.raises(ValueError):
