@@ -213,6 +213,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             )
         sweep_axes = [] if root["sweep"] is None else _parse_axes(root["sweep"], mode)
         trace_n = _read(root["trace"], _TRACE, "trace")["n"]
+        if not 0 <= trace_n < root["n_max"]:
+            raise ValueError(f"trace.n = {trace_n} outside 0..{root['n_max'] - 1}")
     return ExperimentConfig(
         n_max=root["n_max"], phonon_spec=root["phonon"], gate=gate_config,
         sweep_axes=sweep_axes, trace_n=trace_n, raw=doc,
@@ -280,7 +282,8 @@ def cmd_truth_table(config: ExperimentConfig, out: str, seed: int | None) -> int
 
 def _patched_raw(raw: dict, names, values) -> dict:
     doc = json.loads(json.dumps(raw))
-    doc.pop("sweep", None)
+    for section in ("sweep", "trace"):  # a grid point reads neither
+        doc.pop(section, None)
     for name, value in zip(names, values):
         path = SWEEP_AXES[name]
         node = doc
@@ -330,8 +333,6 @@ def cmd_stirap_trace(config: ExperimentConfig, out: str, seed: int | None) -> in
     if config.gate.mode != "stirap":
         raise ConfigError("stirap-trace requires gate mode 'stirap' (schedule required)")
     n = config.trace_n
-    if not 0 <= n < config.n_max:
-        raise ConfigError(f"trace.n = {n} outside 0..{config.n_max - 1}")
     schedule = config.gate.schedule
     params = config.gate.params
     with _output(out) as write:

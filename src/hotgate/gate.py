@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -120,7 +120,6 @@ class GateReport:
     residual_phases: dict | None = None
     entanglement_residue: float | None = None
     qubit_fidelity_raw: float | None = None
-    notes: dict = field(default_factory=dict)
 
     @property
     def table_extraction_failed(self) -> bool:
@@ -148,7 +147,6 @@ class GateReport:
             "qubit_fidelity_raw": None if self.qubit_fidelity_raw is None
             else float(self.qubit_fidelity_raw),
             "table_extraction_failed": self.table_extraction_failed,
-            "notes": self.notes,
         }
 
 
@@ -189,16 +187,14 @@ def _gate_blocks(schedule: stirap.StirapSchedule | None, params: PhysicalParams,
     return blocks, ground, phases
 
 
-@lru_cache(maxsize=32)
-def _crot_unitary(config: GateConfig, space: CompositeSpace, /) -> IdealUnitary:
-    """The four-pulse sequence as per-rung blocks, built once per configuration and space.
+def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
+    """The four-pulse sequence as per-rung blocks on space.
 
     Reads the cached _gate_blocks as views with the target level first and
     one broadcast axis for each spectator ion and the batch. The transpose
     that brings the control and target axes first is fixed here, so each
     application is one copy of the input and one in-place block product on a
-    transposed view of it. The arguments are positional-only, so a
-    configuration has one key.
+    transposed view of it.
     """
     k, d = space.n_ions, space.fock.dim
     blocks, ground, _ = _gate_blocks(config.schedule, config.params, config.epsilon, d)

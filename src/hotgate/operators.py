@@ -163,11 +163,12 @@ def conditional_phase_factors(dim: int, epsilon: float = 0.0) -> np.ndarray:
 
     For integer n the phase has period 2 in 1+epsilon, which is therefore
     taken modulo 2 first: exact, a no-op while 0 <= 1+epsilon < 2, and finite
-    for any finite epsilon.
+    for any finite epsilon. At epsilon = 0 the sign is read from the parity of
+    n, since a complex power (-1+0j)**n carries rounding from n = 100 on.
     """
     n = np.arange(dim)
     if epsilon == 0.0:
-        return (-1.0 + 0j) ** n  # exact alternating signs
+        return np.where(n % 2, -1.0, 1.0).astype(complex)
     return np.exp(-1j * np.pi * ((1.0 + epsilon) % 2.0) * n)
 
 

@@ -108,6 +108,11 @@ class PulseEnvelope:
         return np.where(np.abs(x) < 1.0, self.peak_rabi * np.cos(0.5 * np.pi * x) ** 2, 0.0)
 
 
+def _check_duration(total_duration: float) -> None:
+    if not (math.isfinite(total_duration) and total_duration > 0):
+        raise ValueError(f"total_duration must be finite and > 0, got {total_duration}")
+
+
 @dataclass(frozen=True)
 class StirapSchedule:
     """Pulse timing of one passage: pump/Stokes envelopes, duration and step grid.
@@ -126,8 +131,7 @@ class StirapSchedule:
     n_steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.total_duration) and self.total_duration > 0):
-            raise ValueError(f"total_duration must be finite and > 0, got {self.total_duration}")
+        _check_duration(self.total_duration)
         if not _is_integer(self.n_steps) or self.n_steps < 1:
             raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
         if self.n_steps > MAX_N_STEPS:
@@ -160,6 +164,7 @@ def standard_schedule(total_duration: float, params: PhysicalParams, *,
     lowest rung. The grid has n_steps steps; the detuning is not part of a
     schedule (params.delta_stirap).
     """
+    _check_duration(total_duration)  # before any peak or width is derived from it
     if margin is not None and pump_peak is not None:
         raise ValueError("give either margin or an explicit pump peak rate, not both")
     if pump_peak is None:
@@ -652,8 +657,12 @@ def passage_blocks(schedule: StirapSchedule, params: PhysicalParams, n_rungs: in
     run backwards in time; the blocks are real symmetric and each step maps
     to the transpose of its mirror step, so down = up^T exactly up to
     rounding and only the up passage is integrated. Otherwise the reversed
-    schedule is integrated too.
+    schedule is integrated too. A 'down' schedule is refused (ValueError):
+    its passage is the [1] half of its reverse's build.
     """
+    if schedule.direction != "up":
+        raise ValueError("passage_blocks needs an 'up' schedule (Stokes first), got a 'down' "
+                         "one; pass reversed_schedule(schedule) and read [1] for its passage")
     ns = np.arange(n_rungs)
     up = block_propagators(schedule, params, ns)
     up.flags.writeable = False

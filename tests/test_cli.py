@@ -1065,6 +1065,43 @@ def test_stirap_trace_rejects_out_of_range_rung(tmp_path):
                      "--out", str(tmp_path / "t.csv")]) == 2
 
 
+@pytest.mark.parametrize("command", ["truth-table", "sweep", "stirap-trace"])
+@pytest.mark.parametrize("n", [8, -1])
+def test_trace_rung_outside_the_ladder_exits_2_for_every_command(tmp_path, capsys, command, n):
+    # one verdict per config: truth-table and sweep used to exit 0
+    doc = stirap_doc(n_max=8, n_steps=200, trace={"n": n},
+                     sweep={"axes": [{"name": "epsilon", "values": [0.0]}]})
+    out = tmp_path / "out.txt"
+    assert cli.main([command, "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"trace.n = {n} outside 0..7" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_n_max_axis_does_not_check_the_trace_rung(tmp_path):
+    # a grid point reads no trace section, so a smaller n_max does not refuse it
+    doc = stirap_doc(n_max=8, n_steps=200, trace={"n": 6},
+                     sweep={"axes": [{"name": "n_max", "values": [4, 8]}]})
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
+    assert [row["n_max"] for row in read_csv(out)[1]] == ["4", "8"]
+
+
+@pytest.mark.parametrize("total", [0, -1])
+@pytest.mark.parametrize("peak", [{"margin": 100.0}, {"pump_peak_rabi_rad_per_s": 100.0}],
+                         ids=["margin", "pump-peak"])
+def test_bad_duration_exits_2_naming_the_schedule_rule(tmp_path, capsys, total, peak):
+    doc = stirap_doc(n_max=8, n_steps=200)
+    doc["gate"]["schedule"] = {"total_duration_s": total, "n_steps": 200, **peak}
+    out = tmp_path / "r.json"
+    assert cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad schedule: total_duration must be finite and > 0, got {float(total)}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_config_file(capsys):
     assert cli.main(["truth-table", "--config", "/nonexistent.json", "--out", "-"]) == 2
 

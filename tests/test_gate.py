@@ -186,6 +186,14 @@ def test_crot_full_support_input_is_exact():
     assert out.norm == state.norm
 
 
+@pytest.mark.parametrize("n", [99, 150, 250])
+def test_ideal_table_is_exact_above_rung_98(n):
+    # rung n reads conditional phase n + 1 on the shelf
+    report = g.gate_report(IDEAL, fock_state(n, 300))
+    assert np.array_equal(report.truth_table, np.diag([1, 1, 1, -1]))
+    assert report.qubit_fidelity == report.phonon_restoration_fidelity == 1.0
+
+
 # ---------------------------------------------------------------- truth table
 
 def test_truth_table_ideal_across_input_families():
@@ -961,7 +969,7 @@ def test_second_stirap_report_builds_no_read_out(monkeypatch):
     config = stirap_config(margin=90.0, n_steps=300, compensate_phases=True)
     phonon = random_phonon(3, 8)  # pure, so the report reads the entanglement residue too
     g.gate_report(config, phonon)
-    caches = (stirap.passage_blocks, g._gate_blocks, g._report_layout, g._crot_unitary)
+    caches = (stirap.passage_blocks, g._gate_blocks, g._report_layout)
     before = [cache.cache_info() for cache in caches]
     phase_reads = []
     original = stirap.transfer_phase
@@ -969,7 +977,7 @@ def test_second_stirap_report_builds_no_read_out(monkeypatch):
                         lambda amps: phase_reads.append(amps) or original(amps))
     report = g.gate_report(config, phonon)
     after = [cache.cache_info() for cache in caches]
-    assert [a.misses - b.misses for a, b in zip(after, before)] == [0, 0, 0, 0]
+    assert [a.misses - b.misses for a, b in zip(after, before)] == [0, 0, 0]
     assert phase_reads == []
     assert report.residual_phases and report.entanglement_residue is not None
 
@@ -990,7 +998,6 @@ def test_each_report_has_its_own_phases():
 def test_warm_report_equals_cold_report(config):
     for phonon in (fock_state(3, 8), random_phonon(4, 8), thermal_state(ThermalSpec(1.0), 8)):
         g._gate_blocks.cache_clear()
-        g._crot_unitary.cache_clear()
         cold = g.gate_report(config, phonon).to_dict()
         assert g.gate_report(config, phonon).to_dict() == cold
 
@@ -1131,30 +1138,7 @@ def test_report_runs_gate_once(monkeypatch, config):
         assert sorted(calls) == ["compose_state", "crot"]
 
 
-# ---------------------------------------------------------------- the cached gate
-
-@pytest.mark.parametrize("config", [
-    IDEAL, stirap_config(margin=90.0, n_steps=300, compensate_phases=True),
-], ids=["ideal", "stirap"])
-def test_second_report_builds_no_crot_unitary(config):
-    phonon = thermal_state(ThermalSpec(0.5), 8)
-    g.gate_report(config, phonon)
-    before = g._crot_unitary.cache_info()
-    g.gate_report(config, phonon)
-    after = g._crot_unitary.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)
-
-
-def test_crot_unitary_is_positional_only_with_one_entry_per_configuration():
-    space = CompositeSpace(2, FockSpace(4))
-    # a keyword call would key the cache apart from the positional one
-    with pytest.raises(TypeError):
-        g._crot_unitary(IDEAL, space=space)
-    g._crot_unitary(IDEAL, space)
-    # equal configurations and spaces, as other objects, read the same entry
-    g._crot_unitary(replace(IDEAL), CompositeSpace(2, FockSpace(4)))
-    assert g._crot_unitary.cache_info().currsize == 1
-
+# ---------------------------------------------------------------- the gate's kernel
 
 @pytest.mark.parametrize("schedule", [None, stirap_config(n_steps=300).schedule],
                          ids=["ideal", "stirap"])

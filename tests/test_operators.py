@@ -191,6 +191,14 @@ def test_conditional_phase_factors_reduce_one_plus_epsilon_modulo_two():
     assert np.array_equal(huge, np.ones(50))
 
 
+def test_conditional_phase_factors_are_exact_signs_on_every_rung():
+    # a complex power (-1+0j)**n carries imaginary parts from n = 100 on
+    factors = conditional_phase_factors(10**4 + 1, 0.0)
+    signs = np.where(np.arange(10**4 + 1) % 2, -1.0, 1.0)
+    assert np.array_equal(factors.real, signs)
+    assert np.array_equal(factors.imag, np.zeros(10**4 + 1))
+
+
 def test_conditional_phase_unitary():
     space = CompositeSpace(1, FockSpace(6))
     assert unitarity_defect(conditional_phase(0).to_matrix(space)) < 1e-12

@@ -679,6 +679,26 @@ def test_passage_blocks_is_positional_only():
         stirap.passage_blocks(schedule(n_steps=10), PARAMS, n_rungs=3)
 
 
+def test_passage_blocks_refuses_a_down_schedule():
+    # its two halves would come back swapped
+    down = stirap.reversed_schedule(stirap.standard_schedule(1.0, PARAMS, n_steps=500))
+    with pytest.raises(ValueError, match="needs an 'up' schedule.*reversed_schedule"):
+        stirap.passage_blocks(down, PARAMS, 3)
+    assert stirap.passage_blocks.cache_info().currsize == 0
+    # the down passage is the [1] half of its reverse's build
+    blocks = stirap.passage_blocks(stirap.reversed_schedule(down), PARAMS, 3)[1]
+    assert np.min(np.abs(blocks[:, 0, 2]) ** 2) >= 0.999
+
+
+@pytest.mark.parametrize("total", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("peaks", [{}, {"margin": 50.0}, {"pump_peak": 100.0}],
+                         ids=["default", "margin", "pump-peak"])
+def test_standard_schedule_names_a_bad_duration(total, peaks):
+    # the schedule's own rule, before a peak or width is derived from the duration
+    with pytest.raises(ValueError, match=r"^total_duration must be finite and > 0, got"):
+        stirap.standard_schedule(total, PARAMS, **peaks)
+
+
 def test_rung_blocks_independent_of_batch():
     sched = schedule(margin=80.0, n_steps=300)
     for params in (detuned(7.0), detuned(0.0)):  # the SU(3) and the SU(2) product
