@@ -15,7 +15,6 @@ import os
 import stat
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 
@@ -68,6 +67,8 @@ _ENVELOPE = {"peak_rabi_rad_per_s": (float, _REQUIRED), "center_s": (float, _REQ
 _SWEEP = {"axes": (list, _REQUIRED)}
 _AXIS = {"name": (str, _REQUIRED), "values": (list, _REQUIRED)}
 _TRACE = {"n": (int, 0)}
+_ENCODER = json.JSONEncoder(sort_keys=True)  # the one json.dumps(..., sort_keys=True) builds
+_READ_SIZE = 1 << 16  # bytes asked of each os.read of a config
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
                dict: "an object", list: "a list"}
 
@@ -127,16 +128,23 @@ def _read(section, table: dict, where: str) -> dict:
     return values
 
 
-@contextmanager
-def _config_errors(prefix: str):
+class _config_errors:
     """Report a bad value met in the block as a ConfigError that starts with
     prefix; a ConfigError from a section read inside it passes unchanged."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise ConfigError(prefix + str(exc)) from exc
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (TypeError, ValueError, ArithmeticError)) and not isinstance(
+                exc, ConfigError):
+            raise ConfigError(self.prefix + str(exc)) from exc
+        return False
 
 
 def _parse_envelope(section: dict, name: str) -> stirap.PulseEnvelope:
@@ -221,10 +229,24 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
 
 
+def _read_file(path: str) -> bytes:
+    """The bytes of path up to end of file, also from a pipe or a device."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+    except OSError as exc:
+        exc.filename = path  # so a read error names the path too, e.g. a directory's
+        raise
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+        text = _read_file(path).decode("utf-8")
         # the newlines of a text-mode read, so an error names the same position
         doc = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
@@ -245,51 +267,75 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-@contextmanager
-def _output(path: str):
-    """Yield the --out writer: the path is opened before any work, without
-    truncation, so a failed run keeps a file that was there (removes one it made);
-    the text overwrites it from the start and cuts a regular file at its end."""
-    if path == "-":
-        yield sys.stdout.write
-        return
-    made = not os.path.exists(path)
-    try:
-        with open(path, "w", encoding="utf-8",
-                  opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
-            def write(text: str):
-                fh.write(text)
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    fh.truncate()
-            yield write
-    except BaseException as exc:
-        if made and os.path.exists(path):
-            os.remove(path)
-        if isinstance(exc, OSError):
-            raise ConfigError(f"cannot write output {path}: {exc}") from exc
-        raise
+class _output:
+    """The --out writer, as a context manager entered before any work: the path
+    is opened without truncation, so a failed run keeps a file that was there
+    (removes one it made); the text overwrites it from the start and cuts a
+    regular file at its end. '-' writes to stdout."""
+
+    __slots__ = ("path", "fd", "made", "size")
+
+    def __init__(self, path: str):
+        self.path = path
+        self.fd = None
+        self.size = 0
+
+    def __enter__(self):
+        if self.path == "-":
+            return sys.stdout.write
+        self.made = not os.path.exists(self.path)
+        try:
+            self.fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {self.path}: {exc}") from exc
+        return self.write
+
+    def write(self, text: str):
+        data = memoryview(text.encode("utf-8"))
+        self.size += len(data)
+        while data:
+            data = data[os.write(self.fd, data):]
+        if stat.S_ISREG(os.fstat(self.fd).st_mode):
+            os.ftruncate(self.fd, self.size)
+
+    def __exit__(self, kind, exc, tb):
+        if self.fd is None:
+            return False
+        try:
+            os.close(self.fd)
+        except OSError as close_exc:
+            if exc is None:
+                exc = close_exc
+        if exc is not None:
+            if self.made and os.path.exists(self.path):
+                os.remove(self.path)
+            if isinstance(exc, OSError):
+                raise ConfigError(f"cannot write output {self.path}: {exc}") from exc
+        return False
 
 
 def cmd_truth_table(config: ExperimentConfig, out: str, seed: int | None) -> int:
     with _output(out) as write:
         report = gate_mod.gate_report(config.gate, _phonon_input(config, seed))
         doc = {**report.to_dict(), "phonon": config.phonon_spec, "n_max": config.n_max}
-        write(json.dumps(doc, sort_keys=True) + "\n")
-    print(f"qubit_fidelity={_fmt(report.qubit_fidelity)}")
-    print(f"phonon_restoration_fidelity={_fmt(report.phonon_restoration_fidelity)}")
+        write(_ENCODER.encode(doc) + "\n")
+    sys.stdout.write(f"qubit_fidelity={_fmt(report.qubit_fidelity)}\n"
+                     f"phonon_restoration_fidelity={_fmt(report.phonon_restoration_fidelity)}\n")
     return 0
 
 
 def _patched_raw(raw: dict, names, values) -> dict:
-    doc = json.loads(json.dumps(raw))
-    for section in ("sweep", "trace"):  # a grid point reads neither
-        doc.pop(section, None)
+    """raw with each axis set to its value, without the sweep and trace sections
+    (a grid point reads neither). Only the dicts on a patched path are copied,
+    so raw is left as it was."""
+    doc = {key: value for key, value in raw.items() if key not in ("sweep", "trace")}
     for name, value in zip(names, values):
-        path = SWEEP_AXES[name]
+        *sections, key = SWEEP_AXES[name]
         node = doc
-        for key in path[:-1]:  # a section parse_config read: ideal mode has no passage axes
-            node = node[key]
-        node[path[-1]] = value  # parse_config reads n_max and n_steps as strict integers
+        for section in sections:  # one parse_config read: ideal mode has no passage axes
+            node[section] = dict(node[section])
+            node = node[section]
+        node[key] = value  # parse_config reads n_max and n_steps as strict integers
     return doc
 
 
@@ -332,6 +378,8 @@ def cmd_sweep(config: ExperimentConfig, out: str, seed: int | None) -> int:
 def cmd_stirap_trace(config: ExperimentConfig, out: str, seed: int | None) -> int:
     if config.gate.mode != "stirap":
         raise ConfigError("stirap-trace requires gate mode 'stirap' (schedule required)")
+    with _config_errors(""):  # the other commands' verdict on the spec, with no state built
+        states._read_spec(config.phonon_spec, config.n_max, seed)
     n = config.trace_n
     schedule = config.gate.schedule
     params = config.gate.params

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,13 +51,23 @@ def _coherent_unnormalized(alpha: complex, n_max: int) -> np.ndarray:
     # |a_n| <= 1, so neither an amplitude nor the norm overflows
     n = np.arange(n_max + 1)
     r = np.abs(alpha)
-    log_mag = n * np.log(r) - 0.5 * _log_factorial(n) - 0.5 * r * r
+    log_mag = n * np.log(r) - 0.5 * _log_factorial(n_max + 1) - 0.5 * r * r
     phase = np.exp(1j * n * np.angle(alpha))
     return np.exp(log_mag) * phase
 
 
-def _log_factorial(n: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.lgamma, (n + 1.0).tolist()), float, n.size)
+@lru_cache(maxsize=8)
+def _log_factorial(size: int) -> np.ndarray:
+    """log n! for n = 0..size-1, read-only: one math.lgamma per entry."""
+    table = np.fromiter(map(math.lgamma, range(1, size + 1)), float, size)
+    table.flags.writeable = False
+    return table
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a complex vector, as np.linalg.norm evaluates it."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
@@ -72,7 +83,7 @@ def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
         v = _coherent_unnormalized(alpha, n_max)
     else:  # overflowed (or nan): no truncation holds it
         v = np.zeros(n_max + 1, dtype=complex)
-    norm = np.linalg.norm(v)
+    norm = _norm(v)
     discard = 1.0 - norm * norm
     if discard > MAX_STATE_DISCARD:
         raise TruncationLeakage(
@@ -118,7 +129,7 @@ def random_pure_state(seed: int, n_max: int) -> np.ndarray:
     """Seeded Haar-like random unit vector over occupations 0..n_max."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
 def parse_state_spec(spec: str, n_max: int, default_seed: int | None = None):
@@ -129,28 +140,39 @@ def parse_state_spec(spec: str, n_max: int, default_seed: int | None = None):
     and MemoryError, before any allocation, on an n_max no array can hold.
     """
     FockSpace(n_max)
+    build, arg = _read_spec(spec, n_max, default_seed)
+    return build(arg, n_max)
+
+
+def _read_spec(spec: str, n_max: int, default_seed: int | None = None):
+    """(constructor, argument) that parse_state_spec builds the state from.
+
+    Every ValueError of parse_state_spec is raised here, and nothing is
+    built, so a spec can be checked at any n_max; what the build can still
+    refuse is a state that n_max truncates too far (TruncationLeakage).
+    """
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
     arg = arg.strip()
     try:
         if name == "fock":
-            return fock_state(int(arg), n_max)
+            n = int(arg)
+            if not 0 <= n <= n_max:
+                raise ValueError(f"occupation {n} outside 0..{n_max}")
+            return fock_state, n
         if name == "coherent":
             re_s, _, im_s = arg.partition(",")
             alpha = complex(float(re_s), float(im_s))
             if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
                 raise ValueError
-            return coherent_state(alpha, n_max)
+            return coherent_state, alpha
         if name == "thermal":
-            return thermal_state(ThermalSpec(float(arg)), n_max)
+            return thermal_state, ThermalSpec(float(arg))
         if name == "random":
-            if arg:
-                seed = int(arg)
-            elif default_seed is not None:
-                seed = default_seed
-            else:
+            seed = int(arg) if arg else default_seed
+            if seed is None or seed < 0:  # numpy's generators take a seed >= 0
                 raise ValueError
-            return random_pure_state(seed, n_max)
-    except (ValueError, IndexError) as exc:
+            return random_pure_state, seed
+    except ValueError as exc:
         raise ValueError(f"malformed state spec {spec!r}") from exc
     raise ValueError(f"unknown state family {name!r} in spec {spec!r}")

@@ -162,11 +162,16 @@ def standard_schedule(total_duration: float, params: PhysicalParams, *,
     margin/(eta*T), or an explicit pump_peak, with the Stokes peak at
     pump_peak/eta. Either way the two effective couplings balance on the
     lowest rung. The grid has n_steps steps; the detuning is not part of a
-    schedule (params.delta_stirap).
+    schedule (params.delta_stirap). A margin or pump_peak must be finite and
+    >= 0; 0 is the zero-field limit, both peaks 0, whose passage is the
+    identity.
     """
     _check_duration(total_duration)  # before any peak or width is derived from it
     if margin is not None and pump_peak is not None:
         raise ValueError("give either margin or an explicit pump peak rate, not both")
+    for name, value in (("margin", margin), ("pump_peak", pump_peak)):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     if pump_peak is None:
         m = DEFAULT_MARGIN if margin is None else margin
         pump_peak, stokes_rabi = m / total_duration, m / (params.eta * total_duration)

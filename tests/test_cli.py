@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -45,6 +46,12 @@ def stirap_doc(phonon="fock:0", n_max=12, margin=100.0, n_steps=1000, **extra):
     }
     doc.update(extra)
     return doc
+
+
+def every_command_doc(phonon, n_max=8):
+    """A config that each of the three commands runs on a well-formed spec."""
+    return stirap_doc(phonon=phonon, n_max=n_max, n_steps=200, trace={"n": 1},
+                      sweep={"axes": [{"name": "epsilon", "values": [0.0]}]})
 
 
 def write(tmp_path, doc, name="config.json"):
@@ -330,7 +337,7 @@ def test_truth_table_writes_one_sorted_line(tmp_path, capsys, make_doc, phonon, 
     (("gate", "epsilon"), [0.1], "bad gate section"),
     (("gate", "epsilon"), float("nan"), "epsilon must be finite"),
     (("gate", "params", "eta"), float("nan"), "eta must be finite"),
-    (("gate", "schedule", "margin"), float("nan"), "peak_rabi must be finite"),
+    (("gate", "schedule", "margin"), float("nan"), "margin must be finite"),
     (("gate", "compensate_phases"), "false", "compensate_phases must be true or false"),
     (("gate", "params", "n_ions"), 2.9, "n_ions must be an integer"),
     (("gate", "schedule", "n_steps"), 2.7, "n_steps must be an integer"),
@@ -879,6 +886,74 @@ def test_out_replaces_a_longer_existing_file(tmp_path):
     assert json.loads(out.read_text())["n_max"] == ideal_doc()["n_max"]
 
 
+@pytest.mark.parametrize("command", ["truth-table", "sweep", "stirap-trace"])
+def test_out_to_a_device_is_written_and_not_truncated(tmp_path, monkeypatch, command):
+    written, cut = [], []
+    write_fd, ftruncate = os.write, os.ftruncate
+
+    def counted_write(fd, data):
+        written.append(len(data))
+        return write_fd(fd, data)
+
+    def counted_ftruncate(fd, size):
+        cut.append(size)
+        ftruncate(fd, size)
+
+    monkeypatch.setattr(os, "write", counted_write)
+    monkeypatch.setattr(os, "ftruncate", counted_ftruncate)
+    config = write(tmp_path, every_command_doc("fock:1", n_max=4))
+    assert cli.main([command, "--config", config, "--out", os.devnull]) == 0
+    assert written and cut == []  # a character device has no end to cut
+    out = tmp_path / "out.txt"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 0
+    assert cut == [out.stat().st_size]
+
+
+def test_config_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
+    assert cli.main(["truth-table", "--config", str(tmp_path), "--out", "-"]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read config {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'" in err
+    assert "Traceback" not in err
+
+
+def test_config_read_through_a_pipe():
+    # the document comes after more blank space than a pipe holds, so it
+    # arrives only by a later read
+    import hotgate
+
+    text = " " * 200_000 + json.dumps(ideal_doc(phonon="fock:1", n_max=4))
+    package_root = str(Path(hotgate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "hotgate.cli", "truth-table", "--config", "/dev/stdin",
+         "--out", "-"], input=text, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[0])["n_max"] == 4
+
+
+@pytest.mark.parametrize("existing", [None, b"old\r\nbytes\x00"], ids=["new", "existing"])
+def test_full_disk_exits_2_and_keeps_an_existing_out_file(tmp_path, capsys, monkeypatch,
+                                                          existing):
+    config = write(tmp_path, ideal_doc(phonon="fock:1", n_max=4))
+    out = tmp_path / "r.json"
+    if existing is not None:
+        out.write_bytes(existing)
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "write", full)
+    assert cli.main(["truth-table", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write output {out}: [Errno {errno.ENOSPC}]" in err
+    assert "Traceback" not in err
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == existing
+
+
 def test_sweep_empty_axes(tmp_path):
     doc = ideal_doc(sweep={"axes": []})
     assert cli.main(["sweep", "--config", write(tmp_path, doc),
@@ -913,6 +988,35 @@ def test_sweep_two_axes_lexicographic(tmp_path):
     _, rows = read_csv(out)
     grid = [(float(r["epsilon"]), float(r["n_max"])) for r in rows]
     assert grid == [(0.0, 4.0), (0.0, 8.0), (0.01, 4.0), (0.01, 8.0)]
+
+
+def test_sweep_point_leaves_the_loaded_config_as_it_was(tmp_path):
+    # two axes in the schedule section and one in the gate section, each grid
+    # point patched on the shared document
+    doc = stirap_doc(phonon="coherent:0.5,-0.2", n_max=6, n_steps=200, trace={"n": 1},
+                     sweep={"axes": [{"name": "margin", "values": [80.0, 120.0]},
+                                     {"name": "n_steps", "values": [200, 300]},
+                                     {"name": "epsilon", "values": [0.0, 0.01]}]})
+    path = write(tmp_path, doc)
+    config = cli.load_config(path)
+    out = tmp_path / "sweep.csv"
+    assert cli.cmd_sweep(config, str(out), None) == 0
+    assert config.raw == json.loads(Path(path).read_text())
+    _, rows = read_csv(out)
+    assert len(rows) == 8
+    for row in rows:
+        point = json.loads(Path(path).read_text())
+        del point["sweep"]
+        point["gate"]["schedule"].update(margin=float(row["margin"]),
+                                         n_steps=int(row["n_steps"]))
+        point["gate"]["epsilon"] = float(row["epsilon"])
+        parsed = cli.parse_config(point)
+        stirap.passage_blocks.cache_clear()
+        gate._gate_blocks.cache_clear()
+        want = gate.gate_report(parsed.gate, states.parse_state_spec(parsed.phonon_spec, 6))
+        got = [float(row[key]) for key in ("gate_fidelity", "phonon_restoration", "leakage")]
+        assert float_bits(got) == float_bits(
+            [want.qubit_fidelity, want.phonon_restoration_fidelity, want.leakage])
 
 
 @pytest.mark.parametrize("name", ["omega_rad_per_s", "delta_rad_per_s"])
@@ -1088,6 +1192,49 @@ def test_sweep_n_max_axis_does_not_check_the_trace_rung(tmp_path):
     assert [row["n_max"] for row in read_csv(out)[1]] == ["4", "8"]
 
 
+@pytest.mark.parametrize("phonon, message", [
+    ("fock:-1", "malformed state spec 'fock:-1'"),
+    ("fock:9", "malformed state spec 'fock:9'"),  # past n_max 8
+    ("thermal:-1", "malformed state spec 'thermal:-1'"),
+    ("random:-3", "malformed state spec 'random:-3'"),
+    ("random", "malformed state spec 'random'"),  # no --seed
+    ("bogus:1", "unknown state family 'bogus' in spec 'bogus:1'"),
+])
+def test_malformed_spec_exits_2_alike_in_every_command(tmp_path, capsys, phonon, message):
+    # stirap-trace builds no state, but it gives the other commands' verdict
+    config = write(tmp_path, every_command_doc(phonon))
+    for command in ("truth-table", "sweep", "stirap-trace"):
+        out = tmp_path / "out.txt"
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 2, command
+        assert capsys.readouterr().err == f"config error: {message}\n", command
+        assert not out.exists()
+
+
+def test_stirap_trace_builds_no_phonon_state(tmp_path, monkeypatch):
+    built = []
+    original = states.thermal_state
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(states, "thermal_state", counted)
+    config = write(tmp_path, every_command_doc("thermal:1.0"))
+    assert cli.main(["truth-table", "--config", config, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(built) == 1  # the patched constructor is the one a report builds with
+    assert cli.main(["stirap-trace", "--config", config, "--out", str(tmp_path / "t.csv")]) == 0
+    assert len(built) == 1
+
+
+def test_state_too_hot_for_n_max_is_found_only_where_it_is_built(tmp_path, capsys):
+    # a truncation verdict (exit 3) needs the state, which the trace never builds
+    config = write(tmp_path, every_command_doc("thermal:50.0"))
+    for command, code in (("truth-table", 3), ("sweep", 3), ("stirap-trace", 0)):
+        assert cli.main([command, "--config", config,
+                         "--out", str(tmp_path / "out.txt")]) == code, command
+    assert "discarded weight" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("total", [0, -1])
 @pytest.mark.parametrize("peak", [{"margin": 100.0}, {"pump_peak_rabi_rad_per_s": 100.0}],
                          ids=["margin", "pump-peak"])
@@ -1098,6 +1245,20 @@ def test_bad_duration_exits_2_naming_the_schedule_rule(tmp_path, capsys, total, 
     assert cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"bad schedule: total_duration must be finite and > 0, got {float(total)}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, name", [("margin", "margin"),
+                                       ("pump_peak_rabi_rad_per_s", "pump_peak")])
+@pytest.mark.parametrize("value", [-1.0, float("inf"), float("nan")])
+def test_bad_peak_setting_exits_2_naming_it(tmp_path, capsys, key, name, value):
+    doc = stirap_doc(n_max=8, n_steps=200)
+    doc["gate"]["schedule"] = {"total_duration_s": 1.0, "n_steps": 200, key: value}
+    out = tmp_path / "r.json"
+    assert cli.main(["truth-table", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad schedule: {name} must be finite and >= 0, got {value}" in err
     assert "Traceback" not in err
     assert not out.exists()
 

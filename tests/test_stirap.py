@@ -699,6 +699,21 @@ def test_standard_schedule_names_a_bad_duration(total, peaks):
         stirap.standard_schedule(total, PARAMS, **peaks)
 
 
+@pytest.mark.parametrize("name", ["margin", "pump_peak"])
+@pytest.mark.parametrize("value", [-1.0, -np.inf, np.inf, np.nan])
+def test_standard_schedule_names_a_bad_peak_setting(name, value):
+    # the setting that was given, not the peak_rabi derived from it
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0, got {value}$"):
+        stirap.standard_schedule(1.0, PARAMS, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["margin", "pump_peak"])
+def test_standard_schedule_accepts_a_zero_field(name):
+    # the zero-field limit of test_passage_without_fields_is_the_identity
+    sched = stirap.standard_schedule(1.0, PARAMS, **{name: 0.0})
+    assert sched.pump.peak_rabi == sched.stokes.peak_rabi == 0.0
+
+
 def test_rung_blocks_independent_of_batch():
     sched = schedule(margin=80.0, n_steps=300)
     for params in (detuned(7.0), detuned(0.0)):  # the SU(3) and the SU(2) product
