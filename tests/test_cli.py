@@ -54,6 +54,15 @@ def every_command_doc(phonon, n_max=8):
                       sweep={"axes": [{"name": "epsilon", "values": [0.0]}]})
 
 
+def package_env():
+    """The environment of a subprocess that imports this hotgate."""
+    import hotgate
+
+    package_root = str(Path(hotgate.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
 def write(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -919,15 +928,11 @@ def test_config_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
 def test_config_read_through_a_pipe():
     # the document comes after more blank space than a pipe holds, so it
     # arrives only by a later read
-    import hotgate
-
     text = " " * 200_000 + json.dumps(ideal_doc(phonon="fock:1", n_max=4))
-    package_root = str(Path(hotgate.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "hotgate.cli", "truth-table", "--config", "/dev/stdin",
-         "--out", "-"], input=text, env=env, capture_output=True, text=True, timeout=60)
+         "--out", "-"], input=text, env=package_env(), capture_output=True, text=True,
+        timeout=60)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[0])["n_max"] == 4
 
@@ -1295,8 +1300,6 @@ print("commands run:", len(runs))
 
 def test_commands_run_without_scipy(tmp_path):
     # numpy is the one runtime dependency: scipy is only a test oracle
-    import hotgate
-
     runs = []
     for phonon in ("fock:1", "coherent:0.6,-0.3", "thermal:0.5", "random:3"):
         for mode, doc in (("ideal", ideal_doc(phonon=phonon, n_max=8)),
@@ -1310,10 +1313,7 @@ def test_commands_run_without_scipy(tmp_path):
                                         trace={"n": 1}), "passage.json")
     runs.append(["sweep", "--config", config, "--out", str(tmp_path / "sweep.csv")])
     runs.append(["stirap-trace", "--config", config, "--out", str(tmp_path / "trace.csv")])
-    package_root = str(Path(hotgate.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(runs)], env=env,
-                            capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(runs)],
+                            env=package_env(), capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines()[-1] == "commands run: 10"
