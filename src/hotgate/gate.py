@@ -72,6 +72,11 @@ _FIDELITY_INPUTS = np.array([
     [1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1],
 ], dtype=complex)
 
+# The (control level, target level) of the cells each basis input |ct> reaches: (c, t),
+# (3, t), the shelf (2, t); for control 0 the last two read |0>_c|2>_t, fed by no input: 0.
+_CELLS = np.array([[(0, 0), (0, 2), (0, 2)], [(0, 1), (0, 2), (0, 2)],
+                   [(1, 0), (3, 0), (2, 0)], [(1, 1), (3, 1), (2, 1)]])
+
 
 @dataclass(frozen=True)
 class GateConfig:
@@ -270,34 +275,23 @@ def cnot_matrix_oracle() -> np.ndarray:
     return r_post @ ideal_crot_matrix() @ r_pre
 
 
-@lru_cache(maxsize=32)
-def _report_layout(n_ions: int, control: int, target: int, d: int, /) -> tuple:
-    """Read-only (register, index, source) of the report's one gate run on d phonon levels.
-
-    register (length 4^n_ions) carries all four (control, target) basis
-    inputs with the spectators at level 0, and index (shape (4, 3, d)) the
-    flat position in the gate's output of each (basis input, reached cell,
-    rung): cell 0 is the qubit cell, cells 1 and 2 are levels 3 and 2 of the
-    control ion for control 1. A control-0 input reaches neither; its two
-    unreached cells read |2>_c|0>, which no input feeds and the gate copies,
-    so they read an exact 0. source (shape (3, d)) is the input rung of each
-    (cell, rung) plus one, as an index into the amplitudes behind a leading
-    0: the rung itself, or the one below on the shelf. The arguments are
-    positional-only, so a layout has one key.
-    """
+def _register(n_ions: int, control: int, target: int) -> np.ndarray:
+    """The four (control, target) qubit-basis inputs in one register, spectators at |0>."""
     c_stride, t_stride = 4 ** (n_ions - 1 - control), 4 ** (n_ions - 1 - target)
     register = np.zeros(4**n_ions, dtype=complex)
-    register[[0, t_stride, c_stride, c_stride + t_stride]] = 1.0
-    rungs = np.arange(d)
-    index = np.empty((4, 3, d), dtype=np.intp)
-    index[:2, 1:] = 2 * c_stride * d
-    for a, (c, t) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        for j, level in enumerate((1, 3, 2) if c else (0,)):
-            index[a, j] = (level * c_stride + t * t_stride) * d + rungs
-    source = rungs + np.array([[1], [1], [0]])
-    for cached in (register, index, source):
-        cached.flags.writeable = False
-    return register, index, source
+    register[0] = register[t_stride] = register[c_stride] = register[c_stride + t_stride] = 1.0
+    return register
+
+
+def _cells(config: GateConfig, space: CompositeSpace) -> np.ndarray:
+    """The gate's (basis input, cell, rung) output for a unit amplitude on every rung."""
+    k, d = space.n_ions, space.fock.dim
+    # one run carries all four basis inputs, since they reach disjoint cells
+    register = _register(k, config.control, config.target)
+    amps = crot(compose_state(space, register, np.ones(d)), config).amplitudes
+    # levels (c, t), the spectators at 0, are row c 4^(k-1-control) + t 4^(k-1-target)
+    rows = _CELLS.dot((4 ** (k - 1 - config.control), 4 ** (k - 1 - config.target)))
+    return amps.reshape(-1, d).take(rows, axis=0)
 
 
 def gate_report(config: GateConfig, phonon_input) -> GateReport:
@@ -356,19 +350,17 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
                           f"{need / 1e9:.3g} GB ({_REPORT_ARRAYS} x 16 B x 4^{space.n_ions} x "
                           f"{d}), more than the {_PHYSICAL_MEMORY / 1e9:.3g} GB of physical "
                           "memory")
-    register, index, source = _report_layout(config.params.n_ions, config.control,
-                                             config.target, d)
-    # one run carries all four basis inputs, since they reach disjoint cells
-    cols = crot(compose_state(space, register, np.ones(d)), config).amplitudes[index]
+    cols = _cells(config, space)
+
+    def fed(on_rung, below):  # (cell, rung) of a per-rung input: the shelf reads the rung below
+        x = np.zeros((3, d), dtype=below.dtype)
+        x[:2], x[2, 1:] = on_rung, below
+        return x
+
     # cell (j, n) is fed by input rung s(j, n): n, or n - 1 on the shelf. So
     # basis input a acts on the phonon by K_aj[n, m] = cols[a, j, n] delta(m, s(j, n)),
     # and rho enters as coherence[j, n] = rho[s, n] and weight[j, n] = rho[s, s]
-    coherence = np.empty((3, d), dtype=complex)
-    weight = np.empty((3, d))
-    coherence[:2] = weight[:2] = diag
-    coherence[2, 0] = weight[2, 0] = 0.0
-    coherence[2, 1:] = sup
-    weight[2, 1:] = diag[:-1]
+    coherence, weight = fed(diag, sup), fed(diag, diag[:-1])
     overlap = np.add.reduce(cols * coherence, axis=-1)  # Tr(rho K_aj), scaled
     trace = np.add.reduce(coherence[0]).real  # the same summation, so an exact gate reads 1
     with np.errstate(over="ignore"):
@@ -403,8 +395,7 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     if config.mode == "stirap":
         phases = dict(_gate_blocks(config.schedule, config.params, config.epsilon, d)[2])
         if vec is not None:
-            padded = np.concatenate(((0.0,), vec))  # at unit size: the fourth powers stay in range
-            out = cols * padded[source]
+            out = cols * fed(vec, vec[:-1])  # at unit size: the fourth powers stay in range
             ion = out @ out.conj().transpose(0, 2, 1)
             norm = np.maximum(ion.trace(axis1=1, axis2=2).real, 1e-300)
             purity = np.einsum("aij,aji->a", ion, ion).real / norm**2
@@ -476,9 +467,7 @@ def mixed_state_equivalence(config: GateConfig, spec: ThermalSpec, n_max: int = 
     element-wise deviation between the two output density matrices.
     """
     space = CompositeSpace(config.params.n_ions, FockSpace(n_max))
-    register = _report_layout(config.params.n_ions, config.control, config.target,
-                              n_max + 1)[0]
-    ion = 0.5 * register
+    ion = 0.5 * _register(config.params.n_ions, config.control, config.target)
     probs = thermal_probabilities(spec, n_max)
     direct_in = compose_density(np.outer(ion, ion.conj()), np.diag(probs.astype(complex)), space)
     direct = crot(direct_in, config).matrix

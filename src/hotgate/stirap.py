@@ -164,7 +164,8 @@ def standard_schedule(total_duration: float, params: PhysicalParams, *,
     lowest rung. The grid has n_steps steps; the detuning is not part of a
     schedule (params.delta_stirap). A margin or pump_peak must be finite and
     >= 0; 0 is the zero-field limit, both peaks 0, whose passage is the
-    identity.
+    identity. At a fixed margin and delta_stirap = 0, eta and total_duration are
+    units of this family and move no output; under pump_peak both are physical.
     """
     _check_duration(total_duration)  # before any peak or width is derived from it
     if margin is not None and pump_peak is not None:

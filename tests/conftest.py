@@ -20,4 +20,3 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 def cold_block_caches():
     stirap.passage_blocks.cache_clear()
     gate._gate_blocks.cache_clear()
-    gate._report_layout.cache_clear()

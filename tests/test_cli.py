@@ -705,13 +705,16 @@ def test_report_past_physical_memory_exits_3_with_its_estimate(tmp_path, capsys,
     out = tmp_path / "r.json"
     need = 4 * 16 * 4**n_ions * 9  # four register-sized complex arrays
     monkeypatch.setattr(gate, "_PHYSICAL_MEMORY", need - 1)
+    runs = []
+    crot = gate.crot
+    monkeypatch.setattr(gate, "crot", lambda *args: runs.append(args) or crot(*args))
     assert cli.main(["truth-table", "--config", config, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert f"a report on {n_ions} ions and 9 phonon levels needs about {need / 1e9:.3g} GB" in err
     assert f"4 x 16 B x 4^{n_ions} x 9" in err
     assert "Traceback" not in err
     assert not out.exists()
-    assert gate._report_layout.cache_info().currsize == 0  # no register
+    assert runs == []  # no register was built
     monkeypatch.setattr(gate, "_PHYSICAL_MEMORY", need)
     assert cli.main(["truth-table", "--config", config, "--out", str(out)]) == 0
 
@@ -811,6 +814,22 @@ def test_sweep_stirap_duration_efficiency_non_decreasing(tmp_path):
     assert effs[0] <= effs[1] <= effs[2]
     fids = [float(r["gate_fidelity"]) for r in rows]
     assert fids[0] <= fids[1] <= fids[2]
+
+
+def test_standard_family_reads_eta_and_duration_as_units(tmp_path):
+    # at a fixed margin and no detuning, eta and T only rescale the standard
+    # family's rates and times, so no output moves along either axis. Both axes
+    # stay: they are physical for explicit envelopes and a fixed pump peak
+    doc = stirap_doc(phonon="thermal:1.0", n_max=12, n_steps=2000, sweep={"axes": [
+        {"name": "total_duration_s", "values": [0.5, 3.7, 1e-3, 250.0]},
+        {"name": "eta", "values": [0.02, 0.3, 10.0]}]})
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    columns = ("gate_fidelity", "phonon_restoration", "leakage", "transfer_efficiency")
+    values = np.array([[float(row[c]) for c in columns] for row in rows])
+    assert values.shape == (12, 4)
+    assert np.max(np.ptp(values, axis=0)) <= 1e-12
 
 
 def test_sweep_grid_point_builds_passage_once(tmp_path, monkeypatch):

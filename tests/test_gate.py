@@ -3,6 +3,7 @@ import inspect
 import json
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -969,7 +970,7 @@ def test_second_stirap_report_builds_no_read_out(monkeypatch):
     config = stirap_config(margin=90.0, n_steps=300, compensate_phases=True)
     phonon = random_phonon(3, 8)  # pure, so the report reads the entanglement residue too
     g.gate_report(config, phonon)
-    caches = (stirap.passage_blocks, g._gate_blocks, g._report_layout)
+    caches = (stirap.passage_blocks, g._gate_blocks)
     before = [cache.cache_info() for cache in caches]
     phase_reads = []
     original = stirap.transfer_phase
@@ -977,7 +978,7 @@ def test_second_stirap_report_builds_no_read_out(monkeypatch):
                         lambda amps: phase_reads.append(amps) or original(amps))
     report = g.gate_report(config, phonon)
     after = [cache.cache_info() for cache in caches]
-    assert [a.misses - b.misses for a, b in zip(after, before)] == [0, 0, 0]
+    assert [a.misses - b.misses for a, b in zip(after, before)] == [0, 0]
     assert phase_reads == []
     assert report.residual_phases and report.entanglement_residue is not None
 
@@ -1047,41 +1048,37 @@ def test_report_layout_gathers_the_register_cells(k):
         config = g.GateConfig(params=params, control=control, target=target, epsilon=0.01,
                               schedule=schedule)
         for d in (2, 9):
-            register, index, source = g._report_layout(k, control, target, d)
             want_register, want = register_gather(config, d)
-            # each cell's input rung, one past a leading 0: the same rung, or the
-            # one below on the shelf
-            rungs = np.arange(d)
-            assert np.array_equal(source - 1, [rungs, rungs, rungs - 1])
-            space = CompositeSpace(k, FockSpace(d - 1))
-            cols = g.crot(compose_state(space, register, np.ones(d)), config).amplitudes[index]
-            assert index.shape == (4, 3, d)
             # bit for bit, signed zeros too
-            assert register.tobytes() == want_register.tobytes()
-            assert cols.tobytes() == want.tobytes()
+            assert g._register(k, control, target).tobytes() == want_register.tobytes()
+            assert g._cells(config, CompositeSpace(k, FockSpace(d - 1))).tobytes() == want.tobytes()
 
 
-def test_report_layout_is_read_only_and_positional_only():
-    register, index, source = g._report_layout(3, 2, 0, 5)
-    for cached in (register, index, source):
-        with pytest.raises(ValueError):
-            cached[0] = 0
-    # a keyword call would key the cache apart from the positional one
-    with pytest.raises(TypeError):
-        g._report_layout(3, 2, 0, d=5)
+def blocks_read(config, d):
+    """The report's (basis input, cell, rung) columns read from the gate's
+    blocks: a control-0 input gets its ground phase; a control-1 input the
+    first column of its rung block, with the shelf fed from the rung below."""
+    blocks, ground, _ = g._gate_blocks(config.schedule, config.params, config.epsilon, d)
+    cols = np.zeros((4, 3, d), dtype=complex)
+    for t in (0, 1):
+        cols[t, 0] = ground[t]
+        cols[2 + t, :2] = blocks[t, :, :2, 0].T
+        cols[2 + t, 2, 1:] = blocks[t, :-1, 2, 0]
+    return cols
 
 
-def test_second_report_on_a_layout_adds_no_cache_entry():
-    # the block caches start cold in every test, and so does the layout's
-    assert g._report_layout.cache_info().currsize == 0
-    g.gate_report(IDEAL, fock_state(3, 8))
-    g.gate_report(replace(IDEAL, epsilon=0.01), thermal_state(ThermalSpec(1.0), 8))
-    g.gate_report(stirap_config(margin=90.0, n_steps=300), random_phonon(2, 8))
-    info = g._report_layout.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
-    g.gate_report(replace(IDEAL, control=1, target=0), fock_state(3, 8))
-    g.gate_report(IDEAL, fock_state(3, 9))
-    assert g._report_layout.cache_info().currsize == 3
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_report_cells_are_the_gate_blocks_entries(k):
+    # what a report that reads the blocks instead of running the gate must read
+    params = replace(DETUNED, n_ions=k)
+    schedule = stirap.standard_schedule(1.0, params, margin=60.0, n_steps=200)
+    for control, target in ((c, t) for c in range(k) for t in range(k) if c != t):
+        for sched, epsilon in product((None, schedule), (0.0, 0.013)):
+            config = g.GateConfig(params=params, control=control, target=target,
+                                  epsilon=epsilon, schedule=sched)
+            for d in (2, 9):
+                cols = g._cells(config, CompositeSpace(k, FockSpace(d - 1)))
+                assert np.array_equal(cols, blocks_read(config, d))
 
 
 def test_report_memory_estimate_covers_its_peak():
