@@ -23,7 +23,7 @@ import numpy as np
 from . import gate as gate_mod
 from . import states, stirap
 from .errors import SimulationError
-from .hilbert import DEFAULT_N_MAX
+from .hilbert import DEFAULT_N_MAX, FockSpace
 from .operators import PhysicalParams
 
 # The config key of each sweep axis. omega and delta only set chi, to which the
@@ -257,8 +257,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _phonon_input(config: ExperimentConfig, seed: int | None):
-    try:
-        return states.parse_state_spec(config.phonon_spec, config.n_max, default_seed=seed)
+    try:  # parse_state_spec's state, a thermal one as its FockWeights
+        FockSpace(config.n_max)
+        build, arg = states._read_spec(config.phonon_spec, config.n_max, seed)
+        return build(arg, config.n_max)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -270,10 +272,12 @@ def _fmt(value: float) -> str:
 class _output:
     """The --out writer, as a context manager entered before any work: the path
     is opened without truncation, so a failed run keeps a file that was there
-    (removes one it made); the text overwrites it from the start and cuts a
-    regular file at its end. '-' writes to stdout."""
+    (removes one it made, at the end of a symbolic link too); the text overwrites
+    it from the start and cuts a regular file at its end. A regular file gets
+    its blocks before any byte is written, so a full disk or a file size limit
+    leaves it as it was. '-' writes to stdout."""
 
-    __slots__ = ("path", "fd", "made", "size")
+    __slots__ = ("path", "fd", "made", "size", "old_size")
 
     def __init__(self, path: str):
         self.path = path
@@ -283,19 +287,30 @@ class _output:
     def __enter__(self):
         if self.path == "-":
             return sys.stdout.write
-        self.made = not os.path.exists(self.path)
+        # the file O_CREAT makes, which a dangling link names at its end
+        self.made = None if os.path.exists(self.path) else os.path.realpath(self.path)
         try:
             self.fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666)
+            st = os.fstat(self.fd)
         except OSError as exc:
             raise ConfigError(f"cannot write output {self.path}: {exc}") from exc
+        # None: not a regular file (a device, a pipe), neither allocated nor cut
+        self.old_size = st.st_size if stat.S_ISREG(st.st_mode) else None
         return self.write
 
     def write(self, text: str):
         data = memoryview(text.encode("utf-8"))
-        self.size += len(data)
-        while data:
-            data = data[os.write(self.fd, data):]
-        if stat.S_ISREG(os.fstat(self.fd).st_mode):
+        try:
+            if self.old_size is not None and data and hasattr(os, "posix_fallocate"):
+                os.posix_fallocate(self.fd, self.size, len(data))
+            self.size += len(data)
+            while data:
+                data = data[os.write(self.fd, data):]
+        except OSError:
+            if self.old_size is not None:  # an allocation that went through lengthened it
+                os.ftruncate(self.fd, self.old_size)
+            raise
+        if self.old_size is not None:
             os.ftruncate(self.fd, self.size)
 
     def __exit__(self, kind, exc, tb):
@@ -307,8 +322,8 @@ class _output:
             if exc is None:
                 exc = close_exc
         if exc is not None:
-            if self.made and os.path.exists(self.path):
-                os.remove(self.path)
+            if self.made is not None and os.path.exists(self.made):
+                os.remove(self.made)
             if isinstance(exc, OSError):
                 raise ConfigError(f"cannot write output {self.path}: {exc}") from exc
         return False

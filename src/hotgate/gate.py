@@ -47,7 +47,7 @@ from .operators import (
     outside_weight,
     rotation_matrix_2x2,
 )
-from .states import ThermalSpec, fock_state, thermal_probabilities
+from .states import FockWeights, ThermalSpec, fock_state, thermal_probabilities
 from . import stirap
 
 # Wrapper rotation phases that turn diag(1,1,1,-1) into the exact CNOT
@@ -297,7 +297,8 @@ def _cells(config: GateConfig, space: CompositeSpace) -> np.ndarray:
 def gate_report(config: GateConfig, phonon_input) -> GateReport:
     """Run the gate once on all four qubit-basis columns and derive every report metric.
 
-    The metrics read the phonon input rho only through diag rho and rho[n-1, n].
+    The metrics read the phonon input rho only through diag rho and rho[n-1, n],
+    so a Fock-diagonal rho may also be given as its states.FockWeights.
     Restoration is the entanglement fidelity of each basis input's phonon
     channel (Schumacher, PRA 54, 2614 (1996)) and leakage is weighted by
     diag rho; both are worst cases over the basis inputs. The entanglement
@@ -317,6 +318,11 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
             raise ValueError(f"phonon input has shape {phonon_input.matrix.shape} on "
                              f"{phonon_input.space}; it must be a phonon state")
         vec, entries = None, phonon_input.matrix
+        diag = np.real(np.diagonal(entries))
+        sup = np.ascontiguousarray(np.diagonal(entries, 1)).view(float)
+    elif isinstance(phonon_input, FockWeights):  # diag rho, its coherences exactly 0
+        vec, diag = None, phonon_input.weights
+        entries, sup = diag, np.zeros_like(diag[1:], dtype=complex).view(float)
     else:
         vec = entries = np.asarray(phonon_input, dtype=complex)
         if vec.ndim != 1:
@@ -331,8 +337,6 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     # and then no square or sum under- or overflows, whatever the input's scale.
     # Tr rho is trace 2^exponent
     if vec is None:
-        diag = np.real(np.diagonal(entries))
-        sup = np.ascontiguousarray(np.diagonal(entries, 1)).view(float)
         shift = math.frexp(max(np.abs(diag).max(initial=0.0), np.abs(sup).max(initial=0.0)))[1]
         diag, sup = np.ldexp(diag, -shift), np.ldexp(sup, -shift).view(complex)
         exponent = shift

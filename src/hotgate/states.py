@@ -33,6 +33,14 @@ class ThermalSpec:
             raise ValueError(f"n_bar must be finite and >= 0, got {self.n_bar}")
 
 
+@dataclass(frozen=True)
+class FockWeights:
+    """A Fock-diagonal phonon state as its weights rho[n, n], n = 0..n_max: all
+    that a report reads of it, as its coherences are 0."""
+
+    weights: np.ndarray
+
+
 def fock_state(n: int, n_max: int) -> np.ndarray:
     """Unit vector with all weight at occupation n."""
     if not 0 <= n <= n_max:
@@ -113,15 +121,20 @@ def thermal_probabilities(spec: ThermalSpec, n_max: int) -> np.ndarray:
     return p / p.sum()
 
 
-def thermal_state(spec: ThermalSpec, n_max: int) -> DensityOperator:
-    """Truncated, renormalized thermal phonon density operator (Fock-diagonal)."""
+def thermal_weights(spec: ThermalSpec, n_max: int) -> FockWeights:
+    """Truncated, renormalized thermal phonon state as its Fock weights."""
     discard = thermal_discarded_weight(spec.n_bar, n_max)
     if discard > MAX_STATE_DISCARD:
         raise TruncationLeakage(
             f"n_bar = {spec.n_bar} too hot for n_max = {n_max}: "
             f"discarded weight {discard:.3e} exceeds {MAX_STATE_DISCARD}"
         )
-    p = thermal_probabilities(spec, n_max)
+    return FockWeights(thermal_probabilities(spec, n_max))
+
+
+def thermal_state(spec: ThermalSpec, n_max: int) -> DensityOperator:
+    """Truncated, renormalized thermal phonon density operator (Fock-diagonal)."""
+    p = thermal_weights(spec, n_max).weights
     return DensityOperator(np.diag(p.astype(complex)), FockSpace(n_max), validate=False)
 
 
@@ -141,11 +154,11 @@ def parse_state_spec(spec: str, n_max: int, default_seed: int | None = None):
     """
     FockSpace(n_max)
     build, arg = _read_spec(spec, n_max, default_seed)
-    return build(arg, n_max)
+    return (thermal_state if build is thermal_weights else build)(arg, n_max)
 
 
 def _read_spec(spec: str, n_max: int, default_seed: int | None = None):
-    """(constructor, argument) that parse_state_spec builds the state from.
+    """(constructor, argument) of a spec's state, a thermal one as its FockWeights.
 
     Every ValueError of parse_state_spec is raised here, and nothing is
     built, so a spec can be checked at any n_max; what the build can still
@@ -167,7 +180,7 @@ def _read_spec(spec: str, n_max: int, default_seed: int | None = None):
                 raise ValueError
             return coherent_state, alpha
         if name == "thermal":
-            return thermal_state, ThermalSpec(float(arg))
+            return thermal_weights, ThermalSpec(float(arg))
         if name == "random":
             seed = int(arg) if arg else default_seed
             if seed is None or seed < 0:  # numpy's generators take a seed >= 0

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -978,6 +979,50 @@ def test_full_disk_exits_2_and_keeps_an_existing_out_file(tmp_path, capsys, monk
         assert out.read_bytes() == existing
 
 
+@pytest.mark.parametrize("phonon, code", [("thermal:50.0", 3), ("thermal:1.0", 0)],
+                         ids=["failed", "written"])
+def test_out_through_a_dangling_link(tmp_path, phonon, code):
+    # the file a run makes is the link's target: a failed run removes that, not the link
+    link, target = tmp_path / "link.json", tmp_path / "target.json"
+    link.symlink_to(target.name)
+    config = write(tmp_path, ideal_doc(phonon=phonon, n_max=8))
+    assert cli.main(["truth-table", "--config", config, "--out", str(link)]) == code
+    assert link.is_symlink() and os.readlink(link) == target.name
+    if code:
+        assert not target.exists()
+    else:
+        assert json.loads(target.read_text())["phonon"] == phonon
+
+
+FILE_SIZE_LIMITED = """
+import resource
+import signal
+import sys
+
+from hotgate import cli
+
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # so a write past the limit fails with EFBIG
+resource.setrlimit(resource.RLIMIT_FSIZE, (100, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_fallocate"), reason="no posix_fallocate")
+def test_file_size_limit_exits_2_and_keeps_an_existing_out_file(tmp_path):
+    # a kernel limit of 100 bytes a file: the report is longer, so its allocation
+    # fails before any byte of the old file is overwritten
+    out = tmp_path / "r.json"
+    out.write_bytes(b"o" * 48)
+    config = write(tmp_path, ideal_doc(phonon="fock:1", n_max=4))
+    result = subprocess.run(
+        [sys.executable, "-c", FILE_SIZE_LIMITED, "truth-table", "--config", config,
+         "--out", str(out)], env=package_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert f"cannot write output {out}: [Errno {errno.EFBIG}]" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert out.read_bytes() == b"o" * 48
+
+
 def test_sweep_empty_axes(tmp_path):
     doc = ideal_doc(sweep={"axes": []})
     assert cli.main(["sweep", "--config", write(tmp_path, doc),
@@ -1236,18 +1281,32 @@ def test_malformed_spec_exits_2_alike_in_every_command(tmp_path, capsys, phonon,
 
 def test_stirap_trace_builds_no_phonon_state(tmp_path, monkeypatch):
     built = []
-    original = states.thermal_state
+    original = states.thermal_weights
 
     def counted(*args):
         built.append(args)
         return original(*args)
 
-    monkeypatch.setattr(states, "thermal_state", counted)
+    monkeypatch.setattr(states, "thermal_weights", counted)
     config = write(tmp_path, every_command_doc("thermal:1.0"))
     assert cli.main(["truth-table", "--config", config, "--out", str(tmp_path / "r.json")]) == 0
     assert len(built) == 1  # the patched constructor is the one a report builds with
     assert cli.main(["stirap-trace", "--config", config, "--out", str(tmp_path / "t.csv")]) == 0
     assert len(built) == 1
+
+
+def test_hot_thermal_report_builds_no_dense_matrix(tmp_path):
+    # thermal:100 at n_max 2400 needs d = 2401 levels: a d x d complex matrix
+    # alone would take 92 MB, its weights take 19 kB
+    config = write(tmp_path, ideal_doc(phonon="thermal:100.0", n_max=2400))
+    tracemalloc.start()
+    try:
+        code = cli.main(["truth-table", "--config", config, "--out", str(tmp_path / "r.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 10e6
 
 
 def test_state_too_hot_for_n_max_is_found_only_where_it_is_built(tmp_path, capsys):

@@ -28,6 +28,7 @@ from hotgate.operators import (
     conditional_phase,
 )
 from hotgate.states import (
+    FockWeights,
     ThermalSpec,
     coherent_state,
     fock_state,
@@ -496,8 +497,15 @@ def test_ideal_report_serializes():
      "nan: an entry is .*inf"),
     (DensityOperator(np.diag([0.0, 0.0, 1.0, 0.0, 0.0]) + np.diag([np.inf, 0, 0, 0], 1),
                      FockSpace(4), validate=False), "nan: an entry is .*inf"),
+    # a density operator is checked whole, also off the two diagonals the report reads
+    (DensityOperator(np.diag([1.0, 0.0, 0.0, 0.0, 0.0]) + np.diag([np.inf, 0], 3),
+                     FockSpace(4), validate=False), "nan: an entry is .*inf"),
+    (FockWeights(np.zeros(5)), "0.0"),
+    (FockWeights(np.array([np.nan, 1.0, 0.0, 0.0, 0.0])), "nan"),
+    (FockWeights(np.array([1.0, 0.0, 0.0, 0.0, np.inf])), "nan: an entry is .*inf"),
 ], ids=["zero-vector", "zero-density", "nan-vector", "nan-density", "inf-vector",
-        "imaginary-inf-vector", "inf-density", "inf-coherence-density"])
+        "imaginary-inf-vector", "inf-density", "inf-coherence-density", "inf-unread-density",
+        "zero-weights", "nan-weights", "inf-weights"])
 def test_report_refuses_an_input_without_finite_weight(config, phonon, weight):
     # every metric is read relative to Tr rho: no weight is no input, not fidelity 1
     with pytest.raises(ValueError, match=f"phonon input has total weight {weight}"):
@@ -513,7 +521,8 @@ def test_report_refuses_an_input_without_finite_weight(config, phonon, weight):
     np.full(5, 1e154),  # each |c|^2 fits a float, their sum does not
     np.full(5, 1e155),  # |c|^2 itself does not
     DensityOperator(np.diag(np.full(5, 1e308)), FockSpace(4), validate=False),
-], ids=["vector-sum", "vector-square", "density-sum"])
+    FockWeights(np.full(5, 1e308)),
+], ids=["vector-sum", "vector-square", "density-sum", "weights-sum"])
 def test_report_refuses_a_weight_past_the_float_range(config, phonon):
     # finite entries whose weight overflows: refused by name, not by a warning
     with pytest.raises(ValueError, match="phonon input has total weight inf"):
