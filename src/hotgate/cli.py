@@ -69,6 +69,11 @@ _AXIS = {"name": (str, _REQUIRED), "values": (list, _REQUIRED)}
 _TRACE = {"n": (int, 0)}
 _ENCODER = json.JSONEncoder(sort_keys=True)  # the one json.dumps(..., sort_keys=True) builds
 _READ_SIZE = 1 << 16  # bytes asked of each os.read of a config
+# Grid points parsed, and their passages built, ahead of their reports. Set by
+# the passage cache, not tuned: each point reads one passage, so a window of
+# as many points as the cache holds has none of its builds evicted before its
+# point reads it, and any larger window could.
+_SWEEP_WINDOW = stirap.PASSAGE_CACHE_SIZE
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
                dict: "an object", list: "a list"}
 
@@ -354,8 +359,20 @@ def _patched_raw(raw: dict, names, values) -> dict:
     return doc
 
 
-def _grid_point_metrics(raw: dict, names, values, seed: int | None) -> dict:
-    cfg = parse_config(_patched_raw(raw, names, values))
+def _parsed_window(raw: dict, names, window) -> list:
+    """The configs of the window's leading grid points, up to the first that fails to
+    parse. The first point's error is raised here; a later one's is left for the
+    window it leads, so the points fail in grid order."""
+    configs = [parse_config(_patched_raw(raw, names, window[0]))]
+    for values in window[1:]:
+        try:
+            configs.append(parse_config(_patched_raw(raw, names, values)))
+        except Exception:  # raised again, as the first point of the next window
+            break
+    return configs
+
+
+def _grid_point_metrics(cfg: ExperimentConfig, seed: int | None) -> dict:
     phonon = _phonon_input(cfg, seed)
     t0 = time.perf_counter()
     report = gate_mod.gate_report(cfg.gate, phonon)
@@ -365,7 +382,7 @@ def _grid_point_metrics(raw: dict, names, values, seed: int | None) -> dict:
         "leakage": report.leakage,
     }
     if cfg.gate.mode == "stirap":
-        # the build gate_report made: no second integration
+        # the build gate_report read: no second integration
         amps = stirap.transfer_amplitudes(cfg.gate.schedule, cfg.gate.params, cfg.n_max + 1)
         rungs = min(stirap.CALIBRATED_RUNGS, cfg.n_max)
         row["transfer_efficiency"] = float(np.min(np.abs(amps[:rungs]) ** 2))
@@ -382,9 +399,19 @@ def cmd_sweep(config: ExperimentConfig, out: str, seed: int | None) -> int:
     metric_cols = ["gate_fidelity", "phonon_restoration", "leakage", *stirap_cols, "runtime_s"]
     with _output(out) as write:
         lines = [",".join([*names, *metric_cols])]
-        for vals in points:
-            row = _grid_point_metrics(config.raw, names, vals, seed)
-            lines.append(",".join([_fmt(v) for v in vals] + [_fmt(row[c]) for c in metric_cols]))
+        done = 0
+        while done < len(points):
+            window = points[done:done + _SWEEP_WINDOW]
+            configs = _parsed_window(config.raw, names, window)
+            done += len(configs)
+            # the passages every point of the window reads (n_max + 1 rungs), built
+            # together before the first point's report
+            stirap.build_passages([(cfg.gate.schedule, cfg.gate.params, cfg.n_max + 1)
+                                   for cfg in configs if cfg.gate.mode == "stirap"])
+            for vals, cfg in zip(window, configs):
+                row = _grid_point_metrics(cfg, seed)
+                cells = [_fmt(v) for v in vals] + [_fmt(row[c]) for c in metric_cols]
+                lines.append(",".join(cells))
         write("\n".join(lines) + "\n")
     print(f"sweep: {len(points)} grid points -> {out}")
     return 0

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hotgate import cli
 from hotgate.operators import PhysicalParams
 from hotgate import gate, states, stirap
+from test_gate import integrations  # noqa: F401 - build-counting fixture
 
 BASE_PARAMS = {
     "eta": 0.1,
@@ -833,20 +834,73 @@ def test_standard_family_reads_eta_and_duration_as_units(tmp_path):
     assert np.max(np.ptp(values, axis=0)) <= 1e-12
 
 
-def test_sweep_grid_point_builds_passage_once(tmp_path, monkeypatch):
-    builds = []
-    original = stirap.block_propagators
-
-    def counting(*args, **kwargs):
-        builds.append(args[0].direction)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(stirap, "block_propagators", counting)
+def test_sweep_grid_point_builds_passage_once(tmp_path, integrations):
     doc = stirap_doc(phonon="fock:1", n_max=8, n_steps=300,
                      sweep={"axes": [{"name": "margin", "values": [70.0]}]})
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
-    assert builds == ["up"]
+    assert integrations == [["up"]]
+
+
+def test_sweep_integrates_once_per_step_grid(tmp_path, monkeypatch, integrations):
+    doc = stirap_doc(phonon="fock:1", n_max=12, sweep={"axes": [
+        {"name": "margin", "values": [90.0, 100.0, 120.0]},
+        {"name": "n_steps", "values": [1200, 1800]}]})
+    config = write(tmp_path, doc)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 0
+    assert integrations == [["up"] * 3, ["up"] * 3]
+    assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 0
+    assert len(integrations) == 2  # every passage cached
+    # each point integrated alone writes the same rows, apart from runtime_s (last)
+    stirap._PASSAGES.clear()
+    gate._gate_blocks.cache_clear()
+    monkeypatch.setattr(stirap, "build_passages", lambda keys: None)
+    alone = tmp_path / "alone.csv"
+    assert cli.main(["sweep", "--config", config, "--out", str(alone)]) == 0
+    assert integrations[2:] == [["up"]] * 6
+    rows = [[line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+            for path in (out, alone)]
+    assert rows[0] == rows[1] and len(rows[0]) == 7
+
+
+def test_detuned_sweep_integrates_once_per_point(tmp_path, integrations):
+    doc = stirap_doc(phonon="fock:1", n_max=12, n_steps=300, sweep={"axes": [
+        {"name": "margin", "values": [90.0, 100.0, 120.0]}]})
+    doc["gate"]["params"]["delta_stirap_rad_per_s"] = 37.0
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
+    assert integrations == [["up"]] * 3
+
+
+def test_unallocatable_window_fails_at_its_first_point(tmp_path, capsys):
+    # the window's step grids cannot be allocated, so none is built ahead; the
+    # first point fails on its phonon input, before it reaches its passage
+    doc = stirap_doc(phonon="fock:20", n_max=8, n_steps=1e16, sweep={"axes": [
+        {"name": "margin", "values": [80.0, 90.0]}]})
+    code = cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "malformed state spec 'fock:20'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_steps", [[300, 300.7], [300]])
+def test_sweep_reports_the_first_failing_point(tmp_path, capsys, integrations, n_steps):
+    # point 1 overflows; with [300, 300.7], point 2 would fail to parse, and
+    # with [300] point 2 is batched with point 1: either way point 1 is reported
+    doc = stirap_doc(phonon="fock:1", n_max=8, sweep={"axes": [
+        {"name": "margin", "values": [1e300, 100.0]},
+        {"name": "n_steps", "values": n_steps}]})
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "simulation error: the passage propagator is not finite" in err
+    assert "n_steps must be an integer" not in err and "Traceback" not in err
+    assert not out.exists()
+    assert [len(call) for call in integrations] == ([1] if len(n_steps) == 2 else [2, 1])
 
 
 def test_sweep_non_integral_step_count_exits_2(tmp_path, capsys):

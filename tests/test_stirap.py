@@ -7,13 +7,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotgate.errors import DomainError, TruncationLeakage
+from hotgate.errors import DomainError, NormDrift, TruncationLeakage
 from hotgate.hilbert import CompositeSpace, CompositeState, DensityOperator, FockSpace, basis_state
 from hotgate.operators import PhysicalParams, adiabatic_down, adiabatic_up
 from hotgate.states import fock_state
 from hotgate import cli, stirap
 from hotgate import gate as g
-from test_gate import passage_builds  # noqa: F401 - build-counting fixture
+from test_gate import integrations, passage_builds  # noqa: F401 - build-counting fixtures
 
 PARAMS = PhysicalParams(eta=0.1, omega=2 * np.pi * 1e5, n_ions=2, delta=2 * np.pi * 1e7)
 
@@ -684,7 +684,9 @@ def test_passage_blocks_refuses_a_down_schedule():
     down = stirap.reversed_schedule(stirap.standard_schedule(1.0, PARAMS, n_steps=500))
     with pytest.raises(ValueError, match="needs an 'up' schedule.*reversed_schedule"):
         stirap.passage_blocks(down, PARAMS, 3)
-    assert stirap.passage_blocks.cache_info().currsize == 0
+    stirap.build_passages([(stirap.reversed_schedule(schedule(margin=m, n_steps=500)), PARAMS, 3)
+                           for m in (80.0, 100.0)])
+    assert not stirap._PASSAGES
     # the down passage is the [1] half of its reverse's build
     blocks = stirap.passage_blocks(stirap.reversed_schedule(down), PARAMS, 3)[1]
     assert np.min(np.abs(blocks[:, 0, 2]) ** 2) >= 0.999
@@ -734,6 +736,111 @@ def test_collapsed_rung_blocks_independent_of_batch(batch):
     sched, params = schedule(n_steps=300), detuned(7.0)
     wide = stirap.block_propagators(sched, params, np.arange(243))
     assert np.max(np.abs(stirap.block_propagators(sched, params, batch) - wide[batch])) <= 1e-14
+
+
+@pytest.mark.parametrize("n_rungs", [1, 13, 40])
+@pytest.mark.parametrize("n_steps", [1, 257, 1111, 2999])
+@pytest.mark.parametrize("eta", [0.1, 0.03])
+def test_batched_integration_equals_one_schedule_builds(n_steps, n_rungs, eta):
+    # resonant schedules mixing margins, an explicit pump peak and durations,
+    # on step grids that are not whole chunks: each row of a batch is the
+    # schedule's own build bit for bit
+    params = replace(PARAMS, eta=eta)
+    scheds = [stirap.standard_schedule(t, params, n_steps=n_steps, **peak)
+              for t in (1e-3, 0.5, 1.0, 3.7)
+              for peak in ({"margin": 1e-3}, {"margin": 100.0}, {"margin": 1000.0},
+                           {"pump_peak": 37.0})]
+    groups = {}
+    for sched in scheds:
+        sampled = stirap._sampled(sched, "magnus4")
+        groups.setdefault(stirap._runs(sampled), []).append((sched, sampled))
+    assert max(len(group) for group in groups.values()) > 1
+    ns = np.arange(n_rungs)
+    for group in groups.values():
+        batch, sampled = zip(*group)
+        built = stirap._integrate(batch, sampled, params, ns)
+        for sched, blocks in zip(batch, built):
+            assert np.array_equal(blocks, stirap.block_propagators(sched, params, ns))
+
+
+def test_build_passages_caches_what_passage_blocks_builds(integrations):
+    keys = [(schedule(margin=m, n_steps=n), PARAMS, 13) for n in (300, 257) for m in (80, 90, 100)]
+    stirap.build_passages(keys + keys[:2])
+    assert [len(call) for call in integrations] == [3, 3]  # one batch per step grid
+    built = {key: stirap._PASSAGES[key] for key in keys}
+    stirap._PASSAGES.clear()
+    for key in keys:
+        want = stirap.passage_blocks(*key)
+        assert all(np.array_equal(a, b) for a, b in zip(built[key], want))
+        assert not built[key][0].flags.writeable
+    stirap.build_passages(keys)  # all cached: nothing to integrate
+    assert len(integrations) == 2 + len(keys)
+
+
+def test_unmirrored_batch_builds_both_directions(integrations):
+    stokes = stirap.PulseEnvelope(900.0, center=0.3, width=0.5)
+    scheds = [stirap.StirapSchedule(stirap.PulseEnvelope(peak, 0.72, 0.5), stokes, 1.0, 300)
+              for peak in (80.0, 90.0)]
+    stirap.build_passages([(sched, PARAMS, 8) for sched in scheds])
+    assert integrations == [["up"] * 2, ["down"] * 2]
+    for sched in scheds:
+        up, down = stirap._PASSAGES[(sched, PARAMS, 8)]
+        reverse = stirap.reversed_schedule(sched)
+        assert np.array_equal(down, stirap.block_propagators(reverse, PARAMS, np.arange(8)))
+        assert np.array_equal(up, stirap.block_propagators(sched, PARAMS, np.arange(8)))
+
+
+def test_zero_field_schedule_is_a_group_of_its_own(integrations):
+    # both fields off on every step: one run of the whole grid, unlike the others
+    zero = schedule(margin=0.0, n_steps=300)
+    keys = [(sched, PARAMS, 13) for sched in (zero, schedule(margin=80.0, n_steps=300),
+                                               schedule(margin=90.0, n_steps=300))]
+    stirap.build_passages(keys)
+    assert [len(call) for call in integrations] == [2]
+    assert keys[0] not in stirap._PASSAGES
+    assert np.array_equal(stirap.passage_blocks(*keys[0])[0],
+                          np.broadcast_to(np.eye(3), (13, 3, 3)))
+
+
+def test_detuned_schedule_is_integrated_alone(integrations):
+    # a detuned build's rounding depends on its batch size, so none is batched
+    params = detuned(37.0)
+    keys = [(schedule(margin=m, n_steps=300), params, 13) for m in (80.0, 90.0, 100.0)]
+    stirap.build_passages(keys)
+    assert integrations == [] and not stirap._PASSAGES
+    for key in keys:
+        stirap.passage_blocks(*key)
+    assert [len(call) for call in integrations] == [1, 1, 1]
+
+
+def test_build_passages_leaves_a_key_past_the_row_cap(integrations):
+    # two schedules of more than half the rows of a batch gain nothing together
+    n_rungs = stirap._BATCH_ROWS // 2 + 1
+    stirap.build_passages([(schedule(margin=m, n_steps=300), PARAMS, n_rungs) for m in (80, 90)])
+    assert integrations == []
+
+
+def test_build_passages_keeps_no_row_that_is_not_finite(integrations):
+    keys = [(schedule(margin=m, n_steps=300), PARAMS, 8) for m in (1e300, 100.0)]
+    with np.errstate(all="raise"):  # the batch mutes its overflow like one build does
+        stirap.build_passages(keys)
+    assert [len(call) for call in integrations] == [2]
+    assert list(stirap._PASSAGES) == keys[1:]
+    with pytest.raises(NormDrift, match="not finite"):
+        stirap.passage_blocks(*keys[0])
+
+
+def test_passage_cache_holds_the_most_recently_used_builds():
+    keys = [(schedule(margin=80.0 + k, n_steps=4), PARAMS, 2)
+            for k in range(stirap.PASSAGE_CACHE_SIZE + 2)]
+    for key in keys[1:-1]:
+        stirap.passage_blocks(*key)
+    assert list(stirap._PASSAGES) == keys[1:-1]
+    stirap.passage_blocks(*keys[1])  # a hit is used again
+    stirap.build_passages(keys[2:3])  # and so is a cached key asked for again
+    stirap.passage_blocks(*keys[0])
+    stirap.passage_blocks(*keys[-1])
+    assert list(stirap._PASSAGES) == keys[5:-1] + [keys[1], keys[2], keys[0], keys[-1]]
 
 
 BOUNDARY_INPUTS = [  # direction, control level, phonon rung (n_max = 4), expected error
