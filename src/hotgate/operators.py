@@ -150,8 +150,14 @@ def _ion_slice(ndim: int, ion: int, level: int):
 def sideband_factors(params: PhysicalParams, ns):
     """Lamb-Dicke red-sideband factor eta sqrt(n+1) of rung n: the passage's rung law.
 
-    A rung below 0 raises IndexError; every reader of a rung takes its factor here.
+    A rung that is not an integer (hilbert._is_integer, so not a bool either)
+    raises ValueError and one below 0 IndexError; every reader of a rung takes
+    its factor here.
     """
+    if not (isinstance(ns, np.ndarray) and ns.dtype.kind in "iu"):  # an integer array is whole
+        for n in np.ravel(np.asarray(ns, dtype=object)):
+            if not _is_integer(n):
+                raise ValueError(f"occupation {n!r} must be an integer")
     ns = np.asarray(ns)
     if ns.size and ns.min() < 0:
         raise IndexError(f"occupation {ns.min()} must be >= 0")

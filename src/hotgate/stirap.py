@@ -40,8 +40,8 @@ The runs and the grouping depend on the envelopes and the step index only,
 so a resonant end point of rung n comes out bit-identical in every batch of
 rungs, and of schedules: the one integrator, _integrate, takes several
 resonant schedules that share a step grid and single-field runs, with rows
-(schedule, rung) and each schedule's dt and kappa its own, and
-block_propagators is its batch of one. Elsewhere the rounding of numpy's
+(schedule, rung) and each schedule's dt and kappa its own;
+block_propagators runs it on one schedule. Elsewhere the rounding of numpy's
 complex products can depend on the size of the batch's arrays: a detuned
 build, or the interior of a resonant trajectory, reads rung n the same in
 every batch to about 1e-15 only. A trajectory takes each chunk's prefix
@@ -58,19 +58,23 @@ passage is the transpose of the up one and a pair costs one integration.
 transfer_amplitudes is the one read of the transfer amplitudes from that build,
 all rungs in one call, and transfer_phase their phase. A schedule's direction
 is its pulse order (Stokes first goes up), not a separate setting. Only
-block_trajectory, which needs every step, integrates on its own.
-build_passages fills that cache for many schedules at once, as a sweep does
-for a window of grid points: resonant ones that share params, rung count,
-step grid, mirror symmetry and single-field runs are integrated together,
-at most _BATCH_ROWS rows per batch. A detuned schedule, whose rounding
-depends on the size of its batch, and one alone in its group are left for
-passage_blocks to integrate alone, as is one whose blocks are not finite, so
-it raises NormDrift where it is read.
+block_trajectory, which needs every step, integrates on its own, through
+block_propagators.
+One builder, _build, integrates and caches every pair, one _integrate call
+per direction for a batch of schedules. passage_blocks builds a miss as a
+batch of one; build_passages builds many schedules at once, as a sweep does
+for a window of grid points. It groups the keys that share params, rung
+count, step grid, mirror symmetry and single-field runs, cuts each group
+into batches of at most _BATCH_ROWS rows, and builds each batch of two or
+more. A key alone in its batch is left for passage_blocks: a detuned one,
+whose rounding depends on the size of its batch, always is. So is a key
+whose blocks are not finite, which then raises NormDrift where it is read.
 """
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -494,20 +498,21 @@ def _runs(sampled: np.ndarray) -> tuple:
 # A step generator past the float range turns the product into inf or nan,
 # which the finiteness checks refuse, so numpy's warnings about it are muted.
 @np.errstate(over="ignore", invalid="ignore")
-def _integrate(schedules, sampled, params: PhysicalParams, ns: np.ndarray,
+def _integrate(schedules, sampled, params: PhysicalParams, ns,
                trajectory: bool = False) -> np.ndarray:
     """The passages of schedules sharing one step grid, rows (schedule, rung).
 
-    sampled holds each schedule's _sampled pulses. On resonance the
-    schedules also share their single-field runs (_runs); off it there is
-    one schedule. Returns (len(schedules), len(ns), 3, 3), or for one
-    schedule the trajectory (n_steps+1, len(ns), 3, 3), unchecked: a row
-    past the float range is inf or nan. Each schedule's dt and kappa, and
+    ns are the rungs, as sideband_factors reads them, and sampled holds
+    each schedule's _sampled pulses. On resonance the schedules also share
+    their single-field runs (_runs); off it there is one schedule. Returns
+    (len(schedules), len(ns), 3, 3), or for one schedule the trajectory
+    (n_steps+1, len(ns), 3, 3), unchecked: a row past the float range is
+    inf or nan. Each schedule's dt and kappa, and
     every step of a row, are computed as for that schedule alone.
     """
     n_steps = schedules[0].n_steps
-    rows = len(schedules) * len(ns)
-    rates = sideband_factors(params, ns)
+    rates = np.atleast_1d(sideband_factors(params, ns))
+    rows = len(schedules) * len(rates)
     delta = params.delta_stirap
     resonant = delta == 0.0
     # Steps run along axis 2 of every stack: (2, rows, steps) Cayley-Klein
@@ -591,7 +596,7 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns: np.ndarray,
         out = np.ascontiguousarray(p.transpose(2, 0, 1))
     if resonant:
         out = out * _ROTATION_PHASES
-    return out if trajectory else out.reshape(len(schedules), len(ns), 3, 3)
+    return out if trajectory else out.reshape(len(schedules), len(rates), 3, 3)
 
 
 def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
@@ -609,9 +614,11 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     The trajectory takes each chunk's inclusive prefix products from the same
     pairwise routine, whose last entry is the chunk product bit for bit; both
     modes fold each chunk product into the running product by the same call,
-    so traj[-1] equals the final propagator exactly. This is the batch of one
-    schedule of the one integrator, _integrate, which build_passages runs on
-    several resonant schedules at once.
+    so traj[-1] equals the final propagator exactly. This runs the one
+    integrator, _integrate, on one schedule; the cached passages
+    (passage_blocks, build_passages) come from _build, which runs the same
+    _integrate on a batch of schedules, so none is read through here. It stays
+    the public reference for midpoint and for trajectories.
 
     On two-photon resonance (params.delta_stirap = 0) both generators have
     real u, v and an imaginary w = i*omega, so M = D (i A) D^dagger with
@@ -633,16 +640,12 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     Detuned steps are not rotations and take the closed-form SU(3) kernel;
     there a single-field step does not commute with the next, so every step
     is evaluated.
-    A propagator that is not finite raises NormDrift.
+    A rung must be an integer >= 0 (operators.sideband_factors); an empty ns
+    gives (0, 3, 3). A propagator that is not finite raises NormDrift.
     """
-    ns = np.atleast_1d(np.asarray(ns, dtype=int))
     out = _integrate([schedule], [_sampled(schedule, method)], params, ns, trajectory)
     if not np.all(np.isfinite(out)):
-        raise NormDrift(
-            "the passage propagator is not finite: a step generator overflows a float "
-            f"(dt = {schedule.dt:.3g} s, pump peak {schedule.pump.peak_rabi:.3g} rad/s, Stokes "
-            f"peak {schedule.stokes.peak_rabi:.3g} rad/s, detuning {params.delta_stirap:.3g} "
-            "rad/s)")
+        raise _not_finite(schedule, params)
     return out if trajectory else out[0]
 
 
@@ -705,8 +708,8 @@ def _is_mirrored(schedule: StirapSchedule) -> bool:
 
 
 # Passages built, (schedule, params, n_rungs) -> read-only (up, down), least
-# recently used first: the one cache, read by passage_blocks and filled by it
-# and by build_passages.
+# recently used first: the one cache, read by passage_blocks and filled by
+# _build only.
 _PASSAGES: OrderedDict = OrderedDict()
 PASSAGE_CACHE_SIZE = 32
 # Rows (schedule, rung) of one batched integration at most. Measured on a
@@ -718,16 +721,46 @@ PASSAGE_CACHE_SIZE = 32
 _BATCH_ROWS = 64
 
 
-def _cache(key: tuple, up: np.ndarray, down: np.ndarray | None) -> tuple:
-    """Cache the read-only pair of key, with down = up^T when it is None."""
-    up.flags.writeable = False
-    if down is None:
-        down = up.transpose(0, 2, 1)
-    down.flags.writeable = False
-    _PASSAGES[key] = up, down
-    if len(_PASSAGES) > PASSAGE_CACHE_SIZE:
-        _PASSAGES.popitem(last=False)
-    return up, down
+def _not_finite(schedule: StirapSchedule, params: PhysicalParams) -> NormDrift:
+    """The error of a passage whose propagator is not finite."""
+    return NormDrift(
+        "the passage propagator is not finite: a step generator overflows a float "
+        f"(dt = {schedule.dt:.3g} s, pump peak {schedule.pump.peak_rabi:.3g} rad/s, Stokes "
+        f"peak {schedule.stokes.peak_rabi:.3g} rad/s, detuning {params.delta_stirap:.3g} "
+        "rad/s)")
+
+
+def _is_rung_count(n_rungs) -> bool:
+    """The rule for a passage's rung count: an integer >= 0, 0 being the empty pair."""
+    return _is_integer(n_rungs) and n_rungs >= 0
+
+
+def _parts(schedule: StirapSchedule) -> tuple:
+    """A pair's schedules (the 'up' one, and its reverse unless the pulses mirror) and pulses."""
+    parts = (schedule,) if _is_mirrored(schedule) else (schedule, reversed_schedule(schedule))
+    return parts, [_sampled(s, DEFAULT_METHOD) for s in parts]
+
+
+def _build(batch: list, params: PhysicalParams, n_rungs: int) -> None:
+    """Integrate passage pairs together and cache each one whose blocks are finite.
+
+    batch holds the _parts of 'up' schedules that share a step grid, mirror
+    symmetry and, on resonance, the single-field runs of each direction. The
+    up passages are one _integrate call with rows (schedule, rung) and the
+    down passages, for pulses that do not mirror, another; a mirrored pair
+    caches down = up^T. A batch of one is a schedule's own build.
+    """
+    parts, sampled = zip(*batch)
+    ns = np.arange(n_rungs)
+    built = [_integrate(s, x, params, ns) for s, x in zip(zip(*parts), zip(*sampled))]
+    for i, (schedule, *_) in enumerate(parts):
+        up, *down = (b[i] for b in built)
+        if all(np.isfinite(b).all() for b in (up, *down)):
+            down = down[0] if down else up.transpose(0, 2, 1)
+            up.flags.writeable = down.flags.writeable = False
+            _PASSAGES[(schedule, params, n_rungs)] = up, down
+            if len(_PASSAGES) > PASSAGE_CACHE_SIZE:
+                _PASSAGES.popitem(last=False)
 
 
 def passage_blocks(schedule: StirapSchedule, params: PhysicalParams, n_rungs: int, /) -> tuple:
@@ -736,89 +769,73 @@ def passage_blocks(schedule: StirapSchedule, params: PhysicalParams, n_rungs: in
     The one cached passage build that the gate, the sweep and every end-point
     reader share, integrated with the magnus4 rule. The cache (_PASSAGES,
     the PASSAGE_CACHE_SIZE most recently used builds) keys on the arguments
-    as passed; they are positional-only, so one schedule has one key. A
-    resonant rung n comes out bit-identical in every batch, a detuned one
-    to about 1e-15.
+    as passed; they are positional-only, so one schedule has one key. A miss
+    is built by _build as a batch of one, the one builder that build_passages
+    runs on many keys. A resonant rung n comes out bit-identical in every
+    batch, a detuned one to about 1e-15.
     When the pulses mirror each other, the reverse passage is the up passage
     run backwards in time; the blocks are real symmetric and each step maps
     to the transpose of its mirror step, so down = up^T exactly up to
     rounding and only the up passage is integrated. Otherwise the reversed
     schedule is integrated too. A 'down' schedule is refused (ValueError):
-    its passage is the [1] half of its reverse's build.
+    its passage is the [1] half of its reverse's build. So is an n_rungs
+    that is not an integer >= 0, and blocks that are not finite raise
+    NormDrift.
     """
     key = (schedule, params, n_rungs)
-    if key in _PASSAGES:
-        _PASSAGES.move_to_end(key)
-        return _PASSAGES[key]
-    if schedule.direction != "up":
-        raise ValueError("passage_blocks needs an 'up' schedule (Stokes first), got a 'down' "
-                         "one; pass reversed_schedule(schedule) and read [1] for its passage")
-    ns = np.arange(n_rungs)
-    up = block_propagators(schedule, params, ns)
-    down = None if _is_mirrored(schedule) else block_propagators(
-        reversed_schedule(schedule), params, ns)
-    return _cache(key, up, down)
+    if key not in _PASSAGES:
+        if schedule.direction != "up":
+            raise ValueError("passage_blocks needs an 'up' schedule (Stokes first), got a 'down' "
+                             "one; pass reversed_schedule(schedule) and read [1] for its passage")
+        if not _is_rung_count(n_rungs):
+            raise ValueError(f"n_rungs must be an integer >= 0, got {n_rungs!r}")
+        _build([_parts(schedule)], params, n_rungs)
+        if key not in _PASSAGES:
+            raise _not_finite(schedule, params)
+    _PASSAGES.move_to_end(key)
+    return _PASSAGES[key]
 
 
 passage_blocks.cache_clear = _PASSAGES.clear  # the spelling of a functools cache
 
 
 def build_passages(keys) -> None:
-    """Integrate the uncached passage_blocks keys (schedule, params, n_rungs) together.
+    """Build the uncached passage_blocks keys (schedule, params, n_rungs) together.
 
-    Resonant keys that share params, rung count, step grid, mirror symmetry
-    and single-field runs (_runs) are integrated in batches of rows
-    (schedule, rung), at most _BATCH_ROWS rows each: the up passages in one
-    _integrate call and, for pulses that do not mirror, the down passages in
-    another. Each batch row is bit-identical to the schedule's own build, so
-    a cached batch row reads what passage_blocks would build. A key left
-    alone in its group, a detuned one (whose rounding depends on the batch),
-    one with a block that is not finite, and the keys of a batch that cannot
-    be allocated are not built here: passage_blocks integrates each alone
-    when it is read, and raises its error there; so is a 'down' schedule,
-    which passage_blocks refuses. Keys already cached are marked as just
-    used, so that this call's builds do not evict them.
+    The keys are grouped by params, rung count, step grid, mirror symmetry
+    and the single-field runs (_runs) of each direction; a detuned key, whose
+    rounding depends on the size of its batch, is a group of its own. Each
+    group is cut into batches of at most _BATCH_ROWS rows (schedule, rung),
+    and _build integrates every batch of two or more keys. A key alone in
+    its batch is left for passage_blocks, which builds the same blocks by the
+    same _build; each batch row is bit-identical to the schedule's own build.
+    A 'down' schedule or an n_rungs that passage_blocks refuses, a key whose
+    blocks are not finite and the keys of a batch that cannot be allocated
+    are not cached here either: passage_blocks raises their error where they
+    are read. Keys already cached are marked as just used, so that this
+    call's builds do not evict them.
     """
     groups = {}
     for key in dict.fromkeys(keys):
+        schedule, params, n_rungs = key
         if key in _PASSAGES:
             _PASSAGES.move_to_end(key)
-            continue
-        schedule, params, n_rungs = key
-        if schedule.direction == "up" and params.delta_stirap == 0.0 and 2 * n_rungs <= _BATCH_ROWS:
-            group = (params, n_rungs, schedule.n_steps, _is_mirrored(schedule))
-            groups.setdefault(group, []).append(schedule)
-    for (params, n_rungs, _, mirrored), schedules in groups.items():
-        if len(schedules) < 2:
-            continue
-        width = _BATCH_ROWS // n_rungs
-        batches = {}  # schedules and their pulses, by single-field runs
-        try:
-            for schedule in schedules:
-                parts = (schedule,) if mirrored else (schedule, reversed_schedule(schedule))
-                sampled = [_sampled(s, DEFAULT_METHOD) for s in parts]
-                batch = batches.setdefault(tuple(_runs(x) for x in sampled), [])
-                batch.append((parts, sampled))
-                if len(batch) == width:
-                    _build_batch(batch, params, n_rungs)
-                    batch.clear()
-            for batch in batches.values():
-                if len(batch) > 1:
-                    _build_batch(batch, params, n_rungs)
-        except MemoryError:  # each point then integrates alone, and raises it in turn
-            pass
-
-
-def _build_batch(batch: list, params: PhysicalParams, n_rungs: int) -> None:
-    """Integrate a batch of build_passages and cache each key whose blocks are finite."""
-    parts, sampled = zip(*batch)
-    ns = np.arange(n_rungs)
-    # one call per direction: the batch's up schedules, then their reverses
-    built = [_integrate(s, x, params, ns) for s, x in zip(zip(*parts), zip(*sampled))]
-    for i, (schedule, *_) in enumerate(parts):
-        blocks = [b[i] for b in built]
-        if all(np.isfinite(b).all() for b in blocks):
-            _cache((schedule, params, n_rungs), blocks[0], blocks[1] if len(blocks) > 1 else None)
+        elif schedule.direction == "up" and _is_rung_count(n_rungs):
+            with suppress(MemoryError):  # passage_blocks raises it where the key is read
+                parts, sampled = _parts(schedule)
+                # one runs entry per direction integrated, so mirrored and
+                # unmirrored pulses never share a group
+                runs = tuple(_runs(x) for x in sampled)
+                group = (params, n_rungs, schedule.n_steps, runs,
+                         schedule if params.delta_stirap else None)
+                groups.setdefault(group, []).append((parts, sampled))
+    for (params, n_rungs, *_), entries in groups.items():
+        width = max(_BATCH_ROWS // max(n_rungs, 1), 1)  # keys per batch
+        for lo in range(0, len(entries), width):
+            batch = entries[lo:lo + width]
+            if len(batch) > 1:  # a key alone in its batch is left for passage_blocks
+                with suppress(MemoryError):  # as are the keys of a batch too large
+                    _build(batch, params, n_rungs)
 
 
 def apply_blocks(x: np.ndarray, blocks: np.ndarray) -> None:
@@ -882,8 +899,12 @@ def calibrate_transfer(params: PhysicalParams, durations, *,
     params.delta_stirap. Returns the first (minimal) duration on the grid
     that clears the threshold for every n in n_values, with its margin.
     """
+    durations = sorted(durations)
+    for name, values in (("durations", durations), ("n_values", n_values)):
+        if len(values) == 0:
+            raise ValueError(f"{name} is empty: calibrate_transfer needs at least one")
     history = []
-    for t in sorted(durations):
+    for t in durations:
         sched = standard_schedule(t, params, pump_peak=pump_peak, n_steps=n_steps)
         amps = transfer_amplitudes(sched, params, max(n_values) + 1)
         eff = np.abs(amps[np.asarray(n_values)]) ** 2

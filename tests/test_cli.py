@@ -864,6 +864,16 @@ def test_sweep_integrates_once_per_step_grid(tmp_path, monkeypatch, integrations
     assert rows[0] == rows[1] and len(rows[0]) == 7
 
 
+def test_paper_regime_sweep_integrates_once_per_point(tmp_path, integrations):
+    # 242 rungs: more rows than a batch holds, so each point builds its own passage
+    doc = stirap_doc(phonon="thermal:10", n_max=241, n_steps=2000, sweep={"axes": [
+        {"name": "margin", "values": [100.0, 300.0]}]})
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
+    assert integrations == [["up"]] * 2
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_detuned_sweep_integrates_once_per_point(tmp_path, integrations):
     doc = stirap_doc(phonon="fock:1", n_max=12, n_steps=300, sweep={"axes": [
         {"name": "margin", "values": [90.0, 100.0, 120.0]}]})

@@ -181,7 +181,9 @@ def test_block_dark_state_nullity():
 
 def test_block_index_errors():
     # one rung rule for every reader of a rung: below 0 is refused, not read as
-    # eta sqrt(0) = 0 (rung -1) or as an overflowing generator (rung -2)
+    # eta sqrt(0) = 0 (rung -1) or as an overflowing generator (rung -2), and
+    # so is a rung that is not an integer, not read as rung 0 or 1 or as
+    # eta sqrt(1.5)
     sched = schedule(n_steps=300)
     readers = [lambda n: stirap.hamiltonian_block(n, 0.5, sched, PARAMS),
                lambda n: stirap.sideband_rate(n, 0.5, sched, PARAMS),
@@ -192,6 +194,13 @@ def test_block_index_errors():
         for n in (-1, -2):
             with pytest.raises(IndexError, match=f"occupation {n} must be >= 0"):
                 read(n)
+        for n in (0.5, 1.5, True):
+            with pytest.raises(ValueError, match=f"^occupation {n} must be an integer$"):
+                read(n)
+    for ns in ([0.5], [True], np.array([1.0]), np.array([True])):
+        with pytest.raises(ValueError, match="must be an integer"):
+            stirap.block_propagators(sched, PARAMS, ns)
+    assert stirap.block_propagators(sched, PARAMS, []).shape == (0, 3, 3)
 
 
 # ---------------------------------------------------------------- margin
@@ -815,9 +824,29 @@ def test_detuned_schedule_is_integrated_alone(integrations):
 
 def test_build_passages_leaves_a_key_past_the_row_cap(integrations):
     # two schedules of more than half the rows of a batch gain nothing together
-    n_rungs = stirap._BATCH_ROWS // 2 + 1
-    stirap.build_passages([(schedule(margin=m, n_steps=300), PARAMS, n_rungs) for m in (80, 90)])
-    assert integrations == []
+    # (33 rungs), nor do schedules of more rows than a batch (65, and the
+    # paper's 242); a 0-rung pair has no rows, and is built as one batch
+    assert stirap._BATCH_ROWS // 2 + 1 == 33
+    keys = {n_rungs: [(schedule(margin=m, n_steps=300), PARAMS, n_rungs) for m in (80, 90)]
+            for n_rungs in (0, 33, 65, 242)}
+    stirap.build_passages([key for pair in keys.values() for key in pair])
+    assert integrations == [["up", "up"]]
+    assert list(stirap._PASSAGES) == keys[0]
+    for key in keys[0]:
+        up, down = stirap.passage_blocks(*key)
+        assert up.shape == down.shape == (0, 3, 3)
+    assert len(integrations) == 1
+
+
+@pytest.mark.parametrize("n_rungs", [-1, 2.5, True, 3.0])
+def test_passage_rung_count_is_an_integer_at_least_0(n_rungs, integrations):
+    # not read as an empty pair (-1) or as rungs 0..2 (2.5)
+    keys = [(schedule(margin=m, n_steps=300), PARAMS, n_rungs) for m in (80.0, 90.0)]
+    stirap.build_passages(keys)
+    assert integrations == [] and not stirap._PASSAGES
+    with pytest.raises(ValueError, match=rf"^n_rungs must be an integer >= 0, got {n_rungs!r}$"):
+        stirap.passage_blocks(*keys[0])
+    assert integrations == [] and not stirap._PASSAGES
 
 
 def test_build_passages_keeps_no_row_that_is_not_finite(integrations):
@@ -1007,3 +1036,10 @@ def test_calibrate_transfer_finds_minimal_margin():
 def test_calibrate_transfer_reports_failure():
     with pytest.raises(ValueError):
         stirap.calibrate_transfer(PARAMS, durations=[5, 10], pump_peak=1.0)
+
+
+@pytest.mark.parametrize("empty", ["durations", "n_values"])
+def test_calibrate_transfer_names_an_empty_argument(empty):
+    args = {"durations": [20, 40], "n_values": (0, 1), empty: ()}
+    with pytest.raises(ValueError, match=f"^{empty} is empty"):
+        stirap.calibrate_transfer(PARAMS, pump_peak=1.0, **args)
