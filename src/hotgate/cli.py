@@ -6,6 +6,11 @@ declared once in the tables below and read by _read; any other key exits 2.
 Exit codes: 0 success, 2 usage/config error, 3 simulation domain error or a
 run too large to allocate. CSV output carries 17 significant digits so
 downstream convergence checks stay meaningful.
+
+The command line has one grammar, the argparse parser of build_parser, which
+also writes every help and usage message. The documented line, COMMAND
+--config PATH --out PATH, is read without it (_parse_args) to the namespace
+it would give; every other line is the parser's.
 """
 from __future__ import annotations
 
@@ -461,8 +466,24 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _parse_args(argv=None) -> argparse.Namespace:
+    """_PARSER's namespace for argv (sys.argv[1:] if None). The documented line,
+    COMMAND --config PATH --out PATH with the options in either order and no
+    path that starts with '-' other than '-' itself, is read here, as argparse
+    reads it; every other line, its help and its errors, is _PARSER's."""
+    args = sys.argv[1:] if argv is None else argv
+    if (isinstance(args, list) and len(args) == 5
+            and all(type(arg) is str for arg in args) and args[0] in _COMMANDS
+            and {args[1], args[3]} == {"--config", "--out"}
+            and all(arg == "-" or not arg.startswith("-") for arg in args[2::2])):
+        paths = {args[1]: args[2], args[3]: args[4]}
+        return argparse.Namespace(command=args[0], config=paths["--config"],
+                                  out=paths["--out"], seed=None)
+    return _PARSER.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
         config = load_config(args.config)

@@ -310,8 +310,8 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     scaled by any factor reads what its unit version does. An input whose
     total weight is zero or past the float range, or that has an entry that
     is not finite, is refused (ValueError), and so is an input that is not a
-    phonon state: a density operator on the composite space, or an array that
-    is not a vector.
+    phonon state: a density operator on the composite space, an array that is
+    not a vector, or an input of fewer than two phonon levels.
     """
     if isinstance(phonon_input, DensityOperator):
         if isinstance(phonon_input.space, CompositeSpace):
@@ -328,6 +328,9 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
         if vec.ndim != 1:
             raise ValueError(f"phonon input has shape {vec.shape}; it must be a vector "
                              "of phonon amplitudes or a DensityOperator")
+    d = len(entries)
+    if d < 2:  # the phonon space below, FockSpace(d - 1), needs n_max >= 1
+        raise ValueError(f"phonon input has {d} phonon level(s); it must have at least 2")
     if not np.isfinite(entries).all():  # before any arithmetic, which would warn
         bad = entries[~np.isfinite(entries)][0]
         raise ValueError(f"phonon input has total weight nan: an entry is {bad}; "
@@ -346,7 +349,6 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
         vec = np.ldexp(parts, -shift).view(complex)
         diag, sup = np.abs(vec) ** 2, vec[:-1] * vec[1:].conj()
         exponent = 2 * shift
-    d = len(diag)
     space = CompositeSpace(config.params.n_ions, FockSpace(d - 1))
     need = _REPORT_ARRAYS * 16 * space.dim  # bytes of complex128
     if need > _PHYSICAL_MEMORY:  # the operating system would kill the run without a message

@@ -73,6 +73,7 @@ whose blocks are not finite, which then raises NormDrift where it is read.
 from __future__ import annotations
 
 import math
+import sys
 from collections import OrderedDict
 from contextlib import suppress
 from dataclasses import dataclass, replace
@@ -177,8 +178,8 @@ def standard_schedule(total_duration: float, params: PhysicalParams, *,
     pump_peak/eta. Either way the two effective couplings balance on the
     lowest rung. The grid has n_steps steps; the detuning is not part of a
     schedule (params.delta_stirap). A margin or pump_peak must be finite and
-    >= 0; 0 is the zero-field limit, both peaks 0, whose passage is the
-    identity. At a fixed margin and delta_stirap = 0, eta and total_duration are
+    >= 0, and so must the peaks it gives; 0 is the zero-field limit, both
+    peaks 0, whose passage is the identity. At a fixed margin and delta_stirap = 0, eta and total_duration are
     units of this family and move no output; under pump_peak both are physical.
     """
     _check_duration(total_duration)  # before any peak or width is derived from it
@@ -189,9 +190,20 @@ def standard_schedule(total_duration: float, params: PhysicalParams, *,
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
     if pump_peak is None:
         m = DEFAULT_MARGIN if margin is None else margin
-        pump_peak, stokes_rabi = m / total_duration, m / (params.eta * total_duration)
+        eta_t = params.eta * total_duration
+        pump_peak = m / total_duration
+        # m/(eta*T), or m/T/eta where eta*T rounds to a subnormal number or 0
+        stokes_rabi = m / eta_t if eta_t >= sys.float_info.min else pump_peak / params.eta
+        if not (math.isfinite(pump_peak) and math.isfinite(stokes_rabi)):
+            raise ValueError(
+                f"margin = {m} at eta = {params.eta} and total_duration = {total_duration} gives "
+                f"a pump peak margin/total_duration = {pump_peak} and a Stokes peak "
+                f"margin/(eta*total_duration) = {stokes_rabi}; both must be finite")
     else:
         stokes_rabi = pump_peak / params.eta
+        if not math.isfinite(stokes_rabi):
+            raise ValueError(f"pump_peak = {pump_peak} at eta = {params.eta} gives a Stokes peak "
+                             f"pump_peak/eta = {stokes_rabi}; it must be finite")
     t = total_duration
     width = WIDTH_FRAC * t
     return StirapSchedule(PulseEnvelope(pump_peak, PUMP_CENTER_FRAC * t, width),

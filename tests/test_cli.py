@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import errno
+import io
 import json
 import os
 import re
@@ -398,6 +401,28 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, path, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["truth-table", "sweep", "stirap-trace"])
+@pytest.mark.parametrize("duration, eta, peaks, setting", [
+    (1e-200, 1e-200, {}, "margin = 100.0 at eta = 1e-200"),  # eta * T underflows to 0
+    (1.0, 1e-320, {}, "margin = 100.0 at eta = 1e-320"),
+    (1e-300, 0.1, {"margin": 1e10}, "margin = 10000000000.0 at eta = 0.1"),
+    (1.0, 0.1, {"margin": None, "pump_peak_rabi_rad_per_s": 1e308}, "pump_peak = 1e+308"),
+], ids=["eta-times-duration-underflows", "tiny-eta", "margin-over-duration",
+        "pump-peak-over-eta"])
+def test_peak_past_the_float_range_exits_2_naming_its_settings(tmp_path, capsys, command,
+                                                               duration, eta, peaks, setting):
+    doc = every_command_doc("fock:1")
+    doc["gate"]["params"]["eta"] = eta
+    schedule = doc["gate"]["schedule"]
+    schedule["total_duration_s"] = duration
+    schedule.update(peaks)
+    code = cli.main([command, "--config", write(tmp_path, doc), "--out", "-"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: bad schedule: {setting}")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("path, where", [
     (("phonon",), "config"),
     (("gate", "params"), "gate"),
@@ -562,6 +587,78 @@ def test_help_exits_0_and_names_every_command(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert all(command in out for command in ("truth-table", "sweep", "stirap-trace"))
+
+
+# what a command line may hold: commands, options, abbreviations and values that
+# argparse reads each in its own way, and a token that is not a string
+ARGV_TOKENS = ["truth-table", "sweep", "stirap-trace", "bogus", "--config", "--out", "--seed",
+               "--conf", "--config=a", "--", "-", "-h", "--help", "--format", "-5", "-x", " -x",
+               "", "cfg.json", Path("cfg.json")]
+
+
+@st.composite
+def documented_lines(draw):
+    """COMMAND OPTION PATH OPTION PATH with --config or --out for each OPTION
+    (the documented line, or one option twice), half of them with one token
+    replaced by any token of ARGV_TOKENS."""
+    option = st.sampled_from(["--config", "--out"])
+    path = st.sampled_from(["cfg.json", "-", " -x", ""])
+    argv = [draw(st.sampled_from(list(cli._COMMANDS))), draw(option), draw(path), draw(option),
+            draw(path)]
+    if draw(st.booleans()):
+        argv[draw(st.integers(0, 4))] = draw(st.sampled_from(ARGV_TOKENS))
+    return argv
+
+
+def parse_outcome(parse, argv):
+    """What parse does with argv: its namespace, exit code or exception, and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, out.getvalue(), err.getvalue()
+
+
+@given(argv=documented_lines() | st.lists(st.sampled_from(ARGV_TOKENS), max_size=7))
+@settings(max_examples=500, deadline=None)
+def test_parse_args_reads_every_line_as_argparse_does(argv):
+    assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._PARSER.parse_args, argv)
+
+
+def refuse_argparse(argv):
+    raise AssertionError(f"argparse was asked to read {argv}")
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("options", [("--config", "--out"), ("--out", "--config")])
+@pytest.mark.parametrize("path", ["cfg.json", "-", " -x", ""])
+def test_documented_line_does_not_reach_argparse(monkeypatch, command, options, path):
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse_argparse)
+    argv = [command, options[0], path, options[1], "out.json"]
+    paths = {options[0]: path, options[1]: "out.json"}
+    expected = argparse.Namespace(command=command, config=paths["--config"],
+                                  out=paths["--out"], seed=None)
+    assert cli._parse_args(argv) == expected
+    monkeypatch.setattr(sys, "argv", ["hotgate", *argv])  # the console script's line
+    assert cli._parse_args() == expected
+
+
+@pytest.mark.parametrize("argv, phonon", [
+    (["truth-table", "--out", "-", "--config", "{thermal}"], "thermal:2.0"),  # no argparse
+    (["truth-table", "--config={thermal}", "--out", "-"], "thermal:2.0"),
+    (["truth-table", "--config", "{random}", "--out", "-", "--seed", "3"], "random"),
+], ids=["documented", "equals", "seed"])
+def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch, argv, phonon):
+    # the console script calls main() with no argv
+    paths = {"thermal": write(tmp_path, ideal_doc()),
+             "random": write(tmp_path, ideal_doc(phonon="random"), "random.json")}
+    monkeypatch.setattr(sys, "argv", ["hotgate", *(arg.format(**paths) for arg in argv)])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["phonon"] == phonon
 
 
 def test_out_in_missing_directory_exits_2_without_traceback(tmp_path, capsys):

@@ -510,8 +510,8 @@ def test_report_refuses_an_input_without_finite_weight(config, phonon, weight):
     # every metric is read relative to Tr rho: no weight is no input, not fidelity 1
     with pytest.raises(ValueError, match=f"phonon input has total weight {weight}"):
         g.gate_report(config, phonon)
-    # an input with fewer than two rungs is still refused by its size first
-    with pytest.raises(ValueError, match="n_max must be >= 1"):
+    # an input with fewer than two levels is still refused by its size first
+    with pytest.raises(ValueError, match="phonon input has 1 phonon level"):
         g.gate_report(config, np.zeros(1))
 
 
@@ -539,14 +539,21 @@ def composite_density():
 
 @pytest.mark.parametrize("config", [IDEAL, stirap_config(margin=90.0, n_steps=300)],
                          ids=["ideal", "stirap"])
-@pytest.mark.parametrize("phonon, shape", [
-    (composite_density(), r"\(64, 64\) on CompositeSpace"),
-    (np.eye(5) / 5, r"\(5, 5\)"),
-    (np.float64(1.0), r"\(\)"),
-], ids=["composite-density", "matrix", "scalar"])
-def test_report_refuses_an_input_that_is_not_a_phonon_state(config, phonon, shape):
-    # refused by its shape, before it is read as phonon amplitudes of some size
-    with pytest.raises(ValueError, match=f"phonon input has shape {shape}"):
+@pytest.mark.parametrize("phonon, message", [
+    (composite_density(), r"shape \(64, 64\) on CompositeSpace"),
+    (np.eye(5) / 5, r"shape \(5, 5\)"),
+    (np.float64(1.0), r"shape \(\)"),
+    # fewer than the two levels of the lowest rung pair, named by the input's count
+    (np.ones(1), r"1 phonon level\(s\); it must have at least 2"),
+    (FockWeights(np.ones(1)), r"1 phonon level\(s\)"),
+    (DensityOperator(np.ones((1, 1))), r"1 phonon level\(s\)"),
+    (np.ones(0), r"0 phonon level\(s\)"),
+], ids=["composite-density", "matrix", "scalar", "one-level-vector", "one-level-weights",
+        "one-level-density", "empty-vector"])
+def test_report_refuses_an_input_that_is_not_a_phonon_state(config, phonon, message):
+    # refused by its shape or level count, before it is read as phonon
+    # amplitudes of some size
+    with pytest.raises(ValueError, match=f"^phonon input has {message}"):
         g.gate_report(config, phonon)
 
 

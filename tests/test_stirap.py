@@ -718,6 +718,40 @@ def test_standard_schedule_names_a_bad_peak_setting(name, value):
         stirap.standard_schedule(1.0, PARAMS, **{name: value})
 
 
+# settings whose derived peak is past the float range; the first underflows eta*T to 0
+PEAKS_PAST_THE_FLOAT_RANGE = [
+    pytest.param(1e-200, 1e-200, {}, r"^margin = 100.0 at eta = 1e-200 and total_duration = "
+                 r"1e-200 gives .* Stokes peak margin/\(eta\*total_duration\) = inf",
+                 id="eta-times-duration-underflows"),
+    pytest.param(1.0, 1e-320, {}, r"^margin = 100.0 at eta = 1e-320 and total_duration = 1.0 "
+                 r"gives .* Stokes peak margin/\(eta\*total_duration\) = inf", id="tiny-eta"),
+    pytest.param(1e-300, 0.1, {"margin": 1e10}, r"^margin = 10000000000.0 at eta = 0.1 and "
+                 r"total_duration = 1e-300 gives a pump peak margin/total_duration = inf",
+                 id="margin-over-duration"),
+    pytest.param(1.0, 0.1, {"pump_peak": 1e308}, r"^pump_peak = 1e\+308 at eta = 0.1 gives a "
+                 r"Stokes peak pump_peak/eta = inf; it must be finite$", id="pump-peak-over-eta"),
+]
+
+
+@pytest.mark.parametrize("duration, eta, peaks, message", PEAKS_PAST_THE_FLOAT_RANGE)
+def test_standard_schedule_names_the_settings_of_a_peak_past_the_float_range(
+        duration, eta, peaks, message):
+    # the settings the peak comes from, not the peak_rabi field it would fill
+    with pytest.raises(ValueError, match=message):
+        stirap.standard_schedule(duration, replace(PARAMS, eta=eta), **peaks)
+
+
+@pytest.mark.parametrize("tiny, peak", [(1e-200, 1e100), (1e-160, 1e20)],
+                         ids=["zero", "subnormal"])
+def test_standard_schedule_reads_a_finite_peak_where_eta_times_duration_underflows(tiny, peak):
+    # margin/T/eta: the peak margin/(eta*T) at eta = T = tiny, though eta*T
+    # rounds to 0 (1e-400) or to a subnormal number of a few digits (1e-320)
+    sched = stirap.standard_schedule(tiny, replace(PARAMS, eta=tiny), margin=1e-300)
+    assert sched.stokes.peak_rabi == pytest.approx(peak, rel=1e-15)
+    zero = stirap.standard_schedule(1e-200, replace(PARAMS, eta=1e-200), margin=0.0)
+    assert zero.pump.peak_rabi == zero.stokes.peak_rabi == 0.0
+
+
 @pytest.mark.parametrize("name", ["margin", "pump_peak"])
 def test_standard_schedule_accepts_a_zero_field(name):
     # the zero-field limit of test_passage_without_fields_is_the_identity
