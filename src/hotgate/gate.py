@@ -5,7 +5,7 @@ conditional phase again, passage down. On the two-qubit subspace the ideal
 sequence acts as diag(1, 1, 1, -1) in the (control, target) basis
 {|00>, |01>, |10>, |11>} while returning the phonon mode to its input state.
 
-Every pulse conserves n + [control on |2>], so the whole sequence is a set of
+Every pulse conserves n - [control on |2>], so the whole sequence is a set of
 independent per-rung blocks: for each target level and occupation n, one 3x3
 block on {|1,n>, |3,n>, |2,n+1>} of the control ion and a phase on |0,n>.
 The blocks run up to rung n_max, so inputs with support up to n_max survive
@@ -40,7 +40,6 @@ from .hilbert import (
     compose_state,
 )
 from .operators import (
-    IdealUnitary,
     PhysicalParams,
     carrier_rotation,
     conditional_phase_factors,
@@ -192,40 +191,35 @@ def _gate_blocks(schedule: stirap.StirapSchedule | None, params: PhysicalParams,
     return blocks, ground, phases
 
 
-def _crot_unitary(config: GateConfig, space: CompositeSpace) -> IdealUnitary:
-    """The four-pulse sequence as per-rung blocks on space.
+def _check_qubits(config: GateConfig, pops: np.ndarray) -> None:
+    """The gate's domain: control and target on their qubit levels, by pops, the
+    population with one axis per ion and a trailing phonon axis."""
+    for ion in (config.control, config.target):
+        w = outside_weight(pops, ion, (2, 3))
+        if w:
+            raise DomainError(f"ion {ion} has population {w:.3e} outside the qubit subspace")
 
-    Reads the cached _gate_blocks as views with the target level first and
-    one broadcast axis for each spectator ion and the batch. The transpose
-    that brings the control and target axes first is fixed here, so each
-    application is one copy of the input and one in-place block product on a
-    transposed view of it.
+
+def _apply_gate(config: GateConfig, x: np.ndarray) -> np.ndarray:
+    """The four-pulse sequence on a copy of x: one axis per ion, the phonon axis,
+    then any batch axes.
+
+    Applies the cached _gate_blocks as read-only views with the target level
+    first and one broadcast axis for each spectator and batch axis: one copy
+    of the input and one in-place block product on a transposed view of it,
+    with the control and target axes first.
     """
-    k, d = space.n_ions, space.fock.dim
-    blocks, ground, _ = _gate_blocks(config.schedule, config.params, config.epsilon, d)
-    lead = (4,) + (1,) * (k - 1)  # target level, then the spectator and batch axes
-    blocks = blocks.reshape(lead + blocks.shape[1:])
-    ground = ground.reshape(lead + ground.shape[1:])
+    k = config.params.n_ions
+    blocks, ground, _ = _gate_blocks(config.schedule, config.params, config.epsilon, x.shape[k])
+    lead = (4,) + (1,) * (x.ndim - 3)  # target level, then the spectator and batch axes
+    y = np.array(x, dtype=complex, order="C")
     # control, target, spectators, batch, phonon
-    order = (config.control, config.target,
-             *(i for i in range(k) if i not in (config.control, config.target)), k + 1, k)
-
-    def kernel(sp, x):
-        y = np.array(x, dtype=complex, order="C")
-        yc = y.transpose(order)
-        stirap.apply_blocks(yc, blocks)
-        yc[0] *= ground
-        return y
-
-    def check(sp, pops):
-        for ion in (config.control, config.target):
-            w = outside_weight(pops, ion, (2, 3))
-            if w:
-                raise DomainError(
-                    f"ion {ion} has population {w:.3e} outside the qubit subspace"
-                )
-
-    return IdealUnitary("crot", kernel, check)
+    yc = y.transpose((config.control, config.target,
+                      *(i for i in range(k) if i != config.control and i != config.target),
+                      *range(k + 1, x.ndim), k))
+    stirap.apply_blocks(yc, blocks.reshape(lead + blocks.shape[1:]))
+    yc[0] *= ground.reshape(lead + ground.shape[1:])
+    return y
 
 
 def crot(state_or_rho, config: GateConfig):
@@ -243,10 +237,17 @@ def crot(state_or_rho, config: GateConfig):
         raise DomainError(
             f"input has {space.n_ions} ions but params declare {config.params.n_ions}"
         )
-    gate = _crot_unitary(config, space)
     if isinstance(state_or_rho, CompositeState):
-        return gate.apply(state_or_rho)
-    return gate.apply_density(state_or_rho)
+        x = state_or_rho.amplitudes.reshape(space.shape)
+        _check_qubits(config, np.abs(x) ** 2)
+        return CompositeState(space, _apply_gate(config, x).reshape(space.dim), copy=False)
+    # rho -> U rho U^dagger as two applications to columns
+    d = space.dim
+    rho = state_or_rho.matrix
+    _check_qubits(config, np.real(np.diag(rho)).reshape(space.shape))
+    left = _apply_gate(config, rho.reshape(space.shape + (d,))).reshape(d, d)
+    full = _apply_gate(config, left.conj().T.reshape(space.shape + (d,))).reshape(d, d)
+    return DensityOperator(full.conj().T, space, validate=False)
 
 
 def cnot(state_or_rho, config: GateConfig):
@@ -286,11 +287,13 @@ def _register(n_ions: int, control: int, target: int) -> np.ndarray:
 def _cells(config: GateConfig, space: CompositeSpace) -> np.ndarray:
     """The gate's (basis input, cell, rung) output for a unit amplitude on every rung."""
     k, d = space.n_ions, space.fock.dim
-    # one run carries all four basis inputs, since they reach disjoint cells
-    register = _register(k, config.control, config.target)
-    amps = crot(compose_state(space, register, np.ones(d)), config).amplitudes
     # levels (c, t), the spectators at 0, are row c 4^(k-1-control) + t 4^(k-1-target)
     rows = _CELLS.dot((4 ** (k - 1 - config.control), 4 ** (k - 1 - config.target)))
+    # one run carries all four basis inputs, since they reach disjoint cells:
+    # each has a unit amplitude on every rung of its own row (c, t)
+    amps = np.zeros((4**k, d), dtype=complex)
+    amps[rows[:, 0]] = 1.0
+    amps = crot(CompositeState(space, amps.reshape(-1), copy=False), config).amplitudes
     return amps.reshape(-1, d).take(rows, axis=0)
 
 
@@ -321,8 +324,8 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
         diag = np.real(np.diagonal(entries))
         sup = np.ascontiguousarray(np.diagonal(entries, 1)).view(float)
     elif isinstance(phonon_input, FockWeights):  # diag rho, its coherences exactly 0
-        vec, diag = None, phonon_input.weights
-        entries, sup = diag, np.zeros_like(diag[1:], dtype=complex).view(float)
+        vec = sup = None
+        entries = diag = phonon_input.weights
     else:
         vec = entries = np.asarray(phonon_input, dtype=complex)
         if vec.ndim != 1:
@@ -331,21 +334,27 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     d = len(entries)
     if d < 2:  # the phonon space below, FockSpace(d - 1), needs n_max >= 1
         raise ValueError(f"phonon input has {d} phonon level(s); it must have at least 2")
-    if not np.isfinite(entries).all():  # before any arithmetic, which would warn
-        bad = entries[~np.isfinite(entries)][0]
-        raise ValueError(f"phonon input has total weight nan: an entry is {bad}; "
-                         "every entry must be finite")
     # Every read is relative to Tr rho, so the entries are first scaled by the
     # power of two 2^-shift that brings the largest into [1/2, 1). That is exact,
     # and then no square or sum under- or overflows, whatever the input's scale.
-    # Tr rho is trace 2^exponent
     if vec is None:
-        shift = math.frexp(max(np.abs(diag).max(initial=0.0), np.abs(sup).max(initial=0.0)))[1]
-        diag, sup = np.ldexp(diag, -shift), np.ldexp(sup, -shift).view(complex)
-        exponent = shift
+        top = np.abs(diag).max(initial=0.0)
+        if sup is not None:  # a density operator: each entry must be finite, not only those read
+            top = max(top, np.abs(sup).max(initial=0.0)) if np.isfinite(entries).all() else np.nan
     else:
         parts = np.ascontiguousarray(vec).view(float)  # real and imaginary parts
-        shift = math.frexp(np.abs(parts).max(initial=0.0))[1]
+        top = np.abs(parts).max(initial=0.0)
+    if not math.isfinite(top):  # abs and max carry a nan or inf here without a warning
+        bad = entries[~np.isfinite(entries)][0]
+        raise ValueError(f"phonon input has total weight nan: an entry is {bad}; "
+                         "every entry must be finite")
+    shift = math.frexp(top)[1]
+    # Tr rho is trace 2^exponent
+    if vec is None:
+        diag, exponent = np.ldexp(diag, -shift), shift
+        if sup is not None:
+            sup = np.ldexp(sup, -shift).view(complex)
+    else:
         vec = np.ldexp(parts, -shift).view(complex)
         diag, sup = np.abs(vec) ** 2, vec[:-1] * vec[1:].conj()
         exponent = 2 * shift
@@ -359,26 +368,37 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
     cols = _cells(config, space)
 
     def fed(on_rung, below):  # (cell, rung) of a per-rung input: the shelf reads the rung below
-        x = np.zeros((3, d), dtype=below.dtype)
-        x[:2], x[2, 1:] = on_rung, below
+        x = np.zeros((3, d), dtype=complex)
+        x[:2] = on_rung
+        if below is not None:  # else the shelf is fed 0
+            x[2, 1:] = below
         return x
 
     # cell (j, n) is fed by input rung s(j, n): n, or n - 1 on the shelf. So
     # basis input a acts on the phonon by K_aj[n, m] = cols[a, j, n] delta(m, s(j, n)),
     # and rho enters as coherence[j, n] = rho[s, n] and weight[j, n] = rho[s, s]
-    coherence, weight = fed(diag, sup), fed(diag, diag[:-1])
+    coherence = fed(diag, sup)
     overlap = np.add.reduce(cols * coherence, axis=-1)  # Tr(rho K_aj), scaled
     trace = np.add.reduce(coherence[0]).real  # the same summation, so an exact gate reads 1
-    with np.errstate(over="ignore"):
-        total = np.ldexp(trace, exponent)  # Tr rho itself, which may pass the float range
-    if not (trace > 0 and np.isfinite(total)):
+    try:
+        total = math.ldexp(trace, exponent)  # Tr rho itself, which may pass the float range
+    except OverflowError:
+        total = math.copysign(math.inf, trace)
+    if not (trace > 0 and total < math.inf):
         raise ValueError(f"phonon input has total weight {total}; "
                          "it must be finite and > 0")
     restoration = np.add.reduce(np.abs(overlap) ** 2, axis=-1) / (trace * trace)
-    worst_restoration = float(np.minimum.reduce(np.minimum(np.maximum(0.0, restoration), 1.0)))
-    pops = np.abs(cols) ** 2 * weight
-    leakage = (np.maximum(0.0, trace - np.add.reduce(pops, axis=(1, 2)))
-               + np.add.reduce(pops[:, 1:], axis=(1, 2))) / trace
+    # the least of the clipped values is the clipped least, and never -0.0 here
+    worst_restoration = min(max(float(restoration.min()), 0.0), 1.0)
+    pops = np.abs(cols)  # |cols|^2 weight[j, n], with weight 0 on the shelf of rung 0
+    np.square(pops, out=pops)
+    pops[:, :2] *= diag
+    pops[:, 2, 1:] *= diag[:-1]
+    pops[:, 2, 0] = 0.0
+    # the worst case before the division by trace > 0, which keeps the order
+    lost = np.maximum(0.0, trace - np.add.reduce(pops, axis=(1, 2)))
+    lost += np.add.reduce(pops[:, 1:], axis=(1, 2))
+    leakage = float(lost.max() / trace)
     failed = config.mode == "stirap" and worst_restoration < MIN_RESTORATION_FOR_TABLE
     # divided per component, so that an exact gate's +-trace reads exactly +-1
     table = None if failed else np.diag((overlap.view(float) / trace).view(complex)[:, 0])
@@ -410,7 +430,7 @@ def gate_report(config: GateConfig, phonon_input) -> GateReport:
         truth_table=table,
         qubit_fidelity=fid,
         phonon_restoration_fidelity=worst_restoration,
-        leakage=float(np.maximum.reduce(leakage)),
+        leakage=leakage,
         mode=config.mode,
         epsilon=config.epsilon,
         residual_phases=phases,

@@ -1,5 +1,4 @@
 import functools
-import inspect
 import json
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
@@ -35,6 +34,7 @@ from hotgate.states import (
     random_pure_state,
     thermal_discarded_weight,
     thermal_state,
+    thermal_weights,
 )
 from hotgate import gate as g
 from hotgate import stirap
@@ -527,6 +527,21 @@ def test_report_refuses_a_weight_past_the_float_range(config, phonon):
     # finite entries whose weight overflows: refused by name, not by a warning
     with pytest.raises(ValueError, match="phonon input has total weight inf"):
         g.gate_report(config, phonon)
+
+
+@pytest.mark.parametrize("compensate", [False, True], ids=["raw", "compensated"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.013])
+@pytest.mark.parametrize("schedule", [None, stirap_config(margin=90.0, n_steps=300).schedule],
+                         ids=["ideal", "stirap"])
+def test_report_reads_fock_weights_as_their_diagonal_density(schedule, epsilon, compensate):
+    # the weights shortcut reads what the dense diag(p) does, byte for byte
+    config = g.GateConfig(params=PARAMS, schedule=schedule, epsilon=epsilon,
+                          compensate_phases=compensate)
+    for n_bar, n_max in ((0.3, 4), (1.0, 12), (2.5, 40)):
+        p = thermal_weights(ThermalSpec(n_bar), n_max).weights
+        dense = DensityOperator(np.diag(p.astype(complex)), FockSpace(n_max), validate=False)
+        want = json.dumps(g.gate_report(config, dense).to_dict())
+        assert json.dumps(g.gate_report(config, FockWeights(p)).to_dict()) == want
 
 
 def composite_density():
@@ -1157,30 +1172,70 @@ def test_report_runs_gate_once(monkeypatch, config):
 
         monkeypatch.setattr(g, name, wrapper)
 
+    # one crot run on the register, which applies the gate's kernel once
     counted("crot")
-    counted("compose_state")
-    for phonon in (fock_state(3, 8), thermal_state(ThermalSpec(1.0), 8)):
+    counted("_apply_gate")
+    for phonon in (fock_state(3, 8), thermal_state(ThermalSpec(1.0), 8),
+                   thermal_weights(ThermalSpec(1.0), 8)):
         calls.clear()
         g.gate_report(config, phonon)
-        assert sorted(calls) == ["compose_state", "crot"]
+        assert sorted(calls) == ["_apply_gate", "crot"]
 
 
 # ---------------------------------------------------------------- the gate's kernel
 
 @pytest.mark.parametrize("schedule", [None, stirap_config(n_steps=300).schedule],
                          ids=["ideal", "stirap"])
-def test_crot_unitary_arrays_are_read_only_views_of_the_gate_blocks(schedule):
+def test_crot_applies_read_only_views_of_the_gate_blocks(monkeypatch, schedule):
     config = g.GateConfig(params=PARAMS, control=1, target=0, schedule=schedule, epsilon=0.01)
-    gate = g._crot_unitary(config, CompositeSpace(2, FockSpace(4)))
-    cached = [value for value in inspect.getclosurevars(gate._kernel).nonlocals.values()
-              if isinstance(value, np.ndarray)]
-    blocks, ground, _ = g._gate_blocks(schedule, PARAMS, 0.01, 5)
-    assert len(cached) == 2
-    for array in cached:
+    space = CompositeSpace(2, FockSpace(4))
+    cached = g._gate_blocks
+    blocks, ground, _ = cached(schedule, PARAMS, 0.01, 5)
+    applied = []  # every block array and ground-phase array the kernel applies
+
+    class Watched(np.ndarray):  # the ground phases, recording each ufunc that reads them
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            applied.extend(x for x in inputs if isinstance(x, Watched))
+            inputs = [x.view(np.ndarray) if isinstance(x, Watched) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def watched(*key):
+        b, phases, rest = cached(*key)
+        return b, phases.view(Watched), rest
+
+    def spy(x, arrays):
+        applied.append(arrays)
+        return original(x, arrays)
+
+    original = g.stirap.apply_blocks
+    monkeypatch.setattr(g, "_gate_blocks", watched)
+    monkeypatch.setattr(g.stirap, "apply_blocks", spy)
+    amps = np.zeros(space.shape, dtype=complex)
+    amps[:2, :2] = 0.5
+    state = CompositeState(space, amps.reshape(-1))
+    rho = DensityOperator(np.outer(state.amplitudes, state.amplitudes.conj()), space,
+                          validate=False)
+    before = cached.cache_info()
+    g.crot(state, config)
+    g.crot(rho, config)
+    after = cached.cache_info()
+    # the state path applies the blocks and phases once and the density path
+    # twice, each time from the cache: nothing is composed again
+    assert len(applied) == 6
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+    for array in applied:
         with pytest.raises(ValueError):
             array[...] = 0.0
         # no second copy of the composed blocks
         assert np.shares_memory(array, blocks) or np.shares_memory(array, ground)
+    assert sum(np.shares_memory(array, ground) for array in applied) == 3
+
+
+def gate_matrix(config, space):
+    """crot's kernel on every basis column: its dense matrix, the domain check skipped."""
+    d = space.dim
+    eye = np.eye(d, dtype=complex).reshape(space.shape + (d,))
+    return g._apply_gate(config, eye).reshape(d, d)
 
 
 def dense_crot_matrix(config, space):
@@ -1222,7 +1277,7 @@ def test_crot_kernel_matches_dense_pulse_product(name, n_max):
     config = KERNEL_CONFIGS[name]
     space = CompositeSpace(config.params.n_ions, FockSpace(n_max))
     want = dense_crot_matrix(config, space)
-    assert np.max(np.abs(g._crot_unitary(config, space).to_matrix(space) - want)) <= 1e-14
+    assert np.max(np.abs(gate_matrix(config, space) - want)) <= 1e-14
     # control and target on their qubit levels, the spectators anywhere, and
     # weight on every rung, the top one too
     rng = np.random.default_rng(3)

@@ -179,6 +179,45 @@ def test_block_dark_state_nullity():
             assert abs((h @ dark)[1]) < 1e-12
 
 
+def ladder_passage_hamiltonian(t, sched, params, d):
+    """The passage Hamiltonian on the control ion (x) d phonon levels, from ladder
+    operators: the pump on |1> <-> |3>, the detuning on |3>, and the red Stokes
+    sideband eta Omega_S / 2 (|3><2| a + h.c.), which takes a phonon off the mode
+    as the ion leaves the shelf |2>."""
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)  # a|n> = sqrt(n)|n-1>
+    ion = np.eye(4)
+
+    def flip(i, j):  # |i><j| on the control ion
+        return np.outer(ion[i], ion[j])
+
+    pump = float(sched.pump.value(t)) / 2 * np.kron(flip(3, 1) + flip(1, 3), np.eye(d))
+    stokes = params.eta * float(sched.stokes.value(t)) / 2 * np.kron(flip(3, 2), a)
+    return pump + stokes + stokes.T + params.delta_stirap * np.kron(flip(3, 3), np.eye(d))
+
+
+def test_passage_conserves_phonons_minus_shelf():
+    # the law behind the rung blocks, from the ion-phonon Hamiltonian itself:
+    # |1,n>, |3,n> and |2,n+1> all have n - [control on |2>] = n
+    params, d = detuned(3.0), 8
+    sched = schedule(margin=60.0, n_steps=300)
+    phonons = np.kron(np.eye(4), np.diag(np.arange(d)))
+    shelf = np.kron(np.diag([0.0, 0.0, 1.0, 0.0]), np.eye(d))
+    rng = np.random.default_rng(18)
+    # times of the passage inside the Stokes pulse, where the sideband couples the rungs
+    reach = 0.9 * sched.stokes.width
+    for t in rng.uniform(max(0.0, sched.stokes.center - reach),
+                         min(sched.total_duration, sched.stokes.center + reach), 4):
+        h = ladder_passage_hamiltonian(t, sched, params, d)
+        # the operator form is the model's: its rung blocks are hamiltonian_block
+        for n in range(d - 1):
+            idx = [1 * d + n, 3 * d + n, 2 * d + (n + 1)]
+            block = stirap.hamiltonian_block(n, t, sched, params)
+            assert np.max(np.abs(h[np.ix_(idx, idx)] - block)) <= 1e-12 * np.max(np.abs(block))
+        norm = np.linalg.norm(h, 2)
+        assert np.linalg.norm(h @ (phonons - shelf) - (phonons - shelf) @ h, 2) < 1e-12 * norm
+        assert np.linalg.norm(h @ (phonons + shelf) - (phonons + shelf) @ h, 2) > 0.1 * norm
+
+
 def test_block_index_errors():
     # one rung rule for every reader of a rung: below 0 is refused, not read as
     # eta sqrt(0) = 0 (rung -1) or as an overflowing generator (rung -2), and
