@@ -5,7 +5,9 @@ Config files are JSON with explicit unit suffixes on physical keys
 declared once in the tables below and read by _read; any other key exits 2.
 Exit codes: 0 success, 2 usage/config error, 3 simulation domain error or a
 run too large to allocate. CSV output carries 17 significant digits so
-downstream convergence checks stay meaningful.
+downstream convergence checks stay meaningful. Each command prints status
+lines after its document: to stdout, or to stderr when the document goes to
+stdout (--out -), which then holds the document alone.
 
 The command line has one grammar, the argparse parser of build_parser, which
 also writes every help and usage message. The documented line, COMMAND
@@ -339,12 +341,18 @@ class _output:
         return False
 
 
+def _status(out: str):
+    """Where a command's status lines go: stderr when the document itself goes to
+    stdout (--out -), so that stdout holds the document alone; else stdout."""
+    return sys.stderr if out == "-" else sys.stdout
+
+
 def cmd_truth_table(config: ExperimentConfig, out: str, seed: int | None) -> int:
     with _output(out) as write:
         report = gate_mod.gate_report(config.gate, _phonon_input(config, seed))
         doc = {**report.to_dict(), "phonon": config.phonon_spec, "n_max": config.n_max}
         write(_ENCODER.encode(doc) + "\n")
-    sys.stdout.write(f"qubit_fidelity={_fmt(report.qubit_fidelity)}\n"
+    _status(out).write(f"qubit_fidelity={_fmt(report.qubit_fidelity)}\n"
                      f"phonon_restoration_fidelity={_fmt(report.phonon_restoration_fidelity)}\n")
     return 0
 
@@ -418,7 +426,7 @@ def cmd_sweep(config: ExperimentConfig, out: str, seed: int | None) -> int:
                 cells = [_fmt(v) for v in vals] + [_fmt(row[c]) for c in metric_cols]
                 lines.append(",".join(cells))
         write("\n".join(lines) + "\n")
-    print(f"sweep: {len(points)} grid points -> {out}")
+    print(f"sweep: {len(points)} grid points -> {out}", file=_status(out))
     return 0
 
 
@@ -439,7 +447,7 @@ def cmd_stirap_trace(config: ExperimentConfig, out: str, seed: int | None) -> in
         for k in range(len(times)):
             lines.append(",".join(_fmt(v) for v in (times[k], pump[k], sideband[k], *pops[k])))
         write("\n".join(lines) + "\n")
-    print(f"final_transfer_population={_fmt(pops[-1, 2])}")
+    print(f"final_transfer_population={_fmt(pops[-1, 2])}", file=_status(out))
     return 0
 
 

@@ -69,6 +69,11 @@ into batches of at most _BATCH_ROWS rows, and builds each batch of two or
 more. A key alone in its batch is left for passage_blocks: a detuned one,
 whose rounding depends on the size of its batch, always is. So is a key
 whose blocks are not finite, which then raises NormDrift where it is read.
+A build_passages call samples each step grid's pulse shapes once: its
+schedules share the unit-peak sin^2 shape of every pulse geometry on every
+node grid (_pulse_shape, _sampled), so the grid points of a sweep that
+differ only in a peak, and a reverse whose pump has its partner's Stokes
+geometry, evaluate no cosine of their own. The shapes live for the call.
 """
 from __future__ import annotations
 
@@ -99,6 +104,14 @@ PHASE_MIN_TRANSFER = 0.5  # transfer population below which a passage phase is u
 MAX_N_STEPS = np.iinfo(np.intp).max // (9 * np.dtype(complex).itemsize) - 1
 
 
+def _pulse_shape(t, center: float, width: float) -> tuple:
+    """The sin^2 pulse of unit peak at time(s) t: (support |x| < 1, cos(pi x/2)^2)
+    with x = (t - center)/width. The one spelling of the envelope formula: a
+    pulse of peak p is p * cos(pi x/2)^2 on its support and 0 off it."""
+    x = (np.asarray(t, dtype=float) - center) / width
+    return np.abs(x) < 1.0, np.cos(0.5 * np.pi * x) ** 2
+
+
 @dataclass(frozen=True)
 class PulseEnvelope:
     """One sin^2 laser pulse envelope, with compact support [center-width, center+width]."""
@@ -118,9 +131,8 @@ class PulseEnvelope:
 
     def value(self, t):
         """Envelope value at time(s) t; stays within [0, peak_rabi]."""
-        t = np.asarray(t, dtype=float)
-        x = (t - self.center) / self.width
-        return np.where(np.abs(x) < 1.0, self.peak_rabi * np.cos(0.5 * np.pi * x) ** 2, 0.0)
+        support, cos2 = _pulse_shape(t, self.center, self.width)
+        return np.where(support, self.peak_rabi * cos2, 0.0)
 
 
 def _check_duration(total_duration: float) -> None:
@@ -478,12 +490,19 @@ def _pairwise_product(m: np.ndarray, product, prefix: bool = False) -> np.ndarra
     return out
 
 
-def _sampled(schedule: StirapSchedule, method: str) -> np.ndarray:
+def _sampled(schedule: StirapSchedule, method: str, shapes: dict | None = None) -> np.ndarray:
     """The pulses at the two quadrature nodes of each step, shape (2, 2, n_steps).
 
     [0] is the half pump rate, shared by all rungs, and [1] the bare Stokes
     rate, which each rung scales; the node is the second axis. method picks
     the nodes: the Gauss pair for magnus4, both at mid-step for midpoint.
+    shapes holds the _pulse_shape of each pulse geometry on each node grid,
+    keyed by (total_duration, n_steps, node fraction, center, width), and is
+    filled here. A build_passages call passes one dict for all its
+    schedules, so the schedules that share a step grid share its pulse
+    shapes (a sweep's margins, and a reverse's pump, which has its partner's
+    Stokes geometry) and only their peaks are applied one by one. Every
+    sample is bit for bit PulseEnvelope.value at its node.
     """
     if method == "midpoint":
         c1 = c2 = 0.5
@@ -491,17 +510,26 @@ def _sampled(schedule: StirapSchedule, method: str) -> np.ndarray:
         c1, c2 = _MAGNUS_C1, _MAGNUS_C2
     else:
         raise ValueError(f"unknown integration method {method!r}")
+    shapes = {} if shapes is None else shapes
     dt = schedule.dt
-    starts = np.arange(schedule.n_steps) * dt
-    nodes = (starts + c1 * dt, starts + c2 * dt)
-    return np.array([[schedule.pump.value(t) / 2 for t in nodes],
-                     [schedule.stokes.value(t) for t in nodes]])
+    out = np.zeros((2, 2, schedule.n_steps))
+    for row, pulse in zip(out, (schedule.pump, schedule.stokes)):
+        for samples, c in zip(row, (c1, c2)):
+            key = (schedule.total_duration, schedule.n_steps, c, pulse.center, pulse.width)
+            if key not in shapes:
+                nodes = np.arange(schedule.n_steps) * dt + c * dt
+                shapes[key] = _pulse_shape(nodes, pulse.center, pulse.width)
+            support, cos2 = shapes[key]
+            # PulseEnvelope.value's where(support, peak * cos2, 0.0), written in place
+            np.multiply(cos2, pulse.peak_rabi, out=samples, where=support)
+    out[0] /= 2
+    return out
 
 
 def _runs(sampled: np.ndarray) -> tuple:
     """(lead, pump off, trail, pump off) of a resonant step grid: the lengths of its
     leading and trailing single-field runs and which field each has off."""
-    pump_off, stokes_off = (np.all(x == 0.0, axis=0) for x in sampled)
+    pump_off, stokes_off = ~sampled.any(axis=1)  # exactly 0 (or -0.0) at both nodes
     lead, lead_pump_off = _single_field_run(pump_off, stokes_off)
     trail, trail_pump_off = _single_field_run(pump_off[lead:][::-1], stokes_off[lead:][::-1])
     return lead, lead_pump_off, trail, trail_pump_off
@@ -747,10 +775,12 @@ def _is_rung_count(n_rungs) -> bool:
     return _is_integer(n_rungs) and n_rungs >= 0
 
 
-def _parts(schedule: StirapSchedule) -> tuple:
-    """A pair's schedules (the 'up' one, and its reverse unless the pulses mirror) and pulses."""
+def _parts(schedule: StirapSchedule, shapes: dict | None = None) -> tuple:
+    """A pair's schedules (the 'up' one, and its reverse unless the pulses mirror) and
+    pulses, sampled through shapes (_sampled): the reverse reads its partner's."""
     parts = (schedule,) if _is_mirrored(schedule) else (schedule, reversed_schedule(schedule))
-    return parts, [_sampled(s, DEFAULT_METHOD) for s in parts]
+    shapes = {} if shapes is None else shapes
+    return parts, [_sampled(s, DEFAULT_METHOD, shapes) for s in parts]
 
 
 def _build(batch: list, params: PhysicalParams, n_rungs: int) -> None:
@@ -825,16 +855,18 @@ def build_passages(keys) -> None:
     blocks are not finite and the keys of a batch that cannot be allocated
     are not cached here either: passage_blocks raises their error where they
     are read. Keys already cached are marked as just used, so that this
-    call's builds do not evict them.
+    call's builds do not evict them. The keys' schedules share one dict of
+    pulse shapes (_sampled), which lives for this call only.
     """
     groups = {}
+    shapes = {}  # the pulse shapes of this call's step grids (_sampled)
     for key in dict.fromkeys(keys):
         schedule, params, n_rungs = key
         if key in _PASSAGES:
             _PASSAGES.move_to_end(key)
         elif schedule.direction == "up" and _is_rung_count(n_rungs):
             with suppress(MemoryError):  # passage_blocks raises it where the key is read
-                parts, sampled = _parts(schedule)
+                parts, sampled = _parts(schedule, shapes)
                 # one runs entry per direction integrated, so mirrored and
                 # unmirrored pulses never share a group
                 runs = tuple(_runs(x) for x in sampled)

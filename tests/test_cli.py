@@ -20,6 +20,7 @@ from hotgate import cli
 from hotgate.operators import PhysicalParams
 from hotgate import gate, states, stirap
 from test_gate import integrations  # noqa: F401 - build-counting fixture
+from test_stirap import shape_evaluations  # noqa: F401 - pulse-shape counting fixture
 
 BASE_PARAMS = {
     "eta": 0.1,
@@ -327,9 +328,10 @@ def test_truth_table_writes_one_sorted_line(tmp_path, capsys, make_doc, phonon, 
     for _ in range(2):
         assert cli.main(["truth-table", "--config", config,
                          "--out", "-" if to_stdout else str(out)]) == 0
-        printed = capsys.readouterr().out
-        # on stdout the document comes first, then the two fidelity lines
-        texts.append(printed.split("\n", 1)[0] + "\n" if to_stdout else out.read_text())
+        captured = capsys.readouterr()
+        # on stdout the document alone: the two fidelity lines go to stderr
+        texts.append(captured.out if to_stdout else out.read_text())
+        assert (captured.err if to_stdout else captured.out).startswith("qubit_fidelity=")
     text = texts[0]
     assert texts[1] == text  # byte for byte
     assert text.endswith("}\n") and text.count("\n") == 1
@@ -339,6 +341,35 @@ def test_truth_table_writes_one_sorted_line(tmp_path, capsys, make_doc, phonon, 
     want = gate.gate_report(parsed.gate, states.parse_state_spec(phonon, 10))
     assert float_bits(report) == float_bits(
         {**want.to_dict(), "phonon": phonon, "n_max": 10})
+
+
+@pytest.mark.parametrize("command, status", [
+    ("sweep", "sweep: 2 grid points -> "),
+    ("stirap-trace", "final_transfer_population="),
+])
+def test_stdout_is_exactly_the_document(tmp_path, capsys, command, status):
+    # with --out - the status line goes to stderr, so that stdout is the text
+    # the command writes to a file; with a path it stays on stdout
+    doc = every_command_doc("fock:1")
+    doc["sweep"]["axes"][0]["values"] = [0.0, 0.01]
+    config = write(tmp_path, doc)
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 0
+    to_file = capsys.readouterr()
+    assert cli.main([command, "--config", config, "--out", "-"]) == 0
+    to_stdout = capsys.readouterr()
+    assert to_file.out.startswith(status) and to_file.out.count("\n") == 1
+    assert to_stdout.err.startswith(status) and to_stdout.err.count("\n") == 1
+    assert to_file.err == ""
+    text = to_stdout.out
+    if command == "sweep":
+        assert len(text.splitlines()) == 3  # the header and one line per grid point
+        # runtime_s, the last column, is the one that may differ
+        assert ([line.rsplit(",", 1)[0] for line in text.splitlines()]
+                == [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()])
+    else:
+        assert text == out.read_text()
+    assert text.endswith("\n")
 
 
 @pytest.mark.parametrize("path, value, message", [
@@ -959,6 +990,18 @@ def test_sweep_integrates_once_per_step_grid(tmp_path, monkeypatch, integrations
     rows = [[line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
             for path in (out, alone)]
     assert rows[0] == rows[1] and len(rows[0]) == 7
+
+
+def test_sweep_samples_each_step_grid_once(tmp_path, shape_evaluations):
+    # the three margins of a step grid differ in their peaks only: the two pulses
+    # at the two nodes are evaluated once per grid, 2 x 2 x 2 = 8 in all, not 24
+    doc = stirap_doc(phonon="fock:1", n_max=12, sweep={"axes": [
+        {"name": "margin", "values": [90.0, 100.0, 120.0]},
+        {"name": "n_steps", "values": [1200, 1800]}]})
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
+    assert sorted(shape_evaluations) == [1200] * 4 + [1800] * 4
+    assert len(out.read_text().splitlines()) == 7
 
 
 def test_paper_regime_sweep_integrates_once_per_point(tmp_path, integrations):

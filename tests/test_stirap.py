@@ -13,6 +13,7 @@ from hotgate.operators import PhysicalParams, adiabatic_down, adiabatic_up
 from hotgate.states import fock_state
 from hotgate import cli, stirap
 from hotgate import gate as g
+from physics_oracle import ladder_passage_hamiltonian
 from test_gate import integrations, passage_builds  # noqa: F401 - build-counting fixtures
 
 PARAMS = PhysicalParams(eta=0.1, omega=2 * np.pi * 1e5, n_ions=2, delta=2 * np.pi * 1e7)
@@ -63,6 +64,62 @@ def test_envelope_validation():
         stirap.PulseEnvelope(-1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         stirap.PulseEnvelope(1.0, 0.0, 0.0)
+
+
+@pytest.fixture
+def shape_evaluations(monkeypatch):
+    """The node grids on which the one sin^2 formula, stirap._pulse_shape, is evaluated."""
+    sizes = []
+    original = stirap._pulse_shape
+
+    def counting(t, center, width):
+        sizes.append(np.size(t))
+        return original(t, center, width)
+
+    monkeypatch.setattr(stirap, "_pulse_shape", counting)
+    return sizes
+
+
+def random_sampled_schedules(rng, count):
+    """Explicit-envelope schedules on a few step grids and pulse geometries, with
+    peaks 0, -0.0, 1e300 among them and some pulses ending exactly on a node."""
+    grids = [(1.0, 7), (1.0, 64), (3.5, 200), (200.0, 200)]
+    scheds = []
+    while len(scheds) < count:
+        total, n_steps = grids[rng.integers(len(grids))]
+        dt = total / n_steps
+        c = (stirap._MAGNUS_C1, stirap._MAGNUS_C2, 0.5)[rng.integers(3)]
+        nodes = np.arange(n_steps) * dt + c * dt
+        pulses = []
+        for _ in range(2):
+            if rng.uniform() < 0.5:  # |x| = 1 exactly at node k: the support's edge
+                j, k = sorted(rng.choice(n_steps, 2, replace=False))
+                center, width = float(nodes[j]), float(nodes[k] - nodes[j])
+            else:
+                center, width = (float(v * total) for v in rng.choice([0.3, 0.5, 0.7], 2))
+            peak = (0.0, -0.0, 1e300, float(rng.uniform(0.0, 1e3)))[rng.integers(4)]
+            pulses.append(stirap.PulseEnvelope(peak, center, width))
+        if pulses[0].center != pulses[1].center:
+            scheds.append(stirap.StirapSchedule(*pulses, total, n_steps))
+    return scheds
+
+
+@pytest.mark.parametrize("method, nodes", [
+    ("magnus4", (stirap._MAGNUS_C1, stirap._MAGNUS_C2)), ("midpoint", (0.5, 0.5))])
+def test_sampled_pulses_are_the_envelopes_at_the_nodes_bit_for_bit(method, nodes):
+    # sampled one by one and through one dict of shared shapes, as a sweep samples
+    # them, every sample is PulseEnvelope.value at its node, the sign of a -0.0 too
+    scheds = random_sampled_schedules(np.random.default_rng(37), 60)
+    shapes = {}
+    for sched in scheds:
+        dt = sched.dt
+        times = [np.arange(sched.n_steps) * dt + c * dt for c in nodes]
+        want = np.array([[sched.pump.value(t) / 2 for t in times],
+                         [sched.stokes.value(t) for t in times]])
+        for got in (stirap._sampled(sched, method), stirap._sampled(sched, method, shapes)):
+            assert got.shape == (2, 2, sched.n_steps)
+            assert got.tobytes() == want.tobytes()
+    assert len(shapes) < 2 * 2 * len(scheds)  # the schedules did share shapes
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -177,22 +234,6 @@ def test_block_dark_state_nullity():
             dark = np.array([np.cos(theta), 0.0, -np.sin(theta)], dtype=complex)
             h = stirap.hamiltonian_block(n, t, sched, PARAMS)
             assert abs((h @ dark)[1]) < 1e-12
-
-
-def ladder_passage_hamiltonian(t, sched, params, d):
-    """The passage Hamiltonian on the control ion (x) d phonon levels, from ladder
-    operators: the pump on |1> <-> |3>, the detuning on |3>, and the red Stokes
-    sideband eta Omega_S / 2 (|3><2| a + h.c.), which takes a phonon off the mode
-    as the ion leaves the shelf |2>."""
-    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)  # a|n> = sqrt(n)|n-1>
-    ion = np.eye(4)
-
-    def flip(i, j):  # |i><j| on the control ion
-        return np.outer(ion[i], ion[j])
-
-    pump = float(sched.pump.value(t)) / 2 * np.kron(flip(3, 1) + flip(1, 3), np.eye(d))
-    stokes = params.eta * float(sched.stokes.value(t)) / 2 * np.kron(flip(3, 2), a)
-    return pump + stokes + stokes.T + params.delta_stirap * np.kron(flip(3, 3), np.eye(d))
 
 
 def test_passage_conserves_phonons_minus_shelf():
@@ -870,6 +911,19 @@ def test_unmirrored_batch_builds_both_directions(integrations):
         reverse = stirap.reversed_schedule(sched)
         assert np.array_equal(down, stirap.block_propagators(reverse, PARAMS, np.arange(8)))
         assert np.array_equal(up, stirap.block_propagators(sched, PARAMS, np.arange(8)))
+
+
+def test_unmirrored_reverse_reads_its_partners_pulse_shapes(shape_evaluations):
+    # the reverse's pump has the Stokes geometry and its Stokes the pump's, so a
+    # batch of unmirrored schedules on one step grid evaluates the two pulses at
+    # the two nodes once, and so does one schedule's own build
+    stokes = stirap.PulseEnvelope(900.0, center=0.3, width=0.5)
+    scheds = [stirap.StirapSchedule(stirap.PulseEnvelope(peak, 0.72, 0.5), stokes, 1.0, 300)
+              for peak in (80.0, 90.0, 100.0)]
+    stirap.build_passages([(sched, PARAMS, 8) for sched in scheds])
+    assert shape_evaluations == [300] * 4
+    stirap.passage_blocks(scheds[0], PARAMS, 9)
+    assert shape_evaluations == [300] * 8  # the shapes do not outlive a call
 
 
 def test_zero_field_schedule_is_a_group_of_its_own(integrations):
