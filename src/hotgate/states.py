@@ -157,6 +157,15 @@ def parse_state_spec(spec: str, n_max: int, default_seed: int | None = None):
     return (thermal_state if build is thermal_weights else build)(arg, n_max)
 
 
+class _OutOfRange(ValueError):
+    """A spec that parses but fails a range check, which its message names."""
+
+
+def _check(ok: bool, cause: str) -> None:
+    if not ok:
+        raise _OutOfRange(cause)
+
+
 def _read_spec(spec: str, n_max: int, default_seed: int | None = None):
     """(constructor, argument) of a spec's state, a thermal one as its FockWeights.
 
@@ -170,22 +179,26 @@ def _read_spec(spec: str, n_max: int, default_seed: int | None = None):
     try:
         if name == "fock":
             n = int(arg)
-            if not 0 <= n <= n_max:
-                raise ValueError(f"occupation {n} outside 0..{n_max}")
+            _check(0 <= n <= n_max, f"occupation {n} outside 0..{n_max}")
             return fock_state, n
         if name == "coherent":
             re_s, _, im_s = arg.partition(",")
             alpha = complex(float(re_s), float(im_s))
-            if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-                raise ValueError
+            _check(math.isfinite(alpha.real) and math.isfinite(alpha.imag),
+                   f"amplitude {alpha} is not finite")
             return coherent_state, alpha
         if name == "thermal":
-            return thermal_weights, ThermalSpec(float(arg))
+            n_bar = float(arg)
+            _check(math.isfinite(n_bar), f"n_bar {n_bar} is not finite")
+            _check(n_bar >= 0, f"n_bar {n_bar} is negative")
+            return thermal_weights, ThermalSpec(n_bar)
         if name == "random":
             seed = int(arg) if arg else default_seed
-            if seed is None or seed < 0:  # numpy's generators take a seed >= 0
-                raise ValueError
+            _check(seed is not None, "no seed given")
+            _check(seed >= 0, f"seed {seed} is negative")  # numpy's generators take a seed >= 0
             return random_pure_state, seed
+    except _OutOfRange as exc:
+        raise ValueError(f"malformed state spec {spec!r}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"malformed state spec {spec!r}") from exc
     raise ValueError(f"unknown state family {name!r} in spec {spec!r}")

@@ -36,10 +36,15 @@ exponential from Cayley-Hamilton as a Newton divided-difference interpolant,
 with no eigendecomposition. Either way the time-ordered product of the steps
 is taken pairwise (later @ earlier, log depth) by one tree within chunks of
 a fixed number of steps, and the chunk products are folded in time order.
+A resonant end point is integrated in passes of at most _BATCH_ROWS rows,
+and every array of a pass's chunks, from the step generator to the levels of
+the tree, is a view of one work area per thread (_work_area, about 1.8 MB),
+so a build allocates no array of a chunk's size; a detuned build and a
+trajectory take all their rows in one pass of new arrays.
 The runs and the grouping depend on the envelopes and the step index only,
 so a resonant end point of rung n comes out bit-identical in every batch of
-rungs, and of schedules: the one integrator, _integrate, takes several
-resonant schedules that share a step grid and single-field runs, with rows
+rungs, pass and batch of schedules: the one integrator, _integrate, takes
+several resonant schedules that share a step grid and single-field runs, with rows
 (schedule, rung) and each schedule's dt and kappa its own;
 block_propagators runs it on one schedule. Elsewhere the rounding of numpy's
 complex products can depend on the size of the batch's arrays: a detuned
@@ -66,9 +71,11 @@ batch of one; build_passages builds many schedules at once, as a sweep does
 for a window of grid points. It groups the keys that share params, rung
 count, step grid, mirror symmetry and single-field runs, cuts each group
 into batches of at most _BATCH_ROWS rows, and builds each batch of two or
-more. A key alone in its batch is left for passage_blocks: a detuned one,
-whose rounding depends on the size of its batch, always is. So is a key
+more. A key alone in its batch is left for passage_blocks, and so is a key
 whose blocks are not finite, which then raises NormDrift where it is read.
+A key that can share no batch is left to it unsampled: a detuned one, whose
+rounding depends on the size of its batch, and one of more than half a
+batch's rows (n_max >= 32, the paper's regime).
 A build_passages call samples each step grid's pulse shapes once: its
 schedules share the unit-peak sin^2 shape of every pulse geometry on every
 node grid (_pulse_shape, _sampled), so the grid points of a sweep that
@@ -79,9 +86,11 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from collections import OrderedDict
 from contextlib import suppress
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -265,7 +274,8 @@ _MAGNUS_C1 = 0.5 - np.sqrt(3.0) / 6.0
 _MAGNUS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 _MAGNUS_COEFF = np.sqrt(3.0) / 12.0
 # Steps per chunk: the product's grouping depends on the step index only, not
-# on the batch of rungs; also bounds the working arrays.
+# on the batch of rungs. With _BATCH_ROWS it also bounds the work area
+# (_work_area) that every array of a resonant end point's chunk is taken from.
 _CHUNK_STEPS = 256
 # Eigenvalue spread below which the second divided difference uses its series.
 _SERIES_SPREAD = 1e-2
@@ -341,7 +351,7 @@ def _step_exponentials(u, v, w, d: float) -> np.ndarray:
     return out
 
 
-def _step_spinors(u, v, w) -> np.ndarray:
+def _step_spinors(u, v, w, work=None) -> np.ndarray:
     """exp(A) for stacked real antisymmetric A = [[0, u, w], [-u, 0, -v], [-w, v, 0]], in SU(2).
 
     u, v, w are real and broadcast to the stack shape. A is the cross product
@@ -355,11 +365,20 @@ def _step_spinors(u, v, w) -> np.ndarray:
     standing for the SU(2) matrix [[alpha, beta], [-conj(beta), conj(alpha)]]
     (_spinor_product, _rotation_from_spinor). At theta = 0 the sine
     multiplies zeros, so A = 0 maps to (1, 0), the identity, exactly.
+    work, if given, holds the arrays to write theta, theta/2, the sine
+    ratio, the theta > 0 mask and the result to (_chunk_work); otherwise
+    they are new arrays.
     """
-    theta = np.sqrt(u * u + v * v + w * w)
-    half = 0.5 * theta
-    s = np.sin(half) / np.where(theta > 0.0, theta, 1.0)
-    out = np.empty((2,) + theta.shape, dtype=complex)
+    theta, half, s, mask, out = work or (None,) * 5
+    theta = np.add(u * u, np.multiply(v, v, out=theta), out=theta)
+    theta += np.multiply(w, w, out=half)
+    np.sqrt(theta, out=theta)
+    half = np.multiply(theta, 0.5, out=half)
+    # sin(theta/2)/theta, left at sin(theta/2) = sin(0) = 0 where theta is 0 (nan where nan)
+    s = np.sin(half, out=s)
+    np.divide(s, theta, out=s, where=np.greater(theta, 0.0, out=mask))
+    if out is None:
+        out = np.empty((2,) + theta.shape, dtype=complex)
     np.cos(half, out=out[0].real)
     np.multiply(u, s, out=out[0].imag)
     np.negative(s, out=s)
@@ -405,15 +424,21 @@ def _run_spinors(live, scale, pump_off: bool, dt, prefix: bool) -> np.ndarray:
     return np.concatenate((turn(np.cumsum(mid[..., :-1], axis=-1)), last), axis=-1)
 
 
-def _spinor_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _spinor_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """a @ b for stacks of SU(2) matrices stored as Cayley-Klein pairs, (2, ...).
 
     alpha = alpha_a alpha_b - beta_a conj(beta_b) and beta = alpha_a beta_b +
-    beta_a conj(alpha_b); each multiply covers both rows.
+    beta_a conj(alpha_b); each multiply covers both rows. work, if given, is
+    a flat complex array of at least 2 b.size entries that holds conj(b) and
+    the cross terms; otherwise they are new arrays.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    t = a[1] * b[::-1].conj()
+    conj = t = None
+    if work is not None:
+        conj, t = (work[k * b.size:(k + 1) * b.size].reshape(b.shape) for k in (0, 1))
+    t = np.multiply(a[1], np.conjugate(b[::-1], out=conj), out=t)
     np.multiply(a[0], b, out=out)
     out[0] -= t[0]
     out[1] += t[1]
@@ -457,7 +482,8 @@ def _matmul3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.
     return out
 
 
-def _pairwise_product(m: np.ndarray, product, prefix: bool = False) -> np.ndarray:
+def _pairwise_product(m: np.ndarray, product, prefix: bool = False,
+                      levels: tuple | None = None) -> np.ndarray:
     """Time-ordered product of a stack of steps along axis 2, later @ earlier.
 
     product(later, earlier, out=None) multiplies two stacks: _matmul3 for
@@ -469,17 +495,22 @@ def _pairwise_product(m: np.ndarray, product, prefix: bool = False) -> np.ndarra
     prefixes are its pair products' prefixes, plus one multiply for the even
     entries. The last prefix is the reduction's root, computed by the same
     multiplies on the same arrays, so it equals the product bit for bit.
+    levels, if given, is two flat arrays that the levels of the reduction
+    are written to in turn, the first level to levels[0], in place of a new
+    array per level; the root is then a view of one of them.
     """
     s = m.shape[2]
     if s == 1:
         return m if prefix else m[:, :, 0]
     half = s // 2
-    pairs = np.empty(m.shape[:2] + (half + s % 2,) + m.shape[3:], dtype=m.dtype)
+    shape = m.shape[:2] + (half + s % 2,) + m.shape[3:]
+    pairs = (np.empty(shape, dtype=m.dtype) if levels is None
+             else levels[0][:math.prod(shape)].reshape(shape))
     product(m[:, :, 1:2 * half:2], m[:, :, 0:2 * half:2], out=pairs[:, :, :half])
     if s % 2:
         pairs[:, :, -1] = m[:, :, -1]
     if not prefix:
-        return _pairwise_product(pairs, product)
+        return _pairwise_product(pairs, product, levels=levels and levels[::-1])
     sub = _pairwise_product(pairs, product, prefix=True)
     out = np.empty_like(m)
     out[:, :, 0] = m[:, :, 0]
@@ -535,6 +566,45 @@ def _runs(sampled: np.ndarray) -> tuple:
     return lead, lead_pump_off, trail, trail_pump_off
 
 
+# The work area of the resonant end-point path (_work_area), one per thread.
+_WORK = threading.local()
+
+
+def _work_area() -> tuple:
+    """This thread's work area as (floats, complexes, mask), made on first use.
+
+    One allocation of 14 planes of _BATCH_ROWS x _CHUNK_STEPS floats, a
+    plane for each float array of a resonant chunk of that many rows and
+    steps, and a bool mask of one plane's entries: about 1.8 MB, whose
+    pages are touched only as far as the chunks reach. floats and complexes
+    view it all; _chunk_work lays one chunk's arrays out in it.
+    """
+    area = getattr(_WORK, "area", None)
+    if area is None:
+        plane = _BATCH_ROWS * _CHUNK_STEPS
+        floats = np.empty(14 * plane + plane // 8)
+        area = _WORK.area = floats, floats.view(complex), floats[14 * plane:].view(bool)
+    return area
+
+
+def _chunk_work(shape: tuple) -> tuple:
+    """The work area as the arrays of one resonant chunk of shape (schedules, rungs, steps).
+
+    Returns the generator parts (b1, b2, v, w), planes 0-3; _step_spinors'
+    work (theta, theta/2 and the sine ratio, planes 4-6, the mask, and the
+    Cayley-Klein pairs, planes 7-10); and the pairwise tree's two level
+    buffers, planes 11-12 and 13 (_pairwise_product). _spinor_product's
+    temporaries take planes 0-3 again: the generator parts are dead by then.
+    The chunk must have at most _BATCH_ROWS rows and _CHUNK_STEPS steps.
+    """
+    floats, complexes, mask = _work_area()
+    plane, n = _BATCH_ROWS * _CHUNK_STEPS, math.prod(shape)
+    parts = [floats[k * plane:k * plane + n].reshape(shape) for k in range(7)]
+    pairs = complexes[7 * plane // 2:7 * plane // 2 + 2 * n].reshape((2,) + shape)
+    levels = complexes[11 * plane // 2:13 * plane // 2], complexes[13 * plane // 2:7 * plane]
+    return parts[:4], (*parts[4:], mask[:n].reshape(shape), pairs), levels
+
+
 # A step generator past the float range turns the product into inf or nan,
 # which the finiteness checks refuse, so numpy's warnings about it are muted.
 @np.errstate(over="ignore", invalid="ignore")
@@ -549,12 +619,18 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns,
     (n_steps+1, len(ns), 3, 3), unchecked: a row past the float range is
     inf or nan. Each schedule's dt and kappa, and
     every step of a row, are computed as for that schedule alone.
+    A resonant end point is integrated in passes of at most _BATCH_ROWS
+    rows, _BATCH_ROWS // len(schedules) rungs each, and every chunk of a
+    pass writes its arrays to the work area (_chunk_work). Rows are
+    independent, so each pass is bit-identical to the whole. A detuned
+    build, whose rounding depends on the size of its batch, and a
+    trajectory take all their rows in one pass of new arrays.
     """
     n_steps = schedules[0].n_steps
     rates = np.atleast_1d(sideband_factors(params, ns))
-    rows = len(schedules) * len(rates)
     delta = params.delta_stirap
     resonant = delta == 0.0
+    in_passes = resonant and not trajectory and len(schedules) <= _BATCH_ROWS
     # Steps run along axis 2 of every stack: (2, rows, steps) Cayley-Klein
     # pairs on resonance, (3, 3, steps, rungs) blocks off it. p is the product
     # of the segments so far; multiplying by the identity is exact. A segment
@@ -563,15 +639,16 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns,
     # The runs are read off the envelopes, so they are the same for every rung.
     lead = trail = 0
     if resonant:
-        product, p = _spinor_product, np.array([[1.0], [0.0]], dtype=complex)
+        product, identity = _spinor_product, np.array([[1.0], [0.0]], dtype=complex)
+        if in_passes:  # the products' temporaries go to the work area too
+            product = partial(_spinor_product, work=_work_area()[1])
         # (schedule, 1, 1) and (schedule, steps) per node, so a chunk is (schedule, rung, step)
         dt = np.array([s.dt for s in schedules])[:, None, None]
         pumps, stokes = np.stack(sampled, axis=2)
-        half_rates = rates[:, None] / 2
         lead, lead_pump_off, trail, trail_pump_off = _runs(sampled[0])
     else:
         (schedule,), (sample,) = schedules, sampled
-        product, p = _matmul3, np.eye(3, dtype=complex)[:, :, None]
+        product, identity = _matmul3, np.eye(3, dtype=complex)[:, :, None]
         dt = schedule.dt
         pumps, stokes = sample
     kappa = _MAGNUS_COEFF * dt
@@ -582,56 +659,75 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns,
         segments.insert(0, (slice(0, lead), lead_pump_off))
     if trail:
         segments.append((slice(end, n_steps), trail_pump_off))
-    p = np.broadcast_to(p, p.shape[:-1] + (rows,))
-    if trajectory:
-        traj = np.empty((n_steps + 1, rows, 3, 3), dtype=float if resonant else complex)
-        # the product at every step boundary: a detuned one is the trajectory
-        # itself, a resonant one is read out as rotations at the end
-        hist = (np.empty((2, rows, n_steps + 1), dtype=complex) if resonant
-                else traj.transpose(2, 3, 0, 1))
-        hist[:, :, 0] = p
-    for sl, run in segments:
-        if run is not None:
-            live, scale = (stokes, half_rates) if run else (pumps, np.ones_like(half_rates))
-            steps = _run_spinors([x[:, sl] for x in live], scale, run, dt, trajectory)
-        elif resonant:
-            # (schedule, rung, chunk); the commutator term alone survives in w = i omega
-            a1, a2 = (x[:, None, sl] for x in pumps)
-            b1, b2 = (half_rates * x[:, None, sl] for x in stokes)
-            u, v = dt * ((a1 + a2) / 2), dt * ((b1 + b2) / 2)
-            w = -kappa * dt * (a2 * b1 - b2 * a1)
-            steps = _step_spinors(u, v, w)
-        else:
-            # (chunk, rungs); generator (h1 + h2)/2 - i kappa [h2, h1]; the commutator
-            # is real antisymmetric with entries D(a2 - a1), a2 b1 - b2 a1, D(b1 - b2)
-            a1, a2 = (x[sl, None] for x in pumps)
-            b1, b2 = (rates * x[sl, None] / 2 for x in stokes)
-            u = dt * ((a1 + a2) / 2 - 1j * kappa * delta * (a2 - a1))
-            v = dt * ((b1 + b2) / 2 - 1j * kappa * delta * (b1 - b2))
-            w = -1j * kappa * dt * (a2 * b1 - b2 * a1)
-            steps = _step_exponentials(u, v, w, delta * dt)
-        if resonant:
-            steps = steps.reshape(2, rows, steps.shape[-1])
+    per = _BATCH_ROWS // len(schedules) if in_passes else max(len(rates), 1)  # rungs per pass
+    ends = []  # the end-point product of each pass
+    for lo in range(0, max(len(rates), 1), per):
+        pass_rates = rates[lo:lo + per]
+        half_rates = pass_rates[:, None] / 2
+        rows = len(schedules) * len(pass_rates)
+        p = np.broadcast_to(identity, identity.shape[:-1] + (rows,))
         if trajectory:
-            if run is None:
-                steps = _pairwise_product(steps, product, prefix=True)
-            hist[:, :, sl.start + 1:sl.stop] = product(steps[:, :, :-1], p[:, :, None])
-            root = steps[:, :, -1]
-        else:
-            root = _pairwise_product(steps, product)
-        # numpy's complex multiply rounds differently on some layouts (a
-        # broadcast operand, an elided temporary), so both modes carry the
-        # product by the same call on arrays of the same shape and layout
-        p = product(np.ascontiguousarray(root), p)
-        if trajectory:
-            hist[:, :, sl.stop] = p
+            traj = np.empty((n_steps + 1, rows, 3, 3), dtype=float if resonant else complex)
+            # the product at every step boundary: a detuned one is the trajectory
+            # itself, a resonant one is read out as rotations at the end
+            hist = (np.empty((2, rows, n_steps + 1), dtype=complex) if resonant
+                    else traj.transpose(2, 3, 0, 1))
+            hist[:, :, 0] = p
+        levels = None
+        for sl, run in segments:
+            if run is not None:
+                live, scale = (stokes, half_rates) if run else (pumps, np.ones_like(half_rates))
+                steps = _run_spinors([x[:, sl] for x in live], scale, run, dt, trajectory)
+            elif resonant:
+                # (schedule, rung, chunk); the commutator term alone survives in w = i omega
+                shape = (len(schedules), len(pass_rates), sl.stop - sl.start)
+                gen, kernel, levels = (_chunk_work(shape) if in_passes
+                                       else ((None,) * 4, None, None))
+                a1, a2 = (x[:, None, sl] for x in pumps)
+                b1, b2 = (np.multiply(half_rates, x[:, None, sl], out=o)
+                          for x, o in zip(stokes, gen))
+                u = dt * ((a1 + a2) / 2)
+                w = np.multiply(a2, b1, out=gen[3])
+                w -= np.multiply(b2, a1, out=gen[2])
+                w *= -kappa * dt
+                v = np.add(b1, b2, out=gen[2])
+                v /= 2
+                v *= dt
+                steps = _step_spinors(u, v, w, kernel)
+            else:
+                # (chunk, rungs); generator (h1 + h2)/2 - i kappa [h2, h1]; the commutator
+                # is real antisymmetric with entries D(a2 - a1), a2 b1 - b2 a1, D(b1 - b2)
+                a1, a2 = (x[sl, None] for x in pumps)
+                b1, b2 = (pass_rates * x[sl, None] / 2 for x in stokes)
+                u = dt * ((a1 + a2) / 2 - 1j * kappa * delta * (a2 - a1))
+                v = dt * ((b1 + b2) / 2 - 1j * kappa * delta * (b1 - b2))
+                w = -1j * kappa * dt * (a2 * b1 - b2 * a1)
+                steps = _step_exponentials(u, v, w, delta * dt)
+            if resonant:
+                steps = steps.reshape(2, rows, steps.shape[-1])
+            if trajectory:
+                if run is None:
+                    steps = _pairwise_product(steps, product, prefix=True)
+                hist[:, :, sl.start + 1:sl.stop] = product(steps[:, :, :-1], p[:, :, None])
+                root = steps[:, :, -1]
+            else:
+                root = _pairwise_product(steps, product, levels=levels)
+            # numpy's complex multiply rounds differently on some layouts (a
+            # broadcast operand, an elided temporary), so both modes carry the
+            # product by the same call on arrays of the same shape and layout
+            p = product(np.ascontiguousarray(root), p)
+            if trajectory:
+                hist[:, :, sl.stop] = p
+        ends.append(p)
     if trajectory:
         if resonant:  # the last boundary read out as the end point is
             _rotation_from_spinor(hist[:, :, :-1], out=traj[:-1].transpose(2, 3, 1, 0))
             _rotation_from_spinor(p, out=traj[-1].transpose(1, 2, 0))
         out = traj
     elif resonant:
-        out = np.ascontiguousarray(_rotation_from_spinor(p).transpose(2, 0, 1))
+        if len(ends) > 1:  # the passes' rungs side by side, rows (schedule, rung) again
+            p = np.concatenate([e.reshape(2, len(schedules), -1) for e in ends], axis=2)
+        out = np.ascontiguousarray(_rotation_from_spinor(p.reshape(2, -1)).transpose(2, 0, 1))
     else:
         out = np.ascontiguousarray(p.transpose(2, 0, 1))
     if resonant:
@@ -649,7 +745,8 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     magnus4, both at t + dt/2 for midpoint, whose commutator term is then
     exactly 0; the generator formula is the same. The step generators and
     their exponentials are evaluated for a chunk of _CHUNK_STEPS steps and
-    all rungs at once; each chunk's product is taken pairwise (later @
+    all rungs at once (at most _BATCH_ROWS at once for a resonant end point,
+    in the work area); each chunk's product is taken pairwise (later @
     earlier, log depth), and the chunk products are folded in time order.
     The trajectory takes each chunk's inclusive prefix products from the same
     pairwise routine, whose last entry is the chunk product bit for bit; both
@@ -752,12 +849,16 @@ def _is_mirrored(schedule: StirapSchedule) -> bool:
 # _build only.
 _PASSAGES: OrderedDict = OrderedDict()
 PASSAGE_CACHE_SIZE = 32
-# Rows (schedule, rung) of one batched integration at most. Measured on a
-# 2-vCPU x86-64 VM at 1500 and 2000 steps (medians of 15 runs, 2 and 3
-# standard schedules against their separate builds): a batch takes 0.55-0.8x
-# the time up to 48 rows (3 x 13 rungs: 0.72-0.74x), 0.86-0.96x at 64 and
-# 0.78-1.07x at 96-128; past 140 rows it is mostly slower (0.87-1.41x), as a
-# chunk's working arrays outgrow the cache. A 242-rung schedule is built alone.
+# Rows (schedule, rung) of one batched integration, and of one pass of a
+# resonant end point's integration (_integrate), at most; with _CHUNK_STEPS it
+# sizes the work area. Measured on a 2-vCPU x86-64 VM at 1500 and 2000 steps
+# (medians of 15 runs, 2 and 3 standard schedules against their separate
+# builds): a batch takes 0.55-0.8x the time up to 48 rows (3 x 13 rungs:
+# 0.72-0.74x), 0.86-0.96x at 64 and 0.78-1.07x at 96-128; past 140 rows it is
+# mostly slower (0.87-1.41x), as a chunk's working arrays outgrow the cache.
+# Those figures were taken while every build allocated its chunks' arrays
+# afresh and faulted their pages in again. A 242-rung schedule is built alone,
+# in passes of 64 rungs.
 _BATCH_ROWS = 64
 
 
@@ -844,13 +945,16 @@ passage_blocks.cache_clear = _PASSAGES.clear  # the spelling of a functools cach
 def build_passages(keys) -> None:
     """Build the uncached passage_blocks keys (schedule, params, n_rungs) together.
 
-    The keys are grouped by params, rung count, step grid, mirror symmetry
-    and the single-field runs (_runs) of each direction; a detuned key, whose
-    rounding depends on the size of its batch, is a group of its own. Each
-    group is cut into batches of at most _BATCH_ROWS rows (schedule, rung),
-    and _build integrates every batch of two or more keys. A key alone in
-    its batch is left for passage_blocks, which builds the same blocks by the
-    same _build; each batch row is bit-identical to the schedule's own build.
+    A key that cannot share a batch is left for passage_blocks before it is
+    sampled: a detuned key, whose rounding depends on the size of its batch,
+    and a key of more than half a batch's rows (_BATCH_ROWS // n_rungs < 2,
+    every key at n_max >= 32). The other keys are grouped by params, rung
+    count, step grid, mirror symmetry and the single-field runs (_runs) of
+    each direction. Each group is cut into batches of at most _BATCH_ROWS
+    rows (schedule, rung), and _build integrates every batch of two or more
+    keys. A key alone in its batch is left for passage_blocks too, which
+    builds the same blocks by the same _build; each batch row is
+    bit-identical to the schedule's own build.
     A 'down' schedule or an n_rungs that passage_blocks refuses, a key whose
     blocks are not finite and the keys of a batch that cannot be allocated
     are not cached here either: passage_blocks raises their error where they
@@ -864,17 +968,17 @@ def build_passages(keys) -> None:
         schedule, params, n_rungs = key
         if key in _PASSAGES:
             _PASSAGES.move_to_end(key)
-        elif schedule.direction == "up" and _is_rung_count(n_rungs):
+        elif (schedule.direction == "up" and _is_rung_count(n_rungs)
+              and not params.delta_stirap and _BATCH_ROWS // max(n_rungs, 1) > 1):
             with suppress(MemoryError):  # passage_blocks raises it where the key is read
                 parts, sampled = _parts(schedule, shapes)
                 # one runs entry per direction integrated, so mirrored and
                 # unmirrored pulses never share a group
                 runs = tuple(_runs(x) for x in sampled)
-                group = (params, n_rungs, schedule.n_steps, runs,
-                         schedule if params.delta_stirap else None)
+                group = (params, n_rungs, schedule.n_steps, runs)
                 groups.setdefault(group, []).append((parts, sampled))
     for (params, n_rungs, *_), entries in groups.items():
-        width = max(_BATCH_ROWS // max(n_rungs, 1), 1)  # keys per batch
+        width = _BATCH_ROWS // max(n_rungs, 1)  # keys per batch, at least 2
         for lo in range(0, len(entries), width):
             batch = entries[lo:lo + width]
             if len(batch) > 1:  # a key alone in its batch is left for passage_blocks

@@ -1466,15 +1466,16 @@ def test_sweep_n_max_axis_does_not_check_the_trace_rung(tmp_path):
 
 
 @pytest.mark.parametrize("phonon, message", [
-    ("fock:-1", "malformed state spec 'fock:-1'"),
-    ("fock:9", "malformed state spec 'fock:9'"),  # past n_max 8
-    ("thermal:-1", "malformed state spec 'thermal:-1'"),
-    ("random:-3", "malformed state spec 'random:-3'"),
-    ("random", "malformed state spec 'random'"),  # no --seed
+    ("fock:-1", "malformed state spec 'fock:-1': occupation -1 outside 0..8"),
+    ("fock:9", "malformed state spec 'fock:9': occupation 9 outside 0..8"),  # past n_max 8
+    ("thermal:-1", "malformed state spec 'thermal:-1': n_bar -1.0 is negative"),
+    ("random:-3", "malformed state spec 'random:-3': seed -3 is negative"),
+    ("random", "malformed state spec 'random': no seed given"),  # no --seed
     ("bogus:1", "unknown state family 'bogus' in spec 'bogus:1'"),
 ])
 def test_malformed_spec_exits_2_alike_in_every_command(tmp_path, capsys, phonon, message):
-    # stirap-trace builds no state, but it gives the other commands' verdict
+    # stirap-trace builds no state, but it gives the other commands' verdict,
+    # with the range check that refuses the spec
     config = write(tmp_path, every_command_doc(phonon))
     for command in ("truth-table", "sweep", "stirap-trace"):
         out = tmp_path / "out.txt"

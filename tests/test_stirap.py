@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -963,6 +964,50 @@ def test_build_passages_leaves_a_key_past_the_row_cap(integrations):
         up, down = stirap.passage_blocks(*key)
         assert up.shape == down.shape == (0, 3, 3)
     assert len(integrations) == 1
+
+
+def test_keys_that_cannot_share_a_batch_are_left_unsampled(shape_evaluations, integrations):
+    # two paper-regime keys (242 rungs) and two detuned ones are each built
+    # alone by passage_blocks, so build_passages samples none of them: each
+    # key's four pulse shapes are evaluated once, by its own build
+    keys = [(schedule(margin=m, n_steps=300), params, n_rungs)
+            for params, n_rungs in ((PARAMS, 242), (detuned(37.0), 13)) for m in (100.0, 300.0)]
+    stirap.build_passages(keys)
+    assert shape_evaluations == [] and integrations == []
+    for key in keys:
+        stirap.passage_blocks(*key)
+    assert shape_evaluations == [300] * 16
+    assert integrations == [["up"]] * 4  # one call per key, its passes included
+
+
+def test_paper_regime_build_stays_in_the_work_area():
+    # once a build has made the work area, a 242-rung, 2000-step build takes
+    # every chunk array from it: its peak stays below two (rows, steps)
+    # complex arrays of a pass, where a whole-batch chunk would take 7.5 MB
+    stirap.passage_blocks(schedule(margin=90.0), PARAMS, 242)
+    tracemalloc.start()
+    try:
+        stirap.passage_blocks(schedule(), PARAMS, 242)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * stirap._BATCH_ROWS * stirap._CHUNK_STEPS * 16
+
+
+@pytest.mark.parametrize("n_steps", [1500, 2000])
+def test_paper_regime_passes_match_single_rung_builds(n_steps, integrations):
+    # 242 rungs are integrated in passes of _BATCH_ROWS = 64 rungs within one
+    # call; the rungs on each side of a pass boundary read what they read alone,
+    # and what the trajectory, whose arrays are all new, ends on
+    sched = schedule(n_steps=n_steps)
+    up, down = stirap.passage_blocks(sched, PARAMS, 242)
+    assert integrations == [["up"]]
+    for n in (0, 63, 64, 127, 128, 191, 192, 241):
+        alone = stirap.block_propagators(sched, PARAMS, [n])[0]
+        assert np.array_equal(up[n], alone)
+        assert np.array_equal(down[n], alone.T)
+        traj = stirap.block_propagators(sched, PARAMS, [n], trajectory=True)
+        assert np.array_equal(traj[-1, 0], alone)
 
 
 @pytest.mark.parametrize("n_rungs", [-1, 2.5, True, 3.0])
