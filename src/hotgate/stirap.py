@@ -36,11 +36,13 @@ exponential from Cayley-Hamilton as a Newton divided-difference interpolant,
 with no eigendecomposition. Either way the time-ordered product of the steps
 is taken pairwise (later @ earlier, log depth) by one tree within chunks of
 a fixed number of steps, and the chunk products are folded in time order.
-A resonant end point is integrated in passes of at most _BATCH_ROWS rows,
-and every array of a pass's chunks, from the step generator to the levels of
-the tree, is a view of one work area per thread (_work_area, about 1.8 MB),
-so a build allocates no array of a chunk's size; a detuned build and a
-trajectory take all their rows in one pass of new arrays.
+One rule bounds the rows integrated at once: _integrate tiles a resonant
+end point of any number of schedules and rungs into passes of at most
+_BATCH_ROWS rows (schedule, rung), and every array of a pass's chunks, from
+the step generator to the levels of the tree, is a view of one work area per
+thread (_work_area, about 1.8 MB), so a build allocates no array of a
+chunk's size; a detuned build and a trajectory take all their rows in one
+pass of new arrays.
 The runs and the grouping depend on the envelopes and the step index only,
 so a resonant end point of rung n comes out bit-identical in every batch of
 rungs, pass and batch of schedules: the one integrator, _integrate, takes
@@ -69,13 +71,11 @@ One builder, _build, integrates and caches every pair, one _integrate call
 per direction for a batch of schedules. passage_blocks builds a miss as a
 batch of one; build_passages builds many schedules at once, as a sweep does
 for a window of grid points. It groups the keys that share params, rung
-count, step grid, mirror symmetry and single-field runs, cuts each group
-into batches of at most _BATCH_ROWS rows, and builds each batch of two or
-more. A key alone in its batch is left for passage_blocks, and so is a key
-whose blocks are not finite, which then raises NormDrift where it is read.
-A key that can share no batch is left to it unsampled: a detuned one, whose
-rounding depends on the size of its batch, and one of more than half a
-batch's rows (n_max >= 32, the paper's regime).
+count, step grid, mirror symmetry and single-field runs, and builds every
+valid key with one _build call per group, however many rows the group has;
+a detuned key, whose rounding depends on the size of its batch, is a group
+of its own. Only a key whose blocks are not finite is left for
+passage_blocks, which then raises NormDrift where it is read.
 A build_passages call samples each step grid's pulse shapes once: its
 schedules share the unit-peak sin^2 shape of every pulse geometry on every
 node grid (_pulse_shape, _sampled), so the grid points of a sweep that
@@ -619,18 +619,21 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns,
     (n_steps+1, len(ns), 3, 3), unchecked: a row past the float range is
     inf or nan. Each schedule's dt and kappa, and
     every step of a row, are computed as for that schedule alone.
-    A resonant end point is integrated in passes of at most _BATCH_ROWS
-    rows, _BATCH_ROWS // len(schedules) rungs each, and every chunk of a
-    pass writes its arrays to the work area (_chunk_work). Rows are
-    independent, so each pass is bit-identical to the whole. A detuned
-    build, whose rounding depends on the size of its batch, and a
-    trajectory take all their rows in one pass of new arrays.
+    This is the one place that bounds the rows integrated at once: a
+    resonant end point of any number of schedules and rungs is tiled into
+    passes of at most _BATCH_ROWS rows, min(len(ns), _BATCH_ROWS) rungs by
+    _BATCH_ROWS // that schedules. Every chunk of a pass writes its arrays
+    to the work area (_chunk_work), and each pass writes its rotations into
+    its block of the one output array. Rows are independent, so each pass is
+    bit-identical to the whole. A detuned build, whose rounding depends on
+    the size of its batch, and a trajectory take all their rows in one pass
+    of new arrays.
     """
     n_steps = schedules[0].n_steps
     rates = np.atleast_1d(sideband_factors(params, ns))
     delta = params.delta_stirap
     resonant = delta == 0.0
-    in_passes = resonant and not trajectory and len(schedules) <= _BATCH_ROWS
+    in_passes = resonant and not trajectory
     # Steps run along axis 2 of every stack: (2, rows, steps) Cayley-Klein
     # pairs on resonance, (3, 3, steps, rungs) blocks off it. p is the product
     # of the segments so far; multiplying by the identity is exact. A segment
@@ -642,16 +645,13 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns,
         product, identity = _spinor_product, np.array([[1.0], [0.0]], dtype=complex)
         if in_passes:  # the products' temporaries go to the work area too
             product = partial(_spinor_product, work=_work_area()[1])
-        # (schedule, 1, 1) and (schedule, steps) per node, so a chunk is (schedule, rung, step)
-        dt = np.array([s.dt for s in schedules])[:, None, None]
-        pumps, stokes = np.stack(sampled, axis=2)
+        dts = np.array([s.dt for s in schedules])[:, None, None]
         lead, lead_pump_off, trail, trail_pump_off = _runs(sampled[0])
     else:
         (schedule,), (sample,) = schedules, sampled
         product, identity = _matmul3, np.eye(3, dtype=complex)[:, :, None]
         dt = schedule.dt
         pumps, stokes = sample
-    kappa = _MAGNUS_COEFF * dt
     end = n_steps - trail
     segments = [(slice(lo, min(lo + _CHUNK_STEPS, end)), None)
                 for lo in range(lead, end, _CHUNK_STEPS)]
@@ -659,12 +659,22 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns,
         segments.insert(0, (slice(0, lead), lead_pump_off))
     if trail:
         segments.append((slice(end, n_steps), trail_pump_off))
-    per = _BATCH_ROWS // len(schedules) if in_passes else max(len(rates), 1)  # rungs per pass
-    ends = []  # the end-point product of each pass
-    for lo in range(0, max(len(rates), 1), per):
-        pass_rates = rates[lo:lo + per]
+    per, across = max(len(rates), 1), len(schedules)  # rungs and schedules per pass
+    if in_passes:  # tiles of at most _BATCH_ROWS rows, each read out into its block of out
+        per = min(per, _BATCH_ROWS)
+        across = _BATCH_ROWS // per
+        out = np.empty((len(schedules), len(rates), 3, 3), dtype=complex)
+    passes = [(slice(lo, lo + across), slice(r, r + per))
+              for lo in range(0, len(schedules), across)
+              for r in range(0, max(len(rates), 1), per)]
+    for span, rungs in passes:
+        count, pass_rates = len(schedules[span]), rates[rungs]
+        if resonant:  # (schedule, 1, 1) and (schedule, steps) per node: a chunk is
+            # (schedule, rung, step); the pass stacks only its schedules' pulses
+            (pumps, stokes), dt = np.stack(sampled[span], axis=2), dts[span]
+        kappa = _MAGNUS_COEFF * dt
         half_rates = pass_rates[:, None] / 2
-        rows = len(schedules) * len(pass_rates)
+        rows = count * len(pass_rates)
         p = np.broadcast_to(identity, identity.shape[:-1] + (rows,))
         if trajectory:
             traj = np.empty((n_steps + 1, rows, 3, 3), dtype=float if resonant else complex)
@@ -680,7 +690,7 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns,
                 steps = _run_spinors([x[:, sl] for x in live], scale, run, dt, trajectory)
             elif resonant:
                 # (schedule, rung, chunk); the commutator term alone survives in w = i omega
-                shape = (len(schedules), len(pass_rates), sl.stop - sl.start)
+                shape = (count, len(pass_rates), sl.stop - sl.start)
                 gen, kernel, levels = (_chunk_work(shape) if in_passes
                                        else ((None,) * 4, None, None))
                 a1, a2 = (x[:, None, sl] for x in pumps)
@@ -718,21 +728,19 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns,
             p = product(np.ascontiguousarray(root), p)
             if trajectory:
                 hist[:, :, sl.stop] = p
-        ends.append(p)
-    if trajectory:
-        if resonant:  # the last boundary read out as the end point is
-            _rotation_from_spinor(hist[:, :, :-1], out=traj[:-1].transpose(2, 3, 1, 0))
-            _rotation_from_spinor(p, out=traj[-1].transpose(1, 2, 0))
-        out = traj
-    elif resonant:
-        if len(ends) > 1:  # the passes' rungs side by side, rows (schedule, rung) again
-            p = np.concatenate([e.reshape(2, len(schedules), -1) for e in ends], axis=2)
-        out = np.ascontiguousarray(_rotation_from_spinor(p.reshape(2, -1)).transpose(2, 0, 1))
-    else:
-        out = np.ascontiguousarray(p.transpose(2, 0, 1))
-    if resonant:
-        out = out * _ROTATION_PHASES
-    return out if trajectory else out.reshape(len(schedules), len(rates), 3, 3)
+        if in_passes:
+            _rotation_from_spinor(p.reshape(2, count, len(pass_rates)),
+                                  out=out[span, rungs].transpose(2, 3, 0, 1))
+    if in_passes:
+        out *= _ROTATION_PHASES
+        return out
+    if not trajectory:  # detuned: one schedule
+        return np.ascontiguousarray(p.transpose(2, 0, 1)).reshape(1, len(rates), 3, 3)
+    if resonant:  # the last boundary read out as the end point is
+        _rotation_from_spinor(hist[:, :, :-1], out=traj[:-1].transpose(2, 3, 1, 0))
+        _rotation_from_spinor(p, out=traj[-1].transpose(1, 2, 0))
+        return traj * _ROTATION_PHASES
+    return traj
 
 
 def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
@@ -849,16 +857,15 @@ def _is_mirrored(schedule: StirapSchedule) -> bool:
 # _build only.
 _PASSAGES: OrderedDict = OrderedDict()
 PASSAGE_CACHE_SIZE = 32
-# Rows (schedule, rung) of one batched integration, and of one pass of a
-# resonant end point's integration (_integrate), at most; with _CHUNK_STEPS it
-# sizes the work area. Measured on a 2-vCPU x86-64 VM at 1500 and 2000 steps
-# (medians of 15 runs, 2 and 3 standard schedules against their separate
-# builds): a batch takes 0.55-0.8x the time up to 48 rows (3 x 13 rungs:
-# 0.72-0.74x), 0.86-0.96x at 64 and 0.78-1.07x at 96-128; past 140 rows it is
-# mostly slower (0.87-1.41x), as a chunk's working arrays outgrow the cache.
-# Those figures were taken while every build allocated its chunks' arrays
-# afresh and faulted their pages in again. A 242-rung schedule is built alone,
-# in passes of 64 rungs.
+# Rows (schedule, rung) of one pass of a resonant end point's integration
+# (_integrate) at most, the one bound on the rows integrated at once; with
+# _CHUNK_STEPS it sizes the work area. A 242-rung schedule takes passes of 64
+# rungs, 70 one-rung schedules passes of 64 schedules. Building the keys of a
+# group together pays: on a 2-vCPU x86-64 VM with one BLAS thread (200
+# alternating rounds), the six passages of a schedule-sweep operation (3
+# margins x 2 step grids, 13 rungs) took 7.17 ms (quartiles 6.84-7.42)
+# through build_passages, and 12.30 ms (11.56-12.81) built one key at a time
+# by passage_blocks.
 _BATCH_ROWS = 64
 
 
@@ -945,19 +952,17 @@ passage_blocks.cache_clear = _PASSAGES.clear  # the spelling of a functools cach
 def build_passages(keys) -> None:
     """Build the uncached passage_blocks keys (schedule, params, n_rungs) together.
 
-    A key that cannot share a batch is left for passage_blocks before it is
-    sampled: a detuned key, whose rounding depends on the size of its batch,
-    and a key of more than half a batch's rows (_BATCH_ROWS // n_rungs < 2,
-    every key at n_max >= 32). The other keys are grouped by params, rung
-    count, step grid, mirror symmetry and the single-field runs (_runs) of
-    each direction. Each group is cut into batches of at most _BATCH_ROWS
-    rows (schedule, rung), and _build integrates every batch of two or more
-    keys. A key alone in its batch is left for passage_blocks too, which
-    builds the same blocks by the same _build; each batch row is
-    bit-identical to the schedule's own build.
+    The keys are grouped by params, rung count, step grid, mirror symmetry
+    and the single-field runs (_runs) of each direction, and _build
+    integrates each group, whatever its size, in one call per direction:
+    _integrate alone bounds the rows it integrates at once. A detuned key
+    is a group of its own, since its _integrate takes one schedule. Each
+    key's blocks are bit-identical to the schedule's own build by
+    passage_blocks, so every valid key is built here and none is left for
+    passage_blocks to sample again.
     A 'down' schedule or an n_rungs that passage_blocks refuses, a key whose
-    blocks are not finite and the keys of a batch that cannot be allocated
-    are not cached here either: passage_blocks raises their error where they
+    blocks are not finite and the keys of a group that cannot be allocated
+    are not cached here: passage_blocks raises their error where they
     are read. Keys already cached are marked as just used, so that this
     call's builds do not evict them. The keys' schedules share one dict of
     pulse shapes (_sampled), which lives for this call only.
@@ -968,22 +973,18 @@ def build_passages(keys) -> None:
         schedule, params, n_rungs = key
         if key in _PASSAGES:
             _PASSAGES.move_to_end(key)
-        elif (schedule.direction == "up" and _is_rung_count(n_rungs)
-              and not params.delta_stirap and _BATCH_ROWS // max(n_rungs, 1) > 1):
+        elif schedule.direction == "up" and _is_rung_count(n_rungs):
             with suppress(MemoryError):  # passage_blocks raises it where the key is read
                 parts, sampled = _parts(schedule, shapes)
-                # one runs entry per direction integrated, so mirrored and
+                # a detuned key is a group of its own, since its _integrate takes one
+                # schedule; one runs entry per direction integrated, so mirrored and
                 # unmirrored pulses never share a group
-                runs = tuple(_runs(x) for x in sampled)
-                group = (params, n_rungs, schedule.n_steps, runs)
-                groups.setdefault(group, []).append((parts, sampled))
-    for (params, n_rungs, *_), entries in groups.items():
-        width = _BATCH_ROWS // max(n_rungs, 1)  # keys per batch, at least 2
-        for lo in range(0, len(entries), width):
-            batch = entries[lo:lo + width]
-            if len(batch) > 1:  # a key alone in its batch is left for passage_blocks
-                with suppress(MemoryError):  # as are the keys of a batch too large
-                    _build(batch, params, n_rungs)
+                shared = (schedule if params.delta_stirap
+                          else (schedule.n_steps, tuple(_runs(x) for x in sampled)))
+                groups.setdefault((params, n_rungs, shared), []).append((parts, sampled))
+    for (params, n_rungs, _), batch in groups.items():
+        with suppress(MemoryError):  # as are the keys of a group too large
+            _build(batch, params, n_rungs)
 
 
 def apply_blocks(x: np.ndarray, blocks: np.ndarray) -> None:
@@ -1046,11 +1047,14 @@ def calibrate_transfer(params: PhysicalParams, durations, *,
     longer durations mean larger adiabaticity margins; the detuning is
     params.delta_stirap. Returns the first (minimal) duration on the grid
     that clears the threshold for every n in n_values, with its margin.
+    Each n must be a rung by the rung rule (operators.sideband_factors), an
+    integer >= 0, which is checked before any passage is built.
     """
     durations = sorted(durations)
     for name, values in (("durations", durations), ("n_values", n_values)):
         if len(values) == 0:
             raise ValueError(f"{name} is empty: calibrate_transfer needs at least one")
+    sideband_factors(params, n_values)
     history = []
     for t in durations:
         sched = standard_schedule(t, params, pump_peak=pump_peak, n_steps=n_steps)

@@ -1005,12 +1005,13 @@ def test_sweep_samples_each_step_grid_once(tmp_path, shape_evaluations):
 
 
 def test_paper_regime_sweep_integrates_once_per_point(tmp_path, integrations):
-    # 242 rungs: more rows than a batch holds, so each point builds its own passage
+    # 242 rungs: more rows than one pass holds, and still one call builds both
+    # points' passages, which _integrate tiles into passes of 64 rungs
     doc = stirap_doc(phonon="thermal:10", n_max=241, n_steps=2000, sweep={"axes": [
         {"name": "margin", "values": [100.0, 300.0]}]})
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
-    assert integrations == [["up"]] * 2
+    assert integrations == [["up"] * 2]
     assert len(out.read_text().splitlines()) == 3
 
 
@@ -1036,7 +1037,8 @@ def test_unallocatable_window_fails_at_its_first_point(tmp_path, capsys):
 
 @pytest.mark.parametrize("n_steps", [[300, 300.7], [300]])
 def test_sweep_reports_the_first_failing_point(tmp_path, capsys, integrations, n_steps):
-    # point 1 overflows; with [300, 300.7], point 2 would fail to parse, and
+    # point 1 overflows; with [300, 300.7], point 2 would fail to parse, so
+    # point 1 is integrated ahead alone and again where its point reads it, and
     # with [300] point 2 is batched with point 1: either way point 1 is reported
     doc = stirap_doc(phonon="fock:1", n_max=8, sweep={"axes": [
         {"name": "margin", "values": [1e300, 100.0]},
@@ -1050,7 +1052,7 @@ def test_sweep_reports_the_first_failing_point(tmp_path, capsys, integrations, n
     assert "simulation error: the passage propagator is not finite" in err
     assert "n_steps must be an integer" not in err and "Traceback" not in err
     assert not out.exists()
-    assert [len(call) for call in integrations] == ([1] if len(n_steps) == 2 else [2, 1])
+    assert [len(call) for call in integrations] == ([1, 1] if len(n_steps) == 2 else [2, 1])
 
 
 def test_sweep_non_integral_step_count_exits_2(tmp_path, capsys):

@@ -933,51 +933,77 @@ def test_zero_field_schedule_is_a_group_of_its_own(integrations):
     keys = [(sched, PARAMS, 13) for sched in (zero, schedule(margin=80.0, n_steps=300),
                                                schedule(margin=90.0, n_steps=300))]
     stirap.build_passages(keys)
-    assert [len(call) for call in integrations] == [2]
-    assert keys[0] not in stirap._PASSAGES
+    assert [len(call) for call in integrations] == [1, 2]
+    assert list(stirap._PASSAGES) == keys
     assert np.array_equal(stirap.passage_blocks(*keys[0])[0],
                           np.broadcast_to(np.eye(3), (13, 3, 3)))
+    assert len(integrations) == 2
 
 
 def test_detuned_schedule_is_integrated_alone(integrations):
-    # a detuned build's rounding depends on its batch size, so none is batched
+    # a detuned build's rounding depends on its batch size, so each key is a
+    # group of its own, built ahead as passage_blocks would build it
     params = detuned(37.0)
     keys = [(schedule(margin=m, n_steps=300), params, 13) for m in (80.0, 90.0, 100.0)]
     stirap.build_passages(keys)
-    assert integrations == [] and not stirap._PASSAGES
+    assert integrations == [["up"]] * 3 and list(stirap._PASSAGES) == keys
+    built = [stirap.passage_blocks(*key) for key in keys]
+    assert len(integrations) == 3
+    stirap._PASSAGES.clear()
+    for key, pair in zip(keys, built):
+        assert all(np.array_equal(a, b) for a, b in zip(pair, stirap.passage_blocks(*key)))
+
+
+def test_build_passages_builds_a_key_past_the_row_cap(integrations):
+    # _integrate tiles a group of any width into passes of at most _BATCH_ROWS
+    # rows, so two schedules of more than half a batch's rows (33 rungs), of
+    # more rows than a batch (65, and the paper's 242) and of no rows at all
+    # are each built in one call, as a pair, and every key is its own build
+    keys = [(schedule(margin=m, n_steps=300), PARAMS, n_rungs)
+            for n_rungs in (0, 33, 65, 242) for m in (80, 90)]
+    stirap.build_passages(keys)
+    assert integrations == [["up", "up"]] * 4
+    built = {key: stirap._PASSAGES[key] for key in keys}
+    assert built[keys[0]][0].shape == built[keys[0]][1].shape == (0, 3, 3)
+    stirap._PASSAGES.clear()
     for key in keys:
-        stirap.passage_blocks(*key)
-    assert [len(call) for call in integrations] == [1, 1, 1]
+        assert all(np.array_equal(a, b) for a, b in zip(built[key], stirap.passage_blocks(*key)))
 
 
-def test_build_passages_leaves_a_key_past_the_row_cap(integrations):
-    # two schedules of more than half the rows of a batch gain nothing together
-    # (33 rungs), nor do schedules of more rows than a batch (65, and the
-    # paper's 242); a 0-rung pair has no rows, and is built as one batch
-    assert stirap._BATCH_ROWS // 2 + 1 == 33
-    keys = {n_rungs: [(schedule(margin=m, n_steps=300), PARAMS, n_rungs) for m in (80, 90)]
-            for n_rungs in (0, 33, 65, 242)}
-    stirap.build_passages([key for pair in keys.values() for key in pair])
-    assert integrations == [["up", "up"]]
-    assert list(stirap._PASSAGES) == keys[0]
-    for key in keys[0]:
-        up, down = stirap.passage_blocks(*key)
-        assert up.shape == down.shape == (0, 3, 3)
-    assert len(integrations) == 1
+def test_more_schedules_than_a_pass_holds_are_one_integration(integrations, monkeypatch):
+    # 70 one-rung keys, more schedules than _BATCH_ROWS: one _integrate call in
+    # passes of 64 and 6 schedules, whose every key is its own build bit for bit
+    monkeypatch.setattr(stirap, "PASSAGE_CACHE_SIZE", 70)
+    keys = [(schedule(margin=80.0 + k, n_steps=300), PARAMS, 1) for k in range(70)]
+    stirap.build_passages(keys)
+    assert integrations == [["up"] * 70]
+    built = {key: stirap._PASSAGES[key] for key in keys}
+    stirap._PASSAGES.clear()
+    for key in keys:
+        assert all(np.array_equal(a, b) for a, b in zip(built[key], stirap.passage_blocks(*key)))
 
 
-def test_keys_that_cannot_share_a_batch_are_left_unsampled(shape_evaluations, integrations):
-    # two paper-regime keys (242 rungs) and two detuned ones are each built
-    # alone by passage_blocks, so build_passages samples none of them: each
-    # key's four pulse shapes are evaluated once, by its own build
+def test_keys_built_ahead_are_sampled_once(shape_evaluations, integrations):
+    # a paper-regime pair (242 rungs) and a detuned pair share one step grid:
+    # build_passages evaluates its four pulse shapes once for all four keys,
+    # and the keys' reads integrate and sample nothing more
     keys = [(schedule(margin=m, n_steps=300), params, n_rungs)
             for params, n_rungs in ((PARAMS, 242), (detuned(37.0), 13)) for m in (100.0, 300.0)]
     stirap.build_passages(keys)
-    assert shape_evaluations == [] and integrations == []
+    assert shape_evaluations == [300] * 4
+    assert integrations == [["up", "up"], ["up"], ["up"]]
     for key in keys:
         stirap.passage_blocks(*key)
-    assert shape_evaluations == [300] * 16
-    assert integrations == [["up"]] * 4  # one call per key, its passes included
+    assert shape_evaluations == [300] * 4 and len(integrations) == 3
+
+
+def test_a_lone_key_is_sampled_once(shape_evaluations, integrations):
+    # a key with no partner (an epsilon sweep's one passage) is built ahead
+    # too, not sampled by build_passages and again by passage_blocks
+    key = (schedule(n_steps=300), PARAMS, 5)
+    stirap.build_passages([key])
+    stirap.passage_blocks(*key)
+    assert shape_evaluations == [300] * 4 and integrations == [["up"]]
 
 
 def test_paper_regime_build_stays_in_the_work_area():
@@ -991,6 +1017,22 @@ def test_paper_regime_build_stays_in_the_work_area():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 2 * stirap._BATCH_ROWS * stirap._CHUNK_STEPS * 16
+
+
+def test_paper_regime_pair_stays_in_the_work_area(integrations):
+    # a 242-rung margin pair is one _integrate call in passes of one schedule
+    # by 64 rungs, which write their rotations into one output array: after a
+    # warm-up build, its peak stays under the bound of one schedule's build
+    stirap.passage_blocks(schedule(margin=90.0), PARAMS, 242)
+    keys = [(schedule(margin=m), PARAMS, 242) for m in (100.0, 300.0)]
+    tracemalloc.start()
+    try:
+        stirap.build_passages(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert integrations[1:] == [["up", "up"]] and all(key in stirap._PASSAGES for key in keys)
     assert peak < 2 * stirap._BATCH_ROWS * stirap._CHUNK_STEPS * 16
 
 
@@ -1215,3 +1257,17 @@ def test_calibrate_transfer_names_an_empty_argument(empty):
     args = {"durations": [20, 40], "n_values": (0, 1), empty: ()}
     with pytest.raises(ValueError, match=f"^{empty} is empty"):
         stirap.calibrate_transfer(PARAMS, pump_peak=1.0, **args)
+
+
+@pytest.mark.parametrize("n_values, error, message", [
+    ([0, 2.5], ValueError, r"^occupation 2.5 must be an integer$"),
+    ([0, -1], IndexError, r"^occupation -1 must be >= 0$"),
+    ([True, 1], ValueError, r"^occupation True must be an integer$"),
+], ids=["fraction", "negative", "bool"])
+def test_calibrate_transfer_checks_n_values_by_the_rung_rule(n_values, error, message,
+                                                               integrations):
+    # the rung rule names the value passed, before any passage is built: not a
+    # rung count n_rungs = 3.5, nor amps[-1] read as a rung, nor True as rung 1
+    with pytest.raises(error, match=message):
+        stirap.calibrate_transfer(PARAMS, [20, 40], pump_peak=1.0, n_values=n_values)
+    assert integrations == [] and not stirap._PASSAGES
