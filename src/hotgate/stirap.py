@@ -36,22 +36,26 @@ exponential from Cayley-Hamilton as a Newton divided-difference interpolant,
 with no eigendecomposition. Either way the time-ordered product of the steps
 is taken pairwise (later @ earlier, log depth) by one tree within chunks of
 a fixed number of steps, and the chunk products are folded in time order.
-One rule bounds the rows integrated at once: _integrate tiles a resonant
-end point of any number of schedules and rungs into passes of at most
-_BATCH_ROWS rows (schedule, rung), and every array of a pass's chunks, from
-the step generator to the levels of the tree, is a view of one work area per
-thread (_work_area, about 1.8 MB), so a build allocates no array of a
-chunk's size; a detuned build and a trajectory take all their rows in one
-pass of new arrays.
+One rule bounds the rows integrated at once: _integrate tiles every call,
+resonant or detuned, end point or trajectory, into passes of at most
+_BATCH_ROWS rungs; a resonant pass takes as many schedules as _BATCH_ROWS
+rows (schedule, rung) hold, a detuned pass one schedule. Each pass writes
+into its block of one output array. Every array of a resonant pass's
+chunks, from the step generator to the levels of the tree, is a view of one
+work area per thread (_work_area, about 1.8 MB), so a resonant build
+allocates no array of a chunk's size; a detuned chunk's arrays are new, one
+chunk of one pass at a time.
 The runs and the grouping depend on the envelopes and the step index only,
 so a resonant end point of rung n comes out bit-identical in every batch of
 rungs, pass and batch of schedules: the one integrator, _integrate, takes
-several resonant schedules that share a step grid and single-field runs, with rows
+several schedules that share a step grid and single-field runs, with rows
 (schedule, rung) and each schedule's dt and kappa its own;
 block_propagators runs it on one schedule. Elsewhere the rounding of numpy's
-complex products can depend on the size of the batch's arrays: a detuned
-build, or the interior of a resonant trajectory, reads rung n the same in
-every batch to about 1e-15 only. A trajectory takes each chunk's prefix
+complex products can depend on the size of a pass's arrays: a detuned
+build, or the interior of a resonant trajectory, reads rung n bit for bit
+as its pass's rungs read alone, and in other batches of rungs to about
+1e-15 only. A detuned pass holds one schedule, so a detuned key reads the
+same in any batch of schedules. A trajectory takes each chunk's prefix
 products from the same pairwise tree, whose last entry is the chunk product
 by construction, and folds it by the same call as the end point, so the
 trajectory ends on the end-point propagator bit for bit.
@@ -71,10 +75,9 @@ One builder, _build, integrates and caches every pair, one _integrate call
 per direction for a batch of schedules. passage_blocks builds a miss as a
 batch of one; build_passages builds many schedules at once, as a sweep does
 for a window of grid points. It groups the keys that share params, rung
-count, step grid, mirror symmetry and single-field runs, and builds every
-valid key with one _build call per group, however many rows the group has;
-a detuned key, whose rounding depends on the size of its batch, is a group
-of its own. Only a key whose blocks are not finite is left for
+count, step grid, mirror symmetry and single-field runs, detuned or not,
+and builds every valid key with one _build call per group, however many
+rows the group has. Only a key whose blocks are not finite is left for
 passage_blocks, which then raises NormDrift where it is read.
 A build_passages call samples each step grid's pulse shapes once: its
 schedules share the unit-peak sin^2 shape of every pulse geometry on every
@@ -275,7 +278,7 @@ _MAGNUS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 _MAGNUS_COEFF = np.sqrt(3.0) / 12.0
 # Steps per chunk: the product's grouping depends on the step index only, not
 # on the batch of rungs. With _BATCH_ROWS it also bounds the work area
-# (_work_area) that every array of a resonant end point's chunk is taken from.
+# (_work_area) that every array of a resonant chunk is taken from.
 _CHUNK_STEPS = 256
 # Eigenvalue spread below which the second divided difference uses its series.
 _SERIES_SPREAD = 1e-2
@@ -566,7 +569,7 @@ def _runs(sampled: np.ndarray) -> tuple:
     return lead, lead_pump_off, trail, trail_pump_off
 
 
-# The work area of the resonant end-point path (_work_area), one per thread.
+# The work area of the resonant kernel (_work_area), one per thread.
 _WORK = threading.local()
 
 
@@ -614,26 +617,23 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns,
 
     ns are the rungs, as sideband_factors reads them, and sampled holds
     each schedule's _sampled pulses. On resonance the schedules also share
-    their single-field runs (_runs); off it there is one schedule. Returns
-    (len(schedules), len(ns), 3, 3), or for one schedule the trajectory
-    (n_steps+1, len(ns), 3, 3), unchecked: a row past the float range is
-    inf or nan. Each schedule's dt and kappa, and
-    every step of a row, are computed as for that schedule alone.
-    This is the one place that bounds the rows integrated at once: a
-    resonant end point of any number of schedules and rungs is tiled into
-    passes of at most _BATCH_ROWS rows, min(len(ns), _BATCH_ROWS) rungs by
-    _BATCH_ROWS // that schedules. Every chunk of a pass writes its arrays
-    to the work area (_chunk_work), and each pass writes its rotations into
-    its block of the one output array. Rows are independent, so each pass is
-    bit-identical to the whole. A detuned build, whose rounding depends on
-    the size of its batch, and a trajectory take all their rows in one pass
-    of new arrays.
+    their single-field runs (_runs). Returns (len(schedules), len(ns), 3,
+    3), or for one schedule the trajectory (n_steps+1, len(ns), 3, 3),
+    whose last entry is the end point; unchecked: a row past the float
+    range is inf or nan. Each schedule's dt and kappa, and every step of a
+    row, are computed as for that schedule alone.
+    This is the one place that bounds the rows integrated at once: every
+    call is tiled into passes of min(len(ns), _BATCH_ROWS) rungs, by
+    _BATCH_ROWS // that schedules on resonance and by one schedule off it,
+    where the rounding depends on the pass's rows. Each pass writes its
+    products into its block of the one output array. Rows are independent,
+    so a resonant pass is bit-identical to the whole; a resonant chunk
+    writes its arrays to the work area (_chunk_work).
     """
     n_steps = schedules[0].n_steps
     rates = np.atleast_1d(sideband_factors(params, ns))
     delta = params.delta_stirap
     resonant = delta == 0.0
-    in_passes = resonant and not trajectory
     # Steps run along axis 2 of every stack: (2, rows, steps) Cayley-Klein
     # pairs on resonance, (3, 3, steps, rungs) blocks off it. p is the product
     # of the segments so far; multiplying by the identity is exact. A segment
@@ -642,16 +642,16 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns,
     # The runs are read off the envelopes, so they are the same for every rung.
     lead = trail = 0
     if resonant:
-        product, identity = _spinor_product, np.array([[1.0], [0.0]], dtype=complex)
-        if in_passes:  # the products' temporaries go to the work area too
-            product = partial(_spinor_product, work=_work_area()[1])
+        multiply, identity = _spinor_product, np.array([[1.0], [0.0]], dtype=complex)
+        # the tree's and the fold's temporaries go to the work area too; the
+        # products at a trajectory's step boundaries, which span whole runs and
+        # can outgrow it, take new arrays (multiply)
+        product = partial(multiply, work=_work_area()[1])
         dts = np.array([s.dt for s in schedules])[:, None, None]
         lead, lead_pump_off, trail, trail_pump_off = _runs(sampled[0])
     else:
-        (schedule,), (sample,) = schedules, sampled
-        product, identity = _matmul3, np.eye(3, dtype=complex)[:, :, None]
-        dt = schedule.dt
-        pumps, stokes = sample
+        multiply = product = _matmul3
+        identity = np.eye(3, dtype=complex)[:, :, None]
     end = n_steps - trail
     segments = [(slice(lo, min(lo + _CHUNK_STEPS, end)), None)
                 for lo in range(lead, end, _CHUNK_STEPS)]
@@ -659,11 +659,11 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns,
         segments.insert(0, (slice(0, lead), lead_pump_off))
     if trail:
         segments.append((slice(end, n_steps), trail_pump_off))
-    per, across = max(len(rates), 1), len(schedules)  # rungs and schedules per pass
-    if in_passes:  # tiles of at most _BATCH_ROWS rows, each read out into its block of out
-        per = min(per, _BATCH_ROWS)
-        across = _BATCH_ROWS // per
-        out = np.empty((len(schedules), len(rates), 3, 3), dtype=complex)
+    per = min(max(len(rates), 1), _BATCH_ROWS)  # rungs per pass
+    across = _BATCH_ROWS // per if resonant else 1  # schedules per pass
+    out = np.empty((n_steps + 1 if trajectory else len(schedules), len(rates), 3, 3),
+                   dtype=complex)
+    ends = out[-1:] if trajectory else out  # the end points, (schedules, rungs, 3, 3)
     passes = [(slice(lo, lo + across), slice(r, r + per))
               for lo in range(0, len(schedules), across)
               for r in range(0, max(len(rates), 1), per)]
@@ -672,16 +672,17 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns,
         if resonant:  # (schedule, 1, 1) and (schedule, steps) per node: a chunk is
             # (schedule, rung, step); the pass stacks only its schedules' pulses
             (pumps, stokes), dt = np.stack(sampled[span], axis=2), dts[span]
+        else:  # one schedule: a chunk is (step, rung)
+            (pumps, stokes), dt = sampled[span.start], schedules[span.start].dt
         kappa = _MAGNUS_COEFF * dt
         half_rates = pass_rates[:, None] / 2
         rows = count * len(pass_rates)
         p = np.broadcast_to(identity, identity.shape[:-1] + (rows,))
         if trajectory:
-            traj = np.empty((n_steps + 1, rows, 3, 3), dtype=float if resonant else complex)
             # the product at every step boundary: a detuned one is the trajectory
-            # itself, a resonant one is read out as rotations at the end
+            # itself, a resonant one is read out as rotations after the pass
             hist = (np.empty((2, rows, n_steps + 1), dtype=complex) if resonant
-                    else traj.transpose(2, 3, 0, 1))
+                    else out[:, rungs].transpose(2, 3, 0, 1))
             hist[:, :, 0] = p
         levels = None
         for sl, run in segments:
@@ -690,9 +691,7 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns,
                 steps = _run_spinors([x[:, sl] for x in live], scale, run, dt, trajectory)
             elif resonant:
                 # (schedule, rung, chunk); the commutator term alone survives in w = i omega
-                shape = (count, len(pass_rates), sl.stop - sl.start)
-                gen, kernel, levels = (_chunk_work(shape) if in_passes
-                                       else ((None,) * 4, None, None))
+                gen, kernel, levels = _chunk_work((count, len(pass_rates), sl.stop - sl.start))
                 a1, a2 = (x[:, None, sl] for x in pumps)
                 b1, b2 = (np.multiply(half_rates, x[:, None, sl], out=o)
                           for x, o in zip(stokes, gen))
@@ -718,7 +717,7 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns,
             if trajectory:
                 if run is None:
                     steps = _pairwise_product(steps, product, prefix=True)
-                hist[:, :, sl.start + 1:sl.stop] = product(steps[:, :, :-1], p[:, :, None])
+                hist[:, :, sl.start + 1:sl.stop] = multiply(steps[:, :, :-1], p[:, :, None])
                 root = steps[:, :, -1]
             else:
                 root = _pairwise_product(steps, product, levels=levels)
@@ -728,19 +727,16 @@ def _integrate(schedules, sampled, params: PhysicalParams, ns,
             p = product(np.ascontiguousarray(root), p)
             if trajectory:
                 hist[:, :, sl.stop] = p
-        if in_passes:
+        if resonant:
+            if trajectory:  # the boundaries before the last, which is the end point
+                _rotation_from_spinor(hist[:, :, :-1], out=out[:-1, rungs].transpose(2, 3, 1, 0))
             _rotation_from_spinor(p.reshape(2, count, len(pass_rates)),
-                                  out=out[span, rungs].transpose(2, 3, 0, 1))
-    if in_passes:
+                                  out=ends[span, rungs].transpose(2, 3, 0, 1))
+        else:
+            ends[span, rungs] = p.transpose(2, 0, 1)
+    if resonant:
         out *= _ROTATION_PHASES
-        return out
-    if not trajectory:  # detuned: one schedule
-        return np.ascontiguousarray(p.transpose(2, 0, 1)).reshape(1, len(rates), 3, 3)
-    if resonant:  # the last boundary read out as the end point is
-        _rotation_from_spinor(hist[:, :, :-1], out=traj[:-1].transpose(2, 3, 1, 0))
-        _rotation_from_spinor(p, out=traj[-1].transpose(1, 2, 0))
-        return traj * _ROTATION_PHASES
-    return traj
+    return out
 
 
 def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
@@ -753,9 +749,10 @@ def block_propagators(schedule: StirapSchedule, params: PhysicalParams, ns,
     magnus4, both at t + dt/2 for midpoint, whose commutator term is then
     exactly 0; the generator formula is the same. The step generators and
     their exponentials are evaluated for a chunk of _CHUNK_STEPS steps and
-    all rungs at once (at most _BATCH_ROWS at once for a resonant end point,
-    in the work area); each chunk's product is taken pairwise (later @
-    earlier, log depth), and the chunk products are folded in time order.
+    a pass of at most _BATCH_ROWS rungs at once (in the work area on
+    resonance), end point and trajectory alike; each chunk's product is
+    taken pairwise (later @ earlier, log depth), and the chunk products are
+    folded in time order.
     The trajectory takes each chunk's inclusive prefix products from the same
     pairwise routine, whose last entry is the chunk product bit for bit; both
     modes fold each chunk product into the running product by the same call,
@@ -857,10 +854,11 @@ def _is_mirrored(schedule: StirapSchedule) -> bool:
 # _build only.
 _PASSAGES: OrderedDict = OrderedDict()
 PASSAGE_CACHE_SIZE = 32
-# Rows (schedule, rung) of one pass of a resonant end point's integration
-# (_integrate) at most, the one bound on the rows integrated at once; with
-# _CHUNK_STEPS it sizes the work area. A 242-rung schedule takes passes of 64
-# rungs, 70 one-rung schedules passes of 64 schedules. Building the keys of a
+# Rows (schedule, rung) of one pass of an integration (_integrate) at most,
+# the one bound on the rows integrated at once, resonant or detuned, end point
+# or trajectory; with _CHUNK_STEPS it sizes the work area. A 242-rung schedule
+# takes passes of 64 rungs, 70 one-rung schedules passes of 64 schedules on
+# resonance and of one schedule off it. Building the keys of a
 # group together pays: on a 2-vCPU x86-64 VM with one BLAS thread (200
 # alternating rounds), the six passages of a schedule-sweep operation (3
 # margins x 2 step grids, 13 rungs) took 7.17 ms (quartiles 6.84-7.42)
@@ -895,7 +893,7 @@ def _build(batch: list, params: PhysicalParams, n_rungs: int) -> None:
     """Integrate passage pairs together and cache each one whose blocks are finite.
 
     batch holds the _parts of 'up' schedules that share a step grid, mirror
-    symmetry and, on resonance, the single-field runs of each direction. The
+    symmetry and the single-field runs of each direction. The
     up passages are one _integrate call with rows (schedule, rung) and the
     down passages, for pulses that do not mirror, another; a mirrored pair
     caches down = up^T. A batch of one is a schedule's own build.
@@ -921,8 +919,9 @@ def passage_blocks(schedule: StirapSchedule, params: PhysicalParams, n_rungs: in
     the PASSAGE_CACHE_SIZE most recently used builds) keys on the arguments
     as passed; they are positional-only, so one schedule has one key. A miss
     is built by _build as a batch of one, the one builder that build_passages
-    runs on many keys. A resonant rung n comes out bit-identical in every
-    batch, a detuned one to about 1e-15.
+    runs on many keys. A key comes out bit-identical in every batch of
+    keys; a resonant rung n in every batch of rungs too, a detuned one in
+    batches of other rung counts to about 1e-15.
     When the pulses mirror each other, the reverse passage is the up passage
     run backwards in time; the blocks are real symmetric and each step maps
     to the transpose of its mirror step, so down = up^T exactly up to
@@ -954,9 +953,9 @@ def build_passages(keys) -> None:
 
     The keys are grouped by params, rung count, step grid, mirror symmetry
     and the single-field runs (_runs) of each direction, and _build
-    integrates each group, whatever its size, in one call per direction:
-    _integrate alone bounds the rows it integrates at once. A detuned key
-    is a group of its own, since its _integrate takes one schedule. Each
+    integrates each group, whatever its size and whatever the detuning, in
+    one call per direction: _integrate alone bounds the rows it integrates
+    at once, and gives each detuned schedule passes of its own. Each
     key's blocks are bit-identical to the schedule's own build by
     passage_blocks, so every valid key is built here and none is left for
     passage_blocks to sample again.
@@ -976,11 +975,9 @@ def build_passages(keys) -> None:
         elif schedule.direction == "up" and _is_rung_count(n_rungs):
             with suppress(MemoryError):  # passage_blocks raises it where the key is read
                 parts, sampled = _parts(schedule, shapes)
-                # a detuned key is a group of its own, since its _integrate takes one
-                # schedule; one runs entry per direction integrated, so mirrored and
+                # one runs entry per direction integrated, so mirrored and
                 # unmirrored pulses never share a group
-                shared = (schedule if params.delta_stirap
-                          else (schedule.n_steps, tuple(_runs(x) for x in sampled)))
+                shared = schedule.n_steps, tuple(_runs(x) for x in sampled)
                 groups.setdefault((params, n_rungs, shared), []).append((parts, sampled))
     for (params, n_rungs, _), batch in groups.items():
         with suppress(MemoryError):  # as are the keys of a group too large
@@ -1014,7 +1011,10 @@ def passage_matrix(schedule: StirapSchedule, params: PhysicalParams,
 
     Index layout: level * n_phonon_levels + n. Cells outside the passage
     blocks (level 0, the ladder top, and |2>|0>) carry the identity.
+    n_phonon_levels must be an integer >= 1, checked before anything is built.
     """
+    if not (_is_integer(n_phonon_levels) and n_phonon_levels >= 1):
+        raise ValueError(f"n_phonon_levels must be an integer >= 1, got {n_phonon_levels!r}")
     d = n_phonon_levels
     p = _passage(schedule, params, d - 1)
     mat = np.eye(4 * d, dtype=complex)

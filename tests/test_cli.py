@@ -1021,7 +1021,7 @@ def test_detuned_sweep_integrates_once_per_point(tmp_path, integrations):
     doc["gate"]["params"]["delta_stirap_rad_per_s"] = 37.0
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
-    assert integrations == [["up"]] * 3
+    assert integrations == [["up"] * 3]  # detuned keys group like resonant ones
 
 
 def test_unallocatable_window_fails_at_its_first_point(tmp_path, capsys):

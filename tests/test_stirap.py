@@ -503,6 +503,15 @@ def test_block_propagators_match_eigh_oracle_across_chunks(n_steps, detuning):
     assert np.array_equal(traj[-1], final)
 
 
+@pytest.mark.parametrize("levels", [0, 2.5, True])
+def test_passage_matrix_checks_n_phonon_levels_by_the_size_rule(levels, integrations):
+    # not read as n_rungs -1 or 1.5, which the caller never passed, nor True as 2
+    message = rf"^n_phonon_levels must be an integer >= 1, got {levels!r}$"
+    with pytest.raises(ValueError, match=message):
+        stirap.passage_matrix(schedule(n_steps=300), PARAMS, levels)
+    assert integrations == [] and not stirap._PASSAGES
+
+
 def test_empty_rung_batch():
     sched = schedule(n_steps=300)
     assert np.array_equal(stirap.passage_matrix(sched, PARAMS, 1), np.eye(4))
@@ -941,14 +950,15 @@ def test_zero_field_schedule_is_a_group_of_its_own(integrations):
 
 
 def test_detuned_schedule_is_integrated_alone(integrations):
-    # a detuned build's rounding depends on its batch size, so each key is a
-    # group of its own, built ahead as passage_blocks would build it
+    # a detuned pass's rounding depends on its rows, so _integrate gives each
+    # detuned schedule passes of its own: the keys of a group are one call,
+    # and each is built ahead as passage_blocks would build it
     params = detuned(37.0)
     keys = [(schedule(margin=m, n_steps=300), params, 13) for m in (80.0, 90.0, 100.0)]
     stirap.build_passages(keys)
-    assert integrations == [["up"]] * 3 and list(stirap._PASSAGES) == keys
+    assert integrations == [["up"] * 3] and list(stirap._PASSAGES) == keys
     built = [stirap.passage_blocks(*key) for key in keys]
-    assert len(integrations) == 3
+    assert len(integrations) == 1
     stirap._PASSAGES.clear()
     for key, pair in zip(keys, built):
         assert all(np.array_equal(a, b) for a, b in zip(pair, stirap.passage_blocks(*key)))
@@ -991,10 +1001,10 @@ def test_keys_built_ahead_are_sampled_once(shape_evaluations, integrations):
             for params, n_rungs in ((PARAMS, 242), (detuned(37.0), 13)) for m in (100.0, 300.0)]
     stirap.build_passages(keys)
     assert shape_evaluations == [300] * 4
-    assert integrations == [["up", "up"], ["up"], ["up"]]
+    assert integrations == [["up", "up"], ["up", "up"]]
     for key in keys:
         stirap.passage_blocks(*key)
-    assert shape_evaluations == [300] * 4 and len(integrations) == 3
+    assert shape_evaluations == [300] * 4 and len(integrations) == 2
 
 
 def test_a_lone_key_is_sampled_once(shape_evaluations, integrations):
@@ -1040,7 +1050,7 @@ def test_paper_regime_pair_stays_in_the_work_area(integrations):
 def test_paper_regime_passes_match_single_rung_builds(n_steps, integrations):
     # 242 rungs are integrated in passes of _BATCH_ROWS = 64 rungs within one
     # call; the rungs on each side of a pass boundary read what they read alone,
-    # and what the trajectory, whose arrays are all new, ends on
+    # and what the trajectory ends on
     sched = schedule(n_steps=n_steps)
     up, down = stirap.passage_blocks(sched, PARAMS, 242)
     assert integrations == [["up"]]
@@ -1050,6 +1060,57 @@ def test_paper_regime_passes_match_single_rung_builds(n_steps, integrations):
         assert np.array_equal(down[n], alone.T)
         traj = stirap.block_propagators(sched, PARAMS, [n], trajectory=True)
         assert np.array_equal(traj[-1, 0], alone)
+
+
+def tiles(n_rungs):
+    """The rungs of each pass of a build of n_rungs rungs, _BATCH_ROWS at most."""
+    return [np.arange(lo, min(lo + stirap._BATCH_ROWS, n_rungs))
+            for lo in range(0, n_rungs, stirap._BATCH_ROWS)]
+
+
+@pytest.mark.parametrize("n_rungs", [65, 242])
+def test_detuned_build_is_its_tiles_bit_for_bit(n_rungs):
+    # a detuned pass's rounding depends on its rows, and every call is tiled
+    # into passes of at most _BATCH_ROWS rungs: each tile of a detuned build
+    # reads what block_propagators reads on that tile alone
+    params = detuned(37.0)
+    sched = schedule()
+    up, down = stirap.passage_blocks(sched, params, n_rungs)
+    for tile in tiles(n_rungs):
+        alone = stirap.block_propagators(sched, params, tile)
+        assert np.array_equal(up[tile], alone)
+        assert np.array_equal(down[tile], alone.transpose(0, 2, 1))
+
+
+def test_detuned_paper_regime_build_stays_within_a_few_pass_arrays():
+    # once a build has warmed up, a detuned 242-rung, 2000-step build holds
+    # arrays of one pass's chunk at a time: its peak stays below eight (3, 3)
+    # blocks of _CHUNK_STEPS steps by _BATCH_ROWS rungs, where one pass of all
+    # 242 rungs took 39 MB
+    params = detuned(37.0)
+    stirap.passage_blocks(schedule(margin=90.0), params, 242)
+    tracemalloc.start()
+    try:
+        stirap.passage_blocks(schedule(), params, 242)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 9 * stirap._CHUNK_STEPS * stirap._BATCH_ROWS * 16
+
+
+@pytest.mark.parametrize("delta", [0.0, 37.0])
+@pytest.mark.parametrize("n_rungs", [65, 242])
+def test_trajectory_is_its_tiles_bit_for_bit(n_rungs, delta):
+    # a trajectory takes the same passes as an end point, so every tile of it
+    # reads the trajectory of that tile alone, and it still ends on the end point
+    params = detuned(delta)
+    sched = schedule(n_steps=257)
+    ns = np.arange(n_rungs)
+    traj = stirap.block_propagators(sched, params, ns, trajectory=True)
+    for tile in tiles(n_rungs):
+        alone = stirap.block_propagators(sched, params, tile, trajectory=True)
+        assert np.array_equal(traj[:, tile], alone)
+    assert np.array_equal(traj[-1], stirap.block_propagators(sched, params, ns))
 
 
 @pytest.mark.parametrize("n_rungs", [-1, 2.5, True, 3.0])
